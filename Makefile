@@ -15,8 +15,8 @@ JOBS ?= 2
 test:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
 
-## Exactly what .github/workflows/ci.yml runs — one local command to know
-## the gate will pass before pushing.
+## The checks .github/workflows/ci.yml runs, in the same order — one local
+## command to know the gate will pass before pushing.
 ci: lint test golden-check trace-smoke serve-smoke
 
 ## Static analysis: the determinism & sim-safety linter (AST rules DET/SIM,
@@ -80,9 +80,10 @@ trace-smoke:
 serve-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest tests/integration/test_serve_smoke.py -q
 
-## Perf floor (run in CI): the smoke benchmarks assert absolute events/sec
+## Perf floor on its own: the smoke benchmarks assert absolute events/sec
 ## floors and wall-clock budgets sized for slow shared runners — a real
 ## engine regression (accidental O(n^2), coalescing disabled, GC storm)
-## fails the gate; normal CI noise does not.
+## fails; normal noise does not.  CI needs no separate step for it: the
+## tier-1 suite (`make test`) collects benchmarks/ and runs this file.
 bench-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/test_perf_smoke.py -q -s

@@ -1,8 +1,8 @@
-"""Setuptools shim.
+"""Setuptools configuration: the package's only build file.
 
-The canonical build configuration lives in ``pyproject.toml``; this file only
-exists so that legacy/offline installs (``pip install -e . --no-use-pep517
---no-build-isolation``) work in environments without the ``wheel`` package.
+Nothing needs installing to run from the tree (``PYTHONPATH=src``); this file
+serves offline installs (``pip install -e . --no-use-pep517
+--no-build-isolation``) in environments without the ``wheel`` package.
 """
 
 from setuptools import find_packages, setup

@@ -1,6 +1,5 @@
 """AllReduce (DDP) training architecture for dedicated GPU clusters."""
 
-from .event_driven import EventDrivenAllReduceJob, GroupStateArrays
 from .job import AllReduceJob, AllReduceResult
 from .strategies import (
     DeviceAssignment,
@@ -14,8 +13,6 @@ from .strategies import (
 __all__ = [
     "AllReduceJob",
     "AllReduceResult",
-    "EventDrivenAllReduceJob",
-    "GroupStateArrays",
     "DeviceAssignment",
     "GPUWorkerGroup",
     "antdt_dd_assignment",

@@ -25,10 +25,7 @@ _ENGINE_WHITELIST = (
 )
 
 #: Environment internals: the event heap and run-loop bookkeeping.
-_ENV_INTERNALS = frozenset({
-    "_queue", "_eid", "_dead", "_active_process",
-    "_quiescent_pending", "_periodic_tasks",
-})
+_ENV_INTERNALS = frozenset({"_queue", "_eid", "_dead", "_active_process"})
 
 #: Store internals: the item/getter deques and dispatch machinery.
 _STORE_INTERNALS = frozenset({"_getters", "_dispatch", "_confirmation"})

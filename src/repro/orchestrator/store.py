@@ -174,7 +174,7 @@ class ResultStore:
         """Record a fingerprint under the spec's content key; returns the key.
 
         ``engine`` optionally attaches the run's engine-event counters
-        (scheduled / logical / physical / folded) as a sidecar; it rides next
+        (scheduled / logical / physical) as a sidecar; it rides next
         to the fingerprint without participating in the integrity digest, so
         old records without it stay valid and loadable.
         """

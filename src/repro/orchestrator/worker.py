@@ -78,32 +78,19 @@ def run_payload(spec_dict: Dict[str, object]) -> Dict[str, object]:
     """
     watch = Stopwatch().start()
     try:
-        spec = ScenarioSpec.from_dict(spec_dict)
-        sim = simulate_spec(spec)
-        return {
-            "ok": True,
-            "fingerprint": sim.fingerprint,
-            "wall_s": watch.elapsed,
-            "engine_events_scheduled": sim.run.engine_events_scheduled,
-            "engine_events_processed": sim.run.engine_events_processed,
-            "engine_events_physical": sim.run.engine_events_physical,
-            "engine_events_folded": sim.run.engine_events_folded,
-        }
+        sim = simulate_spec(ScenarioSpec.from_dict(spec_dict))
     except Exception as exc:  # noqa: BLE001 - isolation is the contract
-        return {
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-            "wall_s": watch.elapsed,
-        }
+        return outcome_payload(None, exc, watch.elapsed)
+    return outcome_payload(sim, None, watch.elapsed)
 
 
 def outcome_payload(sim: Optional[SimRun], error: Optional[BaseException],
                     wall_s: float) -> Dict[str, object]:
-    """The :func:`run_payload`-shaped record for an in-process execution.
+    """The JSON-safe result record of one execution, success or error.
 
-    Keeps the serial (jobs=1) path and the subprocess path flowing through
-    one record shape, which is what makes them provably equivalent.
+    Both the serial (jobs=1) path and :func:`run_payload` in the subprocess
+    build their records here, so the two share one record shape by
+    construction.
     """
     if error is not None:
         return {
@@ -121,5 +108,4 @@ def outcome_payload(sim: Optional[SimRun], error: Optional[BaseException],
         "engine_events_scheduled": sim.run.engine_events_scheduled,
         "engine_events_processed": sim.run.engine_events_processed,
         "engine_events_physical": sim.run.engine_events_physical,
-        "engine_events_folded": sim.run.engine_events_folded,
     }

@@ -17,15 +17,15 @@ The public surface mirrors the subset of SimPy semantics we need:
 * :class:`Store` — an unbounded FIFO channel used for message queues between
   workers, servers, agents and the controller.
 
-Cohort coalescing and quiescent-window fast-forward
----------------------------------------------------
+Cohort coalescing
+-----------------
 Beyond the SimPy subset, the environment supports *absolute-time scheduling*
 (:meth:`Environment.schedule_at` / :meth:`Environment.discard_scheduled`):
 a component that can compute a whole window of deterministic future outcomes
 closed-form — e.g. a parameter server acknowledging a cohort of queued pushes
 whose handling times are all known — commits the window eagerly, schedules a
-single wake-up event at the end of the window, and the clock fast-forwards
-over the window in one heap pop instead of one pop per member.  Should the
+single wake-up event at the end of the window, and the clock crosses the
+window in one heap pop instead of one pop per member.  Should the
 window's quiescence break before it elapses (a failure, a straggler
 transition, an elastic membership change), the committed tail is *rescinded*:
 ``discard_scheduled`` lazily kills the stale heap entries and the component
@@ -69,7 +69,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "CountdownEvent",
-    "PeriodicTask",
     "Store",
     "StopSimulation",
     "PENDING",
@@ -562,116 +561,6 @@ class CountdownEvent(Event):
                 env.coalesced_count -= 1
 
 
-class PeriodicTask:
-    """A deterministic periodic event stream the engine can fast-forward.
-
-    Fires ``on_tick(when)`` every ``interval`` simulation seconds on the
-    fixed grid ``base + k * interval`` (no accumulated drift).  When the
-    pending heap holds *nothing but* periodic-task ticks and the run has a
-    finite horizon, the run loop advances the clock in closed form instead of
-    popping each tick — the quiescent-window fast-forward: each task receives
-    one ``on_fold(n, last_when)`` call summarising the ``n`` ticks the window
-    covered, and the skipped ticks are accounted as coalesced logical events
-    (so logical throughput matches tick-by-tick execution exactly).
-
-    Contract: both callbacks must be *quiescent* — they may update their own
-    accumulators but must not schedule events, resume processes, or mutate
-    state other simulation components read mid-window.  A periodic activity
-    that interacts with the simulation is not a quiescent task; model it as a
-    normal process loop.  Because tick times live on a fixed grid, a
-    fast-forwarded window leaves the task in the bit-identical state
-    tick-by-tick stepping produces (``Environment(coalesce=False)`` disables
-    the fast-forward and pins that equivalence in the tests).
-    """
-
-    __slots__ = ("env", "interval", "on_tick", "on_fold",
-                 "_base", "_index", "_eid", "_stopped")
-
-    def __init__(self, env: "Environment", interval: float,
-                 on_tick: Callable[[float], None],
-                 on_fold: Callable[[int, float], None],
-                 first_at: Optional[float] = None) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.env = env
-        self.interval = float(interval)
-        self.on_tick = on_tick
-        self.on_fold = on_fold
-        first = float(first_at) if first_at is not None else env._now + self.interval
-        if first < env._now:
-            raise ValueError(f"first_at={first} lies in the past (now={env._now})")
-        # Tick k fires at _base + (k+1) * interval; _index is the number of
-        # ticks already fired (or folded).
-        self._base = first - self.interval
-        self._index = 0
-        self._stopped = False
-        env._periodic_tasks.append(self)
-        self._schedule_tick()
-
-    @property
-    def ticks_elapsed(self) -> int:
-        """Ticks fired or folded so far."""
-        return self._index
-
-    def _next_when(self) -> float:
-        return self._base + (self._index + 1) * self.interval
-
-    def _schedule_tick(self) -> None:
-        env = self.env
-        event = Event(env)
-        event.callbacks.append(self._fire)
-        self._eid = env.schedule_at(event, self._next_when())
-        env._quiescent_pending += 1
-
-    def _fire(self, _event: Event) -> None:
-        env = self.env
-        env._quiescent_pending -= 1
-        self._eid = -1
-        if self._stopped:
-            return
-        self._index += 1
-        self.on_tick(env._now)
-        if not self._stopped:
-            # A tick callback may stop() its own task; then there is no next
-            # tick to schedule.
-            self._schedule_tick()
-
-    def stop(self) -> None:
-        """Cancel the stream; no further ticks fire (callable from a tick)."""
-        if self._stopped:
-            return
-        self._stopped = True
-        env = self.env
-        if self._eid != -1:
-            env.discard_scheduled(self._eid)
-            env._quiescent_pending -= 1
-        env._periodic_tasks.remove(self)
-
-    def _fast_forward(self, until: float) -> int:
-        """Fold every tick due in ``(now, until]``; returns how many."""
-        interval = self.interval
-        base = self._base
-        # Largest k with base + k*interval <= until, robust to the last-ulp
-        # ambiguity of the floor division.
-        k = int((until - base) // interval)
-        while base + k * interval > until:
-            k -= 1
-        while base + (k + 1) * interval <= until:
-            k += 1
-        n = k - self._index
-        if n <= 0:
-            return 0
-        env = self.env
-        env.discard_scheduled(self._eid)
-        env._quiescent_pending -= 1
-        self._index = k
-        self.on_fold(n, base + k * interval)
-        env.coalesced_count += n
-        env.folded_count += n
-        self._schedule_tick()
-        return n
-
-
 class Store:
     """An unbounded FIFO channel between processes.
 
@@ -791,8 +680,7 @@ class Environment:
 
     __slots__ = ("_now", "_queue", "_eid", "_active_process",
                  "scheduled_count", "processed_count",
-                 "coalesce", "coalesced_count", "folded_count", "_dead",
-                 "_quiescent_pending", "_periodic_tasks")
+                 "coalesce", "coalesced_count", "_dead")
 
     def __init__(self, initial_time: float = 0.0, coalesce: bool = True) -> None:
         self._now = float(initial_time)
@@ -803,15 +691,6 @@ class Environment:
         self.processed_count = 0
         self.coalesce = bool(coalesce)
         self.coalesced_count = 0
-        # Subset of coalesced_count contributed by quiescent-window tick
-        # folding (PeriodicTask._fast_forward); coalesced_count minus this is
-        # the cohort-commit share.  The perf subsystem reports both.
-        self.folded_count = 0
-        # Quiescent-window fast-forward bookkeeping: the number of pending
-        # heap entries that are PeriodicTask ticks, and the live tasks.  When
-        # every pending entry is a tick, the run loop advances closed-form.
-        self._quiescent_pending = 0
-        self._periodic_tasks: List[PeriodicTask] = []
         # Heap-entry ids rescinded via discard_scheduled().  Entries are
         # killed lazily: the run loop drops them on pop instead of paying an
         # O(n) heap rebuild per rescission.
@@ -953,10 +832,6 @@ class Environment:
         heappop = heapq.heappop
         dead = self._dead
         processed = 0
-        # Quiescent-window fast-forward: legal only with a finite horizon
-        # (a pure periodic stream never drains on its own) and gated by the
-        # same ``coalesce`` escape hatch as every other folding optimisation.
-        can_fast_forward = self.coalesce and stop_time != float("inf")
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -965,14 +840,6 @@ class Environment:
                 if queue[0][0] > stop_time:
                     self._now = stop_time
                     return None
-                if can_fast_forward and self._quiescent_pending == len(queue):
-                    # Every pending entry is a deterministic periodic tick:
-                    # advance the window closed-form.  (Entries rescinded but
-                    # not yet popped keep the counter below len(queue), which
-                    # conservatively falls back to stepping.)
-                    for task in list(self._periodic_tasks):
-                        task._fast_forward(stop_time)
-                    continue
                 when, _priority, eid, event = heappop(queue)
                 if dead and eid in dead:
                     dead.discard(eid)

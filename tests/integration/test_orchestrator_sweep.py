@@ -63,11 +63,11 @@ def test_parallel_sweep_isolates_failures(tmp_path):
 def test_two_process_sweep_is_byte_identical_at_1000_workers():
     """Serial vs 2-proc byte-identity holds at the 1000-worker scale point.
 
-    The cohort-coalescing fast paths (eager commits, vectorized push fan-out,
-    quiescent-window fast-forward) are exactly the machinery a 1000-worker run
-    leans on hardest, so the determinism proof is re-pinned at that scale: the
-    derived ``scale-120w@workers=1000`` scenario must fingerprint identically
-    under the process pool and under the serial golden path.
+    The cohort-coalescing fast paths (eager commits, vectorized push fan-out)
+    are exactly the machinery a 1000-worker run leans on hardest, so the
+    determinism proof is re-pinned at that scale: the derived
+    ``scale-120w@workers=1000`` scenario must fingerprint identically under
+    the process pool and under the serial golden path.
     """
     from repro.orchestrator import expand_registry
 

@@ -11,7 +11,9 @@ import json
 from pathlib import Path
 
 from repro.obs import capture_trace, run_trace_sweep
+from repro.orchestrator import ResultStore, spec_key
 from repro.orchestrator.cli import main as cli_main
+from repro.orchestrator.store import STORE_FILENAME
 from repro.scenarios import get_scenario
 from repro.scenarios.fingerprint import canonical_json
 
@@ -123,12 +125,16 @@ def test_cli_sweep_trace_and_report_engine_columns(tmp_path, capsys):
     assert (traces / f"{AUTOSCALED}.trace.json").exists()
 
     assert cli_main(["report", "--cache-dir", str(cache)]) == 0
-    out = capsys.readouterr().out
-    assert "events" in out and "coalesced" in out and "folded" in out
-    row = next(line for line in out.splitlines() if AUTOSCALED in line)
-    # The sidecar populated real numbers, not the "-" placeholders.
-    assert "-" not in row.split()[-3:]
-    assert all(cell.isdigit() for cell in row.split()[-3:])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-2:] == ["events", "coalesced"]
+    row = next(line for line in lines if AUTOSCALED in line)
+    events, coalesced = (int(cell) for cell in row.split()[-2:])
+    # The cells are the store sidecar's logical events and its
+    # logical-minus-physical split, not placeholders.
+    store = ResultStore(cache / STORE_FILENAME)
+    engine = store.get_record(spec_key(get_scenario(AUTOSCALED)))["engine"]
+    assert events == engine["engine_events_processed"]
+    assert coalesced == events - engine["engine_events_physical"]
 
 
 def test_cli_trace_files_match_library_capture(tmp_path):

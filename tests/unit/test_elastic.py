@@ -590,6 +590,45 @@ def test_elastic_allreduce_phases_and_speedup():
             MembershipChange(after_samples=25_000, group_counts={"V100": 4})))
 
 
+@pytest.mark.parametrize("num_changes", [0, 1, 2])
+@pytest.mark.parametrize("strategy", ["antdt_dd", "even"])
+def test_elastic_allreduce_phases_replay_the_fixed_membership_job(strategy, num_changes):
+    from dataclasses import replace
+
+    from repro.allreduce.job import AllReduceJob
+    from repro.allreduce.strategies import antdt_dd_assignment, even_assignment
+    from repro.elastic import ElasticAllReduceJob, MembershipChange
+    from repro.experiments.workloads import make_gpu_groups
+    from repro.ml.data.imagenet import mini_imagenet_epoch
+    from repro.ml.models.cost_models import MOBILENET_V1
+
+    def closed_form(groups):
+        return AllReduceJob(groups=groups, model=MOBILENET_V1, global_batch_size=512,
+                            workload=mini_imagenet_epoch(num_samples=40_000))
+
+    groups = make_gpu_groups(num_v100=4, num_p100=4)
+    assignments = (antdt_dd_assignment(groups, 512, MOBILENET_V1.compute_cost)
+                   if strategy == "antdt_dd" else even_assignment(groups, 512))
+    changes = [MembershipChange(after_samples=8_000, group_counts={"P100": 2}),
+               MembershipChange(after_samples=20_000, group_counts={"V100": 6, "P100": 0},
+                                rendezvous_cost_s=12.0)][:num_changes]
+    result = ElasticAllReduceJob(closed_form(groups)).run(assignments, changes=changes)
+    assert len(result.phases) == num_changes + 1 and result.samples_trained == 40_000
+    # Each phase is the fixed-membership closed form; rendezvous costs sit between.
+    elapsed = 0.0
+    for phase, change in zip(result.phases, [*changes, None]):
+        scaled = [replace(group, count=phase.group_counts[group.name])
+                  for group in groups if phase.group_counts[group.name] > 0]
+        present = {group.name for group in scaled}
+        fixed = closed_form(scaled).run([a for a in assignments if a.group in present])
+        assert phase.sync_period_s == fixed.sync_period_s
+        assert phase.samples_per_sync == fixed.samples_per_sync
+        assert phase.duration_s == phase.num_syncs * fixed.sync_period_s
+        elapsed += phase.duration_s
+        elapsed += change.rendezvous_cost_s if change else 0.0
+    assert result.jct == elapsed
+
+
 # ---------------------------------------------------------------------------
 # Membership log
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.sim.engine import (
     AllOf,
     AnyOf,
+    CountdownEvent,
     Environment,
     Event,
     Interrupt,
@@ -434,3 +435,34 @@ def test_step_counts_processed_events():
     env.step()
     assert env.processed_count == 1
     assert env.now == 1.0
+
+
+@pytest.mark.parametrize("discard", [(), (3.0,), (5.0,), (3.0, 5.0)])
+def test_discarded_entries_are_dropped_uncounted(discard):
+    env = Environment()
+    delivered = []
+    for when in (3.0, 5.0):
+        event = env.event()
+        event.callbacks.append(lambda event: delivered.append((env.now, event.value)))
+        eid = env.schedule_at(event, when, value=when)
+        if when in discard:
+            env.discard_scheduled(eid)
+    env.run()
+    kept = [when for when in (3.0, 5.0) if when not in discard]
+    assert delivered == [(when, when) for when in kept]
+    assert env.processed_count == len(kept)
+
+
+@pytest.mark.parametrize("contributions, fire_delay, fired", [
+    ([(2.0, "a"), (4.0, "b"), (4.0, "c")], 0.0, (4.0, "c")),  # latest call wins ties
+    ([(5.0, "a"), (1.0, "b")], 0.0, (5.0, "a")),
+    ([(2.0, "a"), (4.0, "b")], 0.5, (4.5, "b")),
+])
+def test_countdown_fires_at_latest_contribution(contributions, fire_delay, fired):
+    env = Environment()
+    latch = CountdownEvent(env, len(contributions), fire_delay=fire_delay)
+    armed = [latch.count_down_at(when, value) for when, value in contributions]
+    env.run()
+    assert armed[-1] and not any(armed[:-1])
+    assert (env.now, latch.value) == fired
+    assert env.coalesced_count == (1 if fire_delay else 0)  # the wait rode along

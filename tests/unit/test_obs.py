@@ -220,17 +220,20 @@ class TestEngineStatsSplit:
         env.run()
         snapshot = stats.snapshot()
         assert snapshot["coalesced_commits"] == 0.0
-        assert snapshot["folded_ticks"] == 0.0
         assert snapshot["logical_events"] == snapshot["physical_events"]
 
-    def test_folded_counts_as_coalesced_subset(self):
+    def test_coalesced_commits_are_logical_minus_physical(self):
         from repro.perf import EngineStats
         from repro.sim.engine import Environment
 
         env = Environment()
+        env.timeout(0.5)
+        env.run()
         stats = EngineStats(env)
-        env.folded_count += 3
-        env.coalesced_count += 5
-        assert stats.folded == 3
-        # logical - physical = 5 coalesced, of which 3 are folded ticks.
-        assert stats.coalesced_commits == 2
+        env.timeout(1.0)
+        env.timeout(2.0)
+        env.count_coalesced(5)
+        env.run()
+        assert stats.physical == 2
+        assert stats.logical == 7
+        assert stats.coalesced_commits == stats.logical - stats.physical == 5
