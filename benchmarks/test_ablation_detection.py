@@ -1,19 +1,16 @@
 """Ablation: slowness ratio λ — detection sensitivity vs mitigation churn."""
 
-from dataclasses import replace
-
 from conftest import BENCH_SCALE, run_once
 
-from repro.baselines import get_method
 from repro.core.actions import ActionType
-from repro.experiments import PSExperiment, worker_scenario
-from repro.experiments.workloads import antdt_config
+from repro.experiments import worker_scenario
+from repro.scenarios import ScenarioSpec, build_scenario_job
 
 
 def _run_with_lambda(slowness_ratio: float):
-    experiment = PSExperiment(method=get_method("antdt-nd"), scale=BENCH_SCALE,
-                              scenario=worker_scenario(0.8), seed=1)
-    job = experiment.build_job()
+    job, _ = build_scenario_job(ScenarioSpec.for_scale(
+        BENCH_SCALE, name=f"ablation-lambda-{slowness_ratio}", method="antdt-nd",
+        stragglers=worker_scenario(0.8), seed=1))
     job.antdt_config.slowness_ratio = slowness_ratio
     if job.controller is not None:
         job.controller.config.slowness_ratio = slowness_ratio

@@ -4,17 +4,21 @@ AntDT-ND only fires KILL_RESTART when the cluster is idle; in a congested
 cluster the relaunch would cost more than the straggler itself.
 """
 
+from dataclasses import replace
+
 from conftest import BENCH_SCALE, run_once
 
-from repro.experiments import run_ps_experiment, worker_scenario
+from repro.experiments import worker_scenario
+from repro.orchestrator import simulate_spec
+from repro.scenarios import ScenarioSpec, TopologySpec
 
 
 def _compare():
-    scenario = worker_scenario(0.8)
-    idle = run_ps_experiment("antdt-nd", scale=BENCH_SCALE, scenario=scenario, seed=1,
-                             cluster_busy=False)
-    busy = run_ps_experiment("antdt-nd", scale=BENCH_SCALE, scenario=scenario, seed=1,
-                             cluster_busy=True)
+    spec = ScenarioSpec.for_scale(BENCH_SCALE, name="ablation-pending-gate-idle",
+                                  method="antdt-nd", stragglers=worker_scenario(0.8), seed=1)
+    idle = simulate_spec(spec).run
+    busy = simulate_spec(replace(spec, name="ablation-pending-gate-busy",
+                                 topology=TopologySpec(cluster_busy=True))).run
     return {
         "idle": {"jct_s": idle.jct,
                  "worker_restarts": sum(v for k, v in idle.restarts_per_node.items()

@@ -7,17 +7,17 @@ trips — the trade-off behind the paper's ``M`` hyper-parameter.
 
 from conftest import BENCH_SCALE, run_once
 
-from repro.baselines import get_method
 from repro.core.sharding import StatefulDDS
 from repro.core.shuffler import ShardShuffler
-from repro.experiments import PSExperiment, worker_scenario
+from repro.experiments import worker_scenario
 from repro.experiments.workloads import antdt_config
+from repro.scenarios import ScenarioSpec, build_scenario_job
 
 
 def _run_with_shard_size(samples_per_shard: int):
-    experiment = PSExperiment(method=get_method("antdt-nd"), scale=BENCH_SCALE,
-                              scenario=worker_scenario(0.8), seed=1)
-    job = experiment.build_job()
+    job, _ = build_scenario_job(ScenarioSpec.for_scale(
+        BENCH_SCALE, name=f"ablation-shard-{samples_per_shard}", method="antdt-nd",
+        stragglers=worker_scenario(0.8), seed=1))
     cfg = antdt_config(BENCH_SCALE)
     job.allocator = StatefulDDS(
         num_samples=BENCH_SCALE.num_samples,

@@ -19,12 +19,12 @@ trajectory is comparable across PRs.
 from conftest import BENCH_SCALE
 
 from repro.experiments.evaluation_dd import run_gpu_strategy
-from repro.experiments.runner import run_ps_experiment
 from repro.experiments.stragglers import worker_scenario
-from repro.experiments.workloads import ExperimentScale, make_gpu_groups
+from repro.experiments.workloads import make_gpu_groups
 from repro.ml.data.imagenet import mini_imagenet_epoch
 from repro.ml.models.cost_models import MOBILENET_V1
 from repro.perf import PerfReporter, Stopwatch
+from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job
 
 #: Worker counts swept (6 = seed bench scale, 120 = two orders of magnitude
 #: beyond the paper-reproduction seed's largest benchmark).
@@ -40,13 +40,15 @@ def test_perf_scale_sweep():
     reporter = PerfReporter()
     rows = []
     for num_workers in SWEEP_WORKERS:
-        scale = ExperimentScale.for_workers(num_workers)
+        spec = ScenarioSpec(name=f"sweep-nd-{num_workers}w", method="antdt-nd", scale="auto",
+                            topology=TopologySpec(num_workers=num_workers),
+                            stragglers=worker_scenario(0.8))
 
         # ND: full discrete-event Parameter-Server run under AntDT-ND.
         watch = Stopwatch()
         with watch:
-            nd = run_ps_experiment("antdt-nd", scale=scale,
-                                   scenario=worker_scenario(0.8), seed=0)
+            job, _ = build_scenario_job(spec)
+            nd = job.run()
         nd_wall = watch.elapsed
         assert nd.completed, f"ND run at {num_workers} workers did not complete"
         assert nd_wall < ND_RUN_BUDGET_S, (
@@ -113,11 +115,13 @@ def test_perf_scale_sweep_1000w():
     count (~5M) dwarfs the physical heap traffic.
     """
     num_workers = 1000
-    scale = ExperimentScale.for_workers(num_workers)
+    spec = ScenarioSpec(name="sweep-nd-1000w", method="antdt-nd", scale="auto",
+                        topology=TopologySpec(num_workers=num_workers),
+                        stragglers=worker_scenario(0.8))
     watch = Stopwatch()
     with watch:
-        nd = run_ps_experiment("antdt-nd", scale=scale,
-                               scenario=worker_scenario(0.8), seed=0)
+        job, _ = build_scenario_job(spec)
+        nd = job.run()
     wall = watch.elapsed
     assert nd.completed, "ND run at 1000 workers did not complete"
     assert wall < ND_1000W_BUDGET_S, (

@@ -11,9 +11,9 @@ import json
 
 from conftest import BENCH_SCALE
 
-from repro.experiments.runner import run_ps_experiment
 from repro.experiments.stragglers import worker_scenario
 from repro.perf import PerfReporter, Stopwatch, measure_seed_speedup
+from repro.scenarios import ScenarioSpec, build_scenario_job
 
 #: Very conservative floor (events processed per wall second) so the check
 #: stays green on slow CI machines; the optimised engine sustains well over
@@ -44,10 +44,12 @@ def test_perf_smoke_engine_floor_and_report(tmp_path):
 
     # 2. Full bench-scale scenario throughput (engine + consumers), read from
     # the engine counters the run result now carries.
+    spec = ScenarioSpec.for_scale(BENCH_SCALE, name="bench-nd-scenario", method="antdt-nd",
+                                  stragglers=worker_scenario(0.8))
     watch = Stopwatch()
     with watch:
-        result = run_ps_experiment("antdt-nd", scale=BENCH_SCALE,
-                                   scenario=worker_scenario(0.8), seed=0)
+        job, _ = build_scenario_job(spec)
+        result = job.run()
     wall = watch.elapsed
     assert result.completed
     scenario_events = result.engine_events_processed

@@ -2,9 +2,9 @@
 
 Every method is a declarative recipe: which consistency model it runs under,
 which data allocator it uses, which (if any) mitigation solution drives the
-Controller, and how many backup workers it tolerates.  The experiment runner
-turns a recipe plus a cluster/workload into a runnable
-:class:`~repro.psarch.job.PSTrainingJob`.
+Controller, and how many backup workers it tolerates.
+:func:`repro.scenarios.build_scenario_job` turns a recipe plus a
+cluster/workload into a runnable :class:`~repro.psarch.job.PSTrainingJob`.
 """
 
 from __future__ import annotations

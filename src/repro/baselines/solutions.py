@@ -3,7 +3,7 @@
 Expressing the baselines through the same :class:`~repro.core.solutions.base.Solution`
 interface demonstrates the extensibility claim of the paper (any mitigation
 method can be plugged into the framework, reusing the DDS and the fault
-tolerance machinery) and keeps the experiment runner uniform.
+tolerance machinery) and keeps job assembly uniform across methods.
 """
 
 from __future__ import annotations

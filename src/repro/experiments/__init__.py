@@ -19,7 +19,6 @@ from .motivation import (
 )
 from .production import JobMixEntry, fig19_production_ab, make_job_mix
 from .reporting import format_table, percent_faster, speedup
-from .runner import PSExperiment, run_ps_experiment
 from .stragglers import (
     NO_STRAGGLERS,
     StragglerScenario,
@@ -48,7 +47,6 @@ __all__ = [
     "LARGE",
     "MEDIUM",
     "NO_STRAGGLERS",
-    "PSExperiment",
     "SCALES",
     "SMALL",
     "StragglerScenario",
@@ -80,7 +78,6 @@ __all__ = [
     "percent_faster",
     "ps_job_config",
     "run_gpu_strategy",
-    "run_ps_experiment",
     "server_scenario",
     "speedup",
     "table3_intensity_sweep",

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..baselines.registry import asp_methods, bsp_methods, get_method
-from ..core.actions import ActionType
-from .runner import PSExperiment, run_ps_experiment
-from .stragglers import StragglerScenario, server_scenario, worker_scenario
+from ..baselines.registry import asp_methods, bsp_methods
+from .stragglers import server_scenario, worker_scenario
 from .workloads import SMALL, ExperimentScale
 
 __all__ = [
@@ -25,8 +23,15 @@ __all__ = [
 ]
 
 
+# The generators import repro.scenarios/repro.orchestrator lazily; see the
+# note in framework.py.
+
+
 def _jct_matrix(methods, scale: ExperimentScale, intensity: float, seed: int
                 ) -> Dict[str, Dict[str, float]]:
+    from ..orchestrator import simulate_spec
+    from ..scenarios import ScenarioSpec
+
     results: Dict[str, Dict[str, float]] = {}
     scenarios = {
         "worker": worker_scenario(intensity),
@@ -35,8 +40,9 @@ def _jct_matrix(methods, scale: ExperimentScale, intensity: float, seed: int
     for method in methods:
         results[method.name] = {}
         for side, scenario in scenarios.items():
-            run = run_ps_experiment(method, scale=scale, scenario=scenario, seed=seed)
-            results[method.name][side] = run.jct
+            spec = ScenarioSpec.for_scale(scale, name=f"jct-{method.name}-{side}",
+                                          method=method.name, stragglers=scenario, seed=seed)
+            results[method.name][side] = simulate_spec(spec).run.jct
     return results
 
 
@@ -53,9 +59,12 @@ def fig11_asp_jct(scale: ExperimentScale = SMALL, intensity: float = 0.8,
 
 
 def _antdt_worker_run(scale: ExperimentScale, intensity: float, seed: int):
-    experiment = PSExperiment(method=get_method("antdt-nd"), scale=scale,
-                              scenario=worker_scenario(intensity), seed=seed)
-    return experiment.run()
+    from ..orchestrator import simulate_spec
+    from ..scenarios import ScenarioSpec
+
+    return simulate_spec(ScenarioSpec.for_scale(
+        scale, name="antdt-nd-worker-stragglers", method="antdt-nd",
+        stragglers=worker_scenario(intensity), seed=seed)).run
 
 
 def fig12_batch_size_trajectory(scale: ExperimentScale = SMALL, intensity: float = 0.8,
@@ -84,9 +93,12 @@ def fig13_bpt_trajectory(scale: ExperimentScale = SMALL, intensity: float = 0.8,
 def fig14_server_recovery(scale: ExperimentScale = SMALL, intensity: float = 0.8,
                           seed: int = 0, throughput_window_s: float = 20.0) -> Dict[str, object]:
     """Fig. 14: slow-server BPT and global throughput around its KILL_RESTART."""
-    experiment = PSExperiment(method=get_method("antdt-nd"), scale=scale,
-                              scenario=server_scenario(intensity), seed=seed)
-    result = experiment.run()
+    from ..orchestrator import simulate_spec
+    from ..scenarios import ScenarioSpec
+
+    result = simulate_spec(ScenarioSpec.for_scale(
+        scale, name="fig14-server-recovery", method="antdt-nd",
+        stragglers=server_scenario(intensity), seed=seed)).run
     # The injected straggler is the last server; its per-request handling time
     # is the Fig. 14 BPT curve.
     servers = result.metrics.tags("server_bpt")
@@ -119,12 +131,17 @@ def table3_intensity_sweep(scale: ExperimentScale = SMALL,
                            intensities: Sequence[float] = (0.1, 0.3, 0.5, 0.8),
                            seed: int = 0) -> List[Dict[str, float]]:
     """Table III: JCT of BSP vs AntDT-ND sweeping straggler intensity on each side."""
+    from ..orchestrator import simulate_spec
+    from ..scenarios import ScenarioSpec
+
     rows: List[Dict[str, float]] = []
     for side, scenario_factory in (("worker", worker_scenario), ("server", server_scenario)):
         for intensity in intensities:
-            scenario = scenario_factory(intensity)
-            bsp = run_ps_experiment("bsp", scale=scale, scenario=scenario, seed=seed)
-            antdt = run_ps_experiment("antdt-nd", scale=scale, scenario=scenario, seed=seed)
+            bsp, antdt = (
+                simulate_spec(ScenarioSpec.for_scale(
+                    scale, name=f"table3-{method}-{side}-{intensity}", method=method,
+                    stragglers=scenario_factory(intensity), seed=seed)).run
+                for method in ("bsp", "antdt-nd"))
             rows.append(
                 {
                     "side": side,

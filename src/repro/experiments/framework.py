@@ -27,10 +27,12 @@ __all__ = [
 
 
 # The scenario/orchestrator subsystems build *on top of* the experiments
-# package (specs embed StragglerScenario, the sweep runner drives
-# PSExperiment), so these figure generators import them lazily: a
-# module-level import would cycle through ``repro.experiments.__init__`` ->
-# framework -> scenarios -> runner.
+# package (specs embed StragglerScenario, build_scenario_job assembles jobs
+# from the workload presets), so every figure generator that runs a spec
+# imports them lazily.  A module-level import would cycle through
+# ``repro.scenarios`` -> scenarios.spec -> ``repro.experiments.__init__`` ->
+# framework -> ``repro.scenarios``, and would load the orchestrator on every
+# import of ``repro.experiments``.
 
 
 def fig16_shard_agility(scale: ExperimentScale = SMALL, intensity: float = 0.8,

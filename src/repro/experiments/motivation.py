@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..baselines.registry import get_method
-from ..core.config import ConsistencyModel
 from ..sim.hardware import CPU_WORKER_16C, GPU_P100, GPU_V100, DeviceProfile
-from .runner import PSExperiment
-from .stragglers import NO_STRAGGLERS, StragglerScenario, apply_trace_pattern, worker_scenario
+from .stragglers import trace_scenario, worker_scenario
 from .workloads import SMALL, ExperimentScale
 
 __all__ = [
@@ -27,18 +24,24 @@ __all__ = [
 ]
 
 
-def _run_with_trace_pattern(method: str, scale: ExperimentScale, seed: int):
-    experiment = PSExperiment(method=get_method(method), scale=scale,
-                              scenario=NO_STRAGGLERS, seed=seed, dedicated=False)
-    job = experiment.build_job()
-    apply_trace_pattern(job.cluster, scale, seed=seed)
-    result = job.run()
-    return job, result
+# The generators import repro.scenarios/repro.orchestrator lazily; see the
+# note in framework.py.
+
+
+def _trace_pattern_spec(method: str, scale: ExperimentScale, seed: int):
+    """The mixed Fig. 1 straggler pattern on a non-dedicated cluster."""
+    from ..scenarios import ScenarioSpec, TopologySpec
+
+    return ScenarioSpec.for_scale(scale, name=f"fig1-trace-{method}", method=method,
+                                  topology=TopologySpec(dedicated=False),
+                                  stragglers=trace_scenario(), seed=seed)
 
 
 def fig1_bpt_traces(scale: ExperimentScale = SMALL, seed: int = 0) -> Dict[str, Dict[str, List[Tuple[float, float]]]]:
     """Fig. 1: BPT traces of workers (1a) and servers (1b) in a non-dedicated cluster."""
-    job, result = _run_with_trace_pattern("bsp", scale, seed)
+    from ..orchestrator import simulate_spec
+
+    result = simulate_spec(_trace_pattern_spec("bsp", scale, seed)).run
     workers: Dict[str, List[Tuple[float, float]]] = {}
     for worker in result.metrics.tags("bpt"):
         series = result.metrics.series("bpt", worker)
@@ -52,11 +55,14 @@ def fig1_bpt_traces(scale: ExperimentScale = SMALL, seed: int = 0) -> Dict[str, 
 
 def fig2_dedicated_vs_nondedicated(scale: ExperimentScale = SMALL, seed: int = 0) -> Dict[str, Dict[str, float]]:
     """Fig. 2: JCT of BSP and ASP in dedicated vs. non-dedicated CPU clusters."""
+    from ..orchestrator import simulate_spec
+    from ..scenarios import ScenarioSpec
+
     results: Dict[str, Dict[str, float]] = {}
     for mode, method in (("BSP", "bsp"), ("ASP", "asp")):
-        dedicated = PSExperiment(method=get_method(method), scale=scale,
-                                 scenario=NO_STRAGGLERS, seed=seed).run()
-        _, contended = _run_with_trace_pattern(method, scale, seed)
+        dedicated = simulate_spec(ScenarioSpec.for_scale(
+            scale, name=f"fig2-dedicated-{method}", method=method, seed=seed)).run
+        contended = simulate_spec(_trace_pattern_spec(method, scale, seed)).run
         results[mode] = {
             "dedicated_jct_s": dedicated.jct,
             "non_dedicated_jct_s": contended.jct,
@@ -67,9 +73,12 @@ def fig2_dedicated_vs_nondedicated(scale: ExperimentScale = SMALL, seed: int = 0
 
 def fig3_data_consumption(scale: ExperimentScale = SMALL, seed: int = 0) -> Dict[str, Dict[str, float]]:
     """Fig. 3: per-worker sample consumption and throughput under ASP with the DDS."""
-    experiment = PSExperiment(method=get_method("asp-dds"), scale=scale,
-                              scenario=worker_scenario(0.8), seed=seed)
-    result = experiment.run()
+    from ..orchestrator import simulate_spec
+    from ..scenarios import ScenarioSpec
+
+    result = simulate_spec(ScenarioSpec.for_scale(
+        scale, name="fig3-consumption", method="asp-dds",
+        stragglers=worker_scenario(0.8), seed=seed)).run
     throughput: Dict[str, float] = {}
     for worker, samples in result.consumed_per_worker.items():
         throughput[worker] = samples / result.jct if result.jct > 0 else 0.0

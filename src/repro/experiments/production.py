@@ -14,12 +14,14 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..baselines.registry import PSMethod, asp_methods, bsp_methods
-from .runner import run_ps_experiment
+from ..baselines.registry import asp_methods, bsp_methods
 from .stragglers import NO_STRAGGLERS, StragglerScenario, server_scenario, worker_scenario
 from .workloads import SMALL, ExperimentScale
 
 __all__ = ["JobMixEntry", "make_job_mix", "fig19_production_ab"]
+
+# fig19_production_ab imports repro.scenarios/repro.orchestrator lazily; see
+# the note in framework.py.
 
 
 @dataclass(frozen=True)
@@ -58,13 +60,17 @@ def fig19_production_ab(num_jobs: int = 6, scale: ExperimentScale = SMALL,
 
     Returns ``{"bsp_family": {method: mean_jct}, "asp_family": {...}}``.
     """
+    from ..orchestrator import simulate_spec
+    from ..scenarios import ScenarioSpec
+
     mix = make_job_mix(num_jobs=num_jobs, seed=seed)
     results: Dict[str, Dict[str, float]] = {"bsp_family": {}, "asp_family": {}}
     for family, methods in (("bsp_family", bsp_methods()), ("asp_family", asp_methods())):
         for method in methods:
             jcts = [
-                run_ps_experiment(method, scale=scale, scenario=entry.scenario,
-                                  seed=entry.seed).jct
+                simulate_spec(ScenarioSpec.for_scale(
+                    scale, name=f"fig19-{method.name}-job{entry.job_id}", method=method.name,
+                    stragglers=entry.scenario, seed=entry.seed)).run.jct
                 for entry in mix
             ]
             results[family][method.name] = float(np.mean(jcts))

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from ..core.config import AntDTConfig, ConsistencyModel
-from ..ml.models.cost_models import ModelCostProfile, XDEEPFM_CRITEO
 from ..psarch.config import PSJobConfig
 from ..sim.cluster import Cluster, NodeRole, NodeSpec
 from ..sim.hardware import CPU_SERVER_4C, CPU_WORKER_16C, GPU_P100, GPU_V100
@@ -199,14 +198,16 @@ def antdt_config(scale: ExperimentScale) -> AntDTConfig:
 def ps_job_config(
     scale: ExperimentScale,
     consistency: ConsistencyModel = ConsistencyModel.BSP,
-    model: ModelCostProfile = XDEEPFM_CRITEO,
     backup_workers: int = 0,
 ) -> PSJobConfig:
-    """Parameter Server job configuration scaled to the experiment size."""
+    """Parameter Server job configuration scaled to the experiment size.
+
+    The job trains :data:`~repro.ml.models.cost_models.XDEEPFM_CRITEO`, the
+    :class:`~repro.psarch.config.PSJobConfig` default.
+    """
     return PSJobConfig(
         consistency=consistency,
         global_batch_size=scale.global_batch_size,
-        model=model,
         backup_workers=backup_workers,
         worker_recovery_time_s=scale.worker_recovery_s,
         server_recovery_time_s=scale.server_recovery_s,

@@ -56,11 +56,8 @@ def capture_trace(spec: ScenarioSpec, coalesce: Optional[bool] = None,
     from ..orchestrator.worker import simulate_spec
 
     recorder = TraceRecorder()
-    overrides: Dict[str, object] = {"recorder": recorder}
-    if coalesce is not None:
-        overrides["coalesce"] = coalesce
     watch = Stopwatch().start()
-    sim = simulate_spec(spec, **overrides)
+    sim = simulate_spec(spec, recorder=recorder, coalesce=coalesce)
     key = spec_key(spec)
     return TraceCapture(
         spec=spec,

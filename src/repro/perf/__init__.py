@@ -19,7 +19,6 @@ See BENCHMARKS.md at the repository root for the file format and workflow.
 
 from .profiling import (
     PROFILE_ENV,
-    maybe_profiled,
     profiling_requested,
     run_profiled,
     warn_multiprocess_profile,
@@ -37,7 +36,6 @@ __all__ = [
     "PerfReporter",
     "Stopwatch",
     "bench_output_path",
-    "maybe_profiled",
     "measure_engine",
     "measure_seed_speedup",
     "profiling_requested",

@@ -1,9 +1,9 @@
-"""Shared cProfile plumbing for every driver (``REPRO_PROFILE`` / ``--profile``).
+"""Shared cProfile plumbing for the CLI (``REPRO_PROFILE`` / ``--profile``).
 
-One profiling convention across the CLI sweep, the trace command, and the
-single-run experiment drivers: set ``REPRO_PROFILE=1`` (or pass a driver's
-``--profile`` flag) and the run executes under :mod:`cProfile`, printing the
-top cumulative entries to stderr so stdout stays machine-parseable.
+One profiling convention across ``repro sweep`` and ``repro trace``: set
+``REPRO_PROFILE=1`` (or pass the command's ``--profile`` flag) and the run
+executes under :mod:`cProfile`, printing the top cumulative entries to stderr
+so stdout stays machine-parseable.
 
 Profiling is in-process only: with a multi-process sweep the children's
 simulation time hides inside pool-wait frames, so
@@ -18,7 +18,7 @@ from typing import Callable, Optional, TextIO, TypeVar
 from ..core.config import PROFILE_ENV, profiling_env_enabled
 
 __all__ = ["PROFILE_ENV", "profiling_requested", "run_profiled",
-           "maybe_profiled", "warn_multiprocess_profile"]
+           "warn_multiprocess_profile"]
 
 _T = TypeVar("_T")
 
@@ -51,17 +51,6 @@ def run_profiled(work: Callable[[], _T], top: int = 20,
         stats.sort_stats("cumulative")
         print(f"\n--- profile (top {top} by cumulative time) ---", file=stream)
         stats.print_stats(top)
-
-
-def maybe_profiled(work: Callable[[], _T]) -> _T:
-    """Run ``work``, profiled iff ``REPRO_PROFILE`` requests it.
-
-    The hook single-run drivers (``PSExperiment.run`` and friends) call: the
-    common case is one env lookup and a direct call.
-    """
-    if profiling_requested():
-        return run_profiled(work)
-    return work()
 
 
 def warn_multiprocess_profile(jobs: int,

@@ -5,7 +5,7 @@ topology, contention/straggler pattern, failure trace, workload scale, method
 and seed — as serializable data.  The named registry holds the built-in
 matrix (dedicated/non-dedicated, transient/persistent stragglers, eviction
 storms, checkpoint-free failover, heterogeneous hardware, 120-worker scale);
-:class:`ScenarioMatrix` sweeps any subset through the experiment runner; and
+:class:`ScenarioMatrix` sweeps any subset through the orchestrator; and
 :func:`fingerprint` reduces each deterministic run to a compact golden trace
 pinned under ``tests/golden/traces/``.
 """

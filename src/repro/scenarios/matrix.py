@@ -13,20 +13,27 @@ and content-addressed result caching on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..baselines.registry import get_method
+from ..core.config import coalesce_default
+from ..core.sharding import StatefulDDS, StaticPartition
+from ..core.shuffler import ShardShuffler
 from ..elastic.autoscaler import Autoscaler, AutoscalerConfig
 from ..elastic.policies import make_policy, make_server_policy
 from ..elastic.spec import ElasticSpec, ScaleEvent
-from ..experiments.runner import PSExperiment
+from ..experiments.stragglers import apply_scenario
+from ..experiments.workloads import antdt_config, make_cpu_cluster, pending_model, ps_job_config
 from ..psarch.backend import ComputeBackend
 from ..psarch.job import PSRunResult, PSTrainingJob
 from ..sim.cluster import Cluster
 from ..sim.contention import CompositeContention, DeterministicSlowdown
+from ..sim.engine import Environment
 from ..sim.failures import FailureInjector
+from ..sim.metrics import MetricsRecorder
+from ..sim.scheduler import ClusterScheduler
 from .fingerprint import canonical_json, fingerprint
 from .spec import FailureEvent, ScenarioSpec, TopologySpec
 
@@ -34,43 +41,6 @@ __all__ = ["ScenarioResult", "ScenarioMatrix", "build_scenario_job", "run_scenar
 
 #: Distinguishes "use the default store" from an explicit ``store=None``.
 _UNSET = object()
-
-
-def _build_experiment(spec: ScenarioSpec,
-                      backend: Optional[ComputeBackend] = None,
-                      evaluate_after_run: bool = False,
-                      num_samples: Optional[int] = None,
-                      track_coverage: bool = False,
-                      failure_injector: Optional[FailureInjector] = None,
-                      coalesce: Optional[bool] = None,
-                      recorder: Optional[object] = None) -> PSExperiment:
-    """The bare :class:`PSExperiment` behind a scenario spec.
-
-    Internal: the experiment alone carries neither the failure trace nor the
-    topology heterogeneity — :func:`build_scenario_job` arms those on the
-    built job and is the public entry point.  The keyword overrides cover the
-    handful of knobs that are *not* part of the declarative scenario (a real
-    compute backend, dataset-driven sample counts, coverage accounting) so
-    experiments like the §VII-D integrity runs can still be spec-driven.
-    """
-    injector = failure_injector if failure_injector is not None else FailureInjector(
-        np.random.default_rng(spec.seed))
-    return PSExperiment(
-        method=get_method(spec.method),
-        scale=spec.resolve_scale(),
-        scenario=spec.stragglers,
-        seed=spec.seed,
-        dedicated=spec.topology.dedicated,
-        cluster_busy=spec.topology.cluster_busy,
-        backend=backend,
-        evaluate_after_run=evaluate_after_run,
-        epochs=spec.epochs,
-        num_samples=num_samples,
-        track_coverage=track_coverage,
-        failure_injector=injector,
-        coalesce=coalesce,
-        recorder=recorder,
-    )
 
 
 def _apply_heterogeneity(cluster: Cluster, topology: TopologySpec) -> List[str]:
@@ -111,12 +81,18 @@ def _failure_trace_process(job: PSTrainingJob, events: Sequence[FailureEvent]):
             job.metrics.log_event(env.now, "failure_skipped", event.node, event.code)
 
 
-def _scale_event_process(job: PSTrainingJob, events: Sequence[ScaleEvent]):
-    """Simulation process replaying a deterministic scale schedule.
+def _scale_event_process(job: PSTrainingJob, events: Sequence[ScaleEvent], tier: str,
+                         scale_out: Callable[..., List[str]],
+                         scale_in: Callable[..., List[str]],
+                         default_targets: Callable[[int], List[str]]):
+    """Simulation process replaying one tier's deterministic scale schedule.
 
-    A scale-in without explicit node names retires the job's most recently
-    joined active workers (LIFO).  Requests the job refuses (membership at
-    its bounds, named node unknown or already draining) are logged as
+    ``scale_out``/``scale_in``/``default_targets`` are the job's methods for
+    the tier (workers or servers), and ``tier`` prefixes the record tags
+    (``""`` gives ``scale_out``, ``"server_"`` gives ``server_scale_out``).
+    A scale-in without explicit node names retires the tier's most recently
+    joined active nodes (LIFO).  Requests the job refuses (membership at its
+    bounds, named node unknown or already draining) are logged as
     ``scale_skipped`` metrics events so the divergence from the declared
     schedule is visible in the run record rather than silent.
     """
@@ -128,42 +104,13 @@ def _scale_event_process(job: PSTrainingJob, events: Sequence[ScaleEvent]):
         if job.completed:
             return
         if event.action == "out":
-            granted = job.request_scale_out(event.count, reason="elastic-schedule")
+            granted = scale_out(event.count, reason="elastic-schedule")
         else:
-            targets = (list(event.nodes) if event.nodes
-                       else job.default_scale_in_targets(event.count))
-            granted = job.request_scale_in(targets, reason="elastic-schedule")
+            targets = list(event.nodes) if event.nodes else default_targets(event.count)
+            granted = scale_in(targets, reason="elastic-schedule")
         if len(granted) < event.count:
             job.metrics.log_event(
-                env.now, "scale_skipped", f"scale_{event.action}",
-                f"granted {len(granted)}/{event.count}")
-
-
-def _server_scale_event_process(job: PSTrainingJob, events: Sequence[ScaleEvent]):
-    """Simulation process replaying a deterministic *server* scale schedule.
-
-    The server-tier mirror of :func:`_scale_event_process`: a scale-in
-    without explicit node names retires the most recently joined active
-    servers (LIFO), and refused requests are logged as ``scale_skipped``.
-    """
-    env = job.env
-    for event in sorted(events, key=lambda item: item.time_s):
-        delay = event.time_s - env.now
-        if delay > 0:
-            yield env.timeout(delay)
-        if job.completed:
-            return
-        if event.action == "out":
-            granted = job.request_server_scale_out(event.count,
-                                                   reason="elastic-schedule")
-        else:
-            targets = (list(event.nodes) if event.nodes
-                       else job.default_server_scale_in_targets(event.count))
-            granted = job.request_server_scale_in(targets,
-                                                  reason="elastic-schedule")
-        if len(granted) < event.count:
-            job.metrics.log_event(
-                env.now, "scale_skipped", f"server_scale_{event.action}",
+                env.now, "scale_skipped", f"{tier}scale_{event.action}",
                 f"granted {len(granted)}/{event.count}")
 
 
@@ -210,28 +157,103 @@ def _arm_elastic(job: PSTrainingJob, spec: ScenarioSpec) -> None:
         )
         job.attach_autoscaler(autoscaler)
     if elastic.events:
-        job.env.process(_scale_event_process(job, elastic.events))
+        job.env.process(_scale_event_process(
+            job, elastic.events, "", job.request_scale_out, job.request_scale_in,
+            job.default_scale_in_targets))
     if servers.events:
-        job.env.process(_server_scale_event_process(job, servers.events))
+        job.env.process(_scale_event_process(
+            job, servers.events, "server_", job.request_server_scale_out,
+            job.request_server_scale_in, job.default_server_scale_in_targets))
 
 
-def build_scenario_job(spec: ScenarioSpec, **overrides: object
+def build_scenario_job(spec: ScenarioSpec, *,
+                       backend: Optional[ComputeBackend] = None,
+                       evaluate_after_run: bool = False,
+                       num_samples: Optional[int] = None,
+                       track_coverage: bool = False,
+                       failure_injector: Optional[FailureInjector] = None,
+                       coalesce: Optional[bool] = None,
+                       recorder: Optional[object] = None,
                        ) -> Tuple[PSTrainingJob, FailureInjector]:
     """Assemble the runnable job (with armed failure trace) for a scenario.
 
-    Returns the job plus the failure injector that will record every relaunch,
-    so callers that need job internals (allocator state, agent overheads) can
-    still fingerprint the run afterwards.  Raises ``ValueError`` when the
-    failure trace names a node that does not exist in the resolved topology —
-    otherwise a typo'd spec would produce a plausible golden trace for a
-    scenario that never ran.
+    Builds the environment, the CPU cluster with the spec's stragglers, the
+    method's allocator (DDS or static partition), scheduler and solution,
+    then arms the failure trace, heterogeneity, elastic behaviour and serving
+    traffic on the job.  Returns the job plus the failure injector that will
+    record every relaunch, so callers that need job internals (allocator
+    state, agent overheads) can still fingerprint the run afterwards.
+    Raises ``ValueError`` when the failure trace names a node that does not
+    exist in the resolved topology — otherwise a typo'd spec would produce a
+    plausible golden trace for a scenario that never ran.
+
+    The keyword overrides cover the knobs that are *not* part of the
+    declarative scenario: a real compute ``backend`` (with
+    ``evaluate_after_run`` for its test AUC), a dataset-driven
+    ``num_samples`` for the allocator, per-sample coverage counters
+    (``track_coverage``: a numpy slice-add per confirmed range, so only the
+    integrity runs turn it on), a caller-held ``failure_injector``, the
+    engine's cohort ``coalesce`` mode (None = on unless
+    ``REPRO_NO_COALESCE`` is set; both modes are byte-identical, so this is
+    for debugging and for checking that equivalence) and a trace
+    ``recorder`` (None = the zero-overhead NullRecorder; see repro.obs).
     """
-    injector = overrides.pop("failure_injector", None) or FailureInjector(
-        np.random.default_rng(spec.seed))
-    experiment = _build_experiment(spec, failure_injector=injector, **overrides)
-    job = experiment.build_job()
+    method = get_method(spec.method)
+    scale = spec.resolve_scale()
+    injector = failure_injector or FailureInjector(np.random.default_rng(spec.seed))
+    env = Environment(coalesce=coalesce_default() if coalesce is None else coalesce)
+    cluster = make_cpu_cluster(scale, seed=spec.seed, dedicated=spec.topology.dedicated)
+    apply_scenario(cluster, spec.stragglers, scale, seed=spec.seed)
+    if num_samples is None:
+        num_samples = scale.num_samples
+    cfg = antdt_config(scale)
+    if method.allocator == "dds":
+        allocator = StatefulDDS(
+            num_samples=num_samples,
+            global_batch_size=scale.global_batch_size,
+            batches_per_shard=cfg.batches_per_shard,
+            epochs=scale.epochs,
+            shuffler=ShardShuffler(seed=spec.seed),
+            op_cost_s=cfg.dds_op_overhead_s,
+            track_coverage=track_coverage,
+            # Keep the shard granularity proportional to the global batch (as
+            # in the paper, where a shard covers M global batches) but never
+            # below two worker-batches, so the scaled-down runs preserve the
+            # assignment agility of the paper-scale configuration (M=100 at
+            # thousands of iterations).
+            samples_per_shard=scale.per_worker_batch * max(2, scale.num_workers // 3),
+        )
+    else:
+        allocator = StaticPartition(
+            num_samples=num_samples,
+            workers=[node.name for node in cluster.workers],
+            epochs=scale.epochs,
+        )
+    metrics = MetricsRecorder()
+    scheduler = ClusterScheduler(
+        env,
+        cluster,
+        pending_model=pending_model(scale, busy=spec.topology.cluster_busy),
+        node_init_time=scale.node_init_time_s,
+        metrics=metrics,
+        failure_injector=injector,
+    )
+    job = PSTrainingJob(
+        env=env,
+        cluster=cluster,
+        allocator=allocator,
+        config=ps_job_config(scale, consistency=method.consistency,
+                             backup_workers=method.backup_workers),
+        antdt_config=cfg,
+        backend=backend,
+        solution=method.make_solution(),
+        scheduler=scheduler,
+        metrics=metrics,
+        evaluate_after_run=evaluate_after_run,
+        recorder=recorder,
+    )
     unknown = sorted({event.node for event in spec.failures.events}
-                     - {node.name for node in job.cluster.nodes})
+                     - {node.name for node in cluster.nodes})
     if unknown and not spec.elastic:
         # With elastic scaling the membership is dynamic — a trace may
         # legitimately target a node that joins later (a miss is logged as
@@ -239,9 +261,9 @@ def build_scenario_job(spec: ScenarioSpec, **overrides: object
         raise ValueError(
             f"scenario {spec.name!r}: failure trace names nodes not in the "
             f"resolved topology: {unknown}")
-    _apply_heterogeneity(job.cluster, spec.topology)
+    _apply_heterogeneity(cluster, spec.topology)
     if spec.failures:
-        job.env.process(_failure_trace_process(job, spec.failures.events))
+        env.process(_failure_trace_process(job, spec.failures.events))
     if spec.elastic:
         _arm_elastic(job, spec)
     if spec.serving:

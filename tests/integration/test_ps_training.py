@@ -1,18 +1,15 @@
 """Integration tests: full Parameter-Server training runs on the simulator."""
 
-import pytest
-
-from repro.baselines import get_method
 from repro.core.actions import ActionType
 from repro.experiments import (
     NO_STRAGGLERS,
-    PSExperiment,
     SMALL,
-    run_ps_experiment,
     server_scenario,
     worker_scenario,
 )
 from repro.experiments.workloads import ExperimentScale
+from repro.orchestrator import simulate_spec
+from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job
 
 TINY = ExperimentScale(
     name="tiny",
@@ -32,8 +29,14 @@ TINY = ExperimentScale(
 )
 
 
+def _spec(method, stragglers, seed=0, scale=TINY, **kwargs):
+    """A PS run of ``method`` at ``scale`` (TINY by default) under ``stragglers``."""
+    return ScenarioSpec.for_scale(scale, name=f"ps-{method}-{stragglers.name}-seed{seed}",
+                                  method=method, stragglers=stragglers, seed=seed, **kwargs)
+
+
 def test_bsp_clean_run_consumes_every_sample():
-    result = run_ps_experiment("bsp", scale=TINY, scenario=NO_STRAGGLERS, seed=0)
+    result = simulate_spec(_spec("bsp", NO_STRAGGLERS)).run
     assert result.completed
     assert result.samples_confirmed == result.total_samples
     assert result.done_shards == result.total_shards
@@ -41,38 +44,38 @@ def test_bsp_clean_run_consumes_every_sample():
 
 
 def test_asp_clean_run_consumes_every_sample():
-    result = run_ps_experiment("asp", scale=TINY, scenario=NO_STRAGGLERS, seed=0)
+    result = simulate_spec(_spec("asp", NO_STRAGGLERS)).run
     assert result.completed
     assert result.samples_confirmed == result.total_samples
 
 
 def test_worker_stragglers_slow_down_native_bsp():
-    clean = run_ps_experiment("bsp", scale=TINY, scenario=NO_STRAGGLERS, seed=0)
-    straggled = run_ps_experiment("bsp", scale=TINY, scenario=worker_scenario(0.8), seed=0)
+    clean = simulate_spec(_spec("bsp", NO_STRAGGLERS)).run
+    straggled = simulate_spec(_spec("bsp", worker_scenario(0.8))).run
     assert straggled.jct > 1.5 * clean.jct
 
 
 def test_antdt_nd_beats_native_bsp_under_worker_stragglers():
     scenario = worker_scenario(0.8)
-    bsp = run_ps_experiment("bsp", scale=TINY, scenario=scenario, seed=0)
-    antdt = run_ps_experiment("antdt-nd", scale=TINY, scenario=scenario, seed=0)
+    bsp = simulate_spec(_spec("bsp", scenario)).run
+    antdt = simulate_spec(_spec("antdt-nd", scenario)).run
     assert antdt.completed and bsp.completed
     assert antdt.jct < bsp.jct
     assert antdt.samples_confirmed == antdt.total_samples
 
 
 def test_antdt_nd_kill_restarts_persistent_server_straggler():
-    result = run_ps_experiment("antdt-nd", scale=TINY, scenario=server_scenario(0.8), seed=0)
+    result = simulate_spec(_spec("antdt-nd", server_scenario(0.8))).run
     assert result.completed
     server_restarts = {node: count for node, count in result.restarts_per_node.items()
                        if node.startswith("server") and count > 0}
     assert server_restarts, "the straggling server should have been relaunched"
-    bsp = run_ps_experiment("bsp", scale=TINY, scenario=server_scenario(0.8), seed=0)
+    bsp = simulate_spec(_spec("bsp", server_scenario(0.8))).run
     assert result.jct < bsp.jct
 
 
 def test_antdt_nd_adjusts_batch_sizes_under_transient_stragglers():
-    result = run_ps_experiment("antdt-nd", scale=SMALL, scenario=worker_scenario(0.8), seed=1)
+    result = simulate_spec(_spec("antdt-nd", worker_scenario(0.8), seed=1, scale=SMALL)).run
     adjust_actions = [a for a in result.action_log
                       if a.action_type is ActionType.ADJUST_BS]
     assert adjust_actions, "AntDT-ND should issue at least one ADJUST_BS action"
@@ -80,8 +83,7 @@ def test_antdt_nd_adjusts_batch_sizes_under_transient_stragglers():
 
 
 def test_backup_workers_drop_and_requeue_preserves_data():
-    result = run_ps_experiment("backup-workers", scale=TINY, scenario=worker_scenario(0.8),
-                               seed=0)
+    result = simulate_spec(_spec("backup-workers", worker_scenario(0.8))).run
     assert result.completed
     assert result.dropped_iterations > 0
     # At-least-once: everything still confirmed despite the drops.
@@ -91,8 +93,8 @@ def test_backup_workers_drop_and_requeue_preserves_data():
 
 def test_asp_dds_balances_consumption_better_than_static_asp():
     scenario = worker_scenario(0.8)
-    static = run_ps_experiment("asp", scale=TINY, scenario=scenario, seed=0)
-    dds = run_ps_experiment("asp-dds", scale=TINY, scenario=scenario, seed=0)
+    static = simulate_spec(_spec("asp", scenario)).run
+    dds = simulate_spec(_spec("asp-dds", scenario)).run
     assert dds.jct < static.jct
     # With the DDS the straggler consumes fewer samples than the leaders.
     consumed = dds.consumed_per_worker
@@ -102,9 +104,7 @@ def test_asp_dds_balances_consumption_better_than_static_asp():
 
 
 def test_worker_kill_restart_resumes_and_completes():
-    experiment = PSExperiment(method=get_method("antdt-nd"), scale=TINY,
-                              scenario=worker_scenario(1.0), seed=3)
-    job = experiment.build_job()
+    job, _ = build_scenario_job(_spec("antdt-nd", worker_scenario(1.0), seed=3))
     result = job.run()
     assert result.completed
     assert result.samples_confirmed == result.total_samples
@@ -115,9 +115,8 @@ def test_worker_kill_restart_resumes_and_completes():
 
 def test_cluster_busy_gates_kill_restart():
     scenario = worker_scenario(0.8)
-    experiment = PSExperiment(method=get_method("antdt-nd"), scale=TINY, scenario=scenario,
-                              seed=0, cluster_busy=True)
-    result = experiment.run()
+    result = simulate_spec(_spec("antdt-nd", scenario,
+                                 topology=TopologySpec(cluster_busy=True))).run
     assert result.completed
     worker_restarts = sum(count for node, count in result.restarts_per_node.items()
                           if node.startswith("worker"))
@@ -125,14 +124,14 @@ def test_cluster_busy_gates_kill_restart():
 
 
 def test_jct_monotone_in_straggler_intensity_for_bsp():
-    jcts = [run_ps_experiment("bsp", scale=TINY, scenario=worker_scenario(i), seed=0).jct
+    jcts = [simulate_spec(_spec("bsp", worker_scenario(i))).run.jct
             for i in (0.1, 0.5, 0.8)]
     assert jcts[0] < jcts[1] < jcts[2]
 
 
 def test_antdt_jct_less_sensitive_to_intensity_than_bsp():
-    low_b = run_ps_experiment("bsp", scale=TINY, scenario=worker_scenario(0.1), seed=0).jct
-    high_b = run_ps_experiment("bsp", scale=TINY, scenario=worker_scenario(0.8), seed=0).jct
-    low_a = run_ps_experiment("antdt-nd", scale=TINY, scenario=worker_scenario(0.1), seed=0).jct
-    high_a = run_ps_experiment("antdt-nd", scale=TINY, scenario=worker_scenario(0.8), seed=0).jct
+    low_b = simulate_spec(_spec("bsp", worker_scenario(0.1))).run.jct
+    high_b = simulate_spec(_spec("bsp", worker_scenario(0.8))).run.jct
+    low_a = simulate_spec(_spec("antdt-nd", worker_scenario(0.1))).run.jct
+    high_a = simulate_spec(_spec("antdt-nd", worker_scenario(0.8))).run.jct
     assert (high_a - low_a) < (high_b - low_b)

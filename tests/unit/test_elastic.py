@@ -461,10 +461,7 @@ def test_scale_out_respects_max_workers_cap():
 
 
 def test_scale_requests_refused_on_static_partition():
-    from repro.experiments.runner import PSExperiment
-    from repro.baselines.registry import get_method
-
-    job = PSExperiment(method=get_method("asp")).build_job()
+    job, _ = build_scenario_job(ScenarioSpec(name="unit-static-partition", method="asp"))
     assert job.request_scale_out(2, reason="test") == []
 
 
@@ -476,6 +473,9 @@ def test_scale_in_unknown_node_is_refused():
     assert result.completed
     assert not [event for event in result.membership_events
                 if event.kind == "left"]
+    # The refusal is on the record, not silent.
+    assert [(tag, detail) for _, _, tag, detail
+            in result.metrics.events("scale_skipped")] == [("scale_in", "granted 0/1")]
 
 
 def test_departed_worker_restart_counts_survive():

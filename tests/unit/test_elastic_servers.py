@@ -534,6 +534,21 @@ def test_server_scale_out_respects_cap():
     assert servers["joined"] + servers["unplaced"] == 1
 
 
+def test_server_scale_out_at_cap_is_refused():
+    spec = _server_spec(elastic=ElasticSpec(servers=ServerElasticSpec(
+        events=(ScaleEvent(time_s=10.0, action="out", count=1),),
+        max_servers=3)))
+    job, _ = build_scenario_job(spec)
+    result = job.run()
+    assert result.completed
+    # 3 servers, cap at 3: no join is even requested.
+    assert not result.server_membership_events
+    # The refusal is on the record, not silent.
+    assert [(tag, detail) for _, _, tag, detail
+            in result.metrics.events("scale_skipped")] == [
+        ("server_scale_out", "granted 0/1")]
+
+
 def test_mid_handoff_join_has_not_mutated_the_shard_map():
     """Review regression: the shard map is only mutated once the migration
     handoff completed — a join abandoned mid-handoff (the job finished
