@@ -8,7 +8,7 @@ PYTHONPATH_PREFIX = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 ## Parallel worker processes for orchestrated sweeps (python -m repro).
 JOBS ?= 2
 
-.PHONY: test tier1 fast lint golden golden-check golden-update sweep bench bench-smoke trace-smoke serve-smoke ci
+.PHONY: test tier1 fast lint golden golden-check golden-update sweep bench-smoke trace-smoke serve-smoke ci
 
 ## Full tier-1 suite (what the PR gate runs): unit + integration + property +
 ## golden traces + benchmarks.
@@ -16,7 +16,8 @@ test:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
 
 ## The checks .github/workflows/ci.yml runs, in the same order — one local
-## command to know the gate will pass before pushing.
+## command to know the gate will pass before pushing.  CI's `git diff
+## --exit-code` after the suite is left out: a working tree usually has edits.
 ci: lint test golden-check trace-smoke serve-smoke
 
 ## Static analysis: the determinism & sim-safety linter (AST rules DET/SIM,
@@ -60,10 +61,6 @@ golden-update:
 ## cached in .repro-cache/).  Narrow with e.g. `make sweep JOBS=4`.
 sweep:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro sweep --jobs $(JOBS)
-
-## Regenerate BENCH_engine.json (perf trajectory file).
-bench:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/test_perf_smoke.py benchmarks/test_perf_scale_sweep.py -q -s
 
 ## Tracing smoke (run in CI): trace one autoscaled scenario, validate the
 ## Chrome trace-event JSON against the schema, and assert a non-empty

@@ -1,10 +1,11 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper on a scaled-down
-workload (see DESIGN.md for the substitution rationale) and prints the same
-rows/series the paper reports, so the output can be compared against
-EXPERIMENTS.md.  Simulated runs are deterministic, so each benchmark executes
-a single round.
+workload and prints the same rows/series the paper reports; the figure and
+table files are named after what they regenerate (``test_fig10_bsp_jct.py``
+is Fig. 10).  README.md describes the simulator and BENCHMARKS.md the perf
+floors and measured results.  Simulated runs are deterministic, so each
+benchmark executes a single round.
 """
 
 import sys

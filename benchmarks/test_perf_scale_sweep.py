@@ -12,8 +12,9 @@ budget, on both solution families:
   a mixed V100/P100 fleet of the same device count (closed-form per-iteration
   model, so it stays instant at any scale — included to pin that property).
 
-Every sweep point is recorded into ``BENCH_engine.json`` so the events/sec
-trajectory is comparable across PRs.
+Every sweep point is printed as one table row (wall time, events,
+events/sec, JCT).  Timing comparisons across changes belong to
+``perfbench/`` (``python3 perfbench/run.py``).
 """
 
 from conftest import BENCH_SCALE
@@ -23,7 +24,7 @@ from repro.experiments.stragglers import worker_scenario
 from repro.experiments.workloads import make_gpu_groups
 from repro.ml.data.imagenet import mini_imagenet_epoch
 from repro.ml.models.cost_models import MOBILENET_V1
-from repro.perf import PerfReporter, Stopwatch
+from repro.perf import Stopwatch
 from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job
 
 #: Worker counts swept (6 = seed bench scale, 120 = two orders of magnitude
@@ -37,7 +38,6 @@ ND_RUN_BUDGET_S = 30.0
 
 
 def test_perf_scale_sweep():
-    reporter = PerfReporter()
     rows = []
     for num_workers in SWEEP_WORKERS:
         spec = ScenarioSpec(name=f"sweep-nd-{num_workers}w", method="antdt-nd", scale="auto",
@@ -78,12 +78,6 @@ def test_perf_scale_sweep():
             "dd_wall_s": dd_wall,
             "dd_jct_s": dd.jct,
         })
-        reporter.add(f"sweep_nd_{num_workers}w", wall_s=nd_wall,
-                     events_processed=float(nd_events), events_per_sec=nd_eps,
-                     num_workers=float(num_workers), sim_time=nd.jct, jct_s=nd.jct)
-        reporter.add(f"sweep_dd_{num_workers}w", wall_s=dd_wall,
-                     num_workers=float(num_workers), jct_s=dd.jct)
-    reporter.write()
 
     print("\nPerf scale sweep (ND = PS event simulation, DD = closed-form AllReduce):")
     print(f"  {'workers':>7} {'ND wall (s)':>12} {'ND events':>10} {'ND ev/s':>12} "
@@ -130,10 +124,5 @@ def test_perf_scale_sweep_1000w():
     eps = events / wall if wall > 0 else float("inf")
     assert eps > 100_000.0
 
-    reporter = PerfReporter()
-    reporter.add("sweep_nd_1000w", wall_s=wall, events_processed=float(events),
-                 events_per_sec=eps, num_workers=float(num_workers),
-                 sim_time=nd.jct, jct_s=nd.jct)
-    reporter.write()
     print(f"\nsweep_nd_1000w: wall={wall:.3f}s events={events} "
           f"({eps:,.0f} ev/s) jct={nd.jct:.1f}s")

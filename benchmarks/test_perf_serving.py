@@ -2,10 +2,9 @@
 
 Runs the serving scenario family (colocated request traffic, overload
 shedding, SLO-driven server autoscaling, hot-key fan-out, promotion under a
-burst) through the orchestrator and records wall times and request volumes
-into ``BENCH_engine.json``, so the cost of the serving tier — thousands of
-request events per run on top of the training pushes — is tracked across
-PRs next to the engine and elastic numbers.
+burst) through the orchestrator and prints wall times and request volumes,
+so the cost of the serving tier — thousands of request events per run on top
+of the training pushes — is visible next to the engine and elastic numbers.
 
 Assertions pin semantics, not machine-dependent timings: every serving
 scenario completes with closed request accounting, and a 2-process sweep is
@@ -14,7 +13,6 @@ spec seed, so fan-out cannot perturb them).
 """
 
 from repro.orchestrator import SweepRunner
-from repro.perf import PerfReporter
 from repro.scenarios import all_scenarios
 
 
@@ -39,20 +37,6 @@ def test_serving_sweep_benchmark():
         assert (serving["completed"] + sum(serving["shed"].values())
                 + serving["in_flight_at_end"] == serving["arrivals"])
     assert completed > 0 and shed > 0
-
-    reporter = PerfReporter()
-    reporter.add("serving_sweep_serial", wall_s=serial.wall_s,
-                 scenarios=len(family), jobs=1.0,
-                 requests=float(arrivals), served=float(completed),
-                 shed=float(shed),
-                 requests_per_wall_s=arrivals / serial.wall_s
-                 if serial.wall_s > 0 else 0.0,
-                 simulation_wall_s=serial.simulation_wall_s)
-    reporter.add("serving_sweep_2proc", wall_s=parallel.wall_s,
-                 scenarios=len(family), jobs=2.0,
-                 simulation_wall_s=parallel.simulation_wall_s,
-                 speedup=parallel.speedup)
-    reporter.write()
 
     print(f"\nServing sweep benchmark ({len(family)} scenarios, "
           f"{arrivals} requests, {completed} served, {shed} shed):")

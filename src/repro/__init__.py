@@ -19,7 +19,8 @@ for Leader and Straggler Nodes" (ICDE 2024) in pure Python:
   golden-trace fingerprints.
 * :mod:`repro.orchestrator` — parallel sweep execution with a
   content-addressed result store, exposed as the ``python -m repro`` CLI.
-* :mod:`repro.perf` — engine performance tracking (``BENCH_engine.json``).
+* :mod:`repro.perf` — engine performance measurement (timers, engine
+  counters, the seed-engine speedup workload).
 
 The scenario/orchestrator/perf layers build on the experiment stack and are
 imported on demand rather than eagerly here.

@@ -55,9 +55,9 @@ _CLOCK_CALLS = frozenset({
 _CLOCK_WHITELIST = ("repro/perf/timing.py",)
 
 #: The single module allowed to touch ``os.environ`` (DET004).  Every knob —
-#: REPRO_NO_COALESCE, REPRO_PROFILE, REPRO_JOBS, REPRO_CACHE_DIR,
-#: REPRO_BENCH_DIR — is read through a named accessor there, so the full set
-#: of environmental inputs to a run is auditable in one place.
+#: REPRO_NO_COALESCE, REPRO_PROFILE, REPRO_JOBS, REPRO_CACHE_DIR — is read
+#: through a named accessor there, so the full set of environmental inputs to
+#: a run is auditable in one place.
 _ENV_WHITELIST = ("repro/core/config.py",)
 
 #: Reducers whose result does not depend on input order: a generator

@@ -24,8 +24,8 @@ from typing import Optional
 __all__ = [
     "ConsistencyModel", "IntegritySemantics", "AntDTConfig",
     "NO_COALESCE_ENV", "PROFILE_ENV", "JOBS_ENV", "CACHE_DIR_ENV",
-    "BENCH_DIR_ENV", "env_text", "coalesce_default", "profiling_env_enabled",
-    "jobs_env_override", "cache_dir_override", "bench_dir_override",
+    "env_text", "coalesce_default", "profiling_env_enabled",
+    "jobs_env_override", "cache_dir_override",
 ]
 
 # ---------------------------------------------------------------------------
@@ -40,8 +40,6 @@ PROFILE_ENV = "REPRO_PROFILE"
 JOBS_ENV = "REPRO_JOBS"
 #: Directory the content-addressed result store lives in.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-#: Directory ``BENCH_engine.json`` is written to.
-BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 
 
 def env_text(name: str) -> Optional[str]:
@@ -74,11 +72,6 @@ def jobs_env_override() -> Optional[int]:
 def cache_dir_override() -> Optional[str]:
     """``REPRO_CACHE_DIR``, or None when unset/empty."""
     return env_text(CACHE_DIR_ENV) or None
-
-
-def bench_dir_override() -> Optional[str]:
-    """``REPRO_BENCH_DIR``, or None when unset/empty."""
-    return env_text(BENCH_DIR_ENV) or None
 
 
 class ConsistencyModel(enum.Enum):

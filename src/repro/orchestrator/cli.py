@@ -59,7 +59,7 @@ from ..scenarios.spec import ScenarioSpec
 from .grid import expand_registry
 from .hashing import spec_key
 from .runner import AUTO_STORE, SweepReport, SweepRunner, resolve_jobs
-from .store import STORE_FILENAME, ResultStore
+from .store import STORE_FILENAME, ResultStore, repro_root
 
 __all__ = ["main", "build_parser", "default_trace_dir",
            "default_trace_output_dir"]
@@ -67,8 +67,6 @@ __all__ = ["main", "build_parser", "default_trace_dir",
 
 def default_trace_dir() -> Path:
     """Where the checked-in golden traces live (repo-root relative)."""
-    from ..perf.report import repro_root
-
     return repro_root() / "tests" / "golden" / "traces"
 
 
@@ -78,8 +76,6 @@ def default_trace_output_dir() -> Path:
     Deliberately distinct from :func:`default_trace_dir`: golden traces are
     checked-in behavioural fingerprints; these are viewable run timelines.
     """
-    from ..perf.report import repro_root
-
     return repro_root() / ".repro-traces"
 
 

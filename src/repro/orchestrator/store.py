@@ -31,26 +31,35 @@ from ..scenarios.fingerprint import canonical_json
 from ..scenarios.spec import ScenarioSpec
 from .hashing import spec_key
 
-__all__ = ["CACHE_DIR_ENV", "STORE_FILENAME", "ResultStore", "default_store_path"]
+__all__ = ["CACHE_DIR_ENV", "STORE_FILENAME", "ResultStore", "default_store_path",
+           "repro_root"]
 
 #: The store's filename inside its directory (one name everywhere, so every
 #: mechanism pointing at the same directory shares one cache).
 STORE_FILENAME = "results.jsonl"
 
 
+def repro_root() -> Path:
+    """The repository root (the directory containing the ``src`` tree).
+
+    The single root-resolution rule for every on-disk artifact the tooling
+    writes relative to the tree — the ``.repro-cache/`` result store,
+    ``tests/golden/traces/`` and ``.repro-traces/``.
+    """
+    # src/repro/orchestrator/store.py -> orchestrator -> repro -> src -> root
+    return Path(__file__).resolve().parent.parent.parent.parent
+
+
 def default_store_path() -> Path:
     """Where the shared result store lives.
 
     ``REPRO_CACHE_DIR`` overrides the directory; the default is a
-    ``.repro-cache/`` directory at the repository root (same root-resolution
-    rule as :func:`repro.perf.report.bench_output_path`), so sweeps started
+    ``.repro-cache/`` directory under :func:`repro_root`, so sweeps started
     from any working directory share one cache.
     """
     override = cache_dir_override()
     if override:
         return Path(override) / STORE_FILENAME
-    from ..perf.report import repro_root
-
     return repro_root() / ".repro-cache" / STORE_FILENAME
 
 

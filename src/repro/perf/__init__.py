@@ -8,13 +8,11 @@ first-class quantity:
   benchmark harnesses (:mod:`repro.perf.timing`).
 * :class:`EngineStats` — events scheduled/processed per run, read from the
   engine's native counters (:mod:`repro.perf.stats`).
-* :class:`PerfReporter` — merges per-scenario entries into the
-  ``BENCH_engine.json`` trajectory file (:mod:`repro.perf.report`).
 * :mod:`repro.perf.workload` — a pure-engine PS-shaped scenario replayable on
   both the live engine and the frozen seed snapshot
   (:mod:`repro.perf.seed_engine`), yielding an honest speedup figure.
 
-See BENCHMARKS.md at the repository root for the file format and workflow.
+See BENCHMARKS.md at the repository root for the perf floors and ``perfbench/``.
 """
 
 from .profiling import (
@@ -23,19 +21,15 @@ from .profiling import (
     run_profiled,
     warn_multiprocess_profile,
 )
-from .report import BENCH_DIR_ENV, PerfReporter, bench_output_path
 from .stats import EngineStats
 from .timing import Counter, Stopwatch
 from .workload import measure_engine, measure_seed_speedup, run_engine_scenario
 
 __all__ = [
-    "BENCH_DIR_ENV",
     "Counter",
     "EngineStats",
     "PROFILE_ENV",
-    "PerfReporter",
     "Stopwatch",
-    "bench_output_path",
     "measure_engine",
     "measure_seed_speedup",
     "profiling_requested",

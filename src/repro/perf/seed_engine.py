@@ -3,7 +3,7 @@
 This module is a verbatim copy of ``repro.sim.engine`` as it stood before the
 engine fast-path optimisations, kept so the perf harness can measure the
 optimised engine against the exact seed implementation on the same machine
-and report an honest speedup in ``BENCH_engine.json``.  Do not optimise or
+and report an honest speedup.  Do not optimise or
 otherwise edit this file; it is not used by the simulator itself.
 
 This module is the foundation substrate for the whole reproduction.  The paper

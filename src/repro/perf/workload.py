@@ -7,8 +7,8 @@ barrier over the acks and a pull timeout; per server: a ``get`` loop that
 spends a handling timeout per request and succeeds the ack.  Because it calls
 nothing outside the engine module it is handed, the same function measures the
 live :mod:`repro.sim.engine` and the frozen seed snapshot
-(:mod:`repro.perf.seed_engine`) on identical terms, which is how the speedup
-recorded in ``BENCH_engine.json`` is obtained.
+(:mod:`repro.perf.seed_engine`) on identical terms, which is how the
+seed-vs-optimised speedup the perf smoke test asserts is obtained.
 """
 
 from __future__ import annotations

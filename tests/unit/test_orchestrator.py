@@ -13,9 +13,11 @@ from dataclasses import replace
 import pytest
 
 from repro.orchestrator import (
+    CACHE_DIR_ENV,
     ResultStore,
     SweepError,
     SweepRunner,
+    default_store_path,
     expand,
     expand_registry,
     resolve_jobs,
@@ -52,6 +54,19 @@ def test_spec_key_is_stable_and_field_sensitive():
 # ---------------------------------------------------------------------------
 # Result store
 # ---------------------------------------------------------------------------
+
+
+def test_default_store_path_honours_cache_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    assert default_store_path() == tmp_path / "results.jsonl"
+
+
+def test_default_store_path_defaults_to_repo_root(monkeypatch):
+    monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    path = default_store_path()
+    root = path.parent.parent
+    assert path == root / ".repro-cache" / "results.jsonl"
+    assert (root / "src" / "repro").is_dir()
 
 
 def test_store_roundtrip_and_last_write_wins(store):

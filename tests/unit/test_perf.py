@@ -1,17 +1,13 @@
 """Unit tests for the perf subsystem (repro.perf)."""
 
-import json
 import time
 
 import pytest
 
 from repro.perf import (
-    BENCH_DIR_ENV,
     Counter,
     EngineStats,
-    PerfReporter,
     Stopwatch,
-    bench_output_path,
     measure_engine,
     measure_seed_speedup,
     run_engine_scenario,
@@ -143,61 +139,3 @@ def test_measure_seed_speedup_rejects_zero_repeats():
     with pytest.raises(ValueError):
         measure_seed_speedup(repeats=0)
 
-
-# -- PerfReporter ---------------------------------------------------------------------
-def test_reporter_writes_valid_json(tmp_path):
-    path = tmp_path / "BENCH_engine.json"
-    reporter = PerfReporter(path)
-    reporter.add("alpha", wall_s=0.123456789, events_per_sec=1000.0, note="x")
-    written = reporter.write()
-    assert written == path
-    document = json.loads(path.read_text())
-    assert document["benchmark"] == "engine"
-    assert document["scenarios"]["alpha"]["wall_s"] == 0.123457  # rounded
-    assert document["scenarios"]["alpha"]["note"] == "x"
-
-
-def test_reporter_merges_existing_scenarios(tmp_path):
-    path = tmp_path / "BENCH_engine.json"
-    first = PerfReporter(path)
-    first.add("first", wall_s=1.0)
-    first.write()
-    second = PerfReporter(path)
-    second.add("second", wall_s=2.0)
-    second.write()
-    document = json.loads(path.read_text())
-    assert set(document["scenarios"]) == {"first", "second"}
-
-
-def test_reporter_overwrites_same_scenario(tmp_path):
-    path = tmp_path / "BENCH_engine.json"
-    one = PerfReporter(path)
-    one.add("scenario", wall_s=1.0)
-    one.write()
-    two = PerfReporter(path)
-    two.add("scenario", wall_s=2.0)
-    two.write()
-    document = json.loads(path.read_text())
-    assert document["scenarios"]["scenario"]["wall_s"] == 2.0
-
-
-def test_reporter_skips_none_fields(tmp_path):
-    reporter = PerfReporter(tmp_path / "b.json")
-    entry = reporter.add("s", wall_s=1.0, events_per_sec=None)
-    assert "events_per_sec" not in entry
-
-
-def test_reporter_load_missing_returns_none(tmp_path):
-    assert PerfReporter.load(tmp_path / "absent.json") is None
-
-
-def test_bench_output_path_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv(BENCH_DIR_ENV, str(tmp_path))
-    assert bench_output_path() == tmp_path / "BENCH_engine.json"
-
-
-def test_bench_output_path_defaults_to_repo_root(monkeypatch):
-    monkeypatch.delenv(BENCH_DIR_ENV, raising=False)
-    path = bench_output_path()
-    assert path.name == "BENCH_engine.json"
-    assert (path.parent / "src").is_dir()
