@@ -8,7 +8,7 @@ PYTHONPATH_PREFIX = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 ## Parallel worker processes for orchestrated sweeps (python -m repro).
 JOBS ?= 2
 
-.PHONY: test tier1 fast lint golden golden-check golden-update sweep bench-smoke trace-smoke serve-smoke ci
+.PHONY: test tier1 fast lint golden golden-check golden-update sweep bench-smoke trace-smoke serve-smoke examples ci
 
 ## Full tier-1 suite (what the PR gate runs): unit + integration + property +
 ## golden traces + benchmarks.
@@ -18,7 +18,7 @@ test:
 ## The checks .github/workflows/ci.yml runs, in the same order — one local
 ## command to know the gate will pass before pushing.  CI's `git diff
 ## --exit-code` after the suite is left out: a working tree usually has edits.
-ci: lint test golden-check trace-smoke serve-smoke
+ci: lint test golden-check examples trace-smoke serve-smoke
 
 ## Static analysis: the determinism & sim-safety linter (AST rules DET/SIM,
 ## cross-artifact CON checks) against the committed lint-baseline.json, plus
@@ -76,6 +76,17 @@ trace-smoke:
 ## checks that live in the same file.
 serve-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest tests/integration/test_serve_smoke.py -q
+
+## Run every script under examples/ end to end, each in a fresh process.
+## tests/unit/test_examples.py only imports them; this runs their main().
+## The result store goes to a throwaway directory, so nothing writes
+## .repro-cache/.  Kept out of tier-1: the scripts take ~10 s together.
+examples:
+	@cache=$$(mktemp -d) && trap 'rm -rf "$$cache"' EXIT && \
+	for script in examples/*.py; do \
+		echo ">>> $$script"; \
+		REPRO_CACHE_DIR=$$cache $(PYTHONPATH_PREFIX) $(PYTHON) $$script || exit 1; \
+	done
 
 ## Perf floor on its own: the smoke benchmarks assert absolute events/sec
 ## floors and wall-clock budgets sized for slow shared runners — a real

@@ -14,7 +14,8 @@ from dataclasses import replace
 
 from repro.baselines import asp_methods, bsp_methods
 from repro.experiments import format_table
-from repro.scenarios import get_scenario, run_scenario
+from repro.orchestrator import simulate_spec
+from repro.scenarios import get_scenario
 
 #: Registered operating conditions the methods are compared under.
 CONDITIONS = {
@@ -31,7 +32,7 @@ def main() -> None:
             for label, scenario_name in CONDITIONS.items():
                 base = get_scenario(scenario_name)
                 spec = replace(base, name=f"{base.name}@{method.name}", method=method.name)
-                jcts[label] = run_scenario(spec).jct
+                jcts[label] = simulate_spec(spec).run.jct
             rows.append([
                 method.name,
                 f"{jcts['worker stragglers']:.1f}",

@@ -14,7 +14,8 @@ Run with::
 from dataclasses import replace
 
 from repro.experiments import format_table, percent_faster
-from repro.scenarios import get_scenario, run_scenario
+from repro.orchestrator import simulate_spec
+from repro.scenarios import get_scenario
 
 
 def main() -> None:
@@ -25,17 +26,18 @@ def main() -> None:
     print(f"Cluster:  {scale.num_workers} workers, {scale.num_servers} servers, "
           f"global batch {scale.global_batch_size}\n")
 
-    bsp = run_scenario(bsp_spec)
-    antdt = run_scenario(antdt_spec)
+    bsp = simulate_spec(bsp_spec)
+    antdt = simulate_spec(antdt_spec)
 
     rows = [
-        ["native BSP", f"{bsp.jct:.1f}", bsp.run.samples_confirmed,
+        ["native BSP", f"{bsp.run.jct:.1f}", bsp.run.samples_confirmed,
          sum(bsp.run.restarts_per_node.values())],
-        ["AntDT-ND", f"{antdt.jct:.1f}", antdt.run.samples_confirmed,
+        ["AntDT-ND", f"{antdt.run.jct:.1f}", antdt.run.samples_confirmed,
          sum(antdt.run.restarts_per_node.values())],
     ]
     print(format_table(["method", "JCT (s)", "samples trained", "kill/restarts"], rows))
-    print(f"\nAntDT-ND finishes {percent_faster(bsp.jct, antdt.jct):.1f}% faster than native BSP "
+    faster = percent_faster(bsp.run.jct, antdt.run.jct)
+    print(f"\nAntDT-ND finishes {faster:.1f}% faster than native BSP "
           f"on the same data.")
     print("Actions taken by the AntDT Controller:")
     for action in antdt.run.action_log:

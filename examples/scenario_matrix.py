@@ -8,7 +8,7 @@ Walks through the full life of a custom scenario:
 2. check it round-trips losslessly through JSON (what the property tests
    guarantee for every spec);
 3. register it and sweep a tagged subset of the registry plus the new
-   scenario through :class:`~repro.scenarios.ScenarioMatrix`;
+   scenario through :class:`~repro.orchestrator.SweepRunner`;
 4. fingerprint the run twice to show the golden-trace determinism guarantee
    that ``tests/golden`` pins for every registered scenario.
 
@@ -22,15 +22,14 @@ Run with::
     python examples/scenario_matrix.py
 """
 
+from repro.orchestrator import SweepRunner, simulate_spec
 from repro.scenarios import (
     FailureEvent,
     FailureTraceSpec,
-    ScenarioMatrix,
     ScenarioSpec,
     TopologySpec,
     all_scenarios,
     register_scenario,
-    run_scenario,
 )
 from repro.experiments import worker_scenario
 
@@ -56,18 +55,19 @@ def main() -> None:
     print(custom.to_json())
 
     # 3. Register and sweep it next to the built-in failure scenarios.  The
-    #    matrix runs through the orchestrator (see examples/sweep_cli.py), so
-    #    REPRO_JOBS=4 parallelizes this sweep and repeat runs hit the
+    #    sweep runs through the orchestrator (see examples/sweep_cli.py), so
+    #    REPRO_JOBS=4 parallelizes it and repeat runs hit the
     #    content-addressed result cache; exclude_tags trims the grid.
     register_scenario(custom)
-    matrix = ScenarioMatrix(all_scenarios(tags=("failures",)), exclude_tags=("slow",))
-    print(f"\nSweeping {len(matrix)} failure scenarios through the orchestrator:\n")
-    print(matrix.summary_table())
-    print(matrix.last_report.stats_line())
+    specs = all_scenarios(tags=("failures",), exclude_tags=("slow",))
+    print(f"\nSweeping {len(specs)} failure scenarios through the orchestrator:\n")
+    report = SweepRunner().run(specs).raise_on_error()
+    print(report.summary_table())
+    print(report.stats_line())
 
     # 4. Fingerprint twice: deterministic runs make golden traces possible.
-    first = run_scenario(custom).golden_trace()
-    second = run_scenario(custom).golden_trace()
+    first = simulate_spec(custom).golden_trace()
+    second = simulate_spec(custom).golden_trace()
     assert first == second
     print("\nTwo runs produced byte-identical golden traces "
           f"({len(first.splitlines())} lines); safe to pin under tests/golden/traces/.")

@@ -27,7 +27,7 @@ import tempfile
 from pathlib import Path
 
 from repro.orchestrator import ResultStore, SweepRunner, expand
-from repro.scenarios import ScenarioMatrix, get_scenario
+from repro.scenarios import all_scenarios, get_scenario
 
 
 def main() -> None:
@@ -35,18 +35,17 @@ def main() -> None:
         store = ResultStore(Path(cache_dir) / "results.jsonl")
 
         # 1. Cold sweep: the "failures" grid, two worker processes.
-        matrix = ScenarioMatrix(tags=("failures",), exclude_tags=("slow",))
-        runner = SweepRunner(jobs=2, store=store)
-        report = runner.run(matrix.specs)
+        specs = all_scenarios(tags=("failures",), exclude_tags=("slow",))
+        report = SweepRunner(jobs=2, store=store).run(specs)
         print("# python -m repro sweep --tags failures --exclude-tags slow -j 2")
         print(report.summary_table())
         print(report.stats_line())
 
         # 2. Warm sweep: same specs, same store -> pure cache hits.
-        warm = SweepRunner(jobs=2, store=store).run(matrix.specs)
+        warm = SweepRunner(jobs=2, store=store).run(specs)
         print("\n# ...run it again: every scenario is a cache hit")
         print(warm.stats_line())
-        assert warm.simulated == 0 and warm.hits == len(matrix.specs)
+        assert warm.simulated == 0 and warm.hits == len(specs)
 
         # 3. Grid expansion: one base condition x methods x seeds.
         base = get_scenario("nd-transient-mild")

@@ -1,11 +1,13 @@
 """Trace capture drivers: run a scenario with a live recorder and export.
 
-:func:`capture_trace` is the in-process driver — build the scenario with a
-:class:`~repro.obs.recorder.TraceRecorder` attached, run it, and export both
-trace forms.  :func:`trace_payload` is the subprocess entry point a parallel
-trace sweep submits to its pool: the exported *strings* cross the process
-boundary, so the bytes a parallel sweep writes are — by construction — the
-bytes the child serialized, identical to a serial run of the same spec.
+:func:`capture_trace` is the in-process driver — run the scenario through
+:func:`~repro.orchestrator.worker.simulate_spec` with a
+:class:`~repro.obs.recorder.TraceRecorder` attached, and export both trace
+forms.  :func:`trace_payload` is the entry point :func:`run_trace_sweep`
+hands to :func:`~repro.orchestrator.worker.map_payloads`, the fan-out sweeps
+use too: the exported *strings* cross the process boundary, so the bytes a
+parallel sweep writes are — by construction — the bytes the child
+serialized, identical to a serial run of the same spec.
 
 Traces are always regenerated by re-simulating the spec: simulation is
 deterministic, so a trace for a cached sweep result is reproduced exactly
@@ -14,8 +16,6 @@ from the spec alone (the result store keeps fingerprints, not event streams).
 
 from __future__ import annotations
 
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -72,56 +72,39 @@ def capture_trace(spec: ScenarioSpec, coalesce: Optional[bool] = None,
 def trace_payload(spec_dict: Dict[str, object]) -> Dict[str, object]:
     """Trace one spec (as a plain dict) and return a JSON-safe record.
 
-    Never raises — mirrors :func:`repro.orchestrator.worker.run_payload` so a
-    broken scenario cannot take down a trace sweep.
+    Never raises — like :func:`repro.orchestrator.worker.run_payload`, a
+    failure comes back as that module's ``outcome_payload`` error record, so
+    a broken scenario cannot take down a trace sweep.
     """
+    from ..orchestrator.worker import outcome_payload
+
     watch = Stopwatch().start()
     try:
         spec = ScenarioSpec.from_dict(spec_dict)
         capture = capture_trace(spec)
-        return {
-            "ok": True,
-            "name": spec.name,
-            "jsonl": capture.jsonl,
-            "chrome": capture.chrome,
-            "decisions": capture.decisions,
-            "counts": capture.recorder.counts(),
-            "wall_s": watch.elapsed,
-        }
     except Exception as exc:  # noqa: BLE001 - isolation is the contract
-        return {
-            "ok": False,
-            "name": str(spec_dict.get("name", "<invalid spec>")),
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(),
-            "wall_s": watch.elapsed,
-        }
+        return outcome_payload(None, exc, watch.elapsed)
+    return {
+        "ok": True,
+        "name": spec.name,
+        "jsonl": capture.jsonl,
+        "chrome": capture.chrome,
+        "decisions": capture.decisions,
+        "counts": capture.recorder.counts(),
+        "wall_s": watch.elapsed,
+    }
 
 
 def run_trace_sweep(specs: Sequence[ScenarioSpec],
                     jobs: Optional[int] = None) -> List[Dict[str, object]]:
     """Trace every spec; payloads come back in spec submission order.
 
-    Parallelises over a process pool exactly like the sweep runner — each
-    scenario's trace is produced wholly inside one process and returned as
-    finished strings, so worker count cannot affect a single byte of output.
+    Fans out through the sweep runner's
+    :func:`~repro.orchestrator.worker.map_payloads` — each scenario's trace
+    is produced wholly inside one process and returned as finished strings,
+    so worker count cannot affect a single byte of output.
     """
     from ..orchestrator.runner import resolve_jobs
+    from ..orchestrator.worker import map_payloads
 
-    ordered = list(specs)
-    workers = min(resolve_jobs(jobs), len(ordered)) if ordered else 1
-    if workers <= 1 or len(ordered) <= 1:
-        return [trace_payload(spec.to_dict()) for spec in ordered]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(trace_payload, spec.to_dict()) for spec in ordered]
-        payloads: List[Dict[str, object]] = []
-        for spec, future in zip(ordered, futures):
-            try:
-                payloads.append(future.result())
-            except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
-                payloads.append({
-                    "ok": False, "name": spec.name,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "traceback": traceback.format_exc(), "wall_s": 0.0,
-                })
-        return payloads
+    return list(map_payloads(trace_payload, list(specs), resolve_jobs(jobs)))

@@ -2,15 +2,17 @@
 
 The execution subsystem behind scenario sweeps:
 
-* :func:`simulate_spec` — the single in-process front door that builds, runs,
-  and fingerprints one :class:`~repro.scenarios.spec.ScenarioSpec`
-  (:mod:`repro.orchestrator.worker`).
-* :class:`SweepRunner` — fans specs out over a process pool with
-  deterministic result ordering and per-spec failure isolation
-  (:mod:`repro.orchestrator.runner`).
+* :func:`simulate_spec` — the only in-process way to build, run, and
+  fingerprint one :class:`~repro.scenarios.spec.ScenarioSpec`; its
+  :class:`SimRun` keeps the live job (:mod:`repro.orchestrator.worker`).
+* :class:`SweepRunner` — the only way to run many specs: cache lookup, then
+  one fan-out (:func:`~repro.orchestrator.worker.map_payloads`, shared with
+  trace sweeps) with deterministic result ordering and per-spec failure
+  isolation (:mod:`repro.orchestrator.runner`).
 * :class:`ResultStore` — a content-addressed JSONL store keyed by
-  :func:`spec_key`, so re-running an unchanged scenario is a cache hit that
-  skips simulation entirely (:mod:`repro.orchestrator.store`).
+  :func:`spec_key` (spec plus :func:`code_digest`), so re-running an
+  unchanged scenario under unchanged code is a cache hit that skips
+  simulation entirely (:mod:`repro.orchestrator.store`).
 * :func:`expand` / :func:`expand_registry` — grid combinators deriving
   uniquely named spec variants across methods / seeds / scales / cluster
   sizes (:mod:`repro.orchestrator.grid`).
@@ -22,7 +24,7 @@ serial run's — the golden-trace suite holds the orchestrator to it.
 """
 
 from .grid import expand, expand_registry
-from .hashing import STORE_FORMAT_VERSION, spec_key
+from .hashing import code_digest, spec_key
 from .runner import (
     AUTO_STORE,
     JOBS_ENV,
@@ -40,12 +42,12 @@ __all__ = [
     "CACHE_DIR_ENV",
     "JOBS_ENV",
     "ResultStore",
-    "STORE_FORMAT_VERSION",
     "SimRun",
     "SweepError",
     "SweepOutcome",
     "SweepReport",
     "SweepRunner",
+    "code_digest",
     "default_store_path",
     "expand",
     "expand_registry",

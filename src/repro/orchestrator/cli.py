@@ -53,12 +53,11 @@ from ..perf.profiling import (
     run_profiled,
     warn_multiprocess_profile,
 )
-from ..scenarios.matrix import ScenarioMatrix
-from ..scenarios.registry import get_scenario
+from ..scenarios.registry import all_scenarios, get_scenario, has_tags
 from ..scenarios.spec import ScenarioSpec
 from .grid import expand_registry
 from .hashing import spec_key
-from .runner import AUTO_STORE, SweepReport, SweepRunner, resolve_jobs
+from .runner import AUTO_STORE, SweepReport, SweepRunner, resolve_jobs, summary_row
 from .store import STORE_FILENAME, ResultStore, repro_root
 
 __all__ = ["main", "build_parser", "default_trace_dir",
@@ -110,8 +109,7 @@ def _add_runner_args(parser: argparse.ArgumentParser, cache: bool = True) -> Non
 def _select_specs(args: argparse.Namespace) -> List[ScenarioSpec]:
     if getattr(args, "names", None):
         return [get_scenario(name) for name in args.names]
-    matrix = ScenarioMatrix(tags=args.tags, exclude_tags=args.exclude_tags)
-    return list(matrix)
+    return all_scenarios(tags=args.tags, exclude_tags=args.exclude_tags)
 
 
 def _make_runner(args: argparse.Namespace) -> SweepRunner:
@@ -205,8 +203,7 @@ def _emit_traces(specs: List[ScenarioSpec], out_dir: Path, fmt: str = "both",
 def _cmd_list(args: argparse.Namespace) -> int:
     from ..experiments.reporting import format_table
 
-    matrix = ScenarioMatrix(tags=args.tags, exclude_tags=args.exclude_tags)
-    specs = list(matrix)
+    specs = _select_specs(args)
     if args.json:
         print(json.dumps([spec.to_dict() for spec in specs], indent=2, sort_keys=True))
         return 0
@@ -275,14 +272,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from ..experiments.reporting import format_table
-    from ..scenarios.matrix import ScenarioResult
 
     if args.cache_dir:
         store = ResultStore(Path(args.cache_dir) / STORE_FILENAME)
     else:
         store = ResultStore()
-    wanted = set(args.tags) if args.tags else None
-    unwanted = set(args.exclude_tags) if args.exclude_tags else None
     entries = []
     name_counts: dict = {}
     for key in sorted(store.keys()):
@@ -293,9 +287,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         fingerprint = record.get("fingerprint")
         if spec is None or fingerprint is None:
             continue
-        if wanted is not None and not (wanted & set(spec.tags)):
-            continue
-        if unwanted is not None and (unwanted & set(spec.tags)):
+        if not has_tags(spec, args.tags, args.exclude_tags):
             continue
         entries.append((key, spec, fingerprint, record.get("engine") or {}))
         name_counts[spec.name] = name_counts.get(spec.name, 0) + 1
@@ -312,8 +304,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for key, spec, fingerprint, engine in entries:
         label = spec.name if name_counts[spec.name] == 1 else \
             f"{spec.name}#{key[:8]}"
-        row = ScenarioResult(spec=spec, run=None,
-                             fingerprint=fingerprint).summary_row()
+        row = summary_row(spec, fingerprint)
         row[0] = label
         # The engine sidecar splits logical events (what an uncoalesced run
         # would process) into physical heap pops + coalesced commits; records

@@ -1,18 +1,20 @@
-"""The parallel sweep runner.
+"""The sweep runner — the one way to run many specs.
 
 :class:`SweepRunner` executes an ordered collection of scenario specs:
 
 * **Cache first** — each spec's content key is looked up in the
   :class:`~repro.orchestrator.store.ResultStore`; a hit returns the stored
   fingerprint without building a single simulation object.
-* **Fan out** — misses run on a :class:`~concurrent.futures.ProcessPoolExecutor`
-  (worker count from the ``jobs`` argument, the ``REPRO_JOBS`` environment
-  variable, or 1), or serially in-process when ``jobs=1``.
+* **Fan out** — misses go through :func:`~repro.orchestrator.worker.map_payloads`,
+  which runs them on a process pool (worker count from the ``jobs``
+  argument, the ``REPRO_JOBS`` environment variable, or 1), or in-process
+  when ``jobs=1``; both paths produce the same record shape.
 * **Deterministic ordering** — outcomes come back in *spec submission order*
   regardless of which worker finishes first, so a parallel sweep's report is
   byte-comparable with a serial one.
-* **Failure isolation** — a scenario that crashes produces an error outcome;
-  the rest of the sweep completes and the report says exactly what broke.
+* **Failure isolation** — a scenario that crashes, or whose pool child
+  dies, produces an error outcome; the rest of the sweep completes and the
+  report says exactly what broke.
 
 Every run feeds a :class:`repro.perf.Counter` (cache hits/misses, simulations
 executed, errors, engine events) and the report derives the parallel speedup
@@ -21,21 +23,19 @@ executed, errors, engine events) and the report derives the parallel speedup
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..core.config import JOBS_ENV, jobs_env_override
 from ..perf import Counter, Stopwatch
 from ..scenarios.fingerprint import canonical_json
-from ..scenarios.matrix import ScenarioResult
 from ..scenarios.spec import ScenarioSpec
 from .hashing import spec_key
 from .store import ResultStore
-from .worker import outcome_payload, run_payload, simulate_spec
+from .worker import map_payloads, run_payload
 
 __all__ = ["AUTO_STORE", "JOBS_ENV", "SweepError", "SweepOutcome",
-           "SweepReport", "SweepRunner", "resolve_jobs"]
+           "SweepReport", "SweepRunner", "resolve_jobs", "summary_row"]
 
 
 class _AutoStore:
@@ -59,6 +59,23 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
+def summary_row(spec: ScenarioSpec, fingerprint: Dict[str, object]) -> List[object]:
+    """One table row for a fingerprinted spec: scenario, method, JCT,
+    samples, restarts, failures.
+
+    Reads the fingerprint with ``.get`` defaults: records in an older store
+    can lack fields, and they show as zeros rather than raising.
+    """
+    return [
+        spec.name,
+        spec.method,
+        f"{float(fingerprint.get('jct_s', 0.0)):.1f}",
+        fingerprint.get("samples_confirmed", 0),
+        sum(fingerprint.get("restarts", {}).values()),
+        len(fingerprint.get("failures", [])),
+    ]
+
+
 @dataclass
 class SweepOutcome:
     """What happened to one spec in a sweep: cache hit, fresh run, or error."""
@@ -70,9 +87,6 @@ class SweepOutcome:
     traceback: Optional[str] = None
     cached: bool = False
     wall_s: float = 0.0
-    #: Populated only for in-process (jobs=1) fresh runs, where the live
-    #: result object never had to cross a process boundary.
-    result: Optional[ScenarioResult] = None
 
     @property
     def name(self) -> str:
@@ -98,22 +112,12 @@ class SweepOutcome:
                 f"scenario {self.name!r} produced no fingerprint: {self.error}")
         return canonical_json(self.fingerprint)
 
-    def to_scenario_result(self) -> ScenarioResult:
-        """The outcome as a :class:`ScenarioResult` (run=None for cache hits)."""
-        if self.result is not None:
-            return self.result
-        if self.fingerprint is None:
-            raise RuntimeError(
-                f"scenario {self.name!r} produced no fingerprint: {self.error}")
-        return ScenarioResult(spec=self.spec, run=None, fingerprint=self.fingerprint)
-
     def summary_row(self) -> List[object]:
-        """One row for :meth:`SweepReport.summary_table`: the scenario row
-        (same derivation as :meth:`ScenarioResult.summary_row`) plus the
-        outcome's source column."""
+        """One row for :meth:`SweepReport.summary_table`: the scenario's
+        :func:`summary_row` plus the outcome's source column."""
         if self.fingerprint is None:
             return [self.name, self.spec.method, self.source, "-", "-", "-", "-"]
-        row = self.to_scenario_result().summary_row()
+        row = summary_row(self.spec, self.fingerprint)
         return row[:2] + [self.source] + row[2:]
 
 
@@ -250,32 +254,6 @@ class SweepRunner:
             counters.add("sweep_errors")
         return outcome
 
-    def _run_serial(self, pending: List[SweepOutcome], counters: Counter) -> None:
-        for outcome in pending:
-            watch = Stopwatch().start()
-            try:
-                sim = simulate_spec(outcome.spec)
-            except Exception as exc:  # noqa: BLE001 - per-spec isolation
-                payload = outcome_payload(None, exc, watch.elapsed)
-            else:
-                payload = outcome_payload(sim, None, sim.wall_s)
-                outcome.result = sim.scenario_result()
-            self._absorb(outcome, payload, counters)
-
-    def _run_parallel(self, pending: List[SweepOutcome], counters: Counter) -> None:
-        workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(outcome, pool.submit(run_payload, outcome.spec.to_dict()))
-                       for outcome in pending]
-            # Collect in submission order: completion order is scheduling
-            # noise, and determinism of the report is part of the contract.
-            for outcome, future in futures:
-                try:
-                    payload = future.result()
-                except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
-                    payload = outcome_payload(None, exc, 0.0)
-                self._absorb(outcome, payload, counters)
-
     # -- public API ---------------------------------------------------------
     def run(self, specs: Iterable[ScenarioSpec]) -> SweepReport:
         """Sweep the specs; outcomes come back in the order specs went in."""
@@ -301,11 +279,10 @@ class SweepRunner:
                 counters.add("cache_misses")
                 pending.append(outcome)
             outcomes.append(outcome)
-        if pending:
-            if self.jobs > 1 and len(pending) > 1:
-                self._run_parallel(pending, counters)
-            else:
-                self._run_serial(pending, counters)
+        payloads = map_payloads(run_payload, [outcome.spec for outcome in pending],
+                                self.jobs)
+        for outcome, payload in zip(pending, payloads):
+            self._absorb(outcome, payload, counters)
         self.counters.update(counters.as_dict())
         return SweepReport(
             outcomes=outcomes,

@@ -13,7 +13,7 @@ writer); on load the *last* record for a key wins.  Every record is verified
 on load: a line that is not valid JSON, misses a field, whose ``key`` does
 not match the recomputed hash of its embedded spec, or whose ``digest`` does
 not match the recomputed hash of its fingerprint (bit rot, a hand-edited
-file, a format-version bump) is discarded and counted in
+file, a record keyed under other code) is discarded and counted in
 :attr:`ResultStore.discarded` — the sweep then simply re-simulates that
 scenario instead of crashing or serving a wrong result.
 """

@@ -1,34 +1,38 @@
-"""Scenario execution — the orchestrator's single simulation front door.
+"""Scenario execution — the one way to run a spec, and the one fan-out.
 
-:func:`simulate_spec` is what every driver (sweep runner, figure generators,
-integrity experiments, CLI) goes through to turn a
+:func:`simulate_spec` is the only in-process way to turn a
 :class:`~repro.scenarios.spec.ScenarioSpec` into a finished, fingerprinted
-run: it builds the job, runs it, fingerprints the behaviour, and keeps the
-live job around for callers that need internals (allocator state, agent
-overheads).
+run; every driver (sweep runner, figure generators, integrity experiments,
+trace capture, tests) goes through it.  It builds the job, runs it,
+fingerprints the behaviour, and keeps the live job around for callers that
+need internals (allocator state, agent overheads).
 
-:func:`run_payload` is the subprocess entry point the sweep runner submits to
-its :class:`~concurrent.futures.ProcessPoolExecutor`: it speaks plain dicts
-in both directions (a spec's ``to_dict`` form in, a JSON-safe result record
-out) so nothing unpicklable — live jobs, metrics recorders, simulation
-environments — ever crosses the process boundary, and a crash inside the
-child comes back as an error record instead of poisoning the pool.
+:func:`map_payloads` is the only fan-out.  It runs an entry point —
+:func:`run_payload` for sweeps, :func:`repro.obs.capture.trace_payload` for
+trace sweeps — over specs, in this process or over a
+:class:`~concurrent.futures.ProcessPoolExecutor`.  Entry points speak plain
+dicts in both directions (a spec's ``to_dict`` form in, a JSON-safe record
+out), so nothing unpicklable — live jobs, metrics recorders, simulation
+environments — ever crosses a process boundary, and a crash inside a child
+comes back as an error record instead of poisoning the pool.
 """
 
 from __future__ import annotations
 
 import traceback
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
 from ..perf import Stopwatch
 from ..psarch.job import PSRunResult, PSTrainingJob
-from ..scenarios.fingerprint import fingerprint
-from ..scenarios.matrix import ScenarioResult, build_scenario_job
+from ..scenarios.fingerprint import canonical_json, fingerprint
+from ..scenarios.matrix import build_scenario_job
 from ..scenarios.spec import ScenarioSpec
 from ..sim.failures import FailureInjector
 
-__all__ = ["SimRun", "simulate_spec", "run_payload"]
+__all__ = ["SimRun", "map_payloads", "outcome_payload", "run_payload",
+           "simulate_spec"]
 
 
 @dataclass
@@ -40,12 +44,10 @@ class SimRun:
     injector: FailureInjector
     run: PSRunResult
     fingerprint: Dict[str, object]
-    wall_s: float
 
-    def scenario_result(self) -> ScenarioResult:
-        """The run reduced to the scenario subsystem's result type."""
-        return ScenarioResult(spec=self.spec, run=self.run,
-                              fingerprint=self.fingerprint)
+    def golden_trace(self) -> str:
+        """Canonical byte form of the fingerprint (golden-trace contents)."""
+        return canonical_json(self.fingerprint)
 
 
 def simulate_spec(spec: ScenarioSpec, **overrides: object) -> SimRun:
@@ -53,10 +55,10 @@ def simulate_spec(spec: ScenarioSpec, **overrides: object) -> SimRun:
 
     ``overrides`` are forwarded to
     :func:`~repro.scenarios.matrix.build_scenario_job` (real compute backend,
-    coverage tracking, ...), so spec-driven experiments that need more than
-    the declarative knobs still route through the orchestrator.
+    coverage tracking, cohort ``coalesce`` mode, a trace recorder, ...), so
+    spec-driven experiments that need more than the declarative knobs still
+    route through here.
     """
-    watch = Stopwatch().start()
     job, injector = build_scenario_job(spec, **overrides)
     result = job.run()
     return SimRun(
@@ -65,7 +67,6 @@ def simulate_spec(spec: ScenarioSpec, **overrides: object) -> SimRun:
         injector=injector,
         run=result,
         fingerprint=fingerprint(spec, result, injector),
-        wall_s=watch.elapsed,
     )
 
 
@@ -88,9 +89,9 @@ def outcome_payload(sim: Optional[SimRun], error: Optional[BaseException],
                     wall_s: float) -> Dict[str, object]:
     """The JSON-safe result record of one execution, success or error.
 
-    Both the serial (jobs=1) path and :func:`run_payload` in the subprocess
-    build their records here, so the two share one record shape by
-    construction.
+    Every error record — a spec that failed in :func:`run_payload` or in a
+    trace capture, or a child :func:`map_payloads` lost — is built here, so
+    they all share one shape.
     """
     if error is not None:
         return {
@@ -109,3 +110,31 @@ def outcome_payload(sim: Optional[SimRun], error: Optional[BaseException],
         "engine_events_processed": sim.run.engine_events_processed,
         "engine_events_physical": sim.run.engine_events_physical,
     }
+
+
+def map_payloads(entry: Callable[[Dict[str, object]], Dict[str, object]],
+                 specs: Sequence[ScenarioSpec],
+                 jobs: int) -> Iterator[Dict[str, object]]:
+    """Yield ``entry(spec.to_dict())`` for every spec, in spec order.
+
+    With ``jobs`` 1 or a single spec the entry runs in this process, one
+    spec at a time; otherwise the specs fan out over a process pool of
+    ``min(jobs, len(specs))`` workers.  Either way each record is yielded as
+    soon as it and every record before it are done, so a caller can persist
+    results as they arrive.  A child the pool loses (``BrokenProcessPool``)
+    comes back as an :func:`outcome_payload` error record.
+    """
+    if jobs <= 1 or len(specs) <= 1:
+        for spec in specs:
+            yield entry(spec.to_dict())
+        return
+    with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
+        futures = [pool.submit(entry, spec.to_dict()) for spec in specs]
+        # Collect in submission order: completion order is scheduling noise,
+        # and determinism of every report is part of the contract.
+        for future in futures:
+            try:
+                payload = future.result()
+            except Exception as exc:  # noqa: BLE001 - e.g. BrokenProcessPool
+                payload = outcome_payload(None, exc, 0.0)
+            yield payload

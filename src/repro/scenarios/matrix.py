@@ -1,19 +1,15 @@
-"""Build, run, and sweep declarative scenarios.
+"""Build declarative scenarios into runnable jobs.
 
 :func:`build_scenario_job` turns a :class:`~repro.scenarios.spec.ScenarioSpec`
 into a ready-to-run :class:`~repro.psarch.job.PSTrainingJob` (cluster built,
-stragglers applied, heterogeneity composed, failure trace armed);
-:func:`run_scenario` runs it and reduces the outcome to a structured
-:class:`ScenarioResult` with a golden-trace fingerprint; and
-:class:`ScenarioMatrix` sweeps a whole grid of scenarios through the
-orchestrator (:mod:`repro.orchestrator`), which adds process-pool parallelism
-and content-addressed result caching on top.
+stragglers applied, heterogeneity composed, failure trace armed).  Running
+and fingerprinting it is :func:`repro.orchestrator.simulate_spec`; sweeping
+many specs, in parallel and cached, is :class:`repro.orchestrator.SweepRunner`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,20 +23,16 @@ from ..elastic.spec import ElasticSpec, ScaleEvent
 from ..experiments.stragglers import apply_scenario
 from ..experiments.workloads import antdt_config, make_cpu_cluster, pending_model, ps_job_config
 from ..psarch.backend import ComputeBackend
-from ..psarch.job import PSRunResult, PSTrainingJob
+from ..psarch.job import PSTrainingJob
 from ..sim.cluster import Cluster
 from ..sim.contention import CompositeContention, DeterministicSlowdown
 from ..sim.engine import Environment
 from ..sim.failures import FailureInjector
 from ..sim.metrics import MetricsRecorder
 from ..sim.scheduler import ClusterScheduler
-from .fingerprint import canonical_json, fingerprint
 from .spec import FailureEvent, ScenarioSpec, TopologySpec
 
-__all__ = ["ScenarioResult", "ScenarioMatrix", "build_scenario_job", "run_scenario"]
-
-#: Distinguishes "use the default store" from an explicit ``store=None``.
-_UNSET = object()
+__all__ = ["build_scenario_job"]
 
 
 def _apply_heterogeneity(cluster: Cluster, topology: TopologySpec) -> List[str]:
@@ -274,171 +266,3 @@ def build_scenario_job(spec: ScenarioSpec, *,
         job.attach_serving(ServingTier(job, spec.serving, seed=spec.seed,
                                        recorder=job.recorder))
     return job, injector
-
-
-@dataclass
-class ScenarioResult:
-    """Structured outcome of one scenario run.
-
-    ``run`` carries the live simulation objects and is ``None`` when the
-    result was restored from the orchestrator's content-addressed store (or
-    crossed a process boundary) instead of being simulated here — the
-    fingerprint is the durable, complete behavioural record either way, and
-    every derived property reads from it first.
-    """
-
-    spec: ScenarioSpec
-    run: Optional[PSRunResult]
-    fingerprint: Dict[str, object]
-
-    @property
-    def name(self) -> str:
-        """The scenario's name."""
-        return self.spec.name
-
-    @property
-    def jct(self) -> float:
-        """Job completion time in seconds."""
-        if self.run is not None:
-            return self.run.jct
-        return float(self.fingerprint.get("jct_s", 0.0))
-
-    @property
-    def completed(self) -> bool:
-        """Whether the scenario ran to completion."""
-        if self.run is not None:
-            return self.run.completed
-        return bool(self.fingerprint.get("completed", False))
-
-    @property
-    def restarts_total(self) -> int:
-        """Total node restarts over the run."""
-        return sum(self.fingerprint.get("restarts", {}).values())
-
-    def golden_trace(self) -> str:
-        """Canonical byte form of the fingerprint (golden-trace contents)."""
-        return canonical_json(self.fingerprint)
-
-    def summary_row(self) -> List[object]:
-        """One table row for :func:`repro.experiments.reporting.format_table`."""
-        return [
-            self.spec.name,
-            self.spec.method,
-            f"{self.jct:.1f}",
-            self.fingerprint.get("samples_confirmed", 0),
-            self.restarts_total,
-            len(self.fingerprint.get("failures", [])),
-        ]
-
-
-def run_scenario(spec: ScenarioSpec, **overrides: object) -> ScenarioResult:
-    """Run one scenario to completion and fingerprint its behaviour."""
-    job, injector = build_scenario_job(spec, **overrides)
-    result = job.run()
-    return ScenarioResult(spec=spec, run=result,
-                          fingerprint=fingerprint(spec, result, injector))
-
-
-class ScenarioMatrix:
-    """A grid of scenarios swept through the orchestrator.
-
-    The default grid is every registered scenario; ``tags`` restricts the
-    sweep (a scenario qualifies when it carries *any* of the given tags) and
-    ``exclude_tags`` then drops scenarios carrying any of *those* tags — e.g.
-    ``ScenarioMatrix(tags=("non-dedicated",), exclude_tags=("slow",))`` is
-    the fast non-dedicated grid.
-
-    :meth:`run` delegates to :class:`repro.orchestrator.SweepRunner`, so every
-    matrix sweep gets process-pool parallelism (``REPRO_JOBS``) and
-    content-addressed result caching for free while keeping the serial
-    deterministic ordering of its results.
-    """
-
-    def __init__(self, specs: Optional[Iterable[ScenarioSpec]] = None,
-                 tags: Optional[Sequence[str]] = None,
-                 exclude_tags: Optional[Sequence[str]] = None) -> None:
-        if specs is None:
-            from .registry import all_scenarios
-
-            specs = all_scenarios()
-        selected = list(specs)
-        if tags is not None:
-            wanted = set(tags)
-            selected = [spec for spec in selected if wanted & set(spec.tags)]
-        if exclude_tags is not None:
-            unwanted = set(exclude_tags)
-            selected = [spec for spec in selected if not (unwanted & set(spec.tags))]
-        names = [spec.name for spec in selected]
-        if len(set(names)) != len(names):
-            raise ValueError("scenario names in a matrix must be unique")
-        self.specs: List[ScenarioSpec] = selected
-        self._results: Optional[List[ScenarioResult]] = None
-        self._run_params: Optional[Tuple[object, object]] = None
-        #: The orchestrator report behind the last :meth:`run` (cache traffic,
-        #: wall time, speedup); None until the matrix has run.  Populated even
-        #: when the sweep raises, so failures stay inspectable.
-        self.last_report = None
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __iter__(self):
-        return iter(self.specs)
-
-    def run(self, jobs: Optional[int] = None, store: object = _UNSET
-            ) -> List[ScenarioResult]:
-        """Sweep the matrix through the orchestrator (deterministic order).
-
-        ``jobs`` defaults to the ``REPRO_JOBS`` environment variable (else
-        serial); ``store`` accepts an explicit
-        :class:`~repro.orchestrator.ResultStore` or ``None`` to disable
-        caching for this sweep.  Scenario runs are deterministic, so the
-        results are computed once and memoised — :meth:`fingerprints` and
-        :meth:`summary_table` share them instead of re-simulating the grid,
-        and calling again with *different* ``jobs``/``store`` arguments
-        re-sweeps rather than silently returning the memoised results.
-        A scenario that fails raises :class:`repro.orchestrator.SweepError`
-        naming every failed spec (:attr:`last_report` still carries the full
-        report, including the outcomes that succeeded).
-        """
-        # The store object itself is part of the memo key (held alive here, so
-        # identity comparison is sound — unlike id(), which CPython recycles).
-        params = (jobs, store)
-        if self._results is None or self._run_params != params:
-            from ..orchestrator import AUTO_STORE, SweepRunner
-
-            # Drop any stale memo *before* sweeping: if this sweep fails, a
-            # retry must re-sweep rather than hand back results memoised
-            # under different parameters.
-            self._results = None
-            self._run_params = None
-            runner = SweepRunner(
-                jobs=jobs, store=AUTO_STORE if store is _UNSET else store)
-            report = runner.run(self.specs)
-            self.last_report = report
-            report.raise_on_error()
-            self._results = [outcome.to_scenario_result()
-                             for outcome in report.outcomes]
-            self._run_params = params
-        return self._results
-
-    def _memoised_results(self) -> List[ScenarioResult]:
-        """Whatever :meth:`run` already computed, else a default sweep —
-        derived views must never trigger a re-sweep just because the last
-        explicit :meth:`run` used non-default parameters."""
-        if self._results is not None:
-            return self._results
-        return self.run()
-
-    def fingerprints(self) -> Dict[str, Dict[str, object]]:
-        """Scenario-name -> fingerprint for the whole grid."""
-        return {result.name: result.fingerprint
-                for result in self._memoised_results()}
-
-    def summary_table(self) -> str:
-        """The grid's outcomes as a fixed-width text table."""
-        from ..experiments.reporting import format_table
-
-        headers = ["scenario", "method", "JCT (s)", "samples", "restarts", "failures"]
-        return format_table(headers, [result.summary_row()
-                                      for result in self._memoised_results()])

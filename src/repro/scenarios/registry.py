@@ -26,7 +26,7 @@ from ..sim.failures import ErrorCode
 from .spec import FailureEvent, FailureTraceSpec, ScenarioSpec, TopologySpec
 
 __all__ = ["SCENARIOS", "register_scenario", "get_scenario", "all_scenarios",
-           "scenario_names"]
+           "has_tags", "scenario_names"]
 
 SCENARIOS: Dict[str, ScenarioSpec] = {}
 
@@ -48,13 +48,25 @@ def get_scenario(name: str) -> ScenarioSpec:
             f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}") from None
 
 
-def all_scenarios(tags: Optional[Sequence[str]] = None) -> List[ScenarioSpec]:
-    """Every registered scenario (optionally: carrying any of ``tags``), by name."""
-    specs = [SCENARIOS[name] for name in sorted(SCENARIOS)]
-    if tags is None:
-        return specs
-    wanted = set(tags)
-    return [spec for spec in specs if wanted & set(spec.tags)]
+def has_tags(spec: ScenarioSpec, tags: Optional[Sequence[str]],
+             exclude_tags: Optional[Sequence[str]]) -> bool:
+    """Whether ``spec`` carries any of ``tags`` and none of ``exclude_tags``;
+    ``None`` leaves that side unconstrained."""
+    carried = set(spec.tags)
+    if tags is not None and not carried.intersection(tags):
+        return False
+    return exclude_tags is None or not carried.intersection(exclude_tags)
+
+
+def all_scenarios(tags: Optional[Sequence[str]] = None,
+                  exclude_tags: Optional[Sequence[str]] = None) -> List[ScenarioSpec]:
+    """Every registered scenario selected by :func:`has_tags`, by name.
+
+    ``all_scenarios(tags=("non-dedicated",), exclude_tags=("slow",))`` is
+    the fast non-dedicated grid.
+    """
+    return [SCENARIOS[name] for name in sorted(SCENARIOS)
+            if has_tags(SCENARIOS[name], tags, exclude_tags)]
 
 
 def scenario_names() -> List[str]:

@@ -17,7 +17,8 @@ import json
 
 import pytest
 
-from repro.scenarios import all_scenarios, canonical_json, get_scenario, run_scenario
+from repro.orchestrator import simulate_spec
+from repro.scenarios import all_scenarios, canonical_json, get_scenario
 from repro.scenarios.registry import SCENARIOS
 
 _SPECS = all_scenarios()
@@ -48,7 +49,7 @@ def test_registry_has_full_matrix():
 @pytest.mark.parametrize("name", _params())
 def test_scenario_matches_golden_trace(name, update_golden, trace_dir):
     spec = get_scenario(name)
-    result = run_scenario(spec)
+    result = simulate_spec(spec)
     assert result.run.completed, f"scenario {name!r} no longer completes"
     text = result.golden_trace()
     path = trace_dir / f"{name}.json"
@@ -88,6 +89,6 @@ def test_rerun_is_byte_identical():
     """Determinism guard: the same spec fingerprints identically twice in-process."""
     for name in ("nd-persistent-worker", "eviction-storm"):
         spec = get_scenario(name)
-        first = run_scenario(spec).golden_trace()
-        second = run_scenario(spec).golden_trace()
+        first = simulate_spec(spec).golden_trace()
+        second = simulate_spec(spec).golden_trace()
         assert first == second

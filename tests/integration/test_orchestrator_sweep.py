@@ -5,7 +5,7 @@ serial in-process, or fanned out over a process pool — never changes *what*
 it computes: fingerprints are byte-identical either way.  The full-registry
 guard below runs the entire scenario catalogue through a 2-process pool and
 compares every fingerprint byte-for-byte against the serial
-:func:`~repro.scenarios.run_scenario` path (the one the checked-in golden
+:func:`~repro.orchestrator.simulate_spec` path (the one the checked-in golden
 traces were produced by).
 """
 
@@ -13,9 +13,9 @@ import json
 
 import pytest
 
-from repro.orchestrator import ResultStore, SweepRunner
+from repro.orchestrator import ResultStore, SweepRunner, simulate_spec
 from repro.orchestrator.cli import main as cli_main
-from repro.scenarios import all_scenarios, get_scenario, run_scenario
+from repro.scenarios import all_scenarios, get_scenario
 
 
 FAST_NAMES = ["dedicated-baseline", "eviction-storm", "nd-server-straggler"]
@@ -27,7 +27,7 @@ def test_parallel_sweep_matches_serial_fingerprints_fast_subset():
     assert not parallel.errors
     for spec, outcome in zip(specs, parallel.outcomes):
         assert outcome.name == spec.name  # submission order preserved
-        assert outcome.golden_trace() == run_scenario(spec).golden_trace()
+        assert outcome.golden_trace() == simulate_spec(spec).golden_trace()
 
 
 @pytest.mark.slow
@@ -36,7 +36,7 @@ def test_two_process_sweep_of_full_registry_is_byte_identical_to_serial():
     specs = all_scenarios()
     parallel = SweepRunner(jobs=2, store=None).run(specs)
     assert not parallel.errors
-    serial = {spec.name: run_scenario(spec).golden_trace() for spec in specs}
+    serial = {spec.name: simulate_spec(spec).golden_trace() for spec in specs}
     for outcome in parallel.outcomes:
         assert outcome.golden_trace() == serial[outcome.name], (
             f"scenario {outcome.name!r} fingerprints differently under the "
@@ -75,7 +75,7 @@ def test_two_process_sweep_is_byte_identical_at_1000_workers():
     assert [spec.resolve_scale().num_workers for spec in specs] == [1000]
     parallel = SweepRunner(jobs=2, store=None).run(specs)
     assert not parallel.errors
-    serial = run_scenario(specs[0])
+    serial = simulate_spec(specs[0])
     assert parallel.outcomes[0].golden_trace() == serial.golden_trace()
 
 
@@ -157,7 +157,7 @@ def test_cli_golden_update_writes_and_checks(tmp_path, capsys):
     # What golden-update wrote is exactly the serial golden-trace bytes.
     for name in ("dedicated-baseline", "checkpoint-failover"):
         assert (trace_dir / f"{name}.json").read_text() == \
-            run_scenario(get_scenario(name)).golden_trace()
+            simulate_spec(get_scenario(name)).golden_trace()
     assert cli_main(["golden-update", "--check"] + base) == 0
     # Drift detection: corrupt one trace, the check must fail.
     (trace_dir / "dedicated-baseline.json").write_text("{}\n")

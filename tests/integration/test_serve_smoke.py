@@ -9,17 +9,16 @@ in-flight count.
 """
 
 from repro.elastic import verify_exactly_once, verify_shard_coverage
-from repro.orchestrator import SweepRunner
+from repro.orchestrator import SweepRunner, simulate_spec
 from repro.scenarios import all_scenarios, build_scenario_job, get_scenario
 from repro.scenarios.fingerprint import fingerprint
-from repro.scenarios.matrix import run_scenario
 
 SCENARIO = "serving-overload-shed"
 
 
 def test_overload_scenario_sheds_and_reports_slo_metrics():
     spec = get_scenario(SCENARIO)
-    outcome = run_scenario(spec)
+    outcome = simulate_spec(spec)
     assert outcome.run.completed
     serving = outcome.fingerprint["serving"]
 

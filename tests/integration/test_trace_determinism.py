@@ -14,7 +14,7 @@ from repro.obs import capture_trace, run_trace_sweep
 from repro.orchestrator import ResultStore, spec_key
 from repro.orchestrator.cli import main as cli_main
 from repro.orchestrator.store import STORE_FILENAME
-from repro.scenarios import get_scenario
+from repro.scenarios import FailureEvent, FailureTraceSpec, ScenarioSpec, get_scenario
 from repro.scenarios.fingerprint import canonical_json
 
 GOLDEN_TRACE_DIR = Path(__file__).resolve().parent.parent / "golden" / "traces"
@@ -44,6 +44,19 @@ def test_parallel_trace_sweep_is_byte_identical_to_serial():
         assert left["ok"] and right["ok"]
         assert left["jsonl"] == right["jsonl"]
         assert left["chrome"] == right["chrome"]
+
+
+def test_trace_sweep_reports_a_failing_spec_as_an_error_record():
+    """A spec that fails comes back as an error record in its own slot, and
+    the sweep still traces the rest."""
+    broken = ScenarioSpec(
+        name="trace-broken", method="bsp", seed=1, iterations=4,
+        failures=FailureTraceSpec(events=(
+            FailureEvent(time_s=1.0, node="worker-999", code="job_eviction"),)))
+    payloads = run_trace_sweep([broken, get_scenario(STATIC)], jobs=1)
+    assert payloads[0]["ok"] is False and "worker-999" in payloads[0]["error"]
+    assert "Traceback" in payloads[0]["traceback"]
+    assert payloads[1]["ok"] and payloads[1]["name"] == STATIC
 
 
 def test_traced_run_fingerprint_matches_checked_in_golden_trace():

@@ -20,8 +20,9 @@ import json
 import pytest
 
 from repro.elastic.spec import ElasticSpec, ScaleEvent
+from repro.orchestrator import simulate_spec
 from repro.perf import EngineStats
-from repro.scenarios import ScenarioSpec, all_scenarios, get_scenario, run_scenario
+from repro.scenarios import ScenarioSpec, all_scenarios, get_scenario
 from repro.scenarios.fingerprint import fingerprint
 from repro.scenarios.matrix import build_scenario_job
 
@@ -38,8 +39,8 @@ def test_registry_is_fully_covered():
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_coalesce_on_off_fingerprints_byte_identical(name):
     spec = get_scenario(name)
-    fast = run_scenario(spec, coalesce=True)
-    slow = run_scenario(spec, coalesce=False)
+    fast = simulate_spec(spec, coalesce=True)
+    slow = simulate_spec(spec, coalesce=False)
     assert fast.golden_trace() == slow.golden_trace(), (
         f"scenario {name!r} fingerprints differently with cohort coalescing "
         f"on vs off — the fast path changed observable behaviour")
@@ -50,9 +51,9 @@ def test_no_coalesce_env_hatch_selects_the_slow_path(monkeypatch):
     monkeypatch.setenv("REPRO_NO_COALESCE", "1")
     job, _ = build_scenario_job(spec)
     assert job.env.coalesce is False
-    hatched = run_scenario(spec)
+    hatched = simulate_spec(spec)
     monkeypatch.delenv("REPRO_NO_COALESCE")
-    default = run_scenario(spec)
+    default = simulate_spec(spec)
     assert hatched.golden_trace() == default.golden_trace()
 
 

@@ -27,7 +27,8 @@ from repro.elastic import (
     verify_exactly_once,
 )
 from repro.elastic.membership import MembershipLog
-from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job, run_scenario
+from repro.orchestrator import simulate_spec
+from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job
 from repro.sim.cluster import NodeRole, NodeSpec, NodeStatus
 from repro.sim.engine import CountdownEvent, Environment
 from repro.sim.hardware import CPU_WORKER_16C
@@ -393,7 +394,7 @@ def _elastic_spec(**kwargs):
 def test_scale_out_joins_and_participates():
     spec = _elastic_spec(elastic=ElasticSpec(events=(
         ScaleEvent(time_s=15.0, action="out", count=2),)))
-    result = run_scenario(spec)
+    result = simulate_spec(spec)
     assert result.run.completed
     elastic = result.fingerprint["elastic"]
     assert elastic["joined"] == 2 and elastic["left"] == 0
@@ -490,7 +491,7 @@ def test_departed_worker_restart_counts_survive():
         elastic=ElasticSpec(events=(
             ScaleEvent(time_s=40.0, action="in", nodes=("worker-2",)),)),
     )
-    result = run_scenario(spec)
+    result = simulate_spec(spec)
     assert result.run.completed
     assert result.run.restarts_per_node.get("worker-2", 0) == 1
     assert result.fingerprint["restarts"].get("worker-2") == 1

@@ -24,13 +24,13 @@ from repro.elastic import (
     verify_exactly_once,
     verify_shard_coverage,
 )
+from repro.orchestrator import simulate_spec
 from repro.orchestrator.grid import expand
 from repro.scenarios import (
     FailureEvent,
     FailureTraceSpec,
     ScenarioSpec,
     build_scenario_job,
-    run_scenario,
 )
 
 from test_elastic_servers import _server_context, _server_spec
@@ -315,7 +315,7 @@ def test_scenario_spec_arms_replication_and_grid_axis_expands():
     assert job.shard_map.replicas == 1
     assert job.shard_map.weight_of(0) == 4.0
     assert job.server_shard_weights()  # heat is exposed to the policies
-    result = run_scenario(spec)
+    result = simulate_spec(spec)
     assert result.run.completed
     assert result.run.shard_replicas == 1
     assert result.run.shard_weights["hot_shards"] == 1
@@ -355,9 +355,9 @@ def _kill_promotion_spec(name, staleness=None):
 def test_staleness_catchup_defaults_to_zero_and_stays_byte_identical():
     # The default (no staleness) and an explicit 0.0 must be the *same run*,
     # byte for byte — the knob's default cannot move any existing trace.
-    default = run_scenario(_kill_promotion_spec("unit-staleness-default"))
-    explicit = run_scenario(_kill_promotion_spec("unit-staleness-default",
-                                                 staleness=0.0))
+    default = simulate_spec(_kill_promotion_spec("unit-staleness-default"))
+    explicit = simulate_spec(_kill_promotion_spec("unit-staleness-default",
+                                                  staleness=0.0))
     assert default.run.completed
     assert default.golden_trace() == explicit.golden_trace()
     events = [event for event in default.run.reshard_events
@@ -367,15 +367,15 @@ def test_staleness_catchup_defaults_to_zero_and_stays_byte_identical():
 
 
 def test_staleness_catchup_charges_every_promotion_reshard():
-    stalled = run_scenario(_kill_promotion_spec("unit-staleness-charged",
-                                                staleness=0.6))
+    stalled = simulate_spec(_kill_promotion_spec("unit-staleness-charged",
+                                                 staleness=0.6))
     assert stalled.run.completed
     events = [event for event in stalled.run.reshard_events
               if event.kind == "promotion"]
     # Promotion now costs coordination + the configured catch-up stall.
     assert events and events[0].cost_s == pytest.approx(0.05 + 0.6)
     # The charge is pinned behaviour: it lands in the golden-trace bytes.
-    baseline = run_scenario(_kill_promotion_spec("unit-staleness-charged"))
+    baseline = simulate_spec(_kill_promotion_spec("unit-staleness-charged"))
     assert stalled.golden_trace() != baseline.golden_trace()
     reshard = stalled.fingerprint["elastic"]["resharding"]["events"][0]
     assert reshard["cost_s"] == pytest.approx(0.65)

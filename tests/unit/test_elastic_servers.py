@@ -35,11 +35,12 @@ from repro.elastic import (
     verify_shard_coverage,
 )
 from repro.experiments.stragglers import server_scenario
+from repro.orchestrator import simulate_spec
 from repro.orchestrator.grid import expand
 from repro.orchestrator.hashing import spec_key
 from repro.psarch.config import PSJobConfig
 from repro.psarch.server import ParameterServer
-from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job, run_scenario
+from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job
 from repro.scenarios.registry import all_scenarios
 from repro.sim.cluster import Cluster, NodeRole, NodeSpec
 from repro.sim.engine import Environment
@@ -479,7 +480,7 @@ def _server_spec(**kwargs):
 def test_server_scale_out_joins_and_serves():
     spec = _server_spec(elastic=ElasticSpec(servers=ServerElasticSpec(events=(
         ScaleEvent(time_s=15.0, action="out", count=1),))))
-    result = run_scenario(spec)
+    result = simulate_spec(spec)
     assert result.run.completed
     servers = result.fingerprint["elastic"]["servers"]
     assert servers["joined"] == 1 and servers["left"] == 0
@@ -497,7 +498,7 @@ def test_server_busy_gate_denies_the_join():
         topology=TopologySpec(dedicated=False, cluster_busy=True),
         elastic=ElasticSpec(servers=ServerElasticSpec(events=(
             ScaleEvent(time_s=10.0, action="out", count=1),))))
-    result = run_scenario(spec)
+    result = simulate_spec(spec)
     assert result.run.completed
     servers = result.fingerprint["elastic"]["servers"]
     assert servers["unplaced"] == 1 and servers["joined"] == 0
@@ -528,7 +529,7 @@ def test_server_scale_out_respects_cap():
     spec = _server_spec(elastic=ElasticSpec(servers=ServerElasticSpec(
         events=(ScaleEvent(time_s=10.0, action="out", count=5),),
         max_servers=4)))
-    result = run_scenario(spec)
+    result = simulate_spec(spec)
     servers = result.fingerprint["elastic"]["servers"]
     # 3 servers, cap at 4: only one join may be requested.
     assert servers["joined"] + servers["unplaced"] == 1

@@ -14,7 +14,8 @@ import pytest
 from repro.checkpoint import CheckpointSchedule, CheckpointStore, FailoverModel
 from repro.checkpoint.manager import periodic_checkpointer
 from repro.core.monitor import Monitor
-from repro.scenarios import get_scenario, run_scenario
+from repro.orchestrator import simulate_spec
+from repro.scenarios import get_scenario
 from repro.sim.engine import Environment
 from repro.sim.failures import (
     RETRYABLE_ERRORS,
@@ -123,7 +124,7 @@ def test_monitor_node_events_share_t0_window_semantics():
 
 
 def test_eviction_storm_recovers_every_shard():
-    result = run_scenario(get_scenario("eviction-storm"))
+    result = simulate_spec(get_scenario("eviction-storm"))
     run = result.run
     assert run.completed
     # All four scheduled failures were injected and recorded with their codes.

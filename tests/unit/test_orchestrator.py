@@ -1,13 +1,15 @@
 """Unit tests for the sweep orchestrator (repro.orchestrator).
 
-Covers content addressing, the JSONL result store (including corruption
-tolerance), cache semantics of the sweep runner (reuse without re-simulation,
-recompute on any spec change), per-spec failure isolation, and the grid
+Covers content addressing (salted with the package's code digest), the JSONL
+result store (including corruption tolerance), cache semantics of the sweep
+runner (reuse without re-simulation, recompute on any spec or code change),
+per-spec failure isolation (a lost pool child included), and the grid
 expansion combinators.  The parallel/serial byte-identity guard lives in
 ``tests/integration/test_orchestrator_sweep.py``.
 """
 
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -25,8 +27,10 @@ from repro.orchestrator import (
     simulate_spec,
     spec_key,
 )
+from repro.orchestrator import hashing
+from repro.orchestrator.worker import map_payloads
 from repro.perf import Counter
-from repro.scenarios import ScenarioMatrix, ScenarioSpec, get_scenario
+from repro.scenarios import ScenarioSpec, canonical_json, get_scenario
 
 
 @pytest.fixture
@@ -49,6 +53,16 @@ def test_spec_key_is_stable_and_field_sensitive():
     assert spec_key(replace(base, seed=base.seed + 1)) != spec_key(base)
     assert spec_key(replace(base, method="asp")) != spec_key(base)
     assert spec_key(replace(base, description="edited")) != spec_key(base)
+
+
+def test_code_digest_salts_every_key(monkeypatch):
+    """Keys address the code as well as the spec: a different package digest
+    moves every key."""
+    specs = [get_scenario("dedicated-baseline"), FAST_SPEC]
+    before = [spec_key(spec) for spec in specs]
+    monkeypatch.setattr(hashing, "code_digest", lambda: "0" * 64)
+    after = [spec_key(spec) for spec in specs]
+    assert all(old != new for old, new in zip(before, after))
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +219,19 @@ def test_corrupt_store_entry_is_recomputed_not_fatal(store):
     assert SweepRunner(jobs=1, store=ResultStore(store.path)).run([FAST_SPEC]).hits == 1
 
 
+def test_store_written_under_other_code_is_discarded(store, monkeypatch):
+    """Records keyed under another code digest never verify: loading drops
+    them all, and a sweep from that store re-simulates every spec."""
+    specs = [FAST_SPEC, replace(FAST_SPEC, name="orc-fast-2", seed=4)]
+    monkeypatch.setattr(hashing, "code_digest", lambda: "0" * 64)
+    assert SweepRunner(jobs=1, store=store).run(specs).simulated == 2
+    monkeypatch.undo()
+    reloaded = ResultStore(store.path)
+    assert len(reloaded) == 0 and reloaded.discarded == 2
+    report = SweepRunner(jobs=1, store=reloaded).run(specs)
+    assert report.hits == 0 and report.simulated == 2
+
+
 def test_store_disabled_always_simulates():
     runner = SweepRunner(jobs=1, store=None)
     assert runner.run([FAST_SPEC]).simulated == 1
@@ -255,6 +282,22 @@ def test_run_payload_reports_errors_as_records():
     assert ok["ok"] is True and ok["engine_events_processed"] > 0
 
 
+def _exit_child(spec_dict):
+    """A pool entry that kills its worker process outright."""
+    os._exit(3)
+
+
+def test_lost_pool_child_comes_back_as_error_record():
+    """A child the pool loses (BrokenProcessPool) yields an error record per
+    spec instead of raising out of the fan-out."""
+    specs = [FAST_SPEC, replace(FAST_SPEC, name="orc-fast-2", seed=4)]
+    payloads = list(map_payloads(_exit_child, specs, jobs=2))
+    assert len(payloads) == 2
+    for payload in payloads:
+        assert payload["ok"] is False
+        assert "BrokenProcessPool" in payload["error"]
+
+
 def test_runner_rejects_duplicate_names_and_bad_jobs():
     with pytest.raises(ValueError):
         SweepRunner(jobs=1, store=None).run([FAST_SPEC, FAST_SPEC])
@@ -278,47 +321,7 @@ def test_simulate_spec_exposes_live_job():
     assert sim.run.completed
     assert sim.job.cluster.workers
     assert sim.fingerprint["scenario"] == "orc-fast"
-    assert sim.scenario_result().completed
-
-
-def test_matrix_delegates_to_orchestrator_with_caching(store):
-    matrix = ScenarioMatrix([FAST_SPEC])
-    results = matrix.run(store=store)
-    assert results[0].completed and results[0].run is not None
-    assert matrix.last_report.simulated == 1
-    # Same arguments -> memoised; different arguments -> a fresh sweep (here:
-    # caching explicitly disabled, so the spec is simulated again).
-    first_report = matrix.last_report
-    assert matrix.run(store=store) is results
-    assert matrix.last_report is first_report
-    matrix.run(store=None)
-    assert matrix.last_report is not first_report
-    assert matrix.last_report.simulated == 1 and matrix.last_report.hits == 0
-    # Derived views reuse whatever run() memoised — never a hidden re-sweep.
-    bypass_report = matrix.last_report
-    matrix.summary_table()
-    assert matrix.last_report is bypass_report
-    # A fresh matrix over the same spec is served from the store.
-    warm = ScenarioMatrix([FAST_SPEC])
-    warm_results = warm.run(store=ResultStore(store.path))
-    assert warm.last_report.hits == 1 and warm.last_report.simulated == 0
-    assert warm_results[0].run is None
-    assert warm_results[0].golden_trace() == results[0].golden_trace()
-
-
-def test_matrix_failed_sweep_leaves_no_stale_memo(store):
-    """A failed sweep must not leave an earlier run's results claimable under
-    the failing parameters: the retry re-sweeps (and re-raises)."""
-    broken = _failing_spec()
-    store.put(broken, {"jct_s": 1.0, "completed": True})
-    matrix = ScenarioMatrix([broken])
-    results = matrix.run(store=store)         # served from cache: succeeds
-    assert results[0].jct == 1.0
-    with pytest.raises(SweepError):
-        matrix.run(store=None)                # forced simulation: fails
-    with pytest.raises(SweepError):
-        matrix.run(store=None)                # retry re-sweeps, not the memo
-    assert matrix.last_report.errors
+    assert sim.golden_trace() == canonical_json(sim.fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +372,20 @@ def test_cli_report_disambiguates_duplicate_scenario_names(store, capsys):
     assert len(fingerprints) == 2
     assert sorted(fp["jct_s"] for fp in fingerprints.values()) == [1.0, 2.0]
     assert all(label.startswith("orc-fast#") for label in fingerprints)
+
+
+def test_cli_report_filters_by_tags(store, capsys):
+    """``report --tags`` keeps the stored results whose spec carries a tag;
+    ``--exclude-tags`` drops them."""
+    from repro.orchestrator.cli import main as cli_main
+
+    store.put(replace(FAST_SPEC, name="orc-tagged", tags=("A",)), {"jct_s": 1.0})
+    store.put(replace(FAST_SPEC, name="orc-other", tags=("B",)), {"jct_s": 2.0})
+    report = ["report", "--cache-dir", str(store.path.parent), "--json"]
+    assert cli_main(report + ["--tags", "A"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["orc-tagged"]
+    assert cli_main(report + ["--exclude-tags", "A"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["orc-other"]
 
 
 def test_expand_autoscalers_axis_rewrites_elastic_policy():

@@ -6,17 +6,17 @@ import pytest
 
 from repro.experiments.stragglers import NO_STRAGGLERS, worker_scenario
 from repro.experiments.workloads import SMALL, ExperimentScale
+from repro.orchestrator import SweepRunner, simulate_spec
+from repro.orchestrator.runner import summary_row
 from repro.scenarios import (
     FailureEvent,
     FailureTraceSpec,
-    ScenarioMatrix,
     ScenarioSpec,
     TopologySpec,
     all_scenarios,
     build_scenario_job,
     get_scenario,
     register_scenario,
-    run_scenario,
     scenario_names,
 )
 from repro.scenarios.registry import SCENARIOS
@@ -157,8 +157,8 @@ def test_register_and_unregister_custom_scenario():
     try:
         register_scenario(custom)
         assert get_scenario("unit-test-custom") == custom
-        matrix = ScenarioMatrix(tags=("unit-test",))
-        assert [spec.name for spec in matrix] == ["unit-test-custom"]
+        assert [spec.name for spec in all_scenarios(tags=("unit-test",))] == \
+            ["unit-test-custom"]
     finally:
         SCENARIOS.pop("unit-test-custom", None)
 
@@ -197,7 +197,7 @@ def test_failure_trace_is_injected_and_recorded():
             FailureEvent(time_s=30.0, node="worker-1", code="job_eviction"),
         )),
     )
-    result = run_scenario(spec)
+    result = simulate_spec(spec)
     assert result.run.completed
     assert result.run.restarts_per_node["worker-1"] == 1
     assert result.fingerprint["failures"] == [
@@ -231,7 +231,7 @@ def test_refused_injection_is_logged_not_silent():
             FailureEvent(time_s=31.0, node="worker-1", code="machine_failure"),
         )),
     )
-    result = run_scenario(spec)
+    result = simulate_spec(spec)
     assert result.run.completed
     skipped = result.run.metrics.events("failure_skipped")
     assert [(tag, detail) for _, _, tag, detail in skipped] == \
@@ -241,31 +241,22 @@ def test_refused_injection_is_logged_not_silent():
 
 
 def test_matrix_runs_subset_and_reports():
-    matrix = ScenarioMatrix([get_scenario("dedicated-baseline"),
-                             get_scenario("checkpoint-failover")])
-    results = matrix.run()
-    # Delegation to the orchestrator must preserve submission order.
-    assert [result.name for result in results] == ["dedicated-baseline",
-                                                   "checkpoint-failover"]
-    assert all(result.completed for result in results)
-    fingerprints = {result.name: result.fingerprint for result in results}
-    assert set(fingerprints) == {"dedicated-baseline", "checkpoint-failover"}
-    assert matrix.last_report is not None
-    assert matrix.last_report.jobs >= 1
-
-
-def test_matrix_rejects_duplicate_names():
-    spec = get_scenario("dedicated-baseline")
-    with pytest.raises(ValueError):
-        ScenarioMatrix([spec, spec])
+    report = SweepRunner().run([get_scenario("dedicated-baseline"),
+                                get_scenario("checkpoint-failover")])
+    # The sweep must preserve submission order.
+    assert [outcome.name for outcome in report.outcomes] == [
+        "dedicated-baseline", "checkpoint-failover"]
+    assert all(outcome.fingerprint["completed"] for outcome in report.outcomes)
+    assert set(report.fingerprints()) == {"dedicated-baseline", "checkpoint-failover"}
+    assert report.jobs >= 1
 
 
 def test_matrix_exclude_tags_complements_tags():
-    grid = ScenarioMatrix(tags=("non-dedicated",), exclude_tags=("slow",))
-    assert grid.specs, "the non-dedicated grid must not be empty"
+    grid = all_scenarios(tags=("non-dedicated",), exclude_tags=("slow",))
+    assert grid, "the non-dedicated grid must not be empty"
     assert all("slow" not in spec.tags for spec in grid)
     assert all("non-dedicated" in spec.tags for spec in grid)
-    full = ScenarioMatrix(tags=("non-dedicated",))
+    full = all_scenarios(tags=("non-dedicated",))
     dropped = {spec.name for spec in full} - {spec.name for spec in grid}
     assert dropped == {"scale-120w"}
 
@@ -273,20 +264,15 @@ def test_matrix_exclude_tags_complements_tags():
 def test_summary_row_tolerates_sparse_fingerprints():
     """A fingerprint without failures/restarts keys (older store entries) must
     degrade to zeros in the summary table instead of raising KeyError."""
-    from repro.scenarios.matrix import ScenarioResult
-
-    sparse = ScenarioResult(
-        spec=get_scenario("dedicated-baseline"), run=None,
-        fingerprint={"jct_s": 12.5, "completed": True})
-    row = sparse.summary_row()
+    row = summary_row(get_scenario("dedicated-baseline"),
+                      {"jct_s": 12.5, "completed": True})
     assert row == ["dedicated-baseline", "bsp", "12.5", 0, 0, 0]
-    assert sparse.completed and sparse.jct == 12.5 and sparse.restarts_total == 0
 
 
 def test_busy_cluster_gates_kill_restart():
     """On a congested cluster AntDT-ND must not fire KILL_RESTART (the
     pending-time gate), yet still mitigate via batch rebalancing."""
-    result = run_scenario(get_scenario("busy-cluster-gate"))
+    result = simulate_spec(get_scenario("busy-cluster-gate"))
     assert result.run.completed
     assert sum(result.run.restarts_per_node.values()) == 0
     assert result.fingerprint["actions"].get("adjust_bs", 0) > 0
