@@ -21,7 +21,7 @@ from .actions import (
     ScaleOut,
 )
 from .agent import Agent, AgentGroup
-from .config import AntDTConfig, ConsistencyModel, IntegritySemantics
+from .config import AntDTConfig, ConsistencyModel
 from .controller import ActionExecutor, ControlContext, Controller
 from .detection import StragglerReport, classify_stragglers, detect_stragglers
 from .monitor import Monitor
@@ -50,7 +50,6 @@ __all__ = [
     "Controller",
     "DataAllocator",
     "DeviceGroup",
-    "IntegritySemantics",
     "KillRestart",
     "Monitor",
     "NoneAction",

@@ -21,7 +21,6 @@ loop and accounted as framework overhead (paper Fig. 18).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .actions import Action
@@ -79,7 +78,7 @@ class AgentGroup:
         """Current broadcast generation (0 = nothing broadcast yet)."""
         return self._generation
 
-    def broadcast(self, action: Action, time: float = 0.0) -> int:
+    def broadcast(self, action: Action) -> int:
         """Broadcast a global action from the primary agent to all agents.
 
         Returns the new generation number.  The training processes will apply
@@ -87,8 +86,6 @@ class AgentGroup:
         """
         self._generation += 1
         self._actions.append((self._generation, action))
-        self.monitor.metrics.log_event(time, "action_broadcast", tag="controller",
-                                       detail=action.describe())
         return self._generation
 
     def actions_since(self, generation: int) -> List[Tuple[int, Action]]:

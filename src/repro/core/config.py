@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
-    "ConsistencyModel", "IntegritySemantics", "AntDTConfig",
+    "ConsistencyModel", "AntDTConfig",
     "NO_COALESCE_ENV", "PROFILE_ENV", "JOBS_ENV", "CACHE_DIR_ENV",
     "env_text", "coalesce_default", "profiling_env_enabled",
     "jobs_env_override", "cache_dir_override",
@@ -79,18 +79,6 @@ class ConsistencyModel(enum.Enum):
 
     BSP = "bsp"
     ASP = "asp"
-    SSP = "ssp"
-
-
-class IntegritySemantics(enum.Enum):
-    """Data-integrity guarantee enforced by the Stateful DDS."""
-
-    #: Every sample is used at least once per epoch (failovers may duplicate a
-    #: few samples inside the interrupted shard).  This is the paper's default.
-    AT_LEAST_ONCE = "at_least_once"
-    #: Every sample is used at most once per epoch; requires one batch per
-    #: shard, which costs extra DDS traffic.
-    AT_MOST_ONCE = "at_most_once"
 
 
 @dataclass
@@ -121,12 +109,6 @@ class AntDTConfig:
         the controller does not thrash a node that is still recovering.
     max_kill_restarts_per_node:
         Safety bound on relaunches of a single node.
-    grad_accum_min / grad_accum_max:
-        ``C_min`` / ``C_max`` bounds of the AntDT-DD optimisation (Eq. 4).
-    integrity:
-        Data-integrity semantics enforced by the DDS.
-    adjust_lr_factor:
-        Learning-rate penalty applied to stragglers by the ADJUST_LR action.
     """
 
     batches_per_shard: int = 100
@@ -140,10 +122,6 @@ class AntDTConfig:
     agent_sync_overhead_s: float = 0.002
     kill_restart_cooldown_s: float = 1200.0
     max_kill_restarts_per_node: int = 2
-    grad_accum_min: int = 1
-    grad_accum_max: int = 5
-    integrity: IntegritySemantics = IntegritySemantics.AT_LEAST_ONCE
-    adjust_lr_factor: float = 0.5
 
     def __post_init__(self) -> None:
         if self.batches_per_shard <= 0:
@@ -162,11 +140,3 @@ class AntDTConfig:
             raise ValueError("min_batch_size must be positive")
         if self.dds_op_overhead_s < 0 or self.agent_sync_overhead_s < 0:
             raise ValueError("overheads must be non-negative")
-        if self.grad_accum_min < 1 or self.grad_accum_max < self.grad_accum_min:
-            raise ValueError("gradient accumulation bounds must satisfy 1 <= min <= max")
-        if not 0 < self.adjust_lr_factor <= 1.0:
-            raise ValueError("adjust_lr_factor must lie in (0, 1]")
-        if self.integrity is IntegritySemantics.AT_MOST_ONCE and self.batches_per_shard != 1:
-            raise ValueError(
-                "at-most-once semantics requires batches_per_shard == 1 (see paper §V-C.3)"
-            )

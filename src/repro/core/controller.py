@@ -11,12 +11,11 @@ and drives the relaunch through the cluster scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Protocol
 
 from ..sim.engine import Environment
 from .actions import (
     Action,
-    ActionKind,
     AdjustBatchSize,
     AdjustLearningRate,
     BackupWorkers,
@@ -135,8 +134,6 @@ class Controller:
         config: AntDTConfig,
         consistency: ConsistencyModel,
         global_batch_size: int,
-        busy_provider: Optional[callable] = None,
-        pending_time_provider: Optional[callable] = None,
     ) -> None:
         self.env = env
         self.monitor = monitor
@@ -146,19 +143,19 @@ class Controller:
         self.config = config
         self.consistency = consistency
         self.global_batch_size = global_batch_size
-        self._busy_provider = busy_provider
-        self._pending_time_provider = pending_time_provider
         self.action_log: List[Action] = []
         self.decision_times: List[float] = []
         self._stopped = False
 
     # -- context ------------------------------------------------------------------
     def build_context(self) -> ControlContext:
-        """Assemble the control context from the Monitor and the executor."""
+        """Assemble the control context from the Monitor and the executor.
+
+        Cluster busy and pending time are the Monitor's third-party
+        information; a Monitor without providers reports an idle cluster.
+        """
         now = self.env.now
         cfg = self.config
-        busy = bool(self._busy_provider()) if self._busy_provider is not None else False
-        pending = float(self._pending_time_provider()) if self._pending_time_provider else 0.0
         return ControlContext(
             now=now,
             config=cfg,
@@ -170,8 +167,8 @@ class Controller:
             worker_long_bpts=self.monitor.worker_bpt_means(cfg.persistent_window_s, now),
             worker_throughputs=self.monitor.worker_throughputs(cfg.transient_window_s, now),
             server_long_bpts=self.monitor.server_bpt_means(cfg.persistent_window_s, now),
-            cluster_busy=busy,
-            pending_time_s=pending,
+            cluster_busy=bool(self.monitor.third_party("cluster_busy", False)),
+            pending_time_s=self.monitor.third_party("pending_time", 0.0),
             restarts_per_node=self.executor.restart_counts(),
             last_restart_time=self.executor.last_restart_times(),
         )
@@ -187,14 +184,14 @@ class Controller:
             return
         if isinstance(action, BackupWorkers):
             self.executor.set_backup_workers(action.num_backup)
-            self.agent_group.broadcast(action, time=self.env.now)
+            self.agent_group.broadcast(action)
             return
         if isinstance(action, AdjustLearningRate):
             self.executor.apply_lr_factors(action.factors)
-            self.agent_group.broadcast(action, time=self.env.now)
+            self.agent_group.broadcast(action)
             return
         if isinstance(action, AdjustBatchSize):
-            self.agent_group.broadcast(action, time=self.env.now)
+            self.agent_group.broadcast(action)
             return
         if isinstance(action, ScaleOut):
             self.executor.request_scale_out(action.num_workers, action.reason)

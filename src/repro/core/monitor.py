@@ -7,8 +7,10 @@ The Monitor aggregates three kinds of information for straggler mitigation
   Agents on worker and server nodes.
 * **Node state** — termination notifications and error codes, classified into
   retryable and unretryable errors.
-* **Third-party information** — values pulled from other modules, e.g. the
-  cluster scheduler's job pending time, used to gate KILL_RESTART.
+* **Third-party information** — values pulled from other modules on demand:
+  the cluster scheduler's job pending time (``"pending_time"``) and busy flag
+  (``"cluster_busy"``), which gate KILL_RESTART and elastic scale-out.  The
+  Controller and the Autoscaler read them here and nowhere else.
 
 It offers sliding-window queries (the ``L_trans`` / ``L_per`` windows of the
 AntDT-ND solution) on top of :class:`~repro.sim.metrics.MetricsRecorder`.
@@ -63,7 +65,6 @@ class Monitor:
     def report_node_event(self, failure: NodeFailure) -> None:
         """Record a node termination notification."""
         self._node_events.append(failure)
-        self.metrics.log_event(failure.time, "node_failure", failure.node_name, failure.code.value)
 
     def node_events(self, node: Optional[str] = None) -> List[NodeFailure]:
         """Node terminations seen so far, optionally for a single node."""
@@ -73,7 +74,10 @@ class Monitor:
 
     # -- third-party information -----------------------------------------------------
     def register_third_party(self, key: str, provider: Callable[[], float]) -> None:
-        """Register a callable that supplies a third-party value on demand."""
+        """Register a callable that supplies a third-party value on demand.
+
+        Flags (e.g. ``"cluster_busy"``) come back as 0.0 / 1.0.
+        """
         self._third_party[key] = provider
 
     def third_party(self, key: str, default: Optional[float] = None) -> Optional[float]:

@@ -22,7 +22,6 @@ from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .config import IntegritySemantics
 from .shard import SampleRange, Shard, ShardState
 from .shuffler import ShardShuffler
 
@@ -103,9 +102,6 @@ class StatefulDDS(DataAllocator):
         Two-level shard shuffler; ``None`` disables shuffling.
     op_cost_s:
         Wall-clock cost of one DDS round trip (shard fetch or state report).
-    integrity:
-        At-least-once (default) or at-most-once semantics.  At-most-once
-        requires ``batches_per_shard == 1``.
     track_coverage:
         Keep a per-sample counter of how many times each sample was confirmed
         (used by the data-integrity tests; costs ``N`` ints of memory).
@@ -124,7 +120,6 @@ class StatefulDDS(DataAllocator):
         epochs: int = 1,
         shuffler: Optional[ShardShuffler] = None,
         op_cost_s: float = 0.005,
-        integrity: IntegritySemantics = IntegritySemantics.AT_LEAST_ONCE,
         track_coverage: bool = True,
         samples_per_shard: Optional[int] = None,
     ) -> None:
@@ -138,8 +133,6 @@ class StatefulDDS(DataAllocator):
             raise ValueError("epochs must be positive")
         if op_cost_s < 0:
             raise ValueError("op_cost_s must be non-negative")
-        if integrity is IntegritySemantics.AT_MOST_ONCE and batches_per_shard != 1:
-            raise ValueError("at-most-once semantics requires batches_per_shard == 1")
 
         self.num_samples = int(num_samples)
         self.global_batch_size = int(global_batch_size)
@@ -147,7 +140,6 @@ class StatefulDDS(DataAllocator):
         self.epochs = int(epochs)
         self.shuffler = shuffler if shuffler is not None else ShardShuffler(seed=0)
         self.op_cost_s = float(op_cost_s)
-        self.integrity = integrity
 
         if samples_per_shard is not None and samples_per_shard <= 0:
             raise ValueError("samples_per_shard override must be positive")

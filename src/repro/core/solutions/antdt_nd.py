@@ -134,7 +134,7 @@ class AntDTND(Solution):
         if context.consistency is ConsistencyModel.BSP:
             actions.extend(self._worker_actions(context))
         else:
-            # ASP / SSP: the DDS already balances data; only remove persistent
+            # ASP: the DDS already balances data; only remove persistent
             # stragglers (paper: "In ASP training, AntDT-ND only takes the
             # KILL_RESTART action").
             saved = self.enable_adjust_bs

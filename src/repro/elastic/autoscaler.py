@@ -18,7 +18,7 @@ implements it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol
 
 from ..core.actions import Action, ScaleIn, ScaleInServers, ScaleOut, ScaleOutServers
 from ..core.monitor import Monitor
@@ -136,8 +136,6 @@ class Autoscaler:
         policy: Optional[AutoscalerPolicy],
         executor: ElasticExecutor,
         config: Optional[AutoscalerConfig] = None,
-        busy_provider: Optional[Callable[[], bool]] = None,
-        pending_time_provider: Optional[Callable[[], float]] = None,
         server_policy: Optional[AutoscalerPolicy] = None,
         recorder: Optional[object] = None,
     ) -> None:
@@ -151,8 +149,6 @@ class Autoscaler:
         self.server_policy = server_policy
         self.executor = executor
         self.config = config if config is not None else AutoscalerConfig()
-        self._busy_provider = busy_provider
-        self._pending_time_provider = pending_time_provider
         #: Every action the policy emitted, whether or not it was granted.
         self.action_log: List[Action] = []
         #: Names granted per action, aligned with :attr:`action_log`.
@@ -163,12 +159,13 @@ class Autoscaler:
 
     # -- context ------------------------------------------------------------------
     def build_context(self) -> ElasticContext:
-        """Snapshot membership, progress and Monitor windows for one decision."""
+        """Snapshot membership, progress and Monitor windows for one decision.
+
+        Cluster busy and pending time come from the Monitor's third-party
+        information; a bare Monitor reports an idle cluster.
+        """
         now = self.env.now
         cfg = self.config
-        busy = bool(self._busy_provider()) if self._busy_provider is not None else False
-        pending = float(self._pending_time_provider()) \
-            if self._pending_time_provider is not None else 0.0
         executor = self.executor
         # The server-tier surface is optional on executors (a worker-only
         # autoscaler over a static server fleet, or the test stubs): missing
@@ -186,8 +183,8 @@ class Autoscaler:
             pending_workers=executor.pending_worker_count(),
             min_workers=cfg.min_workers,
             max_workers=cfg.max_workers,
-            cluster_busy=busy,
-            pending_time_s=pending,
+            cluster_busy=bool(self.monitor.third_party("cluster_busy", False)),
+            pending_time_s=self.monitor.third_party("pending_time", 0.0),
             remaining_samples=executor.remaining_samples(),
             worker_short_bpts=self.monitor.worker_bpt_means(cfg.short_window_s, now),
             worker_long_bpts=self.monitor.worker_bpt_means(cfg.long_window_s, now),

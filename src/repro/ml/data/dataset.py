@@ -33,7 +33,7 @@ class Batch:
         Binary labels of shape ``(n,)``.
     indices:
         Global sample indices of the rows in this batch, used by the data
-        integrity machinery to verify at-least-once / at-most-once semantics.
+        integrity machinery to verify at-least-once semantics.
     """
 
     dense: np.ndarray

@@ -15,7 +15,7 @@ experiments:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -82,14 +82,12 @@ class NumpyPSBackend(ComputeBackend):
 
     def __init__(self, model: Model, optimizer: Optimizer, dataset: TabularDataset,
                  shuffler: Optional[ShardShuffler] = None,
-                 test_dataset: Optional[TabularDataset] = None,
-                 per_worker_lr: bool = True) -> None:
+                 test_dataset: Optional[TabularDataset] = None) -> None:
         self.model = model
         self.optimizer = optimizer
         self.dataset = dataset
         self.test_dataset = test_dataset
         self.shuffler = shuffler if shuffler is not None else ShardShuffler(seed=0)
-        self.per_worker_lr = per_worker_lr
         self._lr_factors: Dict[str, float] = {}
         self.losses: List[float] = []
         self.samples_seen = 0
@@ -109,7 +107,7 @@ class NumpyPSBackend(ComputeBackend):
 
     def apply_gradient(self, worker: str, payload: object, weight: float) -> None:
         grads = payload["grads"]
-        factor = self._lr_factors.get(worker, 1.0) if self.per_worker_lr else 1.0
+        factor = self._lr_factors.get(worker, 1.0)
         scaled = {name: grad * (weight * factor) for name, grad in grads.items()}
         self.optimizer.step(scaled)
         self.losses.append(float(payload["loss"]))

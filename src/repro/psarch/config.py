@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..core.config import ConsistencyModel
 from ..ml.models.cost_models import ModelCostProfile, XDEEPFM_CRITEO
@@ -18,7 +17,7 @@ class PSJobConfig:
     Attributes
     ----------
     consistency:
-        BSP or ASP (SSP is accepted but treated as ASP with a bound).
+        BSP or ASP.
     global_batch_size:
         The fixed global batch ``B``; per-worker batch sizes always sum to it.
     model:
@@ -37,8 +36,6 @@ class PSJobConfig:
         from the replica/checkpoint.
     data_poll_interval_s:
         How long an idle worker waits before re-asking the DDS for work.
-    ssp_staleness:
-        Bounded staleness for SSP (iterations a leader may run ahead).
     max_duration_s:
         Hard simulation-time limit (safety net against pathological runs).
     """
@@ -51,7 +48,6 @@ class PSJobConfig:
     worker_recovery_time_s: float = 60.0
     server_recovery_time_s: float = 120.0
     data_poll_interval_s: float = 1.0
-    ssp_staleness: int = 4
     max_duration_s: float = 2_000_000.0
 
     def __post_init__(self) -> None:
@@ -65,7 +61,5 @@ class PSJobConfig:
             raise ValueError("recovery times must be non-negative")
         if self.data_poll_interval_s <= 0:
             raise ValueError("data_poll_interval_s must be positive")
-        if self.ssp_staleness < 0:
-            raise ValueError("ssp_staleness must be non-negative")
         if self.max_duration_s <= 0:
             raise ValueError("max_duration_s must be positive")

@@ -31,11 +31,11 @@ from ..elastic.membership import (
 )
 from ..elastic.resharding import MigrationCostModel, ReshardEvent, ServerShardMap
 from ..obs.recorder import NULL_RECORDER
-from ..sim.cluster import Cluster, Node, NodeRole, NodeStatus
+from ..sim.cluster import Cluster, Node, NodeStatus
 from ..sim.engine import Environment
 from ..sim.failures import ErrorCode, NodeFailure
 from ..sim.metrics import MetricsRecorder
-from ..sim.scheduler import ClusterScheduler, PendingTimeModel
+from ..sim.scheduler import ClusterScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..elastic.autoscaler import Autoscaler
@@ -43,7 +43,7 @@ from .backend import ComputeBackend, SyntheticBackend
 from .barrier import BSPBarrier
 from .config import PSJobConfig
 from .server import ParameterServer, PushRequest, ServerStateArrays
-from .worker import PSWorker, WorkerStateArrays
+from .worker import PSWorker
 
 __all__ = ["PSRunResult", "PSTrainingJob", "SERVING_WORKER_PREFIX"]
 
@@ -118,12 +118,12 @@ class PSTrainingJob:
         cluster: Cluster,
         allocator: DataAllocator,
         config: PSJobConfig,
-        antdt_config: Optional[AntDTConfig] = None,
+        *,
+        antdt_config: AntDTConfig,
+        scheduler: ClusterScheduler,
+        metrics: MetricsRecorder,
         backend: Optional[ComputeBackend] = None,
         solution: Optional[Solution] = None,
-        scheduler: Optional[ClusterScheduler] = None,
-        pending_model: Optional[PendingTimeModel] = None,
-        metrics: Optional[MetricsRecorder] = None,
         evaluate_after_run: bool = False,
         recorder: Optional[object] = None,
     ) -> None:
@@ -136,12 +136,10 @@ class PSTrainingJob:
         self.cluster = cluster
         self.allocator = allocator
         self.config = config
-        self.antdt_config = antdt_config if antdt_config is not None else AntDTConfig()
+        self.antdt_config = antdt_config
         self.backend = backend if backend is not None else SyntheticBackend()
-        self.metrics = metrics if metrics is not None else MetricsRecorder()
-        self.scheduler = scheduler if scheduler is not None else ClusterScheduler(
-            env, cluster, pending_model=pending_model, metrics=self.metrics
-        )
+        self.metrics = metrics
+        self.scheduler = scheduler
         self.evaluate_after_run = evaluate_after_run
         # The trace recorder is passive: it observes state the job already
         # computes (membership transitions, reshard events, iteration BPTs)
@@ -149,8 +147,11 @@ class PSTrainingJob:
         # run's fingerprint.  The null default makes tracing-off free.
         self.recorder = recorder if recorder is not None else NULL_RECORDER
 
+        # The scheduler's pending time and busy flag are third-party
+        # information: both control loops read them through the Monitor.
         self.monitor = Monitor(self.metrics)
         self.monitor.register_third_party("pending_time", self.scheduler.pending_time)
+        self.monitor.register_third_party("cluster_busy", self.scheduler.is_busy)
         self.agent_group = AgentGroup(self.monitor, self.antdt_config)
 
         self.barrier: Optional[BSPBarrier] = None
@@ -169,10 +170,6 @@ class PSTrainingJob:
             self.servers.append(self._make_server(node, agent))
 
         initial_batch = max(1, config.global_batch_size // max(1, cluster.num_workers))
-        # Columnar per-worker scalar state (batch size, progress counters):
-        # created before the workers so every worker allocates its slot here,
-        # and job-level totals over the whole fleet are vectorized reductions.
-        self.worker_state = WorkerStateArrays(cluster.num_workers)
         self.workers: List[PSWorker] = []
         for node in cluster.workers:
             agent = self.agent_group.create_agent(node.name, is_worker=True)
@@ -204,8 +201,6 @@ class PSTrainingJob:
                 config=self.antdt_config,
                 consistency=config.consistency,
                 global_batch_size=config.global_batch_size,
-                busy_provider=self.scheduler.is_busy,
-                pending_time_provider=self.scheduler.pending_time,
             )
 
         self.completed = False
@@ -214,7 +209,6 @@ class PSTrainingJob:
         self._samples_confirmed = 0
         self._exited_workers: List[str] = []
         self._exited_worker_set: set = set()
-        self._lr_factors: Dict[str, float] = {}
 
         # Elastic membership: joining workers clone the first worker's spec
         # (fresh pods land on uncontended machines, so the template's
@@ -402,14 +396,12 @@ class PSTrainingJob:
                 if member.name == node_name:
                     granted = member.inject_failure(code)
                     if granted:
-                        now = self.env.now
-                        self.metrics.log_event(now, "injected_failure", node_name, code.value)
                         if self.recorder.enabled:
                             self._trace_event("failures", "injected-failure",
                                               node=node_name, code=code.value)
-                        self.monitor.report_node_event(
-                            NodeFailure(node_name=node_name, code=code, time=now, detail=detail)
-                        )
+                        self.monitor.report_node_event(NodeFailure(
+                            node_name=node_name, code=code, time=self.env.now,
+                            detail=detail))
                     return granted
         return False
 
@@ -477,9 +469,7 @@ class PSTrainingJob:
                            contention=template.post_restart_contention)
             node = self.cluster.add_node(spec)
             self._pending_worker_count += 1
-            now = self.env.now
-            self.metrics.log_event(now, "scale_out_requested", node.name, reason)
-            self.membership.record(now, JOIN_REQUESTED, node.name)
+            self.membership.record(self.env.now, JOIN_REQUESTED, node.name)
             if self.recorder.enabled:
                 self._trace_event("membership", "worker-join-requested",
                                   node=node.name, reason=reason)
@@ -491,12 +481,10 @@ class PSTrainingJob:
         """Simulation process: ride the scheduling queue, then join training."""
         yield from self.scheduler.provision(node)
         self._pending_worker_count -= 1
-        now = self.env.now
         if self.completed:
             # The job finished while the pod sat in the scheduling queue; the
             # capacity arrives to nothing (the busy-cluster gate in action).
             node.mark_finished()
-            self.metrics.log_event(now, "join_after_completion", node.name)
             return
         agent = self.agent_group.create_agent(node.name, is_worker=True)
         # A joining pod reads the *current* global state; historical
@@ -521,8 +509,7 @@ class PSTrainingJob:
         self.workers.append(worker)
         node.add_status_listener(self._on_worker_status_change)
         self._on_worker_status_change(node)
-        self.membership.record(now, JOINED, node.name)
-        self.metrics.log_event(now, "worker_joined", node.name)
+        self.membership.record(self.env.now, JOINED, node.name)
         if self.recorder.enabled:
             self._trace_event("membership", "worker-joined", node=node.name)
         worker.start()
@@ -547,8 +534,9 @@ class PSTrainingJob:
                 continue
             if worker.request_scale_in():
                 self._draining_workers.add(name)
-                self.metrics.log_event(self.env.now, "scale_in_requested",
-                                       name, reason)
+                if self.recorder.enabled:
+                    self._trace_event("membership", "worker-drain-requested",
+                                      node=name, reason=reason)
                 retiring.append(name)
         return retiring
 
@@ -557,9 +545,7 @@ class PSTrainingJob:
         name = worker.name
         self._draining_workers.discard(name)
         self.cluster.remove_node(name)
-        now = self.env.now
-        self.membership.record(now, LEFT, name)
-        self.metrics.log_event(now, "worker_left", name)
+        self.membership.record(self.env.now, LEFT, name)
         if self.recorder.enabled:
             self._trace_event("membership", "worker-left", node=name)
         self.worker_exited(name)
@@ -670,8 +656,7 @@ class PSTrainingJob:
         starts_l = starts.tolist()
         acks_l = acks.tolist()
         handlings_l = handlings.tolist()
-        request = PushRequest(worker=worker, nbytes=nbytes, done=latch,
-                              submitted_at=now)
+        request = PushRequest(worker=worker, nbytes=nbytes, done=latch)
         handled_l = handled.tolist()
         for (server, agent, times, values), start, ack, handling, reported, count \
                 in zip(hot, starts_l, acks_l, handlings_l, reported_mask, handled_l):
@@ -796,8 +781,6 @@ class PSTrainingJob:
             moved_shards=len(moved), total_shards=self.shard_map.num_shards,
             cost_s=cost_s, promoted_shards=promoted)
         self.reshard_log.append(event)
-        self.metrics.log_event(self.env.now, "reshard", trigger,
-                               f"{kind}:{len(moved)} shards")
         if self.recorder.enabled:
             self._trace_event("resharding", kind, trigger=trigger,
                               moved_shards=len(moved),
@@ -830,9 +813,7 @@ class PSTrainingJob:
                            contention=template.post_restart_contention)
             node = self.cluster.add_node(spec)
             self._pending_server_count += 1
-            now = self.env.now
-            self.metrics.log_event(now, "server_scale_out_requested", node.name, reason)
-            self.server_membership.record(now, JOIN_REQUESTED, node.name)
+            self.server_membership.record(self.env.now, JOIN_REQUESTED, node.name)
             if self.recorder.enabled:
                 self._trace_event("membership", "server-join-requested",
                                   node=node.name, reason=reason)
@@ -845,11 +826,9 @@ class PSTrainingJob:
         slice, then start serving."""
         yield from self.scheduler.provision(node)
         self._pending_server_count -= 1
-        now = self.env.now
         if self.completed:
             # The job finished while the pod sat in the scheduling queue.
             node.mark_finished()
-            self.metrics.log_event(now, "join_after_completion", node.name)
             return
         # The shard map re-partitions on the join; the newcomer must receive
         # its parameter shards from the incumbents before it can serve, so
@@ -865,7 +844,6 @@ class PSTrainingJob:
             yield self.env.timeout(cost)
         if self.completed:
             node.mark_finished()
-            self.metrics.log_event(self.env.now, "join_after_completion", node.name)
             return
         moved = self.shard_map.add_member(node.name)
         self._record_reshard("join", node.name, moved, cost)
@@ -873,9 +851,7 @@ class PSTrainingJob:
         server = self._make_server(node, agent)
         self.servers.append(server)
         self._push_targets = None
-        joined_at = self.env.now
-        self.server_membership.record(joined_at, JOINED, node.name)
-        self.metrics.log_event(joined_at, "server_joined", node.name)
+        self.server_membership.record(self.env.now, JOINED, node.name)
         if self.recorder.enabled:
             self._trace_event("membership", "server-joined", node=node.name)
         server.start()
@@ -907,8 +883,9 @@ class PSTrainingJob:
             if server.request_scale_in():
                 self._draining_servers.add(name)
                 self._push_targets = None
-                self.metrics.log_event(self.env.now, "server_scale_in_requested",
-                                       name, reason)
+                if self.recorder.enabled:
+                    self._trace_event("membership", "server-drain-requested",
+                                      node=name, reason=reason)
                 retiring.append(name)
         return retiring
 
@@ -967,9 +944,7 @@ class PSTrainingJob:
         for index, request in enumerate(rerouted):
             recipients[index % len(recipients)].enqueue(request)
         self.cluster.remove_node(name)
-        now = self.env.now
-        self.server_membership.record(now, LEFT, name)
-        self.metrics.log_event(now, "server_left", name, f"rerouted {len(rerouted)}")
+        self.server_membership.record(self.env.now, LEFT, name)
         if self.recorder.enabled:
             self._trace_event("membership", "server-left",
                               node=name, rerouted=len(rerouted))
@@ -1021,8 +996,6 @@ class PSTrainingJob:
                 + self._staleness_catchup_s)
         self._record_reshard("promotion", name, promoted, cost,
                              promoted=len(promoted))
-        self.metrics.log_event(self.env.now, "server_promotion", name,
-                               f"rerouted {len(rerouted)}")
         self.env.process(self._deliver_promoted(recipients, rerouted, cost))
         return True
 
@@ -1060,7 +1033,6 @@ class PSTrainingJob:
             return
         self._recovering_servers.discard(name)
         self._push_targets = None
-        self.metrics.log_event(self.env.now, "server_recovered", name)
 
     def set_backup_workers(self, num_backup: int) -> None:
         """Configure the number of slowest gradients dropped per iteration."""
@@ -1071,7 +1043,6 @@ class PSTrainingJob:
     def apply_lr_factors(self, factors: Dict[str, float]) -> None:
         """Apply ADJUST_LR scaling factors through the compute backend."""
         for worker, factor in factors.items():
-            self._lr_factors[worker] = self._lr_factors.get(worker, 1.0) * factor
             self.backend.scale_learning_rate(worker, factor)
 
     def restart_counts(self) -> Dict[str, int]:
@@ -1134,7 +1105,8 @@ class PSTrainingJob:
             self._trace_event("job", "run-end",
                               completed=self.completed, jct_s=jct,
                               samples_confirmed=self._samples_confirmed)
-        dropped = self.worker_state.total_dropped_iterations()
+        # Departed workers stay in self.workers, so their drops still count.
+        dropped = sum(worker.dropped_iterations for worker in self.workers)
         overhead = self.agent_group.total_overhead_s + self.allocator.total_overhead_s
         done_shards = total_shards = None
         if isinstance(self.allocator, StatefulDDS):

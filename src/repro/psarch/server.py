@@ -64,7 +64,6 @@ class PushRequest:
     worker: str
     nbytes: float
     done: Event
-    submitted_at: float = 0.0
 
 
 # One request inside a committed coalesced window, as a plain tuple — plan
@@ -87,8 +86,7 @@ class PushRequest:
 class ServerStateArrays:
     """Per-server scalar serving state for a whole job, as numpy arrays.
 
-    The columnar twin of :class:`~repro.psarch.worker.WorkerStateArrays`,
-    owned by the job with one slot per server ever admitted.  Keeping the
+    Owned by the job with one slot per server ever admitted.  Keeping the
     acknowledgement chain tail, the handled-request counter and the
     per-request overhead columnar lets the job commit one worker's whole
     push fan-out — one request per server — as a handful of vectorized
@@ -133,10 +131,6 @@ class ServerStateArrays:
                 setattr(self, name, extended)
         self._size = slot + 1
         return slot
-
-    def total_requests_handled(self) -> int:
-        """Requests handled across every slot (vectorized)."""
-        return int(self.handled[:self._size].sum())
 
 
 class _BatchPlan:
@@ -283,8 +277,7 @@ class ParameterServer:
         """
         env = self.env
         request = PushRequest(worker=worker, nbytes=nbytes,
-                              done=done if done is not None else Event(env),
-                              submitted_at=env._now)
+                              done=done if done is not None else Event(env))
         if self._accepting and env.coalesce and not self.queue.items:
             contention = self.node.contention
             if contention.is_null or contention.is_deterministic:

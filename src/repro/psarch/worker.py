@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-import numpy as np
-
 from ..core.actions import Action, AdjustBatchSize
 from ..core.agent import Agent
 from ..core.sharding import DataAllocator
@@ -39,67 +37,7 @@ from .barrier import BSPBarrier
 from .config import PSJobConfig
 from .server import ParameterServer
 
-__all__ = ["WorkerStateArrays", "PSWorker"]
-
-
-class WorkerStateArrays:
-    """Per-worker scalar training state for a whole job, as numpy arrays.
-
-    Owned by the job (one instance per run) with one slot per worker ever
-    admitted; workers read and write their slot through the thin properties
-    on :class:`PSWorker`.  Keeping the scalars columnar lets job-level
-    aggregates — total samples confirmed, dropped-iteration counts, progress
-    summaries over a thousand workers — be single vectorized reductions
-    instead of Python loops over worker objects, and gives cohort-wide
-    updates a slice to write instead of an attribute per object.
-
-    Slots are append-only: a departed worker's slot keeps its final values
-    (its contribution to run totals must survive the departure), and elastic
-    joins extend the arrays.
-    """
-
-    _FIELDS = ("batch_size", "grad_accumulation", "iteration",
-               "samples_confirmed", "iterations_done", "dropped_iterations")
-
-    def __init__(self, capacity: int = 0) -> None:
-        capacity = max(int(capacity), 4)
-        self.batch_size = np.ones(capacity, dtype=np.int64)
-        self.grad_accumulation = np.ones(capacity, dtype=np.int64)
-        self.iteration = np.zeros(capacity, dtype=np.int64)
-        self.samples_confirmed = np.zeros(capacity, dtype=np.int64)
-        self.iterations_done = np.zeros(capacity, dtype=np.int64)
-        self.dropped_iterations = np.zeros(capacity, dtype=np.int64)
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def allocate_slot(self) -> int:
-        """Claim the next slot (growing the arrays when full); returns its index."""
-        slot = self._size
-        capacity = len(self.batch_size)
-        if slot >= capacity:
-            grown = max(capacity * 2, slot + 1)
-            for name in self._FIELDS:
-                array = getattr(self, name)
-                fill = 1 if name in ("batch_size", "grad_accumulation") else 0
-                extended = np.full(grown, fill, dtype=np.int64)
-                extended[:capacity] = array
-                setattr(self, name, extended)
-        self._size = slot + 1
-        return slot
-
-    def total_samples_confirmed(self) -> int:
-        """Samples confirmed across every slot (vectorized)."""
-        return int(self.samples_confirmed[:self._size].sum())
-
-    def total_iterations_done(self) -> int:
-        """Iterations finished across every slot (vectorized)."""
-        return int(self.iterations_done[:self._size].sum())
-
-    def total_dropped_iterations(self) -> int:
-        """Backup-worker drops across every slot (vectorized)."""
-        return int(self.dropped_iterations[:self._size].sum())
+__all__ = ["PSWorker"]
 
 
 class PSWorker:
@@ -131,19 +69,16 @@ class PSWorker:
         self.servers = servers
         self.config = config
         self.scheduler = scheduler
-        self.metrics = metrics
         self.job = job
         self.barrier = barrier
-        # Per-worker scalar state lives in the job-owned columnar arrays;
-        # the properties below keep the object-attribute API intact.  A
-        # worker constructed without a state-owning job (unit tests, ad-hoc
-        # harnesses) gets a private single-slot instance.
-        state = getattr(job, "worker_state", None)
-        if not isinstance(state, WorkerStateArrays):
-            state = WorkerStateArrays()
-        self._state = state
-        self._slot = state.allocate_slot()
-        state.batch_size[self._slot] = max(1, int(initial_batch_size))
+        # Training state: ADJUST_BS sets the batch size and accumulation
+        # count, the barrier aligns the iteration number, and the job sums
+        # the backup-worker drops into the run result (departed workers
+        # included).
+        self.batch_size = max(1, int(initial_batch_size))
+        self.grad_accumulation = 1
+        self.iteration = 0
+        self.dropped_iterations = 0
         self.process = None
         self._restart_requested = False
         self._scale_in_requested = False
@@ -152,70 +87,14 @@ class PSWorker:
         # graceful scale-in abandons it so no server schedules a stale
         # completion event for a consumer that left.
         self._pending_acks: Optional[CountdownEvent] = None
-        # Cached series handles: three appends per iteration otherwise pay a
+        # Cached series handles: two appends per iteration otherwise pay a
         # recorder key lookup each.
         self._bpt_series = metrics.series("bpt", tag=self.name)
         self._batch_series = metrics.series("batch_size", tag=self.name)
-        self._samples_series = metrics.series("iteration_samples", tag=self.name)
 
     def start(self) -> None:
         """Launch the worker's simulation process."""
         self.process = self.env.process(self.run())
-
-    # -- array-backed scalar state -------------------------------------------------
-    @property
-    def batch_size(self) -> int:
-        """Current per-iteration batch size (slot in the job's state arrays)."""
-        return int(self._state.batch_size[self._slot])
-
-    @batch_size.setter
-    def batch_size(self, value: int) -> None:
-        self._state.batch_size[self._slot] = value
-
-    @property
-    def grad_accumulation(self) -> int:
-        """Gradient-accumulation count."""
-        return int(self._state.grad_accumulation[self._slot])
-
-    @grad_accumulation.setter
-    def grad_accumulation(self, value: int) -> None:
-        self._state.grad_accumulation[self._slot] = value
-
-    @property
-    def iteration(self) -> int:
-        """Current (barrier-aligned) iteration number."""
-        return int(self._state.iteration[self._slot])
-
-    @iteration.setter
-    def iteration(self, value: int) -> None:
-        self._state.iteration[self._slot] = value
-
-    @property
-    def samples_confirmed(self) -> int:
-        """Samples this worker confirmed with the allocator."""
-        return int(self._state.samples_confirmed[self._slot])
-
-    @samples_confirmed.setter
-    def samples_confirmed(self, value: int) -> None:
-        self._state.samples_confirmed[self._slot] = value
-
-    @property
-    def iterations_done(self) -> int:
-        """Iterations this worker finished (accepted or dropped)."""
-        return int(self._state.iterations_done[self._slot])
-
-    @iterations_done.setter
-    def iterations_done(self, value: int) -> None:
-        self._state.iterations_done[self._slot] = value
-
-    @property
-    def dropped_iterations(self) -> int:
-        """Iterations dropped at the barrier (backup-workers policy)."""
-        return int(self._state.dropped_iterations[self._slot])
-
-    @dropped_iterations.setter
-    def dropped_iterations(self, value: int) -> None:
-        self._state.dropped_iterations[self._slot] = value
 
     # -- controller-facing API ----------------------------------------------------
     def request_kill_restart(self) -> bool:
@@ -302,7 +181,6 @@ class PSWorker:
         sample owned by nobody — the shard-accounting invariant holds across
         the whole transition.
         """
-        self.metrics.log_event(self.env.now, "worker_scale_in", self.name)
         self._exit_barrier()
         self.allocator.on_worker_failover(self.name)
         for server in self.servers:
@@ -317,7 +195,6 @@ class PSWorker:
     def _failover(self, cause: object):
         code = cause if isinstance(cause, ErrorCode) else ErrorCode.PROACTIVE_KILL
         failover_start = self.env.now
-        self.metrics.log_event(failover_start, "worker_failover", self.name, code.value)
         self._exit_barrier()
         self.allocator.on_worker_failover(self.name)
         self.agent.reset_after_restart()
@@ -351,7 +228,6 @@ class PSWorker:
         timeout = env.timeout
         bpt_series = self._bpt_series
         batch_series = self._batch_series
-        samples_series = self._samples_series
         # Tracing is hoisted to one local branch per iteration: with the
         # NullRecorder default ``tracing`` is False and the hot loop pays a
         # single falsy check at the span site.
@@ -453,7 +329,6 @@ class PSWorker:
                 # ``worker_*`` names.
                 bpt_series.append(now, bpt)
                 batch_series.append(now, float(self.batch_size))
-                samples_series.append(now, float(gathered))
                 if tracing:
                     # Recorded at the fingerprint-pinned bpt point, so the
                     # span stream is identical across coalesce modes.
@@ -477,13 +352,11 @@ class PSWorker:
                         backend.apply_gradient(name, payload,
                                                weight * sample_range.length / gathered)
                         allocator.mark_done(name, sample_range)
-                    self.samples_confirmed += gathered
                     job.notify_progress(gathered, env.now)
                 else:
                     for sample_range in reversed(ranges):
                         allocator.return_range(name, sample_range)
                     self.dropped_iterations += 1
-                self.iterations_done += 1
 
                 if self.barrier is not None and accepted and not job.completed:
                     yield release

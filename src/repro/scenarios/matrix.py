@@ -143,8 +143,6 @@ def _arm_elastic(job: PSTrainingJob, spec: ScenarioSpec) -> None:
                 long_window_s=antdt.persistent_window_s,
                 slowness_ratio=antdt.slowness_ratio,
             ),
-            busy_provider=job.scheduler.is_busy,
-            pending_time_provider=job.scheduler.pending_time,
             recorder=job.recorder,
         )
         job.attach_autoscaler(autoscaler)
@@ -221,13 +219,11 @@ def build_scenario_job(spec: ScenarioSpec, *,
             workers=[node.name for node in cluster.workers],
             epochs=scale.epochs,
         )
-    metrics = MetricsRecorder()
     scheduler = ClusterScheduler(
         env,
         cluster,
         pending_model=pending_model(scale, busy=spec.topology.cluster_busy),
         node_init_time=scale.node_init_time_s,
-        metrics=metrics,
         failure_injector=injector,
     )
     job = PSTrainingJob(
@@ -240,7 +236,7 @@ def build_scenario_job(spec: ScenarioSpec, *,
         backend=backend,
         solution=method.make_solution(),
         scheduler=scheduler,
-        metrics=metrics,
+        metrics=MetricsRecorder(),
         evaluate_after_run=evaluate_after_run,
         recorder=recorder,
     )

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -229,13 +228,18 @@ class MetricsRecorder:
 
     Metrics are keyed by ``(name, tag)`` where the tag is typically a node
     name (``"worker-3"``, ``"server-0"``) or ``""`` for job-level metrics.
+
+    Beside the series it keeps a small event log that holds only the events
+    code reads back: ``kill_restart`` (the kill marks of Fig. 13 / Fig. 14)
+    and ``failure_skipped`` / ``scale_skipped`` (a scenario schedule the job
+    refused).  Lifecycle facts that have their own record (membership and
+    reshard logs, the scheduler's restart log, trace events) stay there.
     """
 
     GLOBAL = ""
 
     def __init__(self) -> None:
         self._series: Dict[Tuple[str, str], MetricSeries] = {}
-        self._counters: Dict[Tuple[str, str], float] = defaultdict(float)
         self._events: List[Tuple[float, str, str, str]] = []
         # Tags per metric name, in first-seen order.  Kept incrementally so
         # per-tag queries (issued every control interval) do not rescan every
@@ -255,12 +259,8 @@ class MetricsRecorder:
         """Record a time-series observation."""
         self._get_or_create(name, tag).append(time, value)
 
-    def increment(self, name: str, amount: float = 1.0, tag: str = GLOBAL) -> None:
-        """Increment a counter."""
-        self._counters[(name, tag)] += amount
-
     def log_event(self, time: float, kind: str, tag: str = GLOBAL, detail: str = "") -> None:
-        """Record a discrete event (e.g. a KILL_RESTART or a failover)."""
+        """Record a discrete event (e.g. a KILL_RESTART) for :meth:`events`."""
         self._events.append((float(time), kind, tag, detail))
 
     # -- queries ------------------------------------------------------------
@@ -284,14 +284,6 @@ class MetricsRecorder:
         series = self._series
         return sorted(tag for tag in self._tags_by_name.get(name, [])
                       if len(series[(name, tag)]) > 0)
-
-    def counter(self, name: str, tag: str = GLOBAL) -> float:
-        """Current value of a counter (0.0 if never incremented)."""
-        return self._counters[(name, tag)]
-
-    def counters(self, name: str) -> Dict[str, float]:
-        """All counters recorded under metric ``name``, keyed by tag."""
-        return {tag: value for (metric, tag), value in self._counters.items() if metric == name}
 
     def events(self, kind: Optional[str] = None, tag: Optional[str] = None) -> List[Tuple[float, str, str, str]]:
         """Recorded events, optionally filtered by kind and/or tag."""

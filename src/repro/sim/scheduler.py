@@ -18,12 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .cluster import Cluster, Node
 from .engine import Environment
 from .failures import ErrorCode, FailureInjector
-from .metrics import MetricsRecorder
 
 __all__ = ["PendingTimeModel", "BusyPeriod", "ClusterScheduler"]
 
@@ -94,8 +91,11 @@ class ClusterScheduler:
     node_init_time:
         Seconds a fresh pod spends initialising before it can join training
         (image pull, process start, communication-world rebuild).
-    metrics:
-        Optional recorder; relaunch events and durations are logged to it.
+    failure_injector:
+        Optional injector that records every relaunch with its error code.
+
+    Every relaunch and every elastic placement lands in :attr:`restart_log`
+    or :attr:`provision_log` as ``(start, node, total delay)``.
     """
 
     def __init__(
@@ -104,7 +104,6 @@ class ClusterScheduler:
         cluster: Cluster,
         pending_model: Optional[PendingTimeModel] = None,
         node_init_time: float = 60.0,
-        metrics: Optional[MetricsRecorder] = None,
         failure_injector: Optional[FailureInjector] = None,
     ) -> None:
         if node_init_time < 0:
@@ -113,7 +112,6 @@ class ClusterScheduler:
         self.cluster = cluster
         self.pending_model = pending_model if pending_model is not None else PendingTimeModel()
         self.node_init_time = node_init_time
-        self.metrics = metrics
         self.failure_injector = failure_injector
         self.restart_log: List[Tuple[float, str, float]] = []
         self.provision_log: List[Tuple[float, str, float]] = []
@@ -143,17 +141,11 @@ class ClusterScheduler:
         node.mark_restarting()
         if self.failure_injector is not None:
             self.failure_injector.record(node.name, code, start)
-        if self.metrics is not None:
-            self.metrics.log_event(start, "kill", node.name, code.value)
         delay = self.restart_delay()
         yield self.env.timeout(delay)
         node.complete_restart()
         total = self.env.now - start
         self.restart_log.append((start, node.name, total))
-        if self.metrics is not None:
-            self.metrics.log_event(self.env.now, "restart_complete", node.name, code.value)
-            self.metrics.record("restart_delay", total, self.env.now, tag=node.name)
-            self.metrics.increment("restarts", tag=node.name)
         return total
 
     def restarts_of(self, node_name: str) -> int:
@@ -172,14 +164,9 @@ class ClusterScheduler:
         policy reasons about.  Returns the total delay.
         """
         start = self.env.now
-        if self.metrics is not None:
-            self.metrics.log_event(start, "provision_requested", node.name)
         delay = self.restart_delay()
         yield self.env.timeout(delay)
         node.complete_join()
         total = self.env.now - start
         self.provision_log.append((start, node.name, total))
-        if self.metrics is not None:
-            self.metrics.log_event(self.env.now, "provision_complete", node.name)
-            self.metrics.record("provision_delay", total, self.env.now, tag=node.name)
         return total

@@ -94,6 +94,24 @@ def test_static_scenario_records_no_decisions():
     assert capture.recorder.counts().get("span", 0) > 0
 
 
+def test_trace_records_drain_requests_with_reason():
+    """A granted scale-in shows up on the membership track with its reason."""
+    capture = capture_trace(get_scenario("elastic-server-churn"))
+    drains = [(record["track"], record["name"], record["t"], record["args"])
+              for record in capture.recorder.sorted_records()
+              if record["kind"] == "event"
+              and record["name"].endswith("-drain-requested")]
+    reason = "elastic-schedule"
+    assert drains == [
+        ("membership", "worker-drain-requested", 70.0,
+         {"node": "worker-7", "reason": reason}),
+        ("membership", "worker-drain-requested", 70.0,
+         {"node": "worker-6", "reason": reason}),
+        ("membership", "server-drain-requested", 90.0,
+         {"node": "server-3", "reason": reason}),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

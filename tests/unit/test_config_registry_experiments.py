@@ -1,9 +1,15 @@
 """Unit tests for configuration objects, the method registry and experiment helpers."""
 
+import ast
+import dataclasses
+import inspect
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.baselines import PS_METHODS, asp_methods, bsp_methods, get_method
-from repro.core.config import AntDTConfig, ConsistencyModel, IntegritySemantics
+from repro.core.config import AntDTConfig, ConsistencyModel
 from repro.experiments import (
     LARGE,
     MEDIUM,
@@ -46,15 +52,6 @@ def test_antdt_config_validation():
         AntDTConfig(transient_window_s=600.0, persistent_window_s=300.0)
     with pytest.raises(ValueError):
         AntDTConfig(batches_per_shard=0)
-    with pytest.raises(ValueError):
-        AntDTConfig(grad_accum_min=3, grad_accum_max=2)
-
-
-def test_antdt_config_at_most_once_requires_single_batch_shards():
-    with pytest.raises(ValueError):
-        AntDTConfig(integrity=IntegritySemantics.AT_MOST_ONCE, batches_per_shard=100)
-    config = AntDTConfig(integrity=IntegritySemantics.AT_MOST_ONCE, batches_per_shard=1)
-    assert config.integrity is IntegritySemantics.AT_MOST_ONCE
 
 
 def test_ps_job_config_validation():
@@ -64,6 +61,40 @@ def test_ps_job_config_validation():
         PSJobConfig(backup_workers=-1)
     config = PSJobConfig(consistency=ConsistencyModel.ASP, global_batch_size=128)
     assert config.consistency is ConsistencyModel.ASP
+
+
+def test_every_config_field_has_a_reader():
+    """A config field that no code reads can be set and silently changes nothing.
+
+    Scans every module under ``src/repro`` for attribute loads; loads inside
+    the body of the class that defines the field (its own validation) do not
+    count as readers.
+    """
+    modules = [(path.resolve(), ast.parse(path.read_text(encoding="utf-8")))
+               for path in sorted(Path(repro.__file__).parent.rglob("*.py"))]
+
+    def attributes_read_outside(config_class):
+        home = Path(inspect.getsourcefile(config_class)).resolve()
+        names = set()
+        for path, tree in modules:
+            stack = [tree]
+            while stack:
+                node = stack.pop()
+                if (path == home and isinstance(node, ast.ClassDef)
+                        and node.name == config_class.__name__):
+                    continue
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+                stack.extend(ast.iter_child_nodes(node))
+        return names
+
+    unread = []
+    for config_class in (AntDTConfig, PSJobConfig, ExperimentScale):
+        read = attributes_read_outside(config_class)
+        unread.extend(f"{config_class.__name__}.{field.name}"
+                      for field in dataclasses.fields(config_class)
+                      if field.name not in read)
+    assert unread == [], f"config fields nothing reads: {unread}"
 
 
 # ------------------------------------------------------------------------------ registry

@@ -167,6 +167,23 @@ def test_monitor_third_party_provider():
     assert monitor.third_party("unknown", default=7.0) == 7.0
 
 
+@pytest.mark.parametrize("busy", [False, True])
+def test_third_party_information_reaches_both_control_loops(busy):
+    """Pending time and cluster busy reach the Controller and the Autoscaler."""
+    from repro.elastic import ElasticSpec
+    from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job
+
+    spec = ScenarioSpec(name="unit-third-party", method="antdt-nd", seed=1,
+                        topology=TopologySpec(cluster_busy=busy),
+                        elastic=ElasticSpec(policy="utilization"))
+    job, _ = build_scenario_job(spec)
+    pending = job.scheduler.pending_time()
+    assert pending == (600.0 if busy else 5.0)
+    for context in (job.controller.build_context(), job.autoscaler.build_context()):
+        assert context.cluster_busy == busy
+        assert context.pending_time_s == pending
+
+
 def test_monitor_node_events():
     monitor = Monitor()
     failure = NodeFailure(node_name="w0", code=ErrorCode.JOB_EVICTION, time=3.0)

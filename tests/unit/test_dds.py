@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.config import IntegritySemantics
 from repro.core.shard import SampleRange, Shard, ShardState
 from repro.core.sharding import StatefulDDS, StaticPartition
 from repro.core.shuffler import ShardShuffler
@@ -201,12 +200,6 @@ def test_dds_state_counts():
     assert counts["doing"] == 1
     assert counts["todo"] == 1
     assert counts["done"] == 0
-
-
-def test_dds_at_most_once_requires_single_batch_shards():
-    with pytest.raises(ValueError):
-        StatefulDDS(num_samples=100, global_batch_size=10, batches_per_shard=5,
-                    integrity=IntegritySemantics.AT_MOST_ONCE)
 
 
 def test_dds_rejects_invalid_parameters():

@@ -497,6 +497,25 @@ def test_departed_worker_restart_counts_survive():
     assert result.fingerprint["restarts"].get("worker-2") == 1
 
 
+def test_dropped_iterations_count_departed_workers():
+    """Backup-worker drops of a worker that later departs stay in the run total."""
+    from repro.experiments.stragglers import worker_scenario
+
+    spec = ScenarioSpec(
+        name="unit-drops-departed", method="backup-workers", seed=4,
+        topology=TopologySpec(dedicated=False),
+        stragglers=worker_scenario(0.8),
+        elastic=ElasticSpec(events=(
+            ScaleEvent(time_s=60.0, action="in", nodes=("worker-5",)),)))
+    job, _ = build_scenario_job(spec)
+    run = job.run()
+    assert "worker-5" in job.membership.nodes("left")
+    departed = next(worker for worker in job.workers if worker.name == "worker-5")
+    assert departed.dropped_iterations == 7
+    assert run.dropped_iterations == sum(
+        worker.dropped_iterations for worker in job.workers) == 84
+
+
 # ---------------------------------------------------------------------------
 # Stale-event regression: node removal mid-step
 # ---------------------------------------------------------------------------
