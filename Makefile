@@ -8,7 +8,7 @@ PYTHONPATH_PREFIX = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 ## Parallel worker processes for orchestrated sweeps (python -m repro).
 JOBS ?= 2
 
-.PHONY: test tier1 fast lint golden golden-check golden-update sweep bench-smoke trace-smoke serve-smoke examples ci
+.PHONY: test tier1 fast lint golden golden-check golden-update sweep bench-smoke trace-smoke serve-smoke examples figure-rows ci
 
 ## Full tier-1 suite (what the PR gate runs): unit + integration + property +
 ## golden traces + benchmarks.
@@ -87,6 +87,16 @@ examples:
 		echo ">>> $$script"; \
 		REPRO_CACHE_DIR=$$cache $(PYTHONPATH_PREFIX) $(PYTHON) $$script || exit 1; \
 	done
+
+## The paper's figure and table rows the benchmark harness prints, and
+## nothing else: the perf tests (which print wall times) are deselected and
+## the pytest summary line (which carries one) is dropped, so two commits'
+## outputs diff cleanly.  Exits with the harness's status.
+figure-rows:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT; \
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks -q -s -p no:randomly \
+		--benchmark-disable -k "not test_perf" > "$$out"; status=$$?; \
+	sed '$$d' "$$out"; exit $$status
 
 ## Perf floor on its own: the smoke benchmarks assert absolute events/sec
 ## floors and wall-clock budgets sized for slow shared runners — a real

@@ -1,13 +1,16 @@
 """The AntDT Agent and its synchronisation mechanism.
 
-One Agent runs on every worker and server node.  It has two duties
-(paper §V-F):
+One Agent runs on every worker node.  It has two duties (paper §V-F):
 
 * asynchronously push application/node state to the Monitor (every
   ``report_interval_iters`` iterations, so monitoring stays minute-level
   cheap);
 * receive straggler-mitigation actions from the Controller and hand them to
   the training process at an iteration boundary.
+
+Servers run no Agent: each server records every request's handling time in
+its own ``server_bpt`` series, which is the Monitor's view of it, and a
+server KILL_RESTART goes through the job, not an action poll.
 
 Global actions (ADJUST_BS, BACKUP_WORKERS, ADJUST_LR) must be applied by all
 workers in the same iteration.  The Controller sends the action to the
@@ -44,15 +47,15 @@ class AgentGroup:
         self.sync_overhead_s = 0.0
 
     # -- membership -------------------------------------------------------------
-    def create_agent(self, node_name: str, is_worker: bool = True) -> "Agent":
-        """Create (and register) the agent for a node.
+    def create_agent(self, node_name: str) -> "Agent":
+        """Create (and register) the agent for a worker node.
 
         The first registered agent becomes the primary, mirroring the paper's
         randomly elected primary worker.
         """
         if node_name in self._agents:
             raise ValueError(f"an agent for {node_name!r} already exists")
-        agent = Agent(node_name, self, is_worker=is_worker)
+        agent = Agent(node_name, self)
         self._agents[node_name] = agent
         if self._primary is None:
             self._primary = node_name
@@ -117,10 +120,9 @@ class AgentGroup:
 class Agent:
     """The per-node agent process (modelled as a passive helper object)."""
 
-    def __init__(self, node_name: str, group: AgentGroup, is_worker: bool = True) -> None:
+    def __init__(self, node_name: str, group: AgentGroup) -> None:
         self.node_name = node_name
         self.group = group
-        self.is_worker = is_worker
         self.applied_generation = 0
         self._iterations_since_report = 0
         self._bpt_buffer: List[float] = []
@@ -151,35 +153,11 @@ class Agent:
         if not self._bpt_buffer:
             return 0.0
         mean_bpt = sum(self._bpt_buffer) / len(self._bpt_buffer)
-        if self.is_worker:
-            self.group.monitor.report_worker(self.node_name, mean_bpt,
-                                             max(self._last_batch_size, 1), time)
-        else:
-            self.group.monitor.report_server(self.node_name, mean_bpt, time)
+        self.group.monitor.report_worker(self.node_name, mean_bpt,
+                                         max(self._last_batch_size, 1), time)
         self._bpt_buffer = []
         self._iterations_since_report = 0
         return self.group.charge_report()
-
-    def report_server_request(self, handling_time: float, time: float) -> float:
-        """Server-side convenience: report per-request handling time."""
-        return self.report_iteration(handling_time, 1, time)
-
-    def snapshot_report_state(self) -> Tuple[List[float], int, int]:
-        """Capture the buffered reporting state for a coalesced commit.
-
-        A server that eagerly commits a window of future report decisions
-        snapshots this state first, so a rescinded window can be rewound
-        with :meth:`restore_report_state` and replayed.
-        """
-        return (list(self._bpt_buffer), self._iterations_since_report,
-                self._last_batch_size)
-
-    def restore_report_state(self, state: Tuple[List[float], int, int]) -> None:
-        """Rewind the buffered reporting state to a prior snapshot."""
-        buffer, since_report, last_batch = state
-        self._bpt_buffer = list(buffer)
-        self._iterations_since_report = since_report
-        self._last_batch_size = last_batch
 
     # -- action path ---------------------------------------------------------------------
     def poll(self) -> Tuple[List[Action], float]:

@@ -4,7 +4,9 @@ The Monitor aggregates three kinds of information for straggler mitigation
 (paper §V-D):
 
 * **Application state** — batch processing time and batch size reported by the
-  Agents on worker and server nodes.
+  Agents on worker nodes, and each server's own ``server_bpt`` series: the
+  server records every request's handling time there, one point per
+  acknowledged push, and runs no Agent.
 * **Node state** — termination notifications and error codes, classified into
   retryable and unretryable errors.
 * **Third-party information** — values pulled from other modules on demand:
@@ -39,7 +41,6 @@ class Monitor:
         self._third_party: Dict[str, Callable[[], float]] = {}
         self._node_events: List[NodeFailure] = []
         self._workers: List[str] = []
-        self._servers: List[str] = []
 
     # -- application state -------------------------------------------------------
     def report_worker(self, worker: str, bpt: float, batch_size: int, time: float) -> None:
@@ -52,14 +53,6 @@ class Monitor:
         self.metrics.record(self.WORKER_BATCH, float(batch_size), time, tag=worker)
         throughput = batch_size / bpt if bpt > 0 else float("inf")
         self.metrics.record(self.WORKER_THROUGHPUT, throughput, time, tag=worker)
-
-    def report_server(self, server: str, bpt: float, time: float) -> None:
-        """Record one server application-state report (per-request handling time)."""
-        if bpt < 0:
-            raise ValueError("bpt must be non-negative")
-        if server not in self._servers:
-            self._servers.append(server)
-        self.metrics.record(self.SERVER_BPT, bpt, time, tag=server)
 
     # -- node state ----------------------------------------------------------------
     def report_node_event(self, failure: NodeFailure) -> None:
@@ -92,11 +85,6 @@ class Monitor:
     def known_workers(self) -> List[str]:
         """Workers that have reported at least once."""
         return list(self._workers)
-
-    @property
-    def known_servers(self) -> List[str]:
-        """Servers that have reported at least once."""
-        return list(self._servers)
 
     @staticmethod
     def _window_start(window_s: float, now: float) -> float:

@@ -159,20 +159,19 @@ class PSTrainingJob:
             self.barrier = BSPBarrier(env, backup_workers=config.backup_workers)
 
         # Columnar per-server serving state (acknowledgement chain tails,
-        # handled counters, eager-commit eligibility): created before the
-        # servers so every server allocates its slot here, and the job can
-        # commit one worker's whole push fan-out vectorized (push_fanout).
+        # eager-commit eligibility): created before the servers so every
+        # server allocates its slot here, and the job can commit one
+        # worker's whole push fan-out vectorized (push_fanout).  Servers get
+        # no Agent: the Monitor reads each server's own series.
         self.server_state = ServerStateArrays(cluster.num_servers)
         self._fanout_cache = None
-        self.servers: List[ParameterServer] = []
-        for node in cluster.servers:
-            agent = self.agent_group.create_agent(node.name, is_worker=False)
-            self.servers.append(self._make_server(node, agent))
+        self.servers: List[ParameterServer] = [
+            self._make_server(node) for node in cluster.servers]
 
         initial_batch = max(1, config.global_batch_size // max(1, cluster.num_workers))
         self.workers: List[PSWorker] = []
         for node in cluster.workers:
-            agent = self.agent_group.create_agent(node.name, is_worker=True)
+            agent = self.agent_group.create_agent(node.name)
             self.workers.append(
                 PSWorker(
                     env=env,
@@ -259,9 +258,9 @@ class PSTrainingJob:
         # Optional open-loop serving tier (attach_serving).
         self._serving = None
 
-        # The active-worker count sits on the per-push-request hot path (every
-        # server consults it for delay amortisation and report strides), so it
-        # is cached and only recomputed when a worker node changes lifecycle
+        # The active-worker count sits on the per-push-request hot path (a
+        # contended server consults it for delay amortisation), so it is
+        # cached and only recomputed when a worker node changes lifecycle
         # status or exits — scanning all workers per request made large
         # clusters quadratic in the worker count.
         self._active_worker_count: Optional[int] = None
@@ -280,9 +279,9 @@ class PSTrainingJob:
     def _notify_cohort_change(self) -> None:
         """Worker membership moved: invalidate every committed server window.
 
-        The active-worker count feeds the report stride and delay fraction
-        each server bakes into its coalesced window, so a lifecycle change
-        anywhere in the worker fleet makes every committed tail stale (see
+        The active-worker count feeds the delay fraction each server bakes
+        into its coalesced window, so a lifecycle change anywhere in the
+        worker fleet makes every committed tail stale (see
         :meth:`ParameterServer.on_cohort_change`).
         """
         for server in self.servers:
@@ -486,7 +485,7 @@ class PSTrainingJob:
             # capacity arrives to nothing (the busy-cluster gate in action).
             node.mark_finished()
             return
-        agent = self.agent_group.create_agent(node.name, is_worker=True)
+        agent = self.agent_group.create_agent(node.name)
         # A joining pod reads the *current* global state; historical
         # broadcasts (old batch assignments keyed by other workers) must not
         # replay against it.
@@ -551,17 +550,15 @@ class PSTrainingJob:
         self.worker_exited(name)
 
     # -- elastic server membership ---------------------------------------------------
-    def _make_server(self, node: Node, agent) -> ParameterServer:
+    def _make_server(self, node: Node) -> ParameterServer:
         """Construct one server process wired to this job's elastic surface."""
         return ParameterServer(
             env=self.env,
             node=node,
-            agent=agent,
             config=self.config,
             scheduler=self.scheduler,
             metrics=self.metrics,
             delay_fraction_provider=self._server_delay_fraction,
-            report_stride_provider=self.active_worker_count,
             requeue_filter=self._worker_requeue_ok,
             drain_handler=self.server_departed,
             outage_handler=self._server_outage,
@@ -617,8 +614,8 @@ class PSTrainingJob:
         acknowledgement an affine function of that server's chain tail.  This
         commits all S requests of one iteration with a handful of numpy
         operations over :class:`ServerStateArrays` plus one tight Python loop
-        for the bookkeeping each server owns (plan entry, series append,
-        periodic report), then arms the shared latch once with
+        for the bookkeeping each server owns (plan entry, series append),
+        then arms the shared latch once with
         :meth:`CountdownEvent.count_down_many_at
         <repro.sim.engine.CountdownEvent.count_down_many_at>`.
 
@@ -634,8 +631,7 @@ class PSTrainingJob:
             # change, so list identity doubles as cache validation.
             idx = np.fromiter((server._slot for server in targets),
                               dtype=np.intp, count=len(targets))
-            hot = [(server, server.agent, *server._bpt_series.buffers())
-                   for server in targets]
+            hot = [(server, *server._bpt_series.buffers()) for server in targets]
             cache = self._fanout_cache = (targets, idx, hot)
         _, idx, hot = cache
         if not state.eligible[idx].all():
@@ -649,26 +645,14 @@ class PSTrainingJob:
         handlings = state.overhead[idx] + self.config.server_per_byte_cost_s * nbytes
         acks = starts + handlings
         state.chain_tail[idx] = acks
-        handled = state.handled[idx] + 1
-        state.handled[idx] = handled
-        stride = self.active_worker_count() or 1
-        reported_mask = (handled % stride == 0).tolist()
-        starts_l = starts.tolist()
         acks_l = acks.tolist()
-        handlings_l = handlings.tolist()
         request = PushRequest(worker=worker, nbytes=nbytes, done=latch)
-        handled_l = handled.tolist()
-        for (server, agent, times, values), start, ack, handling, reported, count \
-                in zip(hot, starts_l, acks_l, handlings_l, reported_mask, handled_l):
+        for (server, times, values), start, ack, handling \
+                in zip(hot, starts.tolist(), acks_l, handlings.tolist()):
             plan = server._plan
             if plan is None:
-                plan = server._open_plan(ack, count - 1)
-            if reported:
-                agent.report_server_request(handling, ack)
-                if agent._iterations_since_report == 0:
-                    plan.flushes += 1
-            plan.entries.append((request, start, ack, handling,
-                                 True, True, None, reported))
+                plan = server._open_plan(ack)
+            plan.entries.append((request, start, ack, True, True, None))
             plan.coalesced_logged += 1
             times.append(ack)
             values.append(handling)
@@ -847,8 +831,7 @@ class PSTrainingJob:
             return
         moved = self.shard_map.add_member(node.name)
         self._record_reshard("join", node.name, moved, cost)
-        agent = self.agent_group.create_agent(node.name, is_worker=False)
-        server = self._make_server(node, agent)
+        server = self._make_server(node)
         self.servers.append(server)
         self._push_targets = None
         self.server_membership.record(self.env.now, JOINED, node.name)

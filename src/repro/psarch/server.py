@@ -28,14 +28,17 @@ A 1,000-worker iteration that used to cost W×S heap pops per server
 collapses to one wake-up pop per server per iteration.
 
 Quiescence can break before a window elapses — a kill-restart, an elastic
-membership change (which moves the report stride every server samples), a
-worker draining out, or a contention swap.  Every such perturbation rolls the
-uncommitted tail back (:meth:`ParameterServer._rollback_plan`): future
-acknowledgements are rescinded, observable side effects (the ``server_bpt``
-series, the agent's report buffer, the overhead ledger) are rewound to the
-pre-window snapshot and the already-delivered prefix is replayed, and the
-rescinded requests return to the queue front for re-planning.  The golden
-suite pins coalesced and uncoalesced execution to byte-identical traces.
+membership change (which moves the delay fraction a contended server
+samples), a worker draining out, or a contention swap.  Every such
+perturbation rolls the uncommitted tail back
+(:meth:`ParameterServer._rollback_plan`): future acknowledgements are
+rescinded, the ``server_bpt`` series — one point per plan entry, and nothing
+else writes it — is cut after the entries that stay, and the rescinded
+requests return to the queue front for re-planning.  The golden suite pins
+coalesced and uncoalesced execution to byte-identical traces.
+
+Servers run no Agent: the Monitor's view of a server is exactly this
+per-request ``server_bpt`` series.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.agent import Agent
 from ..elastic.membership import SCALE_IN
 from ..sim.cluster import Node
 from ..sim.engine import CountdownEvent, Environment, Event, Interrupt, PENDING, Store
@@ -69,28 +71,27 @@ class PushRequest:
 # One request inside a committed coalesced window, as a plain tuple — plan
 # entries are created once per push request across the whole fleet, and a
 # tuple build is several times cheaper than a (slotted) dataclass:
-#   (request, start, ack, handling, is_latch, contributed, done_id, reported)
+#   (request, start, ack, is_latch, contributed, done_id)
 # * start:    when handling begins (the previous entry's acknowledgement).
 # * ack:      when the acknowledgement takes effect.
 # * is_latch: whether ``done`` is a shared CountdownEvent (vs private Event).
 # * contributed: whether a latch contribution was actually recorded (False
 #   for latches already abandoned when the window was committed).
 # * done_id:  heap entry id of a private acknowledgement, for rescinding.
-# * reported: whether the periodic agent report fired for this request —
-#   recorded so a rollback replays delivered entries with the stride
-#   decision made at commit time, not the stride in effect at rollback time.
-(_E_REQUEST, _E_START, _E_ACK, _E_HANDLING,
- _E_IS_LATCH, _E_CONTRIBUTED, _E_DONE_ID, _E_REPORTED) = range(8)
+# Each entry appended exactly one point to the server's ``server_bpt``
+# series, in entry order.
+(_E_REQUEST, _E_START, _E_ACK,
+ _E_IS_LATCH, _E_CONTRIBUTED, _E_DONE_ID) = range(6)
 
 
 class ServerStateArrays:
     """Per-server scalar serving state for a whole job, as numpy arrays.
 
     Owned by the job with one slot per server ever admitted.  Keeping the
-    acknowledgement chain tail, the handled-request counter and the
-    per-request overhead columnar lets the job commit one worker's whole
-    push fan-out — one request per server — as a handful of vectorized
-    array operations (:meth:`PSTrainingJob.push_fanout
+    acknowledgement chain tail and the per-request overhead columnar lets
+    the job commit one worker's whole push fan-out — one request per
+    server — as a handful of vectorized array operations
+    (:meth:`PSTrainingJob.push_fanout
     <repro.psarch.job.PSTrainingJob.push_fanout>`) instead of S scalar
     ``submit`` calls.
 
@@ -98,15 +99,13 @@ class ServerStateArrays:
     and elastic joins extend the arrays.
     """
 
-    _FIELDS = ("chain_tail", "handled", "overhead", "eligible")
+    _FIELDS = ("chain_tail", "overhead", "eligible")
 
     def __init__(self, capacity: int = 0) -> None:
         capacity = max(int(capacity), 4)
         #: Last committed acknowledgement time (handling of the next request
         #: starts at ``max(chain_tail, now)``).
         self.chain_tail = np.zeros(capacity, dtype=np.float64)
-        #: Requests handled (committed), the report-stride counter.
-        self.handled = np.zeros(capacity, dtype=np.int64)
         #: Per-request base overhead of the node's device.
         self.overhead = np.zeros(capacity, dtype=np.float64)
         #: Whether the slot accepts vectorized eager commits right now:
@@ -114,9 +113,6 @@ class ServerStateArrays:
         #: its contention model is null (affine handling times).
         self.eligible = np.zeros(capacity, dtype=bool)
         self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
 
     def allocate_slot(self) -> int:
         """Claim the next slot (growing the arrays when full); returns its index."""
@@ -137,27 +133,18 @@ class _BatchPlan:
     """Bookkeeping for one committed coalesced window.
 
     Holds the entry tuples in acknowledgement order plus the pre-window
-    snapshot of every observable the commits touched, so the window can be
-    rolled back and its delivered prefix replayed deterministically.
+    length of the ``server_bpt`` series, so a rollback can cut the series
+    right after the entries it keeps.
     """
 
-    __slots__ = ("entries", "wake", "wake_id", "handled_before",
-                 "series_len_before", "agent_state", "flushes",
+    __slots__ = ("entries", "wake", "wake_id", "series_len_before",
                  "coalesced_logged", "origin_physical")
 
-    def __init__(self, handled_before: int, series_len_before: int,
-                 agent_state: Tuple[List[float], int, int],
-                 origin_physical: int) -> None:
+    def __init__(self, series_len_before: int, origin_physical: int) -> None:
         self.entries: List[tuple] = []
         self.wake: Optional[Event] = None
         self.wake_id = -1
-        self.handled_before = handled_before
         self.series_len_before = series_len_before
-        self.agent_state = agent_state
-        #: Monitor flushes charged by this window's commits (rolled back as
-        #: a delta, not a snapshot — other agents charge the shared ledger
-        #: concurrently).
-        self.flushes = 0
         #: Per-entry logical events currently accounted to
         #: ``env.coalesced_count`` for this window (re-arm adjustments are
         #: tracked directly on the environment, not here).
@@ -176,12 +163,10 @@ class ParameterServer:
         self,
         env: Environment,
         node: Node,
-        agent: Agent,
         config: PSJobConfig,
         scheduler: ClusterScheduler,
         metrics: MetricsRecorder,
         delay_fraction_provider: Callable[[], float],
-        report_stride_provider: Optional[Callable[[], int]] = None,
         requeue_filter: Optional[Callable[[str], bool]] = None,
         drain_handler: Optional[Callable[["ParameterServer", List[PushRequest]], object]] = None,
         outage_handler: Optional[Callable[["ParameterServer", List[PushRequest]], bool]] = None,
@@ -192,12 +177,10 @@ class ParameterServer:
         self.node = node
         # Plain attribute (the node name never changes); see PSWorker.name.
         self.name = node.name
-        self.agent = agent
         self.config = config
         self.scheduler = scheduler
         self.metrics = metrics
         self._delay_fraction_provider = delay_fraction_provider
-        self._report_stride_provider = report_stride_provider
         # Whether a worker's in-flight request may be requeued on a restart:
         # the job vetoes requeues for draining/departed workers, otherwise a
         # kill-restart racing an elastic scale-in drain resurrects a push
@@ -214,8 +197,8 @@ class ParameterServer:
         self._recovery_handler = recovery_handler
         self.queue: Store = env.store()
         # Per-server scalar state lives in the job-owned columnar arrays
-        # (chain tail, handled counter, eligibility); a server constructed
-        # without a state-owning job gets a private single-slot instance.
+        # (chain tail, eligibility); a server constructed without a
+        # state-owning job gets a private single-slot instance.
         self._state = state if state is not None else ServerStateArrays()
         self._slot = self._state.allocate_slot()
         self.process = None
@@ -226,7 +209,8 @@ class ParameterServer:
         # at submit time without reordering against queued work.
         self._accepting = False
         # Cached series handle: one append per handled request otherwise pays
-        # a recorder key lookup each.
+        # a recorder key lookup each.  This series is the Monitor's whole
+        # view of the server (Monitor.server_bpt_means reads it).
         self._bpt_series = metrics.series("server_bpt", tag=self.name)
         # The coalesced window currently in flight (None while stepping
         # request-by-request or idle).
@@ -241,15 +225,6 @@ class ParameterServer:
         self.process = self.env.process(self.run())
 
     # -- array-backed scalar state -------------------------------------------------
-    @property
-    def requests_handled(self) -> int:
-        """Requests committed by this server (slot in the job's state arrays)."""
-        return int(self._state.handled[self._slot])
-
-    @requests_handled.setter
-    def requests_handled(self, value: int) -> None:
-        self._state.handled[self._slot] = value
-
     def _set_accepting(self, value: bool) -> None:
         if self._accepting != value:
             self._accepting = value
@@ -376,11 +351,11 @@ class ParameterServer:
     def on_cohort_change(self) -> None:
         """Worker membership changed: re-plan any committed window.
 
-        The active-worker count feeds both the report stride and the delay
-        fraction the server samples per request, so acknowledgements past
-        this instant were committed under stale inputs.  The delivered prefix
-        and the in-flight request keep their (correct, pre-change) decisions;
-        the rescinded tail re-enters the queue and is re-planned at wake-up.
+        The active-worker count feeds the delay fraction the server samples
+        per request, so acknowledgements past this instant were committed
+        under stale inputs.  The delivered prefix and the in-flight request
+        keep their (correct, pre-change) decisions; the rescinded tail
+        re-enters the queue and is re-planned at wake-up.
         """
         _, queued = self._rollback_plan(self.env.now, keep_in_flight=True)
         self._requeue_front(queued)
@@ -468,7 +443,6 @@ class ParameterServer:
         node = self.node
         per_byte_cost = self.config.server_per_byte_cost_s
         delay_fraction_provider = self._delay_fraction_provider
-        stride_provider = self._report_stride_provider
         bpt_series = self._bpt_series
         while True:
             try:
@@ -506,15 +480,7 @@ class ParameterServer:
                         done.count_down(env.now)
                     else:
                         done.succeed(env.now)
-                self.requests_handled += 1
                 bpt_series.append(env.now, handling)
-                # A server sees one push per worker per iteration, so it only
-                # samples its handling time once per (approximate) global
-                # iteration — otherwise its reporting traffic would scale with
-                # the number of workers.
-                stride = (stride_provider() or 1) if stride_provider is not None else 1
-                if self.requests_handled % stride == 0:
-                    self.agent.report_server_request(handling, env.now)
                 current = None
             except Interrupt as interrupt:
                 cause = interrupt.cause
@@ -570,13 +536,12 @@ class ParameterServer:
                             self.queue.put_left(request)
                 yield from self.scheduler.relaunch(self.node, code)
                 yield self.env.timeout(self.config.server_recovery_time_s)
-                self.agent.reset_after_restart()
                 self._restart_requested = False
                 if self._recovery_handler is not None:
                     self._recovery_handler(self)
 
     # -- coalesced windows ---------------------------------------------------------
-    def _open_plan(self, first_ack: float, handled_before: Optional[int] = None) -> _BatchPlan:
+    def _open_plan(self, first_ack: float) -> _BatchPlan:
         """Open a fresh eager window ending (for now) at ``first_ack``.
 
         The wake-up event is scheduled *before* the first acknowledgement so
@@ -586,13 +551,7 @@ class ParameterServer:
         window or re-arms at the new end if commits extended it meanwhile.
         """
         env = self.env
-        if handled_before is None:
-            handled_before = int(self._state.handled[self._slot])
-        plan = _BatchPlan(
-            handled_before=handled_before,
-            series_len_before=len(self._bpt_series),
-            agent_state=self.agent.snapshot_report_state(),
-            origin_physical=0)
+        plan = _BatchPlan(len(self._bpt_series), origin_physical=0)
         wake = Event(env)
         wake.callbacks.append(self._on_wake)
         plan.wake = wake
@@ -633,20 +592,9 @@ class ParameterServer:
                 done.count_down_at(ack, ack)
             else:
                 done_id = env.schedule_at(done, ack, ack)
-        handled = int(state.handled[slot]) + 1
-        state.handled[slot] = handled
         state.chain_tail[slot] = ack
         self._bpt_series.append(ack, handling)
-        stride_provider = self._report_stride_provider
-        stride = (stride_provider() or 1) if stride_provider is not None else 1
-        reported = handled % stride == 0
-        if reported:
-            agent = self.agent
-            agent.report_server_request(handling, ack)
-            if agent._iterations_since_report == 0:
-                plan.flushes += 1
-        plan.entries.append((request, start, ack, handling,
-                             is_latch, contributed, done_id, reported))
+        plan.entries.append((request, start, ack, is_latch, contributed, done_id))
         plan.coalesced_logged += 1
         env.coalesced_count += 1
 
@@ -686,18 +634,16 @@ class ParameterServer:
     def _commit_batch(self, first: PushRequest) -> Event:
         """Commit the current queue as one coalesced window; return the wake event.
 
-        Handling times, acknowledgement times and report decisions for
-        ``first`` plus every queued request are computed closed-form and
-        published immediately — acknowledgements via absolute-time scheduling,
-        series/ledger writes eagerly (windowed queries are bisect-bounded, so
-        future-dated observations stay invisible until due).  Per-request
-        inputs that the uncoalesced loop re-reads each iteration (the delay
-        fraction, the report stride) are read once: any event that could move
-        them also triggers a rollback of this window.
+        Handling and acknowledgement times for ``first`` plus every queued
+        request are computed closed-form and published immediately —
+        acknowledgements via absolute-time scheduling, series writes eagerly
+        (windowed queries are bisect-bounded, so future-dated observations
+        stay invisible until due).  The delay fraction, which the uncoalesced
+        loop re-reads per request, is read once: any event that could move it
+        also triggers a rollback of this window.
         """
         env = self.env
         node = self.node
-        agent = self.agent
         state = self._state
         slot = self._slot
         items = self.queue.items
@@ -738,19 +684,11 @@ class ParameterServer:
         # the window's final instant the server resumes first, then the last
         # worker — the same callback order per-request stepping produces.
         wake = Event(env)
-        handled = int(state.handled[slot])
-        plan = _BatchPlan(
-            handled_before=handled,
-            series_len_before=len(self._bpt_series),
-            agent_state=agent.snapshot_report_state(),
-            origin_physical=1)
+        plan = _BatchPlan(len(self._bpt_series), origin_physical=1)
         plan.wake = wake
         plan.wake_id = env.schedule_at(wake, acks[-1])
         entries = plan.entries
         bpt_series = self._bpt_series
-        stride_provider = self._report_stride_provider
-        stride = (stride_provider() or 1) if stride_provider is not None else 1
-        flushes = 0
         start = t0
         for request, handling, ack in zip(requests, handlings, acks):
             done = request.done
@@ -763,19 +701,10 @@ class ParameterServer:
                     done.count_down_at(ack, ack)
                 else:
                     done_id = env.schedule_at(done, ack, ack)
-            handled += 1
             bpt_series.append(ack, handling)
-            reported = handled % stride == 0
-            if reported:
-                agent.report_server_request(handling, ack)
-                if agent._iterations_since_report == 0:
-                    flushes += 1
-            entries.append((request, start, ack, handling,
-                            is_latch, contributed, done_id, reported))
+            entries.append((request, start, ack, is_latch, contributed, done_id))
             start = ack
-        state.handled[slot] = handled
         state.chain_tail[slot] = acks[-1]
-        plan.flushes = flushes
         plan.coalesced_logged = k - 1
         env.count_coalesced(k - 1)
         self._plan = plan
@@ -788,17 +717,15 @@ class ParameterServer:
         Entries acknowledged at or before ``now`` are delivered and stay.
         The first entry with a later acknowledgement is *in flight* (its
         handling started at or before ``now``): with ``keep_in_flight`` its
-        committed outcome is preserved — only the report decision is remade
-        under the stride now in effect, since in per-request stepping that
-        decision would happen at the future acknowledgement instant — and the
-        wake-up moves to its acknowledgement; otherwise it is rescinded with
-        the rest and handed back as the first returned value.  Later entries
-        never started and are returned for queue-front reinsertion.
+        committed outcome is preserved and the wake-up moves to its
+        acknowledgement; otherwise it is rescinded with the rest and handed
+        back as the first returned value.  Later entries never started and
+        are returned for queue-front reinsertion.
 
-        Observables are rewound to the pre-window snapshot and the kept
-        prefix is replayed with its recorded decisions, so the series, the
-        handled counter, the agent buffer and the shared overhead ledger end
-        up exactly as per-request stepping would have left them at ``now``.
+        Each entry appended one point to the ``server_bpt`` series, in entry
+        order, and nothing else writes it, so cutting the series after the
+        entries that stay leaves it exactly as per-request stepping would
+        have left it at ``now``.
         """
         plan = self._plan
         if plan is None:
@@ -810,7 +737,6 @@ class ParameterServer:
             self._plan = None
             return None, []
         env = self.env
-        agent = self.agent
         state = self._state
         slot = self._slot
         split = 0
@@ -830,48 +756,20 @@ class ParameterServer:
                 env.discard_scheduled(entry[_E_DONE_ID])
                 done._ok = None
                 done._value = PENDING
-        # 2. Rewind every observable to the pre-window snapshot.
-        self._bpt_series.truncate(plan.series_len_before)
-        agent.restore_report_state(plan.agent_state)
-        group = agent.group
-        group.report_overhead_s -= plan.flushes * group.config.agent_sync_overhead_s
-        handled = plan.handled_before
-        bpt_series = self._bpt_series
-        # 3. Replay the delivered prefix with its recorded decisions.
-        flushes = 0
-        for entry in kept:
-            handled += 1
-            bpt_series.append(entry[_E_ACK], entry[_E_HANDLING])
-            if entry[_E_REPORTED]:
-                agent.report_server_request(entry[_E_HANDLING], entry[_E_ACK])
-                if agent._iterations_since_report == 0:
-                    flushes += 1
-        # 4. Re-commit (or drop) the in-flight entry and move the wake-up.
+        # 2. Keep (or drop) the in-flight entry and move the wake-up.
         env.discard_scheduled(plan.wake_id)
         wake = plan.wake
         wake._ok = None
         wake._value = PENDING
         if keep_in_flight:
-            in_ack = in_flight[_E_ACK]
-            in_handling = in_flight[_E_HANDLING]
-            plan.wake_id = env.schedule_at(wake, in_ack)
-            handled += 1
-            bpt_series.append(in_ack, in_handling)
-            stride_provider = self._report_stride_provider
-            stride = (stride_provider() or 1) if stride_provider is not None else 1
-            reported = handled % stride == 0
-            if reported:
-                agent.report_server_request(in_handling, in_ack)
-                if agent._iterations_since_report == 0:
-                    flushes += 1
-            in_flight = in_flight[:_E_REPORTED] + (reported,)
+            plan.wake_id = env.schedule_at(wake, in_flight[_E_ACK])
             plan.entries = kept + [in_flight]
-            state.chain_tail[slot] = in_ack
+            state.chain_tail[slot] = in_flight[_E_ACK]
         else:
             plan.entries = kept
             state.chain_tail[slot] = now
-        state.handled[slot] = handled
-        plan.flushes = flushes
+        # 3. Cut the series after the entries that stay.
+        self._bpt_series.truncate(plan.series_len_before + len(plan.entries))
         # Logical-event credits for the retained work: every kept entry plus
         # the window's park/pop, minus what fed the window physically.
         new_logged = len(kept) + 1 - plan.origin_physical

@@ -202,8 +202,8 @@ class PSWorker:
         yield self.env.timeout(self.config.worker_recovery_time_s)
         self._enter_barrier()
         self._restart_requested = False
-        recorder = getattr(self.job, "recorder", None)
-        if recorder is not None and recorder.enabled:
+        recorder = self.job.recorder
+        if recorder.enabled:
             recorder.span(self.name, "failover", failover_start, self.env.now,
                           cat="failover", args={"code": code.value})
 
@@ -219,10 +219,10 @@ class PSWorker:
         job = self.job
         backend = self.backend
         push_targets = job.push_targets
-        # Vectorized fan-out commit (None for standalone jobs without one):
-        # one call commits the whole iteration's pushes against the job's
+        # Vectorized fan-out commit (None when coalescing is off): one call
+        # commits the whole iteration's pushes against the job's
         # ServerStateArrays when every target server is idle-eligible.
-        push_fanout = getattr(job, "push_fanout", None) if env.coalesce else None
+        push_fanout = job.push_fanout if env.coalesce else None
         name = self.name
         config = self.config
         timeout = env.timeout
@@ -231,8 +231,8 @@ class PSWorker:
         # Tracing is hoisted to one local branch per iteration: with the
         # NullRecorder default ``tracing`` is False and the hot loop pays a
         # single falsy check at the span site.
-        recorder = getattr(job, "recorder", None)
-        tracing = recorder is not None and recorder.enabled
+        recorder = job.recorder
+        tracing = recorder.enabled
         allocator.register_worker(name)
         self._enter_barrier()
         while True:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -87,23 +87,6 @@ class MetricSeries:
         times.append(time if type(time) is float else float(time))
         self._values.append(value)
 
-    def extend(self, times: Sequence[float], values: Sequence[float]) -> None:
-        """Append a batch of observations; times must be non-decreasing.
-
-        Bulk variant of :meth:`append` for coalesced commits (a server
-        publishing a whole window of handling times at once).
-        """
-        if len(times) == 0:
-            return
-        own_times = self._times
-        if own_times and times[0] < own_times[-1]:
-            raise ValueError(
-                f"observations must be appended in time order "
-                f"({times[0]} < {own_times[-1]})"
-            )
-        own_times.extend(float(t) for t in times)
-        self._values.extend(float(v) for v in values)
-
     def _sync_prefix(self) -> List[float]:
         """Extend the prefix sums over any values appended since last sync."""
         prefix = self._prefix
@@ -133,10 +116,10 @@ class MetricSeries:
         iteration; going through :meth:`append` costs a method call and a
         monotonicity check per observation.  Callers appending through these
         handles must keep times non-decreasing themselves (coalesced commits
-        do — acknowledgements advance along each server's chain, and
-        rollbacks restore monotonicity via :meth:`truncate` before any
-        replay).  The lazy prefix machinery is unaffected: it reads
-        ``_values`` on the next aggregate query.
+        do — acknowledgements advance along each server's chain, and a
+        rollback only cuts the series with :meth:`truncate`).  The lazy
+        prefix machinery is unaffected: it reads ``_values`` on the next
+        aggregate query.
         """
         return self._times, self._values
 
@@ -145,8 +128,8 @@ class MetricSeries:
 
         Rollback hook for coalesced commits: when a window is rescinded
         mid-flight (failure, straggler transition, membership change) the
-        owning component rewinds the series to its pre-window length before
-        re-planning.
+        owning server cuts its series right after the entries that stay.
+        Synced prefix sums past the cut are dropped with it.
         """
         if length < 0 or length > len(self._times):
             raise ValueError(f"cannot truncate series of {len(self._times)} to {length}")

@@ -1,5 +1,7 @@
 """Integration tests: full Parameter-Server training runs on the simulator."""
 
+import pytest
+
 from repro.core.actions import ActionType
 from repro.experiments import (
     NO_STRAGGLERS,
@@ -9,7 +11,7 @@ from repro.experiments import (
 )
 from repro.experiments.workloads import ExperimentScale
 from repro.orchestrator import simulate_spec
-from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job
+from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job, get_scenario
 
 TINY = ExperimentScale(
     name="tiny",
@@ -135,3 +137,23 @@ def test_antdt_jct_less_sensitive_to_intensity_than_bsp():
     low_a = simulate_spec(_spec("antdt-nd", worker_scenario(0.1))).run.jct
     high_a = simulate_spec(_spec("antdt-nd", worker_scenario(0.8))).run.jct
     assert (high_a - low_a) < (high_b - low_b)
+
+
+@pytest.mark.parametrize("coalesce", [True, False], ids=["coalesced", "uncoalesced"])
+@pytest.mark.parametrize("name", ["dedicated-antdt-nd", "server-eviction",
+                                  "elastic-churn-storm", "nd-transient-heavy-antdt"])
+def test_server_series_holds_one_point_per_acknowledged_push(name, coalesce):
+    """A server's ``server_bpt`` series is its only record: one point per push.
+
+    Every finished worker iteration pushed once to every server, so each
+    server's series is as long as all workers' ``bpt`` series together —
+    under kill-restarts, worker churn and coalesced-window rollbacks alike.
+    ``nd-transient-heavy-antdt`` rolls back windows that keep their
+    in-flight entry, whose point must survive the cut.
+    """
+    job = simulate_spec(get_scenario(name), coalesce=coalesce).job
+    metrics = job.metrics
+    pushes = sum(len(metrics.series("bpt", tag=tag)) for tag in metrics.tags("bpt"))
+    assert pushes > 0
+    for server in job.servers:
+        assert len(metrics.series("server_bpt", tag=server.name)) == pushes

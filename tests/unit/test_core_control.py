@@ -196,8 +196,6 @@ def test_monitor_rejects_invalid_reports():
     monitor = Monitor()
     with pytest.raises(ValueError):
         monitor.report_worker("w0", bpt=-1.0, batch_size=10, time=0.0)
-    with pytest.raises(ValueError):
-        monitor.report_server("s0", bpt=-1.0, time=0.0)
 
 
 # --------------------------------------------------------------------------------- agents
@@ -245,6 +243,21 @@ def test_agent_group_rejects_duplicate_agents():
     group.create_agent("w0")
     with pytest.raises(ValueError):
         group.create_agent("w0")
+
+
+def test_only_workers_get_agents():
+    """Servers run no Agent, so the primary is the first worker."""
+    from repro.orchestrator import simulate_spec
+    from repro.scenarios import build_scenario_job, get_scenario
+
+    workers = [f"worker-{index}" for index in range(6)]
+    job, _ = build_scenario_job(get_scenario("dedicated-antdt-nd"))
+    assert [agent.node_name for agent in job.agent_group.agents] == workers
+    assert job.agent_group.primary == "worker-0"
+    # A server that joins mid-run gets no Agent either.
+    job = simulate_spec(get_scenario("elastic-server-scale-out")).job
+    assert "server-3" in [server.name for server in job.servers]
+    assert [agent.node_name for agent in job.agent_group.agents] == workers
 
 
 # ------------------------------------------------------------------------------ solutions
@@ -397,6 +410,6 @@ def test_monitor_later_windows_stay_half_open():
 
 def test_monitor_server_window_boundary_matches_worker_windows():
     monitor = Monitor()
-    monitor.report_server("server-0", bpt=1.0, time=0.0)
+    monitor.metrics.record(Monitor.SERVER_BPT, 1.0, 0.0, tag="server-0")
     means = monitor.server_bpt_means(window_s=5.0, now=5.0)
     assert means["server-0"] == pytest.approx(1.0)

@@ -13,8 +13,6 @@ resurrect a purged push request.
 import pytest
 
 from repro.core.actions import ActionType, ScaleInServers, ScaleOutServers
-from repro.core.agent import AgentGroup
-from repro.core.config import AntDTConfig
 from repro.core.monitor import Monitor
 from repro.elastic import (
     Autoscaler,
@@ -417,10 +415,8 @@ def _standalone_server(draining):
         env, cluster, pending_model=PendingTimeModel(idle_pending_time=5.0),
         node_init_time=5.0)
     metrics = MetricsRecorder()
-    agent = AgentGroup(Monitor(metrics), AntDTConfig()).create_agent(
-        "server-0", is_worker=False)
     server = ParameterServer(
-        env=env, node=cluster.get("server-0"), agent=agent,
+        env=env, node=cluster.get("server-0"),
         config=PSJobConfig(server_recovery_time_s=1.0), scheduler=scheduler,
         metrics=metrics, delay_fraction_provider=lambda: 1.0,
         requeue_filter=lambda worker: worker not in draining)
@@ -448,7 +444,7 @@ def test_kill_restart_mid_drain_does_not_resurrect_purged_push():
     # The purged request never returned: not handled, never acknowledged.
     assert not done_gone.triggered
     assert done_live.triggered
-    assert server.requests_handled == 1
+    assert len(server.metrics.series("server_bpt", tag="server-0")) == 1
     assert all(request.worker != "worker-gone" for request in server.queue.items)
 
 
@@ -462,7 +458,7 @@ def test_kill_restart_still_requeues_live_workers_requests():
     assert server.request_kill_restart()
     env.run()
     assert done_live.triggered
-    assert server.requests_handled == 1
+    assert len(server.metrics.series("server_bpt", tag="server-0")) == 1
 
 
 # ---------------------------------------------------------------------------

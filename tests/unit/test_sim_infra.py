@@ -1,5 +1,7 @@
 """Unit tests for network, metrics, failures, cluster and scheduler."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,39 @@ def test_metric_series_prefix_aggregates():
         series.append(float(index), value)
     assert series.total() == pytest.approx(sum(values))
     assert series.mean() == pytest.approx(sum(values) / len(values))
+
+
+def test_metric_series_truncate_keeps_prefix_sums_exact():
+    # A coalesced-window rollback cuts a server's series after its prefix
+    # sums synced; aggregates must then equal a fresh left-to-right sum.
+    def left_to_right(values):
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+
+    def assert_exact(series, values):
+        expected = left_to_right(values)
+        assert len(series) == len(values)
+        assert series.total() == expected
+        assert series.window_stats(-math.inf, math.inf) == (len(values), expected)
+
+    values = [0.1 * (index % 7) + index / 3.0 for index in range(100)]
+    series = MetricSeries()
+    for index, value in enumerate(values):
+        series.append(float(index), value)
+    # 100 unsynced values: above the cumsum threshold of the lazy sync.
+    assert series.window_stats(-math.inf, math.inf)[0] == 100
+    series.truncate(40)
+    assert_exact(series, values[:40])
+    tail = [0.7 / (index + 1) for index in range(30)]
+    for index, value in enumerate(tail):
+        series.append(40.0 + index, value)
+    assert_exact(series, values[:40] + tail)
+    with pytest.raises(ValueError):
+        series.truncate(71)
+    with pytest.raises(ValueError):
+        series.truncate(-1)
 
 
 def test_metrics_recorder_tags_index_tracks_first_seen():
