@@ -58,8 +58,9 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="Rewrite the golden traces under tests/golden/traces/ instead of "
-             "comparing against them (deliberate regeneration).",
+        help="Rewrite the golden traces under tests/golden/traces/ and the "
+             "rows of tests/golden/costs.json instead of comparing against "
+             "them (deliberate regeneration).",
     )
 
 

@@ -704,8 +704,8 @@ class PSTrainingJob:
     def attach_serving(self, tier) -> None:
         """Attach an open-loop serving tier (started with the job).
 
-        Must be called before :meth:`start`; the tier's tenant processes
-        launch after the servers so the first request finds a live fleet.
+        Must be called before :meth:`start`; the tier's arrival process
+        launches after the servers so the first request finds a live fleet.
         """
         if self._serving is not None:
             raise ValueError("a serving tier is already attached")

@@ -13,7 +13,7 @@ runtime layer:
 - :mod:`~repro.serving.slo` — p50/p99 latency, shed rate and goodput
   accounting, cumulative (fingerprint) and windowed (autoscaler policy);
 - :mod:`~repro.serving.driver` — the :class:`ServingTier` runtime that
-  attaches tenant processes to a training job.
+  walks every tenant's arrivals in one process against a training job.
 """
 
 from .admission import AdmissionLedger

@@ -14,7 +14,7 @@ safe to fingerprint.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 __all__ = ["AdmissionLedger"]
 
@@ -36,18 +36,6 @@ class AdmissionLedger:
 
     def total_inflight(self) -> int:
         return sum(self._inflight.values())
-
-    def least_loaded(self, servers: Iterable[str]) -> str:
-        """First server (in iteration order) with the fewest in flight."""
-        best = None
-        best_depth = -1
-        for server in servers:
-            depth = self._inflight.get(server, 0)
-            if best is None or depth < best_depth:
-                best, best_depth = server, depth
-        if best is None:
-            raise ValueError("least_loaded needs at least one candidate")
-        return best
 
     def try_admit(self, server: str) -> bool:
         """Admit one request to ``server`` unless its budget is full."""

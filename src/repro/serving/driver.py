@@ -1,22 +1,25 @@
 """The serving tier runtime: open-loop tenants driving the sharded PS.
 
 One :class:`ServingTier` attaches to a :class:`~repro.psarch.job.PSTrainingJob`
-and runs one simulation process per tenant.  Each process walks a fully
-precomputed arrival trace (times, Zipf key ranks, read/write flags — see
-:mod:`repro.serving.arrivals`) and, per request:
+and runs one simulation process for all its tenants.  Every tenant's
+arrival trace is fully precomputed (times, target shards, read/write flags —
+see :mod:`repro.serving.arrivals`): Zipf key ranks map to parameter shards in
+one vectorised step, hottest keys onto the heaviest-weighted shards, so Zipf
+popularity concentrates on the scenario's declared ``hot_shards``.  The
+process walks the traces in the order one timeout per arrival would fire:
+it reserves each tenant's next arrival through
+:meth:`~repro.sim.engine.Environment.wakeups`, and an arrival that is the
+next event is served inline, without a heap entry.  Per request it:
 
 1. charges the tenant's token bucket (empty bucket → shed ``"throttled"``);
-2. maps the key rank to a parameter shard — hottest keys land on the
-   heaviest-weighted shards, so Zipf popularity concentrates on the
-   scenario's declared ``hot_shards``;
-3. routes: writes go to the shard's primary, reads pick the least-loaded
-   live member of the replica chain (primary + warm standbys), so PR-7
-   replicas finally serve traffic;
-4. admits against the target's bounded in-flight budget (full → shed
+2. routes: writes go to the shard's primary, reads pick the least-loaded
+   live member of the replica chain (primary + warm standbys), so warm
+   replicas serve reads too;
+3. admits against the target's bounded in-flight budget (full → shed
    ``"overload"``) and submits through the ordinary
    :meth:`ParameterServer.submit` path, sharing the acknowledgement chain
    with training pushes — colocation contention is physical, not modelled;
-5. completes via a callback on the request's done event, which fires at
+4. completes via a callback on the request's done event, which fires at
    the acknowledgement instant in both engine coalescing modes, releasing
    the admission slot and recording the latency.
 
@@ -59,60 +62,77 @@ class ServingTier:
         self.recorder = recorder if recorder is not None else job.recorder
         self.admission = AdmissionLedger(spec.queue_capacity)
         self.slo = SLOTracker(spec.window_s)
-        self.arrivals = 0
         self.admitted = 0
         self.completed = 0
         self._shed_counts = {"overload": 0, "throttled": 0}
         self._seed = int(seed)
         self._targets_cache: Tuple[Optional[list], Dict[str, object]] = (None, {})
-        self._shard_order: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
     # Launch (called by PSTrainingJob.start once servers are up).
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Precompute every tenant's trace and launch its process."""
+        """Precompute every tenant's trace and launch the arrival process."""
         spec = self.spec
         smap = self.job.shard_map
         # Shards sorted heaviest-first: block-mapping hot key ranks onto
         # this order concentrates Zipf mass on the declared hot shards.
-        self._shard_order = sorted(
+        shard_order = np.array(sorted(
             range(smap.num_shards),
-            key=lambda shard: (-smap.weight_of(shard), shard))
+            key=lambda shard: (-smap.weight_of(shard), shard)))
+        traces = []
         for index, tenant in enumerate(spec.tenants):
             rng = np.random.default_rng((self._seed, _SEED_SALT, index))
             times = arrival_times(rng, tenant.shape, tenant.rate_rps,
                                   spec.start_s, spec.duration_s)
             keys = zipf_keys(rng, times.shape[0], spec.num_keys, spec.zipf_s)
             reads = rng.random(times.shape[0]) < spec.read_fraction
-            self.env.process(self._tenant_proc(tenant, times, keys, reads))
+            shards = shard_order[(keys * smap.num_shards) // spec.num_keys]
+            traces.append(_TenantTrace(tenant, spec.start_s, times, shards,
+                                       reads))
+        self.env.process(self._arrivals(traces))
 
-    def _tenant_proc(self, tenant: TenantSpec, times: np.ndarray,
-                     keys: np.ndarray, reads: np.ndarray):
-        env = self.env
+    def _arrivals(self, traces: List["_TenantTrace"]):
+        """Walk every trace in the order per-arrival timeouts would fire."""
+        wakeups = self.env.wakeups()
+        for trace in traces:
+            self._walk(trace, wakeups, woken=False)
+        while wakeups:
+            trace, wait = wakeups.next()
+            if wait is not None:
+                yield wait
+            self._walk(trace, wakeups, woken=True)
+
+    def _walk(self, trace: "_TenantTrace", wakeups, woken: bool) -> None:
+        """Serve ``trace``'s arrivals due now, then reserve the next one.
+
+        ``woken`` marks the arrival at the cursor as the one just woken for:
+        it is served without comparing its time to the clock again, as a
+        timeout's waiter would be.  A tenant stops at its first arrival
+        after the job completed, or at the end of its trace.
+        """
         job = self.job
-        spec = self.spec
-        slo = self.slo
-        bucket = bucket_for(tenant.rate_limit_rps, tenant.burst_s,
-                            spec.start_s)
-        name = tenant.name
-        num_shards = len(self._shard_order)
-        for i in range(times.shape[0]):
-            when = float(times[i])
-            if when > env.now:
-                yield env.timeout(when - env.now)
+        now = self.env.now
+        name = trace.name
+        bucket = trace.bucket
+        times = trace.times
+        for i in range(trace.cursor, times.shape[0]):
+            if not woken:
+                when = float(times[i])
+                if when > now:
+                    trace.cursor = i
+                    wakeups.add(when, trace)
+                    return
+            woken = False
             if job.completed:
                 return
-            now = env.now
-            self.arrivals += 1
-            slo.on_arrival(name, now)
+            self.slo.on_arrival(name, now)
             if bucket is not None and not bucket.try_acquire(now):
                 self._shed(name, now, "throttled")
                 continue
-            shard = self._shard_order[
-                (int(keys[i]) * num_shards) // spec.num_keys]
-            self._dispatch(name, now, shard, bool(reads[i]))
+            self._dispatch(name, now, int(trace.shards[i]),
+                           bool(trace.reads[i]))
 
     # ------------------------------------------------------------------
     # Routing, admission, completion.
@@ -198,3 +218,19 @@ class ServingTier:
         summary = self.slo.finalize(elapsed, self.admitted - self.completed)
         summary["peak_server_inflight"] = self.admission.peak_inflight()
         return summary
+
+
+class _TenantTrace:
+    """One tenant's precomputed arrivals and how far the walk has got."""
+
+    __slots__ = ("name", "bucket", "times", "shards", "reads", "cursor")
+
+    def __init__(self, tenant: TenantSpec, start_s: float, times: np.ndarray,
+                 shards: np.ndarray, reads: np.ndarray) -> None:
+        self.name = tenant.name
+        self.bucket = bucket_for(tenant.rate_limit_rps, tenant.burst_s,
+                                 start_s)
+        self.times = times
+        self.shards = shards
+        self.reads = reads
+        self.cursor = 0

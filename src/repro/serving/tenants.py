@@ -44,11 +44,6 @@ class TokenBucket:
             return True
         return False
 
-    @property
-    def tokens(self) -> float:
-        """Tokens currently in the bucket (as of the last refill)."""
-        return self._tokens
-
 
 def bucket_for(rate_limit_rps: Optional[float], burst_s: float,
                start_s: float) -> Optional[TokenBucket]:

@@ -34,6 +34,14 @@ re-plans from the perturbation point.  The ``coalesce`` flag (or the
 mechanism off, falling back to strictly per-event stepping — both modes
 produce byte-identical traces, which the golden suite pins.
 
+The same flag gates *inline wake-ups* (:meth:`Environment.wakeups`): a
+process walking precomputed timelines — the serving tier's arrival traces —
+reserves the heap key each of its timeouts would get without pushing it, and
+when a reserved key provably is the next event (it sorts below the heap top
+and lies within the running ``run(until=)`` bound) the clock steps to it in
+place: no heap push or pop, no generator resume.  Otherwise exactly that key
+goes through the heap.
+
 The environment keeps the two event counters separate: ``processed_count``
 counts *physical* heap pops, while :meth:`count_coalesced` accounts the
 *logical* events a coalesced window stood in for, so throughput numbers stay
@@ -58,7 +66,7 @@ import gc
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Environment",
@@ -69,6 +77,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "CountdownEvent",
+    "Wakeups",
     "Store",
     "StopSimulation",
     "PENDING",
@@ -561,6 +570,65 @@ class CountdownEvent(Event):
                 env.coalesced_count -= 1
 
 
+class Wakeups:
+    """Timeouts one process reserves ahead, stepped inline while next.
+
+    :meth:`add` reserves the heap key ``env.timeout(when - env.now)`` would
+    create — the same float rounding, an event id drawn at the same point,
+    counted in ``scheduled_count`` — without pushing it.  :meth:`next` takes
+    the earliest reservation.  When that key provably is the next event —
+    the environment coalesces, the key sorts strictly below the heap top and
+    its time lies within the running ``run(until=)`` bound — the clock steps
+    to it in place and ``coalesced_count`` accounts the pop it saved, so the
+    caller carries on without yielding.  Otherwise exactly that key is pushed
+    and the event to yield is returned.  Either way the process sees the
+    clock and the event order plain timeouts would give it.  With
+    ``coalesce=False`` and under :meth:`Environment.step` every wake-up goes
+    through the heap.
+    """
+
+    __slots__ = ("env", "_keys")
+
+    def __init__(self, env: "Environment") -> None:
+        self.env = env
+        # Reserved (when, priority, eid, tag) keys, a heap like the env's.
+        self._keys: List = []
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def add(self, when: float, tag: Any) -> None:
+        """Reserve a wake-up at absolute time ``when``, returned with ``tag``."""
+        env = self.env
+        now = env._now
+        delay = when - now
+        if delay < 0:
+            raise ValueError(f"wake-up at {when} lies in the past (now={now})")
+        env.scheduled_count += 1
+        heapq.heappush(self._keys, (now + delay, _NORMAL, next(env._eid), tag))
+
+    def next(self) -> Tuple[Any, Optional[Event]]:
+        """Take the earliest reservation as ``(tag, event)``.
+
+        ``event`` is None when the wake-up was stepped inline (the clock now
+        reads its time); otherwise the caller yields it.
+        """
+        env = self.env
+        key = heapq.heappop(self._keys)
+        when = key[0]
+        queue = env._queue
+        if (env.coalesce and when <= env._inline_until
+                and (not queue or key < queue[0])):
+            env._now = when
+            env.coalesced_count += 1
+            return key[3], None
+        event = Event(env)
+        event._ok = True
+        event._value = None
+        heapq.heappush(queue, (when, _NORMAL, key[2], event))
+        return key[3], event
+
+
 class Store:
     """An unbounded FIFO channel between processes.
 
@@ -672,15 +740,15 @@ class Environment:
     ``processed_count + coalesced_count``.
 
     ``coalesce`` gates whether components are allowed to batch at all:
-    server request coalescing and the worker-side deferred-pull latch both
-    consult it, so ``Environment(coalesce=False)`` reproduces the strictly
-    event-per-request execution (the golden suite pins both modes to the
-    same byte-identical traces).
+    server request coalescing, the worker-side deferred-pull latch and
+    :class:`Wakeups` all consult it, so ``Environment(coalesce=False)``
+    reproduces the strictly event-per-request execution (the golden suite
+    pins both modes to the same byte-identical traces).
     """
 
     __slots__ = ("_now", "_queue", "_eid", "_active_process",
                  "scheduled_count", "processed_count",
-                 "coalesce", "coalesced_count", "_dead")
+                 "coalesce", "coalesced_count", "_dead", "_inline_until")
 
     def __init__(self, initial_time: float = 0.0, coalesce: bool = True) -> None:
         self._now = float(initial_time)
@@ -695,6 +763,9 @@ class Environment:
         # killed lazily: the run loop drops them on pop instead of paying an
         # O(n) heap rebuild per rescission.
         self._dead: set = set()
+        # Latest time a Wakeups reservation may be stepped to inline: the
+        # running run()'s numeric bound; -inf outside run(), so under step().
+        self._inline_until = float("-inf")
 
     @property
     def now(self) -> float:
@@ -730,6 +801,10 @@ class Environment:
     def store(self) -> Store:
         """Create a new FIFO :class:`Store`."""
         return Store(self)
+
+    def wakeups(self) -> Wakeups:
+        """Create a :class:`Wakeups` set for the calling process."""
+        return Wakeups(self)
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
@@ -832,6 +907,7 @@ class Environment:
         heappop = heapq.heappop
         dead = self._dead
         processed = 0
+        outer_until, self._inline_until = self._inline_until, stop_time
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -855,6 +931,7 @@ class Environment:
             return stop.args[0] if stop.args else None
         finally:
             self.processed_count += processed
+            self._inline_until = outer_until
             if gc_was_enabled:
                 gc.enable()
 

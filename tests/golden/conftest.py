@@ -7,6 +7,9 @@ import pytest
 #: Where the checked-in golden traces live (one JSON file per scenario).
 TRACE_DIR = Path(__file__).resolve().parent / "traces"
 
+#: Per-scenario work counts with coalescing on (one row per scenario).
+COSTS_PATH = Path(__file__).resolve().parent / "costs.json"
+
 
 @pytest.fixture
 def update_golden(request) -> bool:
@@ -19,3 +22,9 @@ def trace_dir() -> Path:
     """The golden-trace directory (created on demand)."""
     TRACE_DIR.mkdir(parents=True, exist_ok=True)
     return TRACE_DIR
+
+
+@pytest.fixture
+def costs_path() -> Path:
+    """The checked-in work-count file (``{scenario: {physical, logical}}``)."""
+    return COSTS_PATH

@@ -11,6 +11,13 @@ Regenerate traces *deliberately* after an intended behaviour change with::
     pytest tests/golden --update-golden        # or: make golden-update
 
 and review the diff like any other code change.
+
+The same runs pin each scenario's work in ``costs.json``: physical heap pops
+and logical events with coalescing on.  A change that makes the simulator do
+more (or less) work shows up there as a reviewed diff beside the traces.
+Costs differ between coalescing modes, so they are compared only with
+coalescing on (not under ``REPRO_NO_COALESCE=1``); ``--update-golden``
+rewrites the rows too.
 """
 
 import json
@@ -46,15 +53,26 @@ def test_registry_has_full_matrix():
     assert workers >= 120, "the matrix must keep a >=120-worker scale point"
 
 
+def _load_costs(costs_path):
+    return json.loads(costs_path.read_text()) if costs_path.exists() else {}
+
+
 @pytest.mark.parametrize("name", _params())
-def test_scenario_matches_golden_trace(name, update_golden, trace_dir):
+def test_scenario_matches_golden_trace(name, update_golden, trace_dir, costs_path):
     spec = get_scenario(name)
     result = simulate_spec(spec)
     assert result.run.completed, f"scenario {name!r} no longer completes"
     text = result.golden_trace()
     path = trace_dir / f"{name}.json"
+    coalesced = result.job.env.coalesce
+    cost = {"physical": result.run.engine_events_physical,
+            "logical": result.run.engine_events_processed}
     if update_golden:
         path.write_text(text)
+        if coalesced:
+            costs = _load_costs(costs_path)
+            costs[name] = cost
+            costs_path.write_text(canonical_json(costs))
         return
     assert path.exists(), (
         f"no golden trace for scenario {name!r}; generate it with "
@@ -66,19 +84,26 @@ def test_scenario_matches_golden_trace(name, update_golden, trace_dir):
         f"change is intended, regenerate with 'pytest tests/golden --update-golden' "
         f"and review the diff"
     )
+    if coalesced:
+        assert _load_costs(costs_path).get(name) == cost, (
+            f"scenario {name!r} changed its work counts (physical heap pops, "
+            f"logical events); if intended, regenerate with 'pytest tests/golden "
+            f"--update-golden' and review the costs.json diff"
+        )
 
 
-def test_no_stale_golden_traces(trace_dir):
-    """Every checked-in trace must correspond to a registered scenario."""
-    stored = {path.stem for path in trace_dir.glob("*.json")}
+def test_no_stale_golden_traces(trace_dir, costs_path):
+    """Every checked-in trace and cost row must name a registered scenario."""
     registered = set(SCENARIOS)
-    stale = stored - registered
+    stale = {path.stem for path in trace_dir.glob("*.json")} - registered
     assert not stale, f"golden traces without a registered scenario: {sorted(stale)}"
+    stale = set(_load_costs(costs_path)) - registered
+    assert not stale, f"cost rows without a registered scenario: {sorted(stale)}"
 
 
-def test_golden_traces_are_canonical(trace_dir):
+def test_golden_traces_are_canonical(trace_dir, costs_path):
     """Traces must stay in the canonical byte form (sorted keys, 2-space indent)."""
-    for path in sorted(trace_dir.glob("*.json")):
+    for path in [*sorted(trace_dir.glob("*.json")), costs_path]:
         payload = json.loads(path.read_text())
         assert canonical_json(payload) == path.read_text(), (
             f"{path.name} is not in canonical form; regenerate with --update-golden"

@@ -10,6 +10,8 @@ checked-in golden trace byte for byte.
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.obs import capture_trace, run_trace_sweep
 from repro.orchestrator import ResultStore, spec_key
 from repro.orchestrator.cli import main as cli_main
@@ -25,8 +27,15 @@ AUTOSCALED = "elastic-autoscale-utilization"
 STATIC = "dedicated-baseline"
 
 
-def test_coalescing_mode_does_not_change_trace_bytes():
-    spec = get_scenario(AUTOSCALED)
+@pytest.mark.parametrize("name", [
+    AUTOSCALED,
+    # Serving arrivals stepped inline record shed counters and request spans
+    # at arrival time; the promotion burst also re-delivers in-flight requests.
+    "serving-overload-shed",
+    "serving-promotion-burst",
+])
+def test_coalescing_mode_does_not_change_trace_bytes(name):
+    spec = get_scenario(name)
     on = capture_trace(spec, coalesce=True)
     off = capture_trace(spec, coalesce=False)
     assert on.jsonl == off.jsonl

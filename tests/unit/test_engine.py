@@ -466,3 +466,171 @@ def test_countdown_fires_at_latest_contribution(contributions, fire_delay, fired
     assert armed[-1] and not any(armed[:-1])
     assert (env.now, latch.value) == fired
     assert env.coalesced_count == (1 if fire_delay else 0)  # the wait rode along
+
+
+# -- Wakeups: reserved timeouts stepped inline while they are next ----------
+
+
+def _walk(env, timelines, log):
+    """One process walking ``{tag: times}`` through Wakeups; logs (tag, now)."""
+    wakeups = env.wakeups()
+    cursors = {}
+    for tag, times in timelines.items():
+        wakeups.add(times[0], tag)
+        cursors[tag] = 1
+    while wakeups:
+        tag, wait = wakeups.next()
+        if wait is not None:
+            yield wait
+        log.append((tag, env.now))
+        i = cursors[tag]
+        if i < len(timelines[tag]):
+            wakeups.add(timelines[tag][i], tag)
+            cursors[tag] = i + 1
+
+
+def _walk_with_timeouts(env, tag, times, log):
+    """The same timeline as one process of plain timeouts (the reference)."""
+    for when in times:
+        yield env.timeout(when - env.now)
+        log.append((tag, env.now))
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_wakeups_interleave_like_plain_timeouts(coalesce):
+    # Ties with the ticker at 1.0, 2.0 and 3.0; a two-arrival instant at 2.0;
+    # and 0.9 reserved at 0.2, where 0.2 + (0.9 - 0.2) rounds to 0.8999...
+    timelines = {"a": (0.2, 0.9, 2.0, 2.0, 3.5, 3.7), "b": (0.1, 1.0, 2.0, 2.5, 3.0)}
+
+    def ticker(env, log):
+        for delay in (1.0, 1.0, 1.0, 0.7):
+            yield env.timeout(delay)
+            log.append(("tick", env.now))
+
+    def simulate(use_wakeups):
+        env = Environment(coalesce=coalesce)
+        log = []
+        env.process(ticker(env, log))
+        if use_wakeups:
+            env.process(_walk(env, timelines, log))
+        else:
+            for tag, times in timelines.items():
+                env.process(_walk_with_timeouts(env, tag, times, log))
+        env.run()
+        return env, log
+
+    env, log = simulate(use_wakeups=True)
+    reference_env, reference = simulate(use_wakeups=False)
+    assert log == reference
+    assert ("a", 0.2 + (0.9 - 0.2)) in log and ("tick", 2.0) in log
+    # One walking process stands in for two: one start and one exit fewer.
+    logical = env.processed_count + env.coalesced_count
+    assert logical == reference_env.processed_count - 2
+    assert env.scheduled_count == reference_env.scheduled_count - 2
+    if coalesce:
+        assert 0 < env.coalesced_count < sum(map(len, timelines.values()))
+    else:
+        assert env.coalesced_count == 0
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+@pytest.mark.parametrize("reserved_first", [True, False])
+def test_wakeup_ties_order_by_reservation(coalesce, reserved_first):
+    env = Environment(coalesce=coalesce)
+    log = []
+
+    def waker():
+        wakeups = env.wakeups()
+        wakeups.add(2.0, "wake-up")
+        # Let the sleeper schedule its 2.0 timeout, then take the wake-up
+        # with that timeout on top of the heap.
+        yield env.timeout(1.0)
+        tag, wait = wakeups.next()
+        if wait is not None:
+            yield wait
+        log.append((tag, env.now))
+
+    def sleeper():
+        yield env.timeout(2.0)
+        log.append(("timeout", env.now))
+
+    first, second = (waker, sleeper) if reserved_first else (sleeper, waker)
+    env.process(first())
+    env.process(second())
+    env.run()
+    expected = [("wake-up", 2.0), ("timeout", 2.0)]
+    assert log == (expected if reserved_first else expected[::-1])
+    assert env.coalesced_count == (1 if coalesce and reserved_first else 0)
+
+
+def test_wakeups_stop_at_a_numeric_run_bound():
+    env = Environment()
+    log = []
+    env.process(_walk(env, {"w": (1.0, 2.0, 3.0)}, log))
+    env.run(until=2.5)
+    assert log == [("w", 1.0), ("w", 2.0)]
+    assert env.now == 2.5
+    assert env.coalesced_count == 2
+    env.run()
+    assert log[-1] == ("w", 3.0)
+    assert env.now == 3.0
+
+
+def test_nested_run_restores_the_outer_inline_bound():
+    env = Environment()
+    log = []
+    nested = env.event()
+    nested.callbacks.append(lambda _event: env.run(until=0.75))
+    env.schedule_at(nested, 0.5)
+    env.process(_walk(env, {"w": (1.0, 2.0, 3.0)}, log))
+    env.run(until=2.5)
+    assert log == [("w", 1.0), ("w", 2.0)]
+    assert env.now == 2.5
+    # 1.0 waited behind the 0.5 entry; 2.0 stepped inline under the outer
+    # bound, which the nested run(until=0.75) handed back when it returned.
+    assert env.coalesced_count == 1
+
+
+def test_wakeup_behind_a_discarded_top_goes_through_the_heap():
+    env = Environment()
+    log = []
+    stale = env.event()
+    stale.callbacks.append(lambda _event: log.append(("stale", env.now)))
+    env.discard_scheduled(env.schedule_at(stale, 0.5))
+    env.process(_walk(env, {"w": (1.0, 2.0)}, log))
+    env.run()
+    assert log == [("w", 1.0), ("w", 2.0)]
+    # Start, the 1.0 wake-up (behind the dead 0.5 entry) and exit popped.
+    assert env.processed_count == 3
+    assert env.coalesced_count == 1
+
+
+def test_uncoalesced_wakeups_each_pop_the_heap():
+    times = (1.0, 1.5, 2.0, 2.0, 4.0)
+    env = Environment(coalesce=False)
+    log = []
+    env.process(_walk(env, {"w": times}, log))
+    env.run()
+    assert log == [("w", when) for when in times]
+    assert env.processed_count == len(times) + 2  # plus the start and exit
+    assert env.coalesced_count == 0
+
+
+def test_step_processes_one_wakeup_per_call():
+    env = Environment()
+    log = []
+    env.process(_walk(env, {"w": (1.0, 2.0, 3.0)}, log))
+    env.step()  # the process starts and reserves
+    assert log == []
+    for when in (1.0, 2.0, 3.0):
+        env.step()
+        assert log == [("w", at) for at in (1.0, 2.0, 3.0) if at <= when]
+        assert env.now == when
+    assert env.coalesced_count == 0
+
+
+def test_wakeup_in_the_past_is_rejected():
+    env = Environment()
+    env.run(until=1.0)
+    with pytest.raises(ValueError):
+        env.wakeups().add(0.5, "late")

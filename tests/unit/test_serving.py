@@ -127,16 +127,6 @@ def test_admission_ledger_bounds_inflight_and_tracks_the_peak():
         AdmissionLedger(capacity=0)
 
 
-def test_least_loaded_prefers_the_first_emptiest_candidate():
-    ledger = AdmissionLedger(capacity=8)
-    ledger.try_admit("s0")
-    # Ties break in candidate order — the primary-then-standbys chain order.
-    assert ledger.least_loaded(["s1", "s2"]) == "s1"
-    assert ledger.least_loaded(["s0", "s1"]) == "s1"
-    with pytest.raises(ValueError):
-        ledger.least_loaded([])
-
-
 # ---------------------------------------------------------------------------
 # SLO accounting
 # ---------------------------------------------------------------------------
