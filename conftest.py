@@ -12,8 +12,7 @@ Markers
 ``golden``
     Golden-trace regression tests (``tests/golden/``): every registered
     scenario's fingerprint must match its checked-in trace byte for byte.
-    Regenerate deliberately with ``pytest tests/golden --update-golden``
-    (or ``make golden-update``).
+    Regenerate traces and cost rows deliberately with ``make golden-update``.
 ``slow``
     The heavyweight tail (large-cluster scenarios, scale sweeps).  Skip it
     during tight edit loops with ``pytest -m "not slow"``.
@@ -51,17 +50,6 @@ def _isolated_result_store(tmp_path_factory):
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = previous
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--update-golden",
-        action="store_true",
-        default=False,
-        help="Rewrite the golden traces under tests/golden/traces/ and the "
-             "rows of tests/golden/costs.json instead of comparing against "
-             "them (deliberate regeneration).",
-    )
 
 
 def pytest_configure(config):

@@ -13,9 +13,9 @@ Walks through the full life of a custom scenario:
    that ``tests/golden`` pins for every registered scenario.
 
 To pin a scenario of your own, register it inside
-``src/repro/scenarios/registry.py`` and run ``make golden-update`` (or
-``pytest tests/golden --update-golden``) once to write its trace; from then
-on any behavioural drift fails ``pytest -m golden``.
+``src/repro/scenarios/registry.py`` and run ``make golden-update`` once to
+write its trace and its ``costs.json`` row; from then on any behavioural
+drift fails ``pytest -m golden``.
 
 Run with::
 

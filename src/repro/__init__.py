@@ -17,6 +17,8 @@ for Leader and Straggler Nodes" (ICDE 2024) in pure Python:
 * :mod:`repro.experiments` — per-figure/table experiment generators.
 * :mod:`repro.scenarios` — declarative scenario specs, registry, and
   golden-trace fingerprints.
+* :mod:`repro.codec` — the one dict codec every declarative spec class
+  serializes through.
 * :mod:`repro.orchestrator` — parallel sweep execution with a
   content-addressed result store, exposed as the ``python -m repro`` CLI.
 * :mod:`repro.perf` — engine performance measurement (timers, engine

@@ -8,9 +8,10 @@ Two invariants that no single file can witness:
   scenario ships unpinned; an orphan trace means the byte-identity gate is
   "verifying" behaviour nothing can reproduce.
 
-* **Spec fields <-> round-trip strategy.**  Every field of the frozen spec
-  dataclasses must appear (as a keyword argument) in the hypothesis
-  round-trip strategies in ``tests/property/test_scenario_roundtrip.py``.
+* **Spec fields <-> round-trip strategy.**  Every field of every spec
+  dataclass the spec codec (:class:`~repro.codec.SpecCodec`) serializes
+  must appear (as a keyword argument) in the hypothesis round-trip
+  strategies in ``tests/property/test_scenario_roundtrip.py``.
   A field added to a spec but not to its strategy silently escapes the
   lossless-serialization property — exactly how a cache-key or golden-trace
   bug ships.
@@ -26,8 +27,9 @@ import ast
 import dataclasses
 import importlib
 from pathlib import Path
-from typing import List, Set, Tuple
+from typing import List, Set
 
+from ..codec import SpecCodec
 from .findings import Finding
 from .registry import Rule, register
 
@@ -38,21 +40,6 @@ TRIGGER_SUFFIX = "repro/scenarios/registry.py"
 
 _TRACES_DIR = Path("tests") / "golden" / "traces"
 _STRATEGY_FILE = Path("tests") / "property" / "test_scenario_roundtrip.py"
-
-#: The frozen spec dataclasses whose every field must round-trip.  Kept as
-#: dotted paths (resolved lazily) so importing the linter never drags the
-#: whole simulation stack in.
-_SPEC_CLASSES: Tuple[Tuple[str, str], ...] = (
-    ("repro.scenarios.spec", "ScenarioSpec"),
-    ("repro.scenarios.spec", "TopologySpec"),
-    ("repro.scenarios.spec", "FailureTraceSpec"),
-    ("repro.scenarios.spec", "FailureEvent"),
-    ("repro.elastic.spec", "ElasticSpec"),
-    ("repro.elastic.spec", "ServerElasticSpec"),
-    ("repro.elastic.spec", "ScaleEvent"),
-    ("repro.serving.spec", "ServingSpec"),
-    ("repro.serving.spec", "TenantSpec"),
-)
 
 
 @register
@@ -119,19 +106,24 @@ def _check_roundtrip_fields(root: Path) -> List[Finding]:
     except SyntaxError as exc:
         return [_finding(rel, f"could not parse strategy file: {exc}",
                          line=exc.lineno or 1)]
+    try:
+        # Importing the scenario spec module imports every spec module.
+        importlib.import_module("repro.scenarios.spec")
+    except Exception as exc:  # pragma: no cover - import environment broken
+        return [_finding(rel, f"could not import the scenario specs: {exc}")]
+    # Every class the spec codec serializes; the module filter keeps toy
+    # specs that tests define out of the check.
+    spec_classes = sorted(
+        (cls for cls in SpecCodec.__subclasses__()
+         if cls.__module__.startswith("repro.")),
+        key=lambda cls: cls.__name__)
     findings: List[Finding] = []
-    for module_name, class_name in _SPEC_CLASSES:
-        try:
-            cls = getattr(importlib.import_module(module_name), class_name)
-        except Exception as exc:  # pragma: no cover - import environment broken
-            findings.append(_finding(
-                rel, f"could not import {module_name}.{class_name}: {exc}"))
-            continue
+    for cls in spec_classes:
         for spec_field in dataclasses.fields(cls):
             if spec_field.name not in keywords:
                 findings.append(_finding(
                     rel,
-                    f"{class_name}.{spec_field.name} never appears as a "
+                    f"{cls.__name__}.{spec_field.name} never appears as a "
                     f"keyword in the round-trip strategies — a spec field "
                     f"the lossless-serialization property cannot see"))
     return findings

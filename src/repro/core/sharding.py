@@ -426,7 +426,6 @@ class StaticPartition(DataAllocator):
             offset += length
         self._epoch: Dict[str, int] = {worker: 0 for worker in self.workers}
         self._cursor: Dict[str, int] = {worker: self._bounds[worker][0] for worker in self.workers}
-        self._confirmed: Dict[str, int] = {worker: 0 for worker in self.workers}
         self._consumed: Dict[str, int] = {worker: 0 for worker in self.workers}
 
     @property

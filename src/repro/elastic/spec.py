@@ -3,20 +3,21 @@
 An :class:`ElasticSpec` describes *when and how a job's worker membership
 changes*: a deterministic schedule of :class:`ScaleEvent` steps, an autoscaler
 policy (by registry name, with JSON-safe parameters), or both.  Like every
-other scenario ingredient it round-trips losslessly through ``to_dict`` /
-``from_dict``, so elastic scenarios can be named, content-addressed by the
-result store, and pinned to golden traces.
+other scenario ingredient it serializes through the one spec codec
+(:class:`~repro.codec.SpecCodec`), so elastic scenarios can be named,
+content-addressed by the result store, and pinned to golden traces.
 
 The module is deliberately dependency-light (no simulation imports): it is
-pulled in by :mod:`repro.scenarios.spec` for serialization, while the runtime
-wiring lives in :mod:`repro.elastic.autoscaler` and
-:mod:`repro.scenarios.matrix`.
+pulled in by :mod:`repro.scenarios.spec`, while the runtime wiring lives in
+:mod:`repro.elastic.autoscaler` and :mod:`repro.scenarios.matrix`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
+from ..codec import SpecCodec
 
 __all__ = ["ScaleEvent", "ServerElasticSpec", "ElasticSpec", "NO_ELASTIC",
            "NO_SERVER_ELASTIC"]
@@ -39,7 +40,7 @@ def _json_normalize(value: object) -> object:
 
 
 @dataclass(frozen=True)
-class ScaleEvent:
+class ScaleEvent(SpecCodec):
     """One scheduled membership change.
 
     ``action`` is ``"out"`` (request ``count`` extra workers from the cluster
@@ -69,24 +70,9 @@ class ScaleEvent:
         if self.count <= 0:
             raise ValueError("scale events must move at least one worker")
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-safe); inverse of :meth:`from_dict`."""
-        return {"time_s": self.time_s, "action": self.action,
-                "count": self.count, "nodes": list(self.nodes)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ScaleEvent":
-        """Rebuild an event from :meth:`to_dict` output (lossless)."""
-        return cls(
-            time_s=data["time_s"],
-            action=data["action"],
-            count=data.get("count", 1),
-            nodes=tuple(data.get("nodes", ())),
-        )
-
 
 @dataclass(frozen=True)
-class ServerElasticSpec:
+class ServerElasticSpec(SpecCodec):
     """Elastic-membership knobs of the parameter-server tier.
 
     Attributes
@@ -120,8 +106,7 @@ class ServerElasticSpec:
         holds the shard bytes but may trail the primary's most recent
         updates, so a kill-path promotion charges this catch-up window on
         top of the flat promotion cost before the promoted owners accept
-        re-routed traffic.  Defaults to ``0.0`` (instantly-fresh standbys —
-        the pre-existing behaviour, byte for byte).
+        re-routed traffic.  Defaults to ``0.0`` (instantly-fresh standbys).
     """
 
     events: Tuple[ScaleEvent, ...] = ()
@@ -173,53 +158,13 @@ class ServerElasticSpec:
         return (bool(self.events) or self.policy is not None
                 or self.replicas > 0 or bool(self.hot_shards))
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-safe); inverse of :meth:`from_dict`.
-
-        ``replicas`` and ``hot_shards`` are included only when non-default:
-        the canonical JSON of every pre-replication spec — and with it every
-        content-addressed result-store key — must stay byte-identical.
-        """
-        data: Dict[str, object] = {
-            "events": [event.to_dict() for event in self.events],
-            "policy": self.policy,
-            "policy_params": [[key, value] for key, value in self.policy_params],
-            "min_servers": self.min_servers,
-            "max_servers": self.max_servers,
-        }
-        if self.replicas:
-            data["replicas"] = self.replicas
-        if self.hot_shards:
-            data["hot_shards"] = [[shard, weight]
-                                  for shard, weight in self.hot_shards]
-        if self.staleness_catchup_s:
-            data["staleness_catchup_s"] = self.staleness_catchup_s
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ServerElasticSpec":
-        """Rebuild a spec from :meth:`to_dict` output (lossless)."""
-        return cls(
-            events=tuple(ScaleEvent.from_dict(event)
-                         for event in data.get("events", ())),
-            policy=data.get("policy"),
-            policy_params=tuple(
-                (key, value) for key, value in data.get("policy_params", ())),
-            min_servers=data.get("min_servers", 1),
-            max_servers=data.get("max_servers"),
-            replicas=data.get("replicas", 0),
-            hot_shards=tuple((shard, weight)
-                             for shard, weight in data.get("hot_shards", ())),
-            staleness_catchup_s=data.get("staleness_catchup_s", 0.0),
-        )
-
 
 #: The inert server-tier default: no schedule, no autoscaler (falsy).
 NO_SERVER_ELASTIC = ServerElasticSpec()
 
 
 @dataclass(frozen=True)
-class ElasticSpec:
+class ElasticSpec(SpecCodec):
     """Elastic-scaling knobs of a scenario.
 
     Attributes
@@ -242,10 +187,7 @@ class ElasticSpec:
     servers:
         Elastic membership of the parameter-server tier
         (:class:`ServerElasticSpec`).  Defaults to the inert
-        :data:`NO_SERVER_ELASTIC`; a default-valued section is omitted from
-        the dict/JSON form entirely, so every pre-existing spec keeps its
-        canonical bytes — and therefore its content-addressed result-store
-        key — unchanged.
+        :data:`NO_SERVER_ELASTIC`.
     """
 
     events: Tuple[ScaleEvent, ...] = ()
@@ -287,43 +229,6 @@ class ElasticSpec:
 
     def __bool__(self) -> bool:
         return bool(self.events) or self.policy is not None or bool(self.servers)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-safe); inverse of :meth:`from_dict`.
-
-        The ``servers`` section is included only when it differs from the
-        default: the canonical JSON of every pre-PR-5 spec — and with it
-        every golden fingerprint and every content-addressed result-store
-        key — must stay byte-identical.
-        """
-        data: Dict[str, object] = {
-            "events": [event.to_dict() for event in self.events],
-            "policy": self.policy,
-            "policy_params": [[key, value] for key, value in self.policy_params],
-            "interval_s": self.interval_s,
-            "cooldown_s": self.cooldown_s,
-            "min_workers": self.min_workers,
-            "max_workers": self.max_workers,
-        }
-        if self.servers != NO_SERVER_ELASTIC:
-            data["servers"] = self.servers.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ElasticSpec":
-        """Rebuild a spec from :meth:`to_dict` output (lossless)."""
-        return cls(
-            events=tuple(ScaleEvent.from_dict(event)
-                         for event in data.get("events", ())),
-            policy=data.get("policy"),
-            policy_params=tuple(
-                (key, value) for key, value in data.get("policy_params", ())),
-            interval_s=data.get("interval_s", 20.0),
-            cooldown_s=data.get("cooldown_s", 0.0),
-            min_workers=data.get("min_workers", 1),
-            max_workers=data.get("max_workers"),
-            servers=ServerElasticSpec.from_dict(data.get("servers", {})),
-        )
 
 
 #: The inert default: no schedule, no autoscaler (falsy).

@@ -14,18 +14,19 @@ occurring stragglers cannot be controlled (§VII-A.4):
   node, background noise everywhere), expressed as ``side="trace"``.
 
 :class:`StragglerScenario` is a *serializable* declarative description — it
-round-trips through :meth:`~StragglerScenario.to_dict` /
-:meth:`~StragglerScenario.from_dict` — so the scenario subsystem
-(:mod:`repro.scenarios`) can embed it in golden-traced scenario specs.
+round-trips through the one spec codec (:class:`~repro.codec.SpecCodec`) —
+so the scenario subsystem (:mod:`repro.scenarios`) can embed it in
+golden-traced scenario specs.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
+from ..codec import SpecCodec
 from ..sim.cluster import Cluster
 from ..sim.contention import (
     CompositeContention,
@@ -42,7 +43,7 @@ __all__ = ["StragglerScenario", "NO_STRAGGLERS", "worker_scenario", "server_scen
 
 
 @dataclass(frozen=True)
-class StragglerScenario:
+class StragglerScenario(SpecCodec):
     """Declarative description of which stragglers to inject.
 
     ``side`` selects the paper's injection pattern: ``"worker"`` and
@@ -69,16 +70,6 @@ class StragglerScenario:
             raise ValueError("intensity must lie in [0, 1]")
         if not 0.0 <= self.transient_fraction <= 1.0:
             raise ValueError("transient_fraction must lie in [0, 1]")
-
-    # -- serialization -----------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-safe); inverse of :meth:`from_dict`."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "StragglerScenario":
-        """Rebuild a scenario from :meth:`to_dict` output (lossless)."""
-        return cls(**data)
 
 
 NO_STRAGGLERS = StragglerScenario(name="none", side="none", intensity=0.0)

@@ -63,7 +63,6 @@ class XDeepFMLite(Model):
         self.num_fields = len(self.field_cardinalities)
         self.num_dense = int(num_dense)
         self.embedding_dim = int(embedding_dim)
-        self.cin_maps = int(cin_maps)
 
         # Embedding tables and first-order (linear) weights per field.
         for j, cardinality in enumerate(self.field_cardinalities):

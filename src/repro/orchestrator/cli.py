@@ -24,9 +24,10 @@ Subcommands
     write identical files.
 ``golden-update``
     Regenerate (or ``--check``) the golden traces under
-    ``tests/golden/traces/`` through the parallel sweep path.  Parallel and
-    serial execution produce byte-identical traces; the golden suite is the
-    standing proof.
+    ``tests/golden/traces/`` and, with coalescing on, their work-count rows
+    in ``tests/golden/costs.json``, through the parallel sweep path.
+    Parallel and serial execution produce byte-identical traces; the golden
+    suite is the standing proof.
 ``lint``
     Run the :mod:`repro.analysis` determinism & sim-safety linter: AST rules
     (unseeded RNGs, wall-clock reads, unsorted iteration into golden output,
@@ -48,11 +49,13 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from ..core.config import coalesce_default
 from ..perf.profiling import (
     profiling_requested,
     run_profiled,
     warn_multiprocess_profile,
 )
+from ..scenarios.fingerprint import canonical_json
 from ..scenarios.registry import all_scenarios, get_scenario, has_tags
 from ..scenarios.spec import ScenarioSpec
 from .grid import expand_registry
@@ -378,22 +381,45 @@ def _cmd_golden_update(args: argparse.Namespace) -> int:
         text = outcome.golden_trace()
         if args.check:
             if not path.exists():
-                missing.append(outcome.name)
+                missing.append(str(path))
             elif path.read_text() != text:
-                drifted.append(outcome.name)
+                drifted.append(str(path))
         else:
             path.write_text(text)
+    # Work counts differ between coalescing modes and costs.json pins the
+    # coalesced ones, so its rows are written and checked only with
+    # coalescing on.  Rows of scenarios not selected are kept as they are.
+    costs_path = trace_dir.parent / "costs.json"
+    coalesced = coalesce_default()
+    if coalesced:
+        costs = json.loads(costs_path.read_text()) if costs_path.exists() else {}
+        for outcome in report.outcomes:
+            row = {"physical": outcome.engine["engine_events_physical"],
+                   "logical": outcome.engine["engine_events_processed"]}
+            where = f"{costs_path} [{outcome.name}]"
+            if not args.check:
+                costs[outcome.name] = row
+            elif outcome.name not in costs:
+                missing.append(where)
+            elif costs[outcome.name] != row:
+                drifted.append(where)
+        if not args.check:
+            costs_path.write_text(canonical_json(costs))
     print(report.stats_line())
+    costs_note = (f" (and cost rows in {costs_path})" if coalesced
+                  else " (cost rows skipped: coalescing is off)")
     if args.check:
+        for where in missing:
+            print(f"MISSING {where}", file=sys.stderr)
+        for where in drifted:
+            print(f"DRIFTED {where}", file=sys.stderr)
         if missing or drifted:
-            for name in missing:
-                print(f"MISSING {trace_dir / (name + '.json')}", file=sys.stderr)
-            for name in drifted:
-                print(f"DRIFTED {trace_dir / (name + '.json')}", file=sys.stderr)
             return 1
-        print(f"{len(report.outcomes)} golden trace(s) verified byte-identical")
+        print(f"{len(report.outcomes)} golden trace(s) verified "
+              f"byte-identical{costs_note}")
         return 0
-    print(f"{len(report.outcomes)} golden trace(s) written to {trace_dir}")
+    print(f"{len(report.outcomes)} golden trace(s) written to "
+          f"{trace_dir}{costs_note}")
     return 0
 
 
@@ -507,14 +533,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     golden_parser = commands.add_parser(
         "golden-update",
-        help="regenerate the golden traces through the parallel sweep path "
-             "(always simulates: the result store is bypassed)")
+        help="regenerate the golden traces and cost rows through the parallel "
+             "sweep path (always simulates: the result store is bypassed)")
     _add_selection_args(golden_parser)
     _add_runner_args(golden_parser, cache=False)
     golden_parser.add_argument("--check", action="store_true",
-                               help="verify traces instead of rewriting them")
+                               help="verify traces and cost rows instead of "
+                                    "rewriting them")
     golden_parser.add_argument("--trace-dir", metavar="DIR", default=None,
-                               help="write traces here instead of tests/golden/traces/")
+                               help="write traces here instead of "
+                                    "tests/golden/traces/ (cost rows go to "
+                                    "costs.json in its parent directory)")
     golden_parser.set_defaults(func=_cmd_golden_update)
 
     lint_parser = commands.add_parser(

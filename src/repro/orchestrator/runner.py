@@ -87,6 +87,9 @@ class SweepOutcome:
     traceback: Optional[str] = None
     cached: bool = False
     wall_s: float = 0.0
+    #: A fresh run's engine counts (``engine_events_scheduled`` /
+    #: ``_processed`` / ``_physical``); empty for cache hits and errors.
+    engine: Dict[str, int] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -232,22 +235,17 @@ class SweepRunner:
         outcome.wall_s = float(payload.get("wall_s", 0.0))
         if payload.get("ok"):
             outcome.fingerprint = payload["fingerprint"]
+            outcome.engine = {name: int(payload[name]) for name in (
+                "engine_events_scheduled", "engine_events_processed",
+                "engine_events_physical")}
             counters.add("simulations")
-            counters.update({
-                "engine_events_scheduled": payload.get("engine_events_scheduled", 0),
-                "engine_events_processed": payload.get("engine_events_processed", 0),
-                "engine_events_physical": payload.get("engine_events_physical", 0),
-            })
+            counters.update(outcome.engine)
             if self.store is not None:
                 # Attach the logical/physical split as a store sidecar so
                 # `python -m repro report` can show per-scenario engine work
                 # without re-simulating.
-                engine = {name: int(payload[name]) for name in (
-                    "engine_events_scheduled", "engine_events_processed",
-                    "engine_events_physical")
-                    if name in payload}
                 self.store.put(outcome.spec, outcome.fingerprint,
-                               engine=engine or None)
+                               engine=outcome.engine)
         else:
             outcome.error = str(payload.get("error", "unknown error"))
             outcome.traceback = payload.get("traceback")

@@ -15,7 +15,7 @@ experiments:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -54,21 +54,13 @@ class ComputeBackend:
 
 
 class SyntheticBackend(ComputeBackend):
-    """Timing-only backend: tracks how many samples were accepted and dropped."""
-
-    def __init__(self) -> None:
-        self.accepted_samples = 0
-        self.applied_updates = 0
-        self.per_worker_accepted: Dict[str, int] = {}
+    """Timing-only backend: gradients carry nothing and updates change nothing."""
 
     def compute_gradient(self, worker: str, sample_range: SampleRange) -> object:
-        return {"worker": worker, "num_samples": sample_range.length}
+        return None
 
     def apply_gradient(self, worker: str, payload: object, weight: float) -> None:
-        num_samples = int(payload["num_samples"]) if isinstance(payload, dict) else 0
-        self.accepted_samples += num_samples
-        self.applied_updates += 1
-        self.per_worker_accepted[worker] = self.per_worker_accepted.get(worker, 0) + num_samples
+        pass
 
 
 class NumpyPSBackend(ComputeBackend):
@@ -89,30 +81,17 @@ class NumpyPSBackend(ComputeBackend):
         self.test_dataset = test_dataset
         self.shuffler = shuffler if shuffler is not None else ShardShuffler(seed=0)
         self._lr_factors: Dict[str, float] = {}
-        self.losses: List[float] = []
-        self.samples_seen = 0
-        self.sample_use_counts = np.zeros(len(dataset), dtype=np.int64)
 
     def compute_gradient(self, worker: str, sample_range: SampleRange) -> object:
         indices = self.shuffler.sample_indices(sample_range) % len(self.dataset)
         batch = self.dataset.read_indices(indices)
-        loss, grads = self.model.loss_and_gradients(batch, bce_with_logits)
-        return {
-            "worker": worker,
-            "loss": loss,
-            "grads": grads,
-            "num_samples": sample_range.length,
-            "indices": indices,
-        }
+        _, grads = self.model.loss_and_gradients(batch, bce_with_logits)
+        return grads
 
     def apply_gradient(self, worker: str, payload: object, weight: float) -> None:
-        grads = payload["grads"]
         factor = self._lr_factors.get(worker, 1.0)
-        scaled = {name: grad * (weight * factor) for name, grad in grads.items()}
+        scaled = {name: grad * (weight * factor) for name, grad in payload.items()}
         self.optimizer.step(scaled)
-        self.losses.append(float(payload["loss"]))
-        self.samples_seen += int(payload["num_samples"])
-        np.add.at(self.sample_use_counts, payload["indices"], 1)
 
     def scale_learning_rate(self, worker: str, factor: float) -> None:
         self._lr_factors[worker] = self._lr_factors.get(worker, 1.0) * factor

@@ -253,11 +253,10 @@ class ParameterServer:
         env = self.env
         request = PushRequest(worker=worker, nbytes=nbytes,
                               done=done if done is not None else Event(env))
-        if self._accepting and env.coalesce and not self.queue.items:
-            contention = self.node.contention
-            if contention.is_null or contention.is_deterministic:
-                self._commit_request(request)
-                return request.done
+        if (self._accepting and env.coalesce and not self.queue.items
+                and self.node.contention.is_deterministic):
+            self._commit_request(request)
+            return request.done
         self._enqueue(request)
         return request.done
 
@@ -456,8 +455,7 @@ class ParameterServer:
                     current = yield get_event
                     get_event = None
                 self._set_accepting(False)
-                contention = node.contention
-                if env.coalesce and (contention.is_null or contention.is_deterministic):
+                if env.coalesce and node.contention.is_deterministic:
                     # Every handling time in the current queue is a closed
                     # form of the pop time: commit the whole window at once
                     # and sleep until its end (see the module docstring).

@@ -5,9 +5,11 @@ condition the paper's claims are evaluated under: cluster topology (size,
 dedicated vs. non-dedicated, heterogeneous hardware, scheduler congestion),
 straggler pattern (transient / persistent / server-side / mixed trace),
 failure trace (evictions and machine faults injected mid-run), workload scale,
-training method and seed.  Specs round-trip losslessly through
-:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict` (and JSON), so a
-scenario can be named, registered, diffed, and pinned to a golden trace.
+training method and seed.  Every spec class here and in the modules it
+nests (elastic, serving, stragglers) serializes through the one spec codec,
+:class:`~repro.codec.SpecCodec`: ``to_dict`` / ``from_dict`` (and JSON)
+round-trip losslessly, so a scenario can be named, registered, diffed, and
+pinned to a golden trace.
 
 The module is pure data plus resolution logic: building and *running* the
 simulation lives in :mod:`repro.scenarios.matrix`.
@@ -17,9 +19,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..baselines.registry import PS_METHODS
+from ..codec import SpecCodec
 from ..elastic.spec import NO_ELASTIC, ElasticSpec
 from ..experiments.stragglers import NO_STRAGGLERS, StragglerScenario
 from ..experiments.workloads import SCALES, ExperimentScale
@@ -35,7 +38,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(SpecCodec):
     """Cluster-shape knobs of a scenario.
 
     ``num_workers`` / ``num_servers`` of ``None`` keep the base scale's node
@@ -64,25 +67,9 @@ class TopologySpec:
         if self.slow_worker_fraction > 0.0 and self.slow_factor == 1.0:
             raise ValueError("a heterogeneous topology needs slow_factor > 1.0")
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-safe); inverse of :meth:`from_dict`."""
-        return {
-            "num_workers": self.num_workers,
-            "num_servers": self.num_servers,
-            "dedicated": self.dedicated,
-            "cluster_busy": self.cluster_busy,
-            "slow_worker_fraction": self.slow_worker_fraction,
-            "slow_factor": self.slow_factor,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "TopologySpec":
-        """Rebuild a topology from :meth:`to_dict` output (lossless)."""
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class FailureEvent:
+class FailureEvent(SpecCodec):
     """One scheduled node termination in a failure trace.
 
     ``code`` is the :class:`~repro.sim.failures.ErrorCode` *value* (a string,
@@ -107,18 +94,9 @@ class FailureEvent:
         """The typed error code."""
         return ErrorCode(self.code)
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-safe); inverse of :meth:`from_dict`."""
-        return {"time_s": self.time_s, "node": self.node, "code": self.code}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FailureEvent":
-        """Rebuild an event from :meth:`to_dict` output (lossless)."""
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class FailureTraceSpec:
+class FailureTraceSpec(SpecCodec):
     """A deterministic schedule of node failures injected during the run."""
 
     events: Tuple[FailureEvent, ...] = ()
@@ -145,15 +123,6 @@ class FailureTraceSpec:
             for index, node in enumerate(nodes)
         ))
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-safe); inverse of :meth:`from_dict`."""
-        return {"events": [event.to_dict() for event in self.events]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FailureTraceSpec":
-        """Rebuild a trace from :meth:`to_dict` output (lossless)."""
-        return cls(events=tuple(FailureEvent.from_dict(event) for event in data["events"]))
-
 
 def _encode_scale(scale: ExperimentScale) -> Tuple[Tuple[str, object], ...]:
     """Every field of an :class:`ExperimentScale` as sorted (name, value) pairs."""
@@ -164,7 +133,7 @@ def _encode_scale(scale: ExperimentScale) -> Tuple[Tuple[str, object], ...]:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(SpecCodec):
     """One fully declarative operating condition for a PS training run.
 
     Attributes
@@ -197,9 +166,7 @@ class ScenarioSpec:
     serving:
         Open-loop serving traffic driven against the PS tier while the job
         trains (:class:`~repro.serving.spec.ServingSpec`).  The default
-        :data:`~repro.serving.spec.NO_SERVING` attaches nothing, and the
-        section is omitted from the serialized form, so pre-serving specs
-        keep their canonical bytes.
+        :data:`~repro.serving.spec.NO_SERVING` attaches nothing.
     iterations / epochs:
         Workload-length overrides on top of the base scale.
     scale_overrides:
@@ -316,52 +283,6 @@ class ScenarioSpec:
         return base
 
     # -- serialization -------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-safe); inverse of :meth:`from_dict`."""
-        data: Dict[str, object] = {
-            "name": self.name,
-            "method": self.method,
-            "scale": self.scale,
-            "seed": self.seed,
-            "description": self.description,
-            "tags": list(self.tags),
-            "topology": self.topology.to_dict(),
-            "stragglers": self.stragglers.to_dict(),
-            "failures": self.failures.to_dict(),
-            "elastic": self.elastic.to_dict(),
-            "iterations": self.iterations,
-            "epochs": self.epochs,
-            "scale_overrides": [[key, value] for key, value in self.scale_overrides],
-        }
-        # Omit-when-default: serving arrived after the first golden traces
-        # were pinned, so a scenario without it must serialize to the exact
-        # bytes it always had.
-        if self.serving:
-            data["serving"] = self.serving.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output (lossless round-trip)."""
-        return cls(
-            name=data["name"],
-            method=data.get("method", "antdt-nd"),
-            scale=data.get("scale", "small"),
-            seed=data.get("seed", 0),
-            description=data.get("description", ""),
-            tags=tuple(data.get("tags", ())),
-            topology=TopologySpec.from_dict(data.get("topology", {})),
-            stragglers=StragglerScenario.from_dict(
-                data.get("stragglers", NO_STRAGGLERS.to_dict())),
-            failures=FailureTraceSpec.from_dict(data.get("failures", {"events": []})),
-            elastic=ElasticSpec.from_dict(data.get("elastic", {})),
-            serving=ServingSpec.from_dict(data.get("serving", {})),
-            iterations=data.get("iterations"),
-            epochs=data.get("epochs"),
-            scale_overrides=tuple(
-                (key, value) for key, value in data.get("scale_overrides", ())),
-        )
-
     def to_json(self, indent: Optional[int] = 2) -> str:
         """Canonical JSON form of the spec."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

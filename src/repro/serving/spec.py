@@ -10,18 +10,20 @@ bounded per-server admission depth (queue-based load leveling: beyond it a
 request is shed with a 429-style degraded response, never parked on an
 unbounded queue).
 
-Like every scenario ingredient the spec round-trips losslessly through
-``to_dict`` / ``from_dict``, so serving scenarios can be named,
+Like every scenario ingredient the spec serializes through the one spec
+codec (:class:`~repro.codec.SpecCodec`), so serving scenarios can be named,
 content-addressed by the result store, and pinned to golden traces.  The
 module is deliberately dependency-light (no simulation imports): it is
-pulled in by :mod:`repro.scenarios.spec` for serialization, while the
-runtime lives in :mod:`repro.serving.driver`.
+pulled in by :mod:`repro.scenarios.spec`, while the runtime lives in
+:mod:`repro.serving.driver`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+from ..codec import SpecCodec
 
 __all__ = ["TenantSpec", "ServingSpec", "NO_SERVING", "SERVING_PRESETS"]
 
@@ -30,7 +32,7 @@ ARRIVAL_SHAPES = ("uniform", "diurnal", "bursty", "flash-crowd")
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(SpecCodec):
     """One tenant class of the serving workload.
 
     Attributes
@@ -74,30 +76,9 @@ class TenantSpec:
         if self.burst_s <= 0:
             raise ValueError("burst_s must be positive")
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-safe); inverse of :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "rate_rps": self.rate_rps,
-            "shape": self.shape,
-            "rate_limit_rps": self.rate_limit_rps,
-            "burst_s": self.burst_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "TenantSpec":
-        """Rebuild a tenant from :meth:`to_dict` output (lossless)."""
-        return cls(
-            name=data["name"],
-            rate_rps=data["rate_rps"],
-            shape=data.get("shape", "uniform"),
-            rate_limit_rps=data.get("rate_limit_rps"),
-            burst_s=data.get("burst_s", 1.0),
-        )
-
 
 @dataclass(frozen=True)
-class ServingSpec:
+class ServingSpec(SpecCodec):
     """The serving workload of one scenario (falsy when no tenants).
 
     Attributes
@@ -165,41 +146,6 @@ class ServingSpec:
 
     def __bool__(self) -> bool:
         return bool(self.tenants)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-safe); inverse of :meth:`from_dict`.
-
-        The enclosing :class:`~repro.scenarios.spec.ScenarioSpec` omits a
-        falsy serving section entirely, so every pre-serving spec keeps its
-        canonical bytes; within a non-empty section all keys are explicit.
-        """
-        return {
-            "tenants": [tenant.to_dict() for tenant in self.tenants],
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "read_fraction": self.read_fraction,
-            "request_bytes": self.request_bytes,
-            "zipf_s": self.zipf_s,
-            "num_keys": self.num_keys,
-            "queue_capacity": self.queue_capacity,
-            "window_s": self.window_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ServingSpec":
-        """Rebuild a spec from :meth:`to_dict` output (lossless)."""
-        return cls(
-            tenants=tuple(TenantSpec.from_dict(tenant)
-                          for tenant in data.get("tenants", ())),
-            start_s=data.get("start_s", 0.0),
-            duration_s=data.get("duration_s", 60.0),
-            read_fraction=data.get("read_fraction", 0.95),
-            request_bytes=data.get("request_bytes", 2048.0),
-            zipf_s=data.get("zipf_s", 1.1),
-            num_keys=data.get("num_keys", 4096),
-            queue_capacity=data.get("queue_capacity", 16),
-            window_s=data.get("window_s", 20.0),
-        )
 
 
 #: The inert default: no tenants, no serving tier (falsy).

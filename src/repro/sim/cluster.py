@@ -88,7 +88,6 @@ class Node:
         self.status = status
         self.contention: ContentionModel = spec.contention
         self.restart_count = 0
-        self.incarnation = 0
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._status_listeners: List = []
         self._contention_listeners: List = []
@@ -197,7 +196,6 @@ class Node:
         self.status = NodeStatus.RUNNING
         self.set_contention(self.spec.post_restart_contention)
         self.restart_count += 1
-        self.incarnation += 1
         self._notify_status()
 
     def mark_failed(self) -> None:

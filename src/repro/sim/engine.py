@@ -210,7 +210,7 @@ class Timeout(Event):
     heap entry directly instead of going through :meth:`Environment._schedule`.
     """
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -218,7 +218,6 @@ class Timeout(Event):
         self.env = env
         self.callbacks = []
         self._defused = False
-        self.delay = delay
         self._ok = True
         self._value = value
         env.scheduled_count += 1

@@ -12,15 +12,8 @@ COSTS_PATH = Path(__file__).resolve().parent / "costs.json"
 
 
 @pytest.fixture
-def update_golden(request) -> bool:
-    """True when the run should rewrite traces instead of comparing them."""
-    return bool(request.config.getoption("--update-golden"))
-
-
-@pytest.fixture
 def trace_dir() -> Path:
-    """The golden-trace directory (created on demand)."""
-    TRACE_DIR.mkdir(parents=True, exist_ok=True)
+    """The checked-in golden-trace directory."""
     return TRACE_DIR
 
 

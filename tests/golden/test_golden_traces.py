@@ -8,7 +8,7 @@ byte-level diff against the golden trace.
 
 Regenerate traces *deliberately* after an intended behaviour change with::
 
-    pytest tests/golden --update-golden        # or: make golden-update
+    make golden-update
 
 and review the diff like any other code change.
 
@@ -16,7 +16,7 @@ The same runs pin each scenario's work in ``costs.json``: physical heap pops
 and logical events with coalescing on.  A change that makes the simulator do
 more (or less) work shows up there as a reviewed diff beside the traces.
 Costs differ between coalescing modes, so they are compared only with
-coalescing on (not under ``REPRO_NO_COALESCE=1``); ``--update-golden``
+coalescing on (not under ``REPRO_NO_COALESCE=1``); ``make golden-update``
 rewrites the rows too.
 """
 
@@ -58,37 +58,27 @@ def _load_costs(costs_path):
 
 
 @pytest.mark.parametrize("name", _params())
-def test_scenario_matches_golden_trace(name, update_golden, trace_dir, costs_path):
+def test_scenario_matches_golden_trace(name, trace_dir, costs_path):
     spec = get_scenario(name)
     result = simulate_spec(spec)
     assert result.run.completed, f"scenario {name!r} no longer completes"
-    text = result.golden_trace()
     path = trace_dir / f"{name}.json"
-    coalesced = result.job.env.coalesce
-    cost = {"physical": result.run.engine_events_physical,
-            "logical": result.run.engine_events_processed}
-    if update_golden:
-        path.write_text(text)
-        if coalesced:
-            costs = _load_costs(costs_path)
-            costs[name] = cost
-            costs_path.write_text(canonical_json(costs))
-        return
     assert path.exists(), (
         f"no golden trace for scenario {name!r}; generate it with "
-        f"'pytest tests/golden --update-golden' and commit the file"
+        f"'make golden-update' and commit the file"
     )
-    stored = path.read_text()
-    assert stored == text, (
+    assert path.read_text() == result.golden_trace(), (
         f"scenario {name!r} diverged from its golden trace; if the behaviour "
-        f"change is intended, regenerate with 'pytest tests/golden --update-golden' "
-        f"and review the diff"
+        f"change is intended, regenerate with 'make golden-update' and review "
+        f"the diff"
     )
-    if coalesced:
+    if result.job.env.coalesce:
+        cost = {"physical": result.run.engine_events_physical,
+                "logical": result.run.engine_events_processed}
         assert _load_costs(costs_path).get(name) == cost, (
             f"scenario {name!r} changed its work counts (physical heap pops, "
-            f"logical events); if intended, regenerate with 'pytest tests/golden "
-            f"--update-golden' and review the costs.json diff"
+            f"logical events); if intended, regenerate with 'make "
+            f"golden-update' and review the costs.json diff"
         )
 
 
@@ -106,7 +96,8 @@ def test_golden_traces_are_canonical(trace_dir, costs_path):
     for path in [*sorted(trace_dir.glob("*.json")), costs_path]:
         payload = json.loads(path.read_text())
         assert canonical_json(payload) == path.read_text(), (
-            f"{path.name} is not in canonical form; regenerate with --update-golden"
+            f"{path.name} is not in canonical form; regenerate with "
+            f"'make golden-update'"
         )
 
 

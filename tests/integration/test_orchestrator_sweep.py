@@ -13,9 +13,10 @@ import json
 
 import pytest
 
+from repro.core.config import coalesce_default
 from repro.orchestrator import ResultStore, SweepRunner, simulate_spec
-from repro.orchestrator.cli import main as cli_main
-from repro.scenarios import all_scenarios, get_scenario
+from repro.orchestrator.cli import default_trace_dir, main as cli_main
+from repro.scenarios import all_scenarios, canonical_json, get_scenario
 
 
 FAST_NAMES = ["dedicated-baseline", "eviction-storm", "nd-server-straggler"]
@@ -159,6 +160,27 @@ def test_cli_golden_update_writes_and_checks(tmp_path, capsys):
         assert (trace_dir / f"{name}.json").read_text() == \
             simulate_spec(get_scenario(name)).golden_trace()
     assert cli_main(["golden-update", "--check"] + base) == 0
+    costs_path = tmp_path / "costs.json"
+    if coalesce_default():
+        # The cost rows land beside the trace directory in canonical JSON,
+        # equal to the checked-in rows.
+        text = costs_path.read_text()
+        costs = json.loads(text)
+        assert text == canonical_json(costs)
+        checked_in = json.loads(
+            (default_trace_dir().parent / "costs.json").read_text())
+        assert costs == {name: checked_in[name] for name in
+                         ("checkpoint-failover", "dedicated-baseline")}
+        # Cost drift: tamper one row, the check must fail and name it.
+        costs["checkpoint-failover"]["physical"] += 1
+        costs_path.write_text(canonical_json(costs))
+        capsys.readouterr()
+        assert cli_main(["golden-update", "--check"] + base) == 1
+        assert "[checkpoint-failover]" in capsys.readouterr().err
+        costs_path.write_text(text)
+    else:
+        # The rows pin coalesced work only.
+        assert not costs_path.exists()
     # Drift detection: corrupt one trace, the check must fail.
     (trace_dir / "dedicated-baseline.json").write_text("{}\n")
     assert cli_main(["golden-update", "--check"] + base) == 1
@@ -190,8 +212,6 @@ def test_cli_golden_update_never_reads_the_result_store(tmp_path, capsys,
 def test_cli_parallel_golden_update_matches_checked_in_traces(tmp_path):
     """Acceptance: the parallel CLI path regenerates every golden trace
     byte-identical to the checked-in serial ones."""
-    from repro.orchestrator.cli import default_trace_dir
-
     trace_dir = tmp_path / "traces"
     assert cli_main(["golden-update", "--trace-dir", str(trace_dir),
                      "-j", "2"]) == 0

@@ -271,15 +271,3 @@ def test_server_elastic_spec_roundtrips(servers):
     rebuilt = ServerElasticSpec.from_dict(
         json.loads(json.dumps(servers.to_dict())))
     assert rebuilt == servers
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(elastic=elastic_specs())
-def test_default_servers_section_is_omitted_from_canonical_form(elastic):
-    """Spec-hash backward compatibility: a default server section must leave
-    the dict form (and therefore the content-addressed key) untouched."""
-    data = elastic.to_dict()
-    if elastic.servers == NO_SERVER_ELASTIC:
-        assert "servers" not in data
-    else:
-        assert "servers" in data

