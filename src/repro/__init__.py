@@ -4,11 +4,12 @@ This package reproduces "AntDT: A Self-Adaptive Distributed Training Framework
 for Leader and Straggler Nodes" (ICDE 2024) in pure Python:
 
 * :mod:`repro.core` — the AntDT framework itself (Stateful Dynamic Data
-  Sharding, Monitor, Controller, Agent, action set, AntDT-ND / AntDT-DD).
+  Sharding, Monitor, Controller, Agent, action set, AntDT-ND).
 * :mod:`repro.sim` — a discrete-event cluster simulator standing in for the
   Ant Group production clusters (devices, contention, scheduler, failures).
 * :mod:`repro.psarch` / :mod:`repro.allreduce` — the Parameter Server and
-  AllReduce training architectures built on the simulator.
+  AllReduce training architectures built on the simulator (AntDT-DD's
+  per-device assignment lives with AllReduce).
 * :mod:`repro.ml` — a NumPy mini deep-learning substrate (models, optimizers,
   synthetic datasets) for the statistical/data-integrity experiments.
 * :mod:`repro.elastic` — elastic scaling: runtime worker add/remove,

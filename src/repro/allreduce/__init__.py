@@ -6,7 +6,6 @@ from .strategies import (
     GPUWorkerGroup,
     antdt_dd_assignment,
     even_assignment,
-    groups_to_solver_groups,
     lb_bsp_assignment,
 )
 
@@ -17,6 +16,5 @@ __all__ = [
     "GPUWorkerGroup",
     "antdt_dd_assignment",
     "even_assignment",
-    "groups_to_solver_groups",
     "lb_bsp_assignment",
 ]

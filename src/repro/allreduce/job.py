@@ -11,8 +11,8 @@ iteration-by-iteration in closed form, which keeps the GPU experiments
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from ..ml.data.imagenet import ImageWorkload
 from ..ml.models.cost_models import ModelCostProfile
@@ -96,12 +96,6 @@ class AllReduceJob:
     def num_devices(self) -> int:
         """Total number of GPU devices in the job."""
         return sum(group.count for group in self.groups)
-
-    def _group(self, name: str) -> GPUWorkerGroup:
-        for group in self.groups:
-            if group.name == name:
-                return group
-        raise KeyError(f"unknown device group {name!r}")
 
     def run(self, assignments: Sequence[DeviceAssignment], strategy: str = "custom"
             ) -> AllReduceResult:

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..core.solvers import DeviceGroup, solve_batch_sizes
+from ..core.solvers import solve_batch_sizes
 from ..sim.hardware import DeviceProfile
 
 __all__ = ["GPUWorkerGroup", "DeviceAssignment", "even_assignment", "lb_bsp_assignment",
-           "antdt_dd_assignment", "groups_to_solver_groups"]
+           "antdt_dd_assignment"]
 
 
 @dataclass(frozen=True)
@@ -62,25 +62,6 @@ class DeviceAssignment:
     def samples_per_sync(self) -> int:
         """Samples one device of this group contributes per synchronisation."""
         return self.batch_size * self.accumulation
-
-
-def groups_to_solver_groups(groups: Sequence[GPUWorkerGroup],
-                            model_cost: float = 1.0) -> List[DeviceGroup]:
-    """Convert GPU worker groups into the Eq. 4 solver's device groups."""
-    solver_groups = []
-    for group in groups:
-        saturation = int(group.device.saturation_batch or 1)
-        limit = int(group.device.memory_limit_batch or max(saturation, 1))
-        solver_groups.append(
-            DeviceGroup(
-                name=group.name,
-                count=group.count,
-                throughput=group.device.samples_per_second / model_cost,
-                min_batch=saturation,
-                max_batch=limit,
-            )
-        )
-    return solver_groups
 
 
 def even_assignment(groups: Sequence[GPUWorkerGroup], global_batch: int) -> List[DeviceAssignment]:

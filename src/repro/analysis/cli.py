@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import List
 
 from .baseline import BASELINE_FILENAME, Baseline
-from .findings import Finding
 from .registry import catalog
 from .runner import LintReport, lint_paths, repo_root
 

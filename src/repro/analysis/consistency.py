@@ -43,7 +43,7 @@ _STRATEGY_FILE = Path("tests") / "property" / "test_scenario_roundtrip.py"
 
 
 @register
-class ConsistencyRule(Rule):
+class ConsistencyRule(Rule):  # detlint: ignore[USE001]
     """Catalogue entry: CON001 runs at project level via check_project."""
 
     rule_id = "CON001"

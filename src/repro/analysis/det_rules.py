@@ -69,7 +69,7 @@ _ORDER_INSENSITIVE_SINKS = frozenset({
 
 
 @register
-class UnseededRandomRule(Rule):
+class UnseededRandomRule(Rule):  # detlint: ignore[USE001]
     rule_id = "DET001"
     title = "unseeded random-source call"
     rationale = ("All randomness must derive from the spec seed root via an "
@@ -111,7 +111,7 @@ class UnseededRandomRule(Rule):
 
 
 @register
-class WallClockRule(Rule):
+class WallClockRule(Rule):  # detlint: ignore[USE001]
     rule_id = "DET002"
     title = "wall-clock read"
     rationale = ("Simulation code takes time from Environment.now; a "
@@ -142,7 +142,7 @@ class WallClockRule(Rule):
 
 
 @register
-class UnsortedIterationRule(Rule):
+class UnsortedIterationRule(Rule):  # detlint: ignore[USE001]
     rule_id = "DET003"
     title = "unsorted dict/set iteration in an output module"
     rationale = ("Iteration order over dict views and sets leaks container "
@@ -208,7 +208,7 @@ class UnsortedIterationRule(Rule):
 
 
 @register
-class EnvAccessRule(Rule):
+class EnvAccessRule(Rule):  # detlint: ignore[USE001]
     rule_id = "DET004"
     title = "os.environ access outside repro.core.config"
     rationale = ("Environment variables are hidden inputs to a run; routing "
@@ -240,7 +240,7 @@ class EnvAccessRule(Rule):
 
 
 @register
-class IdentityDerivedRule(Rule):
+class IdentityDerivedRule(Rule):  # detlint: ignore[USE001]
     rule_id = "DET005"
     title = "id()/hash()-derived value used as a key or in output"
     rationale = ("id() values are interpreter addresses (recycled and "

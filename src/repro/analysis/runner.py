@@ -2,9 +2,10 @@
 
 :func:`lint_source` is the per-file unit (what the fixture tests drive);
 :func:`lint_paths` is the front door the CLI and the self-lint test use —
-it walks the targets, runs every registered rule, applies inline waivers,
-runs the project-level consistency pass when the scenario registry is in
-scope, and absorbs grandfathered findings into the committed baseline.
+it walks the targets, runs every registered rule, runs each project-level
+pass whose trigger file is in scope (CON001 for the scenario registry,
+USE001 for the package's ``__init__.py``), applies inline waivers, and
+absorbs grandfathered findings into the committed baseline.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Collection, Dict, List, Optional, Sequence, Union
 
 from ..perf import Stopwatch
-from . import consistency
+from . import consistency, usage
 from .baseline import Baseline
 from .findings import Finding, sort_findings
 from .registry import Rule, RuleContext, all_rules, attach_parents, register
@@ -27,6 +28,10 @@ from .suppress import (
 
 __all__ = ["LintReport", "lint_paths", "lint_source", "repo_root"]
 
+#: Project-level passes: rule id -> the module holding its trigger file
+#: suffix and its ``check_project(root)``.
+_PROJECT_PASSES = {"CON001": consistency, "USE001": usage}
+
 
 def repo_root() -> Path:
     """The repository root (the directory containing ``src``)."""
@@ -35,7 +40,7 @@ def repo_root() -> Path:
 
 
 @register
-class SyntaxErrorRule(Rule):
+class SyntaxErrorRule(Rule):  # detlint: ignore[USE001]
     """Catalogue entry: SYN001 findings come from the parse step itself."""
 
     rule_id = "SYN001"
@@ -91,28 +96,36 @@ class LintReport:
 
 
 def lint_source(source: str, path: str = "<memory>",
-                rel: Optional[str] = None) -> List[Finding]:
+                rel: Optional[str] = None,
+                project: Sequence[Finding] = (),
+                ran: Collection[str] = ()) -> List[Finding]:
     """Lint one source string through every per-file rule.
 
     ``rel`` is the repo-relative posix path used for whitelist / output-
     module gating; it defaults to ``path`` so fixture tests can place a
-    snippet "inside" any module they like.
+    snippet "inside" any module they like.  ``project`` holds the findings
+    the project-level passes made in this file, so its waivers apply to
+    them too; ``ran`` names the passes that ran.  A waiver naming a project
+    rule that did not run cannot be judged and is never reported unused.
     """
     rel = rel if rel is not None else path
+    findings = list(project)
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        return [Finding(rule="SYN001", path=path,
-                        line=exc.lineno or 1, col=(exc.offset or 0) + 1,
-                        message=f"syntax error: {exc.msg}")]
+        findings.append(Finding(rule="SYN001", path=path,
+                                line=exc.lineno or 1,
+                                col=(exc.offset or 0) + 1,
+                                message=f"syntax error: {exc.msg}"))
+        return sort_findings(findings)
     attach_parents(tree)
     ctx = RuleContext(path=path, rel=rel, source=source, tree=tree)
-    findings: List[Finding] = []
     for rule in all_rules():
         findings.extend(rule.check(ctx))
     suppressions = collect_suppressions(source)
     apply_suppressions(findings, suppressions)
-    findings.extend(unused_suppression_findings(path, suppressions))
+    findings.extend(unused_suppression_findings(
+        path, suppressions, idle=set(_PROJECT_PASSES) - set(ran)))
     return sort_findings(findings)
 
 
@@ -152,16 +165,24 @@ def lint_paths(paths: Sequence[Union[str, Path]],
     watch = Stopwatch().start()
     root = (root if root is not None else repo_root()).resolve()
     report = LintReport()
-    trigger_project = False
-    for path in _iter_python_files(paths):
-        rel = _rel_path(path, root)
-        if rel.endswith(consistency.TRIGGER_SUFFIX):
-            trigger_project = True
+    files = [(path, _rel_path(path, root)) for path in _iter_python_files(paths)]
+    linted = {rel for _, rel in files}
+    ran = sorted(rule_id for rule_id, module in _PROJECT_PASSES.items()
+                 if any(rel.endswith(module.TRIGGER_SUFFIX) for rel in linted))
+    project: Dict[str, List[Finding]] = {}
+    for rule_id in ran:
+        for finding in _PROJECT_PASSES[rule_id].check_project(root):
+            if finding.path in linted:
+                project.setdefault(finding.path, []).append(finding)
+            elif rule_id != "USE001":
+                # A USE001 finding is kept only where its file's waivers
+                # can be read.
+                report.findings.append(finding)
+    for path, rel in files:
         source = path.read_text(encoding="utf-8")
-        report.findings.extend(lint_source(source, path=rel, rel=rel))
+        report.findings.extend(lint_source(
+            source, path=rel, rel=rel, project=project.get(rel, ()), ran=ran))
         report.files += 1
-    if trigger_project:
-        report.findings.extend(consistency.check_project(root))
     if baseline is not None:
         for finding in report.findings:
             if finding.active:

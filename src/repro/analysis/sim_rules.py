@@ -25,7 +25,7 @@ _ENGINE_WHITELIST = (
 )
 
 #: Environment internals: the event heap and run-loop bookkeeping.
-_ENV_INTERNALS = frozenset({"_queue", "_eid", "_dead", "_active_process"})
+_ENV_INTERNALS = frozenset({"_queue", "_eid", "_dead"})
 
 #: Store internals: the item/getter deques and dispatch machinery.
 _STORE_INTERNALS = frozenset({"_getters", "_dispatch", "_confirmation"})
@@ -50,7 +50,7 @@ def _receiver_name(node: ast.Attribute) -> Optional[str]:
 
 
 @register
-class BlockingEngineCallRule(Rule):
+class BlockingEngineCallRule(Rule):  # detlint: ignore[USE001]
     rule_id = "SIM001"
     title = "Environment.run called inside a process generator"
     rationale = ("A simulation process is a generator resumed by the run "
@@ -99,7 +99,7 @@ class BlockingEngineCallRule(Rule):
 
 
 @register
-class EngineInternalsRule(Rule):
+class EngineInternalsRule(Rule):  # detlint: ignore[USE001]
     rule_id = "SIM002"
     title = "direct access to engine/Store internals"
     rationale = ("The event heap and Store deques are owned by the engine; "

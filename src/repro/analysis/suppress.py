@@ -13,7 +13,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Collection, Dict, List, Tuple
 
 from .findings import Finding
 from .registry import Rule, register
@@ -34,7 +34,7 @@ class Suppression:
 
 
 @register
-class UnusedSuppressionRule(Rule):
+class UnusedSuppressionRule(Rule):  # detlint: ignore[USE001]
     """Catalogue entry only: SUP001 findings are emitted by the pipeline
     (after suppression matching), not by a per-file AST pass."""
 
@@ -91,13 +91,17 @@ def apply_suppressions(findings: List[Finding],
 
 
 def unused_suppression_findings(path: str,
-                                suppressions: Dict[int, Suppression]
-                                ) -> List[Finding]:
-    """SUP001 findings for waivers that silenced nothing."""
+                                suppressions: Dict[int, Suppression],
+                                idle: Collection[str] = ()) -> List[Finding]:
+    """SUP001 findings for waivers that silenced nothing.
+
+    ``idle`` names project-level rules that did not run: a waiver naming one
+    of them cannot be judged, so it is never reported.
+    """
     findings: List[Finding] = []
     for lineno in sorted(suppressions):
         waiver = suppressions[lineno]
-        if not waiver.used:
+        if not waiver.used and set(idle).isdisjoint(waiver.rules):
             named = ", ".join(waiver.rules) if waiver.rules else "<no rules>"
             findings.append(Finding(
                 rule="SUP001", path=path, line=lineno, col=1,

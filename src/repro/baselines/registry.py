@@ -9,12 +9,12 @@ cluster/workload into a runnable :class:`~repro.psarch.job.PSTrainingJob`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..core.config import ConsistencyModel
 from ..core.solutions import AntDTND, Solution
-from .solutions import LBBSPSolution, NoMitigationSolution
+from .solutions import LBBSPSolution
 
 __all__ = ["PSMethod", "PS_METHODS", "bsp_methods", "asp_methods", "get_method"]
 

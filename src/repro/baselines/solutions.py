@@ -16,16 +16,7 @@ from ..core.detection import detect_stragglers
 from ..core.solutions.base import Solution
 from ..core.solvers import solve_batch_sizes
 
-__all__ = ["NoMitigationSolution", "LBBSPSolution", "AdjustLRSolution"]
-
-
-class NoMitigationSolution(Solution):
-    """Does nothing — the native BSP/ASP baselines."""
-
-    name = "none"
-
-    def decide(self, context: ControlContext) -> List[Action]:
-        return [NoneAction()]
+__all__ = ["LBBSPSolution", "AdjustLRSolution"]
 
 
 class LBBSPSolution(Solution):
@@ -46,9 +37,6 @@ class LBBSPSolution(Solution):
         self.rebalance_threshold = rebalance_threshold
         self._last: Optional[Dict[str, int]] = None
 
-    def reset(self) -> None:
-        self._last = None
-
     def decide(self, context: ControlContext) -> List[Action]:
         throughputs = {w: v for w, v in context.worker_throughputs.items()
                        if w in context.active_workers and v > 0}
@@ -67,12 +55,13 @@ class LBBSPSolution(Solution):
         return [AdjustBatchSize(batch_sizes=sizes)]
 
 
-class AdjustLRSolution(Solution):
+class AdjustLRSolution(Solution):  # detlint: ignore[USE001]
     """ADJUST_LR: penalise stragglers' learning rates (optimisation baseline).
 
     The paper excludes this method from the timing comparison because it acts
-    on statistical efficiency rather than wall-clock time; it is provided here
-    for completeness and is exercised by the unit tests and one ablation.
+    on statistical efficiency rather than wall-clock time, so no registered
+    method runs it.  It is kept as the only producer of Table II's
+    ``ADJUST_LR`` action, which the unit tests drive directly.
     """
 
     name = "adjust-lr"
@@ -82,9 +71,6 @@ class AdjustLRSolution(Solution):
             raise ValueError("penalty must lie in (0, 1]")
         self.penalty = penalty
         self._penalised: Dict[str, int] = {}
-
-    def reset(self) -> None:
-        self._penalised = {}
 
     def decide(self, context: ControlContext) -> List[Action]:
         bpts = {w: bpt for w, bpt in context.worker_short_bpts.items()

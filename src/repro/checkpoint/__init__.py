@@ -1,12 +1,8 @@
 """Checkpointing and failover-recovery models."""
 
-from .manager import CheckpointSchedule, FailoverModel, periodic_checkpointer
-from .store import Checkpoint, CheckpointStore
+from .manager import CheckpointSchedule, FailoverModel
 
 __all__ = [
-    "Checkpoint",
     "CheckpointSchedule",
-    "CheckpointStore",
     "FailoverModel",
-    "periodic_checkpointer",
 ]

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .store import CheckpointStore
-
 __all__ = ["FailoverModel", "CheckpointSchedule"]
 
 
@@ -51,11 +49,6 @@ class CheckpointSchedule:
     def expected_lost_work_s(self) -> float:
         """Expected training time lost to a uniformly random failure instant."""
         return self.save_interval_s / 2.0
-
-    def saving_overhead_per_failover_window(self, failure_time: float) -> float:
-        """Total save cost paid up to ``failure_time``."""
-        saves = int(failure_time // self.save_interval_s)
-        return saves * self.save_cost_s
 
 
 @dataclass
@@ -116,22 +109,3 @@ class FailoverModel:
             }
         return results
 
-
-def periodic_checkpointer(env, store: CheckpointStore, interval_s: float, state_provider,
-                          stop_predicate=None):
-    """Simulation process that saves checkpoints every ``interval_s`` seconds.
-
-    ``state_provider`` is a zero-argument callable returning the
-    ``(step, model_state, optimizer_state, io_state)`` tuple to persist.
-    The process ends when ``stop_predicate()`` becomes true (if provided).
-    """
-    if interval_s <= 0:
-        raise ValueError("interval_s must be positive")
-    while True:
-        yield env.timeout(interval_s)
-        if stop_predicate is not None and stop_predicate():
-            return
-        step, model_state, optimizer_state, io_state = state_provider()
-        yield env.timeout(store.save_cost_s)
-        store.save(step=step, time=env.now, model_state=model_state,
-                   optimizer_state=optimizer_state, io_state=io_state)

@@ -28,11 +28,10 @@ from .monitor import Monitor
 from .shard import SampleRange, Shard, ShardState
 from .sharding import DataAllocator, StatefulDDS, StaticPartition
 from .shuffler import ShardShuffler
-from .solutions import AntDTDD, AntDTND, Solution
-from .solvers import AccumulationPlan, DeviceGroup, solve_batch_sizes, solve_gradient_accumulation
+from .solutions import AntDTND, Solution
+from .solvers import solve_batch_sizes
 
 __all__ = [
-    "AccumulationPlan",
     "Action",
     "ActionExecutor",
     "ActionKind",
@@ -42,14 +41,12 @@ __all__ = [
     "Agent",
     "AgentGroup",
     "AntDTConfig",
-    "AntDTDD",
     "AntDTND",
     "BackupWorkers",
     "ConsistencyModel",
     "ControlContext",
     "Controller",
     "DataAllocator",
-    "DeviceGroup",
     "KillRestart",
     "Monitor",
     "NoneAction",
@@ -66,5 +63,4 @@ __all__ = [
     "classify_stragglers",
     "detect_stragglers",
     "solve_batch_sizes",
-    "solve_gradient_accumulation",
 ]

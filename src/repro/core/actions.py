@@ -20,8 +20,8 @@ and executed by the Agents.  They fall into two types:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 __all__ = [
     "ActionKind",
@@ -82,11 +82,10 @@ class Action:
 
 @dataclass(frozen=True)
 class AdjustBatchSize(Action):
-    """Load-balancing action: assign a new batch size (and optionally a
-    gradient-accumulation count) to every worker for the next iteration."""
+    """Load-balancing action: assign a new batch size to every worker for
+    the next iteration."""
 
     batch_sizes: Dict[str, int]
-    grad_accumulation: Optional[Dict[str, int]] = None
 
     def __post_init__(self) -> None:
         if not self.batch_sizes:
@@ -94,10 +93,6 @@ class AdjustBatchSize(Action):
         for worker, batch in self.batch_sizes.items():
             if batch <= 0:
                 raise ValueError(f"batch size for {worker!r} must be positive, got {batch}")
-        if self.grad_accumulation is not None:
-            for worker, steps in self.grad_accumulation.items():
-                if steps < 1:
-                    raise ValueError(f"grad accumulation for {worker!r} must be >= 1")
 
     @property
     def action_type(self) -> ActionType:
@@ -106,13 +101,6 @@ class AdjustBatchSize(Action):
     @property
     def kind(self) -> ActionKind:
         return ActionKind.GLOBAL
-
-    def effective_batch(self, worker: str) -> int:
-        """Samples a worker contributes per synchronisation (B_i * C_i)."""
-        accumulation = 1
-        if self.grad_accumulation is not None:
-            accumulation = self.grad_accumulation.get(worker, 1)
-        return self.batch_sizes[worker] * accumulation
 
     def describe(self) -> str:
         sizes = ", ".join(f"{worker}={size}" for worker, size in sorted(self.batch_sizes.items()))

@@ -24,7 +24,7 @@ loop and accounted as framework overhead (paper Fig. 18).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .actions import Action
 from .config import AntDTConfig
@@ -40,7 +40,6 @@ class AgentGroup:
         self.monitor = monitor
         self.config = config
         self._agents: Dict[str, "Agent"] = {}
-        self._primary: Optional[str] = None
         self._generation = 0
         self._actions: List[Tuple[int, Action]] = []
         self.report_overhead_s = 0.0
@@ -48,28 +47,12 @@ class AgentGroup:
 
     # -- membership -------------------------------------------------------------
     def create_agent(self, node_name: str) -> "Agent":
-        """Create (and register) the agent for a worker node.
-
-        The first registered agent becomes the primary, mirroring the paper's
-        randomly elected primary worker.
-        """
+        """Create (and register) the agent for a worker node."""
         if node_name in self._agents:
             raise ValueError(f"an agent for {node_name!r} already exists")
         agent = Agent(node_name, self)
         self._agents[node_name] = agent
-        if self._primary is None:
-            self._primary = node_name
         return agent
-
-    @property
-    def primary(self) -> Optional[str]:
-        """Name of the primary agent."""
-        return self._primary
-
-    @property
-    def agents(self) -> List["Agent"]:
-        """All registered agents."""
-        return list(self._agents.values())
 
     def agent(self, node_name: str) -> "Agent":
         """Look up the agent of a node."""
@@ -82,7 +65,8 @@ class AgentGroup:
         return self._generation
 
     def broadcast(self, action: Action) -> int:
-        """Broadcast a global action from the primary agent to all agents.
+        """Broadcast a global action to all agents (the paper's primary
+        agent relaying it to the secondaries).
 
         Returns the new generation number.  The training processes will apply
         the action at their next iteration boundary via :meth:`Agent.poll`.
@@ -94,11 +78,6 @@ class AgentGroup:
     def actions_since(self, generation: int) -> List[Tuple[int, Action]]:
         """All broadcast actions with generation greater than ``generation``."""
         return [(gen, action) for gen, action in self._actions if gen > generation]
-
-    @property
-    def action_history(self) -> List[Action]:
-        """Every global action broadcast so far, in order."""
-        return [action for _, action in self._actions]
 
     # -- overhead accounting ----------------------------------------------------------
     def charge_report(self) -> float:
@@ -127,11 +106,6 @@ class Agent:
         self._iterations_since_report = 0
         self._bpt_buffer: List[float] = []
         self._last_batch_size = 0
-
-    @property
-    def is_primary(self) -> bool:
-        """Whether this agent is the primary of its group."""
-        return self.group.primary == self.node_name
 
     # -- reporting path ---------------------------------------------------------------
     def report_iteration(self, bpt: float, batch_size: int, time: float) -> float:

@@ -229,8 +229,3 @@ class Controller:
     def stop(self) -> None:
         """Stop the control loop after the current interval."""
         self._stopped = True
-
-    # -- reporting -------------------------------------------------------------------
-    def actions_of_type(self, action_type) -> List[Action]:
-        """All dispatched actions of one type."""
-        return [action for action in self.action_log if action.action_type == action_type]

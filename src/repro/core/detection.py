@@ -11,7 +11,7 @@ stragglers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping
 
 __all__ = ["StragglerReport", "detect_stragglers", "classify_stragglers"]
 
@@ -24,16 +24,6 @@ class StragglerReport:
     mean_bpt: float
     bpts: Dict[str, float]
     slowness_ratio: float
-
-    def is_straggler(self, node: str) -> bool:
-        """Whether a node was flagged."""
-        return node in self.stragglers
-
-    def relative_slowness(self, node: str) -> float:
-        """BPT of ``node`` divided by the fleet mean (1.0 = average)."""
-        if self.mean_bpt <= 0:
-            return 1.0
-        return self.bpts.get(node, self.mean_bpt) / self.mean_bpt
 
 
 def detect_stragglers(bpts: Mapping[str, float], slowness_ratio: float) -> StragglerReport:

@@ -10,7 +10,7 @@ guarantee data integrity across failovers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["ShardState", "Shard", "SampleRange"]

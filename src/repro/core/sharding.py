@@ -45,6 +45,9 @@ class DataAllocator:
     op_cost_s: float = 0.0
     #: Cost of the most recent allocator call (0 when it was a local operation).
     last_op_cost_s: float = 0.0
+    #: Samples per epoch and the number of epochs; every allocator sets both.
+    num_samples: int
+    epochs: int
 
     def register_worker(self, worker: str) -> None:
         """Declare a worker before it requests data (optional for DDS)."""
@@ -71,9 +74,9 @@ class DataAllocator:
         raise NotImplementedError
 
     @property
-    def has_assignable_work(self) -> bool:
-        """True when a call to :meth:`next_range` could currently return data."""
-        raise NotImplementedError
+    def total_samples(self) -> int:
+        """Samples over all epochs."""
+        return self.num_samples * self.epochs
 
     def consumed_counts(self) -> Dict[str, int]:
         """Samples confirmed per worker (paper Fig. 3 / Fig. 16)."""
@@ -191,31 +194,12 @@ class StatefulDDS(DataAllocator):
         return self._done_shards
 
     @property
-    def total_samples(self) -> int:
-        """Samples over all epochs."""
-        return self.num_samples * self.epochs
-
-    @property
     def exhausted(self) -> bool:
         return self._done_shards == self.total_shards
 
     @property
-    def has_assignable_work(self) -> bool:
-        return bool(self._queue) or any(
-            shard_id is not None and self._remaining_to_dispatch(shard_id) > 0
-            for shard_id in self._current_shard.values()
-        )
-
-    @property
     def total_overhead_s(self) -> float:
         return self._total_overhead
-
-    def state_counts(self) -> Dict[str, int]:
-        """Number of shards per state (TODO / DOING / DONE)."""
-        counts = {state.value: 0 for state in ShardState}
-        for shard in self._shards.values():
-            counts[shard.state.value] += 1
-        return counts
 
     def shard_accounting(self) -> Dict[str, int]:
         """Sample-conservation ledger over the DDS's current state.
@@ -429,26 +413,13 @@ class StaticPartition(DataAllocator):
         self._consumed: Dict[str, int] = {worker: 0 for worker in self.workers}
 
     @property
-    def total_samples(self) -> int:
-        """Samples over all epochs."""
-        return self.num_samples * self.epochs
-
-    @property
     def exhausted(self) -> bool:
         return all(self._worker_done(worker) for worker in self.workers)
-
-    @property
-    def has_assignable_work(self) -> bool:
-        return not self.exhausted
 
     def _worker_done(self, worker: str) -> bool:
         start, end = self._bounds[worker]
         slice_size = end - start
         return self._consumed[worker] >= slice_size * self.epochs
-
-    def partition_of(self, worker: str) -> tuple:
-        """The (start, end) slice owned by a worker."""
-        return self._bounds[worker]
 
     def register_worker(self, worker: str) -> None:
         if worker not in self._bounds:

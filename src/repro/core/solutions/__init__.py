@@ -1,7 +1,6 @@
 """Straggler-mitigation solutions built on the AntDT framework."""
 
-from .antdt_dd import AntDTDD
 from .antdt_nd import AntDTND
 from .base import Solution
 
-__all__ = ["AntDTDD", "AntDTND", "Solution"]
+__all__ = ["AntDTND", "Solution"]

@@ -48,9 +48,6 @@ class AntDTND(Solution):
         self.max_restarts_per_interval = max_restarts_per_interval
         self._last_batch_sizes: Optional[Dict[str, int]] = None
 
-    def reset(self) -> None:
-        self._last_batch_sizes = None
-
     # -- helpers -------------------------------------------------------------------
     def _eligible_for_restart(self, node: str, context: ControlContext) -> bool:
         config = context.config

@@ -26,6 +26,3 @@ class Solution:
     def decide(self, context: ControlContext) -> List[Action]:
         """Return the actions to take for this control interval."""
         raise NotImplementedError
-
-    def reset(self) -> None:
-        """Clear internal state before a new training job (optional)."""

@@ -1,4 +1,4 @@
-"""Batch-size optimisation solvers (paper Eq. 3 and Eq. 4).
+"""Batch-size optimisation solver (paper Eq. 3).
 
 ``ADJUST_BS`` for CPU workers reduces to the min-max problem of Eq. 2/3:
 minimise the slowest worker's compute time subject to a fixed global batch.
@@ -6,20 +6,17 @@ Because CPU compute time is linear in batch size, the continuous optimum is
 simply proportional allocation ``B_i ∝ v_i``; :func:`solve_batch_sizes` adds
 integer rounding and lower bounds while keeping the global batch exact.
 
-AntDT-DD (Eq. 4) jointly chooses per-device batch sizes and gradient
-accumulation counts for heterogeneous GPU groups, with the batch size bounded
-between each device's saturation point and memory limit.
-:func:`solve_gradient_accumulation` enumerates the (small) space of
-accumulation counts and solves each inner min-max problem by bisection on the
-latent variable ``z`` of Eq. 3.
+AntDT-DD's Eq. 4 (per-device batch sizes plus gradient-accumulation counts
+for heterogeneous GPU groups) is not solved here:
+:func:`repro.allreduce.strategies.antdt_dd_assignment` picks both directly,
+anchoring the synchronisation period on the slowest device series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional
 
-__all__ = ["DeviceGroup", "AccumulationPlan", "solve_batch_sizes", "solve_gradient_accumulation"]
+__all__ = ["solve_batch_sizes"]
 
 
 def solve_batch_sizes(
@@ -102,170 +99,3 @@ def solve_batch_sizes(
         if not progressed:
             raise ValueError("bounds make the global batch size infeasible")
     return sizes
-
-
-@dataclass(frozen=True)
-class DeviceGroup:
-    """A group of identical devices in a heterogeneous dedicated cluster.
-
-    Attributes
-    ----------
-    name:
-        Group name (``"V100"`` / ``"P100"``).
-    count:
-        Number of devices ``n_i`` in the group.
-    throughput:
-        Saturated samples/second ``v_i`` of one device.
-    min_batch:
-        The saturation point (running smaller batches wastes the device).
-    max_batch:
-        The memory-bound batch size limitation.
-    """
-
-    name: str
-    count: int
-    throughput: float
-    min_batch: int
-    max_batch: int
-
-    def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ValueError("count must be positive")
-        if self.throughput <= 0:
-            raise ValueError("throughput must be positive")
-        if not 0 < self.min_batch <= self.max_batch:
-            raise ValueError("bounds must satisfy 0 < min_batch <= max_batch")
-
-
-@dataclass(frozen=True)
-class AccumulationPlan:
-    """Solution of Eq. 4 for one device group."""
-
-    group: str
-    batch_size: int
-    accumulation: int
-    step_time: float
-
-    @property
-    def samples_per_sync(self) -> int:
-        """Samples one device contributes between synchronisations."""
-        return self.batch_size * self.accumulation
-
-
-def _solve_inner(groups: Sequence[DeviceGroup], accumulation: Sequence[int],
-                 global_batch: int) -> Optional[Tuple[Dict[str, int], float]]:
-    """For fixed accumulation counts, find batch sizes via bisection on z."""
-
-    def sizes_at(z: float) -> Dict[str, int]:
-        result = {}
-        for group, c in zip(groups, accumulation):
-            ideal = z * group.throughput / c
-            result[group.name] = int(min(max(group.min_batch, round(ideal)), group.max_batch))
-        return result
-
-    def total(sizes: Dict[str, int]) -> int:
-        return sum(group.count * c * sizes[group.name]
-                   for group, c in zip(groups, accumulation))
-
-    lower_total = total({g.name: g.min_batch for g in groups})
-    upper_total = total({g.name: g.max_batch for g in groups})
-    if global_batch < lower_total or global_batch > upper_total:
-        return None
-
-    lo, hi = 0.0, max(c * g.max_batch / g.throughput for g, c in zip(groups, accumulation))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if total(sizes_at(mid)) < global_batch:
-            lo = mid
-        else:
-            hi = mid
-    sizes = sizes_at(hi)
-
-    # Integer repair toward the exact global batch, respecting bounds.  Each
-    # unit change of group i's batch size changes the total by count * C_i.
-    deficit = global_batch - total(sizes)
-    order = sorted(range(len(groups)), key=lambda i: groups[i].throughput, reverse=True)
-    guard = 0
-    while deficit != 0 and guard < 100000:
-        guard += 1
-        progressed = False
-        for index in order:
-            group, c = groups[index], accumulation[index]
-            step = group.count * c
-            if deficit >= step and sizes[group.name] < group.max_batch:
-                sizes[group.name] += 1
-                deficit -= step
-                progressed = True
-            elif deficit <= -step and sizes[group.name] > group.min_batch:
-                sizes[group.name] -= 1
-                deficit += step
-                progressed = True
-        if not progressed:
-            break
-    if abs(deficit) > sum(group.count for group in groups) * max(accumulation):
-        # Could not get close enough to the target batch with these counts.
-        return None
-
-    objective = max(
-        c * sizes[group.name] / group.throughput for group, c in zip(groups, accumulation)
-    )
-    return sizes, objective
-
-
-def solve_gradient_accumulation(
-    groups: Sequence[DeviceGroup],
-    global_batch: int,
-    min_accumulation: int = 1,
-    max_accumulation: int = 5,
-) -> List[AccumulationPlan]:
-    """Solve Eq. 4: joint batch size + gradient accumulation per device group.
-
-    Enumerates accumulation counts ``C_i`` in ``[min_accumulation,
-    max_accumulation]`` for every group (the number of distinct device series
-    ``k`` is small in practice — the paper's Cluster-B has two) and solves the
-    inner min-max batch-size problem for each combination, returning the plan
-    with the smallest synchronisation period ``max_i C_i B_i / v_i``.
-    """
-    if not groups:
-        raise ValueError("at least one device group is required")
-    if global_batch <= 0:
-        raise ValueError("global_batch must be positive")
-    if not 1 <= min_accumulation <= max_accumulation:
-        raise ValueError("accumulation bounds must satisfy 1 <= min <= max")
-
-    best: Optional[Tuple[float, Tuple[int, ...], Dict[str, int]]] = None
-    counts = list(range(min_accumulation, max_accumulation + 1))
-
-    def enumerate_combos(prefix: List[int], depth: int) -> None:
-        nonlocal best
-        if depth == len(groups):
-            solution = _solve_inner(groups, prefix, global_batch)
-            if solution is None:
-                return
-            sizes, objective = solution
-            key = (objective, tuple(prefix))
-            if best is None or key < (best[0], best[1]):
-                best = (objective, tuple(prefix), sizes)
-            return
-        for count in counts:
-            enumerate_combos(prefix + [count], depth + 1)
-
-    enumerate_combos([], 0)
-    if best is None:
-        raise ValueError(
-            "Eq. 4 is infeasible: the global batch cannot be reached within the "
-            "saturation/memory bounds and accumulation limits"
-        )
-    objective, accumulation, sizes = best
-    plans = []
-    for group, c in zip(groups, accumulation):
-        batch = sizes[group.name]
-        plans.append(
-            AccumulationPlan(
-                group=group.name,
-                batch_size=batch,
-                accumulation=c,
-                step_time=c * batch / group.throughput,
-            )
-        )
-    return plans

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..allreduce.job import AllReduceJob, AllReduceResult
 from ..allreduce.strategies import DeviceAssignment, GPUWorkerGroup

@@ -94,8 +94,7 @@ class ElasticExecutor(Protocol):
         """Gracefully retire workers; returns the names actually retiring."""
         ...
 
-    # -- server tier (optional: executors without an elastic PS tier may
-    # simply not implement these; the autoscaler degrades gracefully) -------
+    # -- server tier --------------------------------------------------------
     def active_server_names(self) -> List[str]:
         """Active (non-draining) servers, ordered by join time."""
         ...
@@ -167,16 +166,6 @@ class Autoscaler:
         now = self.env.now
         cfg = self.config
         executor = self.executor
-        # The server-tier surface is optional on executors (a worker-only
-        # autoscaler over a static server fleet, or the test stubs): missing
-        # accessors degrade to an empty server membership, which every server
-        # policy treats as "no decision".
-        server_names = getattr(executor, "active_server_names", None)
-        pending_servers = getattr(executor, "pending_server_count", None)
-        queue_depths = getattr(executor, "server_queue_depths", None)
-        shard_weights = getattr(executor, "server_shard_weights", None)
-        serving_fn = getattr(executor, "serving_slo_snapshot", None)
-        serving = serving_fn() if serving_fn is not None else None
         return ElasticContext(
             now=now,
             active_workers=executor.active_worker_names(),
@@ -190,15 +179,14 @@ class Autoscaler:
             worker_long_bpts=self.monitor.worker_bpt_means(cfg.long_window_s, now),
             worker_throughputs=self.monitor.worker_throughputs(cfg.short_window_s, now),
             slowness_ratio=cfg.slowness_ratio,
-            active_servers=list(server_names()) if server_names is not None else [],
-            pending_servers=int(pending_servers()) if pending_servers is not None else 0,
+            active_servers=executor.active_server_names(),
+            pending_servers=executor.pending_server_count(),
             min_servers=cfg.min_servers,
             max_servers=cfg.max_servers,
-            server_queue_depths=dict(queue_depths()) if queue_depths is not None else {},
+            server_queue_depths=executor.server_queue_depths(),
             server_long_bpts=self.monitor.server_bpt_means(cfg.long_window_s, now),
-            server_shard_weights=dict(shard_weights())
-            if shard_weights is not None else {},
-            serving=serving,
+            server_shard_weights=executor.server_shard_weights(),
+            serving=executor.serving_slo_snapshot(),
         )
 
     # -- dispatch -----------------------------------------------------------------

@@ -15,7 +15,7 @@ then leaves the simulation for good instead of riding the failover path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 __all__ = ["SCALE_IN", "ScaleInSignal", "MembershipEvent", "MembershipLog",
            "JOIN_REQUESTED", "JOINED", "LEFT"]
@@ -90,7 +90,3 @@ class MembershipLog:
         for event in self._events:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
-
-    def timeline(self) -> List[Tuple[float, str, str]]:
-        """The log as ``(time_s, kind, node)`` tuples (report-friendly)."""
-        return [(event.time_s, event.kind, event.node) for event in self._events]

@@ -73,11 +73,6 @@ class ShardLedger:
     undispatched: int
     unpopulated: int
 
-    @property
-    def outstanding(self) -> int:
-        """Samples not yet confirmed (everything still owed to the job)."""
-        return self.total_samples - self.confirmed
-
     def to_dict(self) -> Dict[str, int]:
         """Plain-dict form for reports."""
         return {

@@ -1,13 +1,14 @@
 """AntDT-DD evaluation: paper Fig. 15 (heterogeneous GPU cluster).
 
-Also exposes the Eq. 4 solving path through the framework (AntDT-DD solution
-object driving an ``ADJUST_BS`` action) so the integration tests can exercise
-the Controller side, while the JCT numbers come from the AllReduce simulator.
+Every strategy is a per-group assignment from
+:mod:`repro.allreduce.strategies` (AntDT-DD's is
+:func:`~repro.allreduce.strategies.antdt_dd_assignment`), and the JCT numbers
+come from the closed-form AllReduce simulator.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..allreduce import (
     AllReduceJob,
@@ -17,8 +18,8 @@ from ..allreduce import (
     lb_bsp_assignment,
 )
 from ..allreduce.strategies import GPUWorkerGroup
-from ..ml.data.imagenet import ImageWorkload, imagenet_epoch, mini_imagenet_epoch
-from ..ml.models.cost_models import MOBILENET_V1, MODEL_COSTS, RESNET101, ModelCostProfile
+from ..ml.data.imagenet import ImageWorkload, imagenet_epoch
+from ..ml.models.cost_models import MODEL_COSTS, ModelCostProfile
 from .workloads import make_gpu_groups
 
 __all__ = ["fig15_gpu_jct", "run_gpu_strategy", "gpu_strategy_results"]

@@ -7,7 +7,7 @@ qualitative shape (method ordering, approximate speedups, recovery events).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..baselines.registry import asp_methods, bsp_methods
 from .stragglers import server_scenario, worker_scenario

@@ -4,11 +4,11 @@ checks of §VII-D (agility of data assignment, failover time, overhead).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..checkpoint import CheckpointSchedule, FailoverModel
+from ..checkpoint import FailoverModel
 from ..core.sharding import StatefulDDS
 from ..core.shuffler import ShardShuffler
 from ..ml.data.criteo import CriteoConfig, make_criteo_like

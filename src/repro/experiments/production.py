@@ -10,7 +10,7 @@ straggler) and compare every method on exactly the same mix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Sequence
 
 __all__ = ["format_table", "speedup", "percent_faster"]
 

@@ -32,7 +32,6 @@ from ..sim.contention import (
     CompositeContention,
     ConstantContention,
     DeterministicSlowdown,
-    NoContention,
     PeriodicContention,
     RandomContention,
 )
@@ -130,7 +129,7 @@ def apply_scenario(cluster: Cluster, scenario: StragglerScenario, scale: Experim
             num_transient = max(1, int(round(scenario.transient_fraction * len(candidates))))
             chosen = list(rng.choice(candidates, size=min(num_transient, len(candidates)),
                                      replace=False))
-        for index, name in enumerate(chosen):
+        for name in chosen:
             phase = float(rng.uniform(0.0, scale.straggler_period_s / 2))
             cluster.set_contention(
                 name,

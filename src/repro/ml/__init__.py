@@ -1,73 +1,60 @@
 """NumPy mini deep-learning substrate.
 
-Provides everything the simulated training architectures need from an ML
-stack: trainable models with explicit gradients (logistic regression, MLP,
-XDeepFM-lite), optimizers with checkpointable state, losses, the AUC metric,
-synthetic datasets matching the paper's workloads, and FLOP-level cost
-profiles for the vision models used in the GPU experiments.
+Provides what the simulated training architectures and the data-integrity
+experiments need from an ML stack: the XDeepFM-lite model with explicit
+gradients, the Adagrad optimizer with checkpointable state, the binary
+cross-entropy loss, the AUC metric, synthetic datasets matching the paper's
+workloads, and FLOP-level cost profiles for the vision models used in the GPU
+experiments.
 """
 
 from .data import (
     Batch,
     CriteoConfig,
     ImageWorkload,
-    ProductionConfig,
     TabularDataset,
     imagenet_epoch,
     make_criteo_like,
-    make_production_like,
     mini_imagenet_epoch,
 )
-from .losses import bce_with_logits, mse, sigmoid, softmax_cross_entropy
-from .metrics import accuracy, auc, log_loss
+from .losses import bce_with_logits, sigmoid
+from .metrics import auc
 from .models import (
     INHOUSE_RANKING,
-    MLP,
     MOBILENET_V1,
     MODEL_COSTS,
     RESNET101,
     XDEEPFM_CRITEO,
     DenseStack,
     Gradients,
-    LogisticRegression,
     Model,
     ModelCostProfile,
     XDeepFMLite,
 )
-from .optim import SGD, Adagrad, Adam, Optimizer, scale_learning_rate
+from .optim import Adagrad, Optimizer, scale_learning_rate
 
 __all__ = [
     "Adagrad",
-    "Adam",
     "Batch",
     "CriteoConfig",
     "DenseStack",
     "Gradients",
     "INHOUSE_RANKING",
     "ImageWorkload",
-    "LogisticRegression",
-    "MLP",
     "MOBILENET_V1",
     "MODEL_COSTS",
     "Model",
     "ModelCostProfile",
     "Optimizer",
-    "ProductionConfig",
     "RESNET101",
-    "SGD",
     "TabularDataset",
     "XDEEPFM_CRITEO",
     "XDeepFMLite",
-    "accuracy",
     "auc",
     "bce_with_logits",
     "imagenet_epoch",
-    "log_loss",
     "make_criteo_like",
-    "make_production_like",
     "mini_imagenet_epoch",
-    "mse",
     "scale_learning_rate",
     "sigmoid",
-    "softmax_cross_entropy",
 ]

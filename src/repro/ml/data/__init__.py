@@ -3,16 +3,13 @@
 from .criteo import CriteoConfig, make_criteo_like
 from .dataset import Batch, TabularDataset
 from .imagenet import ImageWorkload, imagenet_epoch, mini_imagenet_epoch
-from .production import ProductionConfig, make_production_like
 
 __all__ = [
     "Batch",
     "CriteoConfig",
     "ImageWorkload",
-    "ProductionConfig",
     "TabularDataset",
     "imagenet_epoch",
     "make_criteo_like",
-    "make_production_like",
     "mini_imagenet_epoch",
 ]

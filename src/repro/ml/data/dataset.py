@@ -10,7 +10,7 @@ rows as a :class:`Batch`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -126,21 +126,6 @@ class TabularDataset:
     def num_fields(self) -> int:
         """Number of categorical fields (0 for purely dense datasets)."""
         return 0 if self.categorical is None else int(self.categorical.shape[1])
-
-    def read_range(self, offset: int, length: int) -> Batch:
-        """Materialise the contiguous row range ``[offset, offset + length)``.
-
-        This is the worker-side mapping from a DDS shard (offset, length) to
-        actual input data.
-        """
-        if offset < 0 or length < 0:
-            raise ValueError("offset and length must be non-negative")
-        if offset + length > len(self):
-            raise ValueError(
-                f"range [{offset}, {offset + length}) exceeds dataset size {len(self)}"
-            )
-        indices = np.arange(offset, offset + length, dtype=np.int64)
-        return self.read_indices(indices)
 
     def read_indices(self, indices: np.ndarray) -> Batch:
         """Materialise an arbitrary set of rows (used after shuffling)."""

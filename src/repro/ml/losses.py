@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["sigmoid", "bce_with_logits", "mse", "softmax_cross_entropy"]
+__all__ = ["sigmoid", "bce_with_logits"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -42,41 +42,3 @@ def bce_with_logits(logits: np.ndarray, labels: np.ndarray) -> Tuple[float, np.n
     probs = sigmoid(logits)
     grad = (probs - labels) / n
     return float(loss), grad
-
-
-def mse(predictions: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean squared error and its gradient with respect to predictions."""
-    predictions = np.asarray(predictions, dtype=np.float64).reshape(-1)
-    targets = np.asarray(targets, dtype=np.float64).reshape(-1)
-    if predictions.shape != targets.shape:
-        raise ValueError("shape mismatch between predictions and targets")
-    n = predictions.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-    diff = predictions - targets
-    loss = float(np.mean(diff**2))
-    grad = 2.0 * diff / n
-    return loss, grad
-
-
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Multi-class cross entropy.
-
-    ``logits`` has shape ``(n, num_classes)`` and ``labels`` holds integer
-    class indices of shape ``(n,)``.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if logits.ndim != 2 or logits.shape[0] != labels.shape[0]:
-        raise ValueError("logits must be (n, classes) and labels (n,)")
-    n = logits.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = float(-np.mean(log_probs[np.arange(n), labels]))
-    probs = np.exp(log_probs)
-    grad = probs
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
-    return loss, grad

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["auc", "accuracy", "log_loss"]
+__all__ = ["auc"]
 
 
 def auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -41,26 +41,3 @@ def auc(labels: np.ndarray, scores: np.ndarray) -> float:
         i = j + 1
     pos_rank_sum = ranks[positives].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def accuracy(labels: np.ndarray, scores: np.ndarray, threshold: float = 0.5) -> float:
-    """Binary classification accuracy at a score threshold."""
-    labels = np.asarray(labels).reshape(-1)
-    scores = np.asarray(scores).reshape(-1)
-    if labels.shape != scores.shape:
-        raise ValueError("labels and scores must have the same shape")
-    if labels.size == 0:
-        raise ValueError("empty inputs")
-    predictions = (scores >= threshold).astype(np.float64)
-    return float(np.mean(predictions == labels))
-
-
-def log_loss(labels: np.ndarray, probabilities: np.ndarray, eps: float = 1e-12) -> float:
-    """Binary cross entropy on probabilities (not logits)."""
-    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
-    probabilities = np.clip(np.asarray(probabilities, dtype=np.float64).reshape(-1), eps, 1 - eps)
-    if labels.shape != probabilities.shape:
-        raise ValueError("labels and probabilities must have the same shape")
-    if labels.size == 0:
-        raise ValueError("empty inputs")
-    return float(-np.mean(labels * np.log(probabilities) + (1 - labels) * np.log(1 - probabilities)))

@@ -9,16 +9,13 @@ from .cost_models import (
     XDEEPFM_CRITEO,
     ModelCostProfile,
 )
-from .linear import LogisticRegression
-from .mlp import MLP, DenseStack
+from .mlp import DenseStack
 from .xdeepfm import XDeepFMLite
 
 __all__ = [
     "DenseStack",
     "Gradients",
     "INHOUSE_RANKING",
-    "LogisticRegression",
-    "MLP",
     "MOBILENET_V1",
     "MODEL_COSTS",
     "Model",

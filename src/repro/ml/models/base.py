@@ -10,7 +10,7 @@ subsystem.  The training contract is ``forward`` -> cached activations ->
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -40,23 +40,6 @@ class Model:
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Deep copy of all parameters (for checkpoints)."""
         return {name: value.copy() for name, value in self.params.items()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Restore parameters from a state dict saved by :meth:`state_dict`."""
-        missing = set(self.params) - set(state)
-        if missing:
-            raise KeyError(f"state dict is missing parameters: {sorted(missing)}")
-        for name in self.params:
-            value = np.asarray(state[name], dtype=np.float64)
-            if value.shape != self.params[name].shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: {value.shape} vs {self.params[name].shape}"
-                )
-            self.params[name][...] = value
-
-    def zero_like_gradients(self) -> Gradients:
-        """A gradient dict of zeros matching the parameter shapes."""
-        return {name: np.zeros_like(value) for name, value in self.params.items()}
 
     # -- compute -------------------------------------------------------------
     def forward(self, batch: Batch) -> np.ndarray:

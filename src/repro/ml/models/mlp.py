@@ -1,8 +1,5 @@
-"""A fully-connected network with ReLU activations.
-
-Used standalone (as the in-house "deep model" stand-in for the Cluster-C
-scalability workload) and as the DNN tower inside the XDeepFM-lite model.
-"""
+"""A stack of fully-connected layers with ReLU activations: the DNN tower
+inside the XDeepFM-lite model."""
 
 from __future__ import annotations
 
@@ -10,10 +7,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..data.dataset import Batch
-from .base import Gradients, Model
+from .base import Gradients
 
-__all__ = ["MLP", "DenseStack"]
+__all__ = ["DenseStack"]
 
 
 class DenseStack:
@@ -77,26 +73,3 @@ class DenseStack:
             grads[f"{self.prefix}.b{layer}"] = grad.sum(axis=0)
             grad = grad @ self.params[f"{self.prefix}.w{layer}"].T
         return grads, grad
-
-
-class MLP(Model):
-    """Binary classifier: dense features -> hidden ReLU layers -> one logit."""
-
-    def __init__(self, num_dense: int, hidden_dims: Sequence[int] = (32, 16), seed: int = 0) -> None:
-        super().__init__()
-        if num_dense <= 0:
-            raise ValueError("num_dense must be positive")
-        self.num_dense = num_dense
-        self.stack = DenseStack(self.params, "mlp", num_dense, hidden_dims, 1, seed=seed)
-
-    def forward(self, batch: Batch) -> np.ndarray:
-        if batch.dense.shape[1] != self.num_dense:
-            raise ValueError(
-                f"expected {self.num_dense} dense features, got {batch.dense.shape[1]}"
-            )
-        return self.stack.forward(batch.dense).reshape(-1)
-
-    def backward(self, batch: Batch, grad_logits: np.ndarray) -> Gradients:
-        grad = np.asarray(grad_logits, dtype=np.float64).reshape(-1, 1)
-        grads, _ = self.stack.backward(grad)
-        return grads

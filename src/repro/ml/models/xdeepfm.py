@@ -12,7 +12,7 @@ data-integrity checks are meaningful.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 

@@ -2,17 +2,17 @@
 
 Optimizers operate on parameter dictionaries (name -> ndarray), the same
 representation the simulated parameter servers shard across server nodes.
-They also expose ``state_dict``/``load_state_dict`` so checkpoints can save
-optimizer slots (momentum, Adam moments) exactly like a real training stack.
+They also expose ``state_dict``, a copy of the optimizer's slots (Adagrad's
+accumulators), the way a real training stack checkpoints them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam", "Adagrad", "scale_learning_rate"]
+__all__ = ["Optimizer", "Adagrad", "scale_learning_rate"]
 
 Params = Dict[str, np.ndarray]
 Grads = Dict[str, np.ndarray]
@@ -41,99 +41,6 @@ class Optimizer:
         """Serializable optimizer state (learning rate, step count, slots)."""
         return {"lr": self.lr, "steps": self.steps}
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore optimizer state saved by :meth:`state_dict`."""
-        self.lr = float(state["lr"])
-        self.steps = int(state["steps"])
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params: Params, lr: float = 0.01, momentum: float = 0.0,
-                 weight_decay: float = 0.0) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Dict[str, np.ndarray] = {}
-
-    def step(self, grads: Grads) -> None:
-        self._check(grads)
-        for name, grad in grads.items():
-            param = self.params[name]
-            update = grad
-            if self.weight_decay:
-                update = update + self.weight_decay * param
-            if self.momentum:
-                velocity = self._velocity.get(name)
-                if velocity is None:
-                    velocity = np.zeros_like(param)
-                velocity = self.momentum * velocity + update
-                self._velocity[name] = velocity
-                update = velocity
-            param -= self.lr * update
-        self.steps += 1
-
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state["velocity"] = {name: value.copy() for name, value in self._velocity.items()}
-        return state
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        super().load_state_dict(state)
-        velocity = state.get("velocity", {})
-        self._velocity = {name: np.array(value, copy=True) for name, value in velocity.items()}
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015)."""
-
-    def __init__(self, params: Params, lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must lie in [0, 1)")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self._m: Dict[str, np.ndarray] = {}
-        self._v: Dict[str, np.ndarray] = {}
-
-    def step(self, grads: Grads) -> None:
-        self._check(grads)
-        self.steps += 1
-        bias1 = 1.0 - self.beta1**self.steps
-        bias2 = 1.0 - self.beta2**self.steps
-        for name, grad in grads.items():
-            param = self.params[name]
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(param)
-                v = np.zeros_like(param)
-            m = self.beta1 * m + (1 - self.beta1) * grad
-            v = self.beta2 * v + (1 - self.beta2) * grad * grad
-            self._m[name] = m
-            self._v[name] = v
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state["m"] = {name: value.copy() for name, value in self._m.items()}
-        state["v"] = {name: value.copy() for name, value in self._v.items()}
-        return state
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        super().load_state_dict(state)
-        self._m = {name: np.array(value, copy=True) for name, value in state.get("m", {}).items()}
-        self._v = {name: np.array(value, copy=True) for name, value in state.get("v", {}).items()}
-
 
 class Adagrad(Optimizer):
     """Adagrad: per-coordinate adaptive learning rates, common for sparse CTR models."""
@@ -159,12 +66,6 @@ class Adagrad(Optimizer):
         state = super().state_dict()
         state["accum"] = {name: value.copy() for name, value in self._accum.items()}
         return state
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        super().load_state_dict(state)
-        self._accum = {
-            name: np.array(value, copy=True) for name, value in state.get("accum", {}).items()
-        }
 
 
 def scale_learning_rate(optimizer: Optimizer, factor: float) -> float:

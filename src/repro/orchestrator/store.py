@@ -130,17 +130,13 @@ class ResultStore:
         self._entries = entries
         return entries
 
-    def reload(self) -> None:
-        """Drop the in-memory view; the next access re-reads the file."""
-        self._entries = None
-
     # -- read API -----------------------------------------------------------
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """The stored fingerprint for ``key`` (None on miss).
 
         Returns a deep copy: fingerprints hold nested mutables (restart maps,
         failure lists), and a caller-side mutation must not leak into the
-        in-memory cache that :meth:`compact` would persist.
+        in-memory cache later reads are served from.
         """
         record = self._load().get(key)
         if record is None:
@@ -205,21 +201,6 @@ class ResultStore:
         # keeps no alias into the store's in-memory state.
         self._load()[key] = json.loads(line)
         return key
-
-    def compact(self) -> int:
-        """Rewrite the file with one record per live key; returns the count.
-
-        Append-only writes accumulate superseded lines over time; compaction
-        drops them (and any corrupt lines) without changing what :meth:`get`
-        resolves.
-        """
-        entries = self._load()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "w", encoding="utf-8") as handle:
-            for key in sorted(entries, key=lambda k: (entries[k]["scenario"], k)):
-                handle.write(json.dumps(entries[key], sort_keys=True) + "\n")
-        self.discarded = 0
-        return len(entries)
 
     def __repr__(self) -> str:
         return f"ResultStore({str(self.path)!r}, entries={len(self)})"

@@ -103,12 +103,6 @@ class EngineStats:
         """Logical events absorbed into cohort-coalesced commits."""
         return self.logical - self.physical
 
-    def events_per_sec(self, wall_seconds: float) -> Optional[float]:
-        """Processed events per wall-clock second (None when unmeasurable)."""
-        if wall_seconds <= 0:
-            return None
-        return self.processed / wall_seconds
-
     def snapshot(self, wall_seconds: Optional[float] = None) -> Dict[str, float]:
         """Stats as a JSON-ready dict (adds events/sec when given wall time)."""
         result: Dict[str, float] = {

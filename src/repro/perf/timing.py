@@ -1,10 +1,9 @@
 """Wall-clock timing primitives for the perf subsystem.
 
 :class:`Stopwatch` measures wall time around a block of work (context manager
-or explicit ``start``/``stop``), optionally accumulating named splits so a
-benchmark can attribute time to phases (build, run, report).  :class:`Counter`
-is a grouped integer/float counter with the same reporting shape, used for
-event tallies that are not tied to an :class:`~repro.sim.engine.Environment`.
+or explicit ``start``/``stop``).  :class:`Counter` is a grouped integer/float
+counter, used for event tallies that are not tied to an
+:class:`~repro.sim.engine.Environment`.
 """
 
 from __future__ import annotations
@@ -27,12 +26,11 @@ class Stopwatch:
     0.123
     """
 
-    __slots__ = ("_started_at", "_elapsed", "_splits")
+    __slots__ = ("_started_at", "_elapsed")
 
     def __init__(self) -> None:
         self._started_at: Optional[float] = None
         self._elapsed = 0.0
-        self._splits: Dict[str, float] = {}
 
     # -- core ---------------------------------------------------------------
     def start(self) -> "Stopwatch":
@@ -50,12 +48,6 @@ class Stopwatch:
         self._started_at = None
         return self._elapsed
 
-    def reset(self) -> None:
-        """Zero the elapsed time and all splits."""
-        self._started_at = None
-        self._elapsed = 0.0
-        self._splits.clear()
-
     @property
     def running(self) -> bool:
         """True while the stopwatch is started."""
@@ -68,18 +60,6 @@ class Stopwatch:
         if self._started_at is not None:
             total += time.perf_counter() - self._started_at
         return total
-
-    # -- splits -------------------------------------------------------------
-    def split(self, name: str) -> float:
-        """Record the current elapsed time under ``name`` and return it."""
-        value = self.elapsed
-        self._splits[name] = value
-        return value
-
-    @property
-    def splits(self) -> Dict[str, float]:
-        """All recorded splits (name -> elapsed seconds at the split)."""
-        return dict(self._splits)
 
     # -- context manager ------------------------------------------------------
     def __enter__(self) -> "Stopwatch":
@@ -126,10 +106,6 @@ class Counter:
     def as_dict(self) -> Dict[str, float]:
         """Snapshot of every counter."""
         return dict(self._counts)
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self._counts.clear()
 
     def __repr__(self) -> str:
         return f"Counter({self._counts!r})"

@@ -33,7 +33,7 @@ from ..elastic.resharding import MigrationCostModel, ReshardEvent, ServerShardMa
 from ..obs.recorder import NULL_RECORDER
 from ..sim.cluster import Cluster, Node, NodeStatus
 from ..sim.engine import Environment
-from ..sim.failures import ErrorCode, NodeFailure
+from ..sim.failures import ErrorCode
 from ..sim.metrics import MetricsRecorder
 from ..sim.scheduler import ClusterScheduler
 
@@ -100,13 +100,6 @@ class PSRunResult:
     def jct(self) -> float:
         """Alias for the job completion time in seconds."""
         return self.job_completion_time_s
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Framework overhead as a fraction of the JCT (paper Fig. 18)."""
-        if self.job_completion_time_s <= 0:
-            return 0.0
-        return self.framework_overhead_s / self.job_completion_time_s
 
 
 class PSTrainingJob:
@@ -382,25 +375,21 @@ class PSTrainingJob:
         """Record one instantaneous trace event at the current sim time."""
         self.recorder.event(track, name, self.env.now, args or None)
 
-    def inject_failure(self, node_name: str, code: ErrorCode, detail: str = "") -> bool:
+    def inject_failure(self, node_name: str, code: ErrorCode) -> bool:
         """Terminate ``node_name`` with an external failure and relaunch it.
 
         This is the entry point scenario failure traces (evictions, machine
-        faults) use: the node rides the normal failover path, the relaunch is
-        recorded under ``code``, and the Monitor receives the termination as a
-        node event — exactly what it would observe from a real cluster.
+        faults) use: the node rides the normal failover path and the
+        relaunch is recorded under ``code`` in the scheduler's failure
+        history.
         """
         for collection in (self.workers, self.servers):
             for member in collection:
                 if member.name == node_name:
                     granted = member.inject_failure(code)
-                    if granted:
-                        if self.recorder.enabled:
-                            self._trace_event("failures", "injected-failure",
-                                              node=node_name, code=code.value)
-                        self.monitor.report_node_event(NodeFailure(
-                            node_name=node_name, code=code, time=self.env.now,
-                            detail=detail))
+                    if granted and self.recorder.enabled:
+                        self._trace_event("failures", "injected-failure",
+                                          node=node_name, code=code.value)
                     return granted
         return False
 
@@ -425,8 +414,7 @@ class PSTrainingJob:
 
     def remaining_samples(self) -> int:
         """Samples of the workload not yet confirmed by the servers."""
-        total = getattr(self.allocator, "total_samples", self._samples_confirmed)
-        return max(0, int(total) - self._samples_confirmed)
+        return max(0, self.allocator.total_samples - self._samples_confirmed)
 
     def default_scale_in_targets(self, count: int) -> List[str]:
         """The ``count`` most recently joined active workers (LIFO order)."""
@@ -1049,8 +1037,7 @@ class PSTrainingJob:
             self._trace_event("job", "run-start",
                               workers=len(self.workers),
                               servers=len(self.servers),
-                              total_samples=int(getattr(
-                                  self.allocator, "total_samples", 0)))
+                              total_samples=self.allocator.total_samples)
         for server in self.servers:
             server.start()
         for worker in self.workers:
@@ -1098,14 +1085,13 @@ class PSTrainingJob:
         auc_value = None
         if self.evaluate_after_run:
             auc_value = self.backend.evaluate()
-        total_samples = getattr(self.allocator, "total_samples", self._samples_confirmed)
         action_log = list(self.controller.action_log) if self.controller else []
         if self.autoscaler is not None:
             action_log.extend(self.autoscaler.action_log)
         return PSRunResult(
             job_completion_time_s=jct,
             completed=self.completed,
-            total_samples=int(total_samples),
+            total_samples=self.allocator.total_samples,
             samples_confirmed=self._samples_confirmed,
             consumed_per_worker=self.allocator.consumed_counts(),
             restarts_per_node=self.restart_counts(),

@@ -328,16 +328,6 @@ class ParameterServer:
                     count += 1
         return count
 
-    def pending_requests(self) -> List[PushRequest]:
-        """The queued pushes themselves (same window as the count above)."""
-        pending = list(self.queue.items)
-        plan = self._plan
-        if plan is not None:
-            now = self.env.now
-            pending.extend(entry[_E_REQUEST] for entry in plan.entries
-                           if entry[_E_START] > now)
-        return pending
-
     def _requeue_front(self, queued: List[PushRequest]) -> None:
         """Return rescinded requests to the queue front for re-planning."""
         if queued:

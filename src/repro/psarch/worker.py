@@ -3,7 +3,7 @@
 One worker process per worker node.  Every iteration a worker:
 
 1. polls its Agent for global actions broadcast by the Controller
-   (ADJUST_BS changes its batch size / gradient-accumulation count);
+   (ADJUST_BS changes its batch size);
 2. fetches a sample range from the data allocator (Stateful DDS or static
    partition);
 3. computes the gradients (``T_w``), pushes them to every server and waits
@@ -20,7 +20,6 @@ rejoins the barrier.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
 from ..core.actions import Action, AdjustBatchSize
@@ -71,12 +70,10 @@ class PSWorker:
         self.scheduler = scheduler
         self.job = job
         self.barrier = barrier
-        # Training state: ADJUST_BS sets the batch size and accumulation
-        # count, the barrier aligns the iteration number, and the job sums
-        # the backup-worker drops into the run result (departed workers
-        # included).
+        # Training state: ADJUST_BS sets the batch size, the barrier aligns
+        # the iteration number, and the job sums the backup-worker drops
+        # into the run result (departed workers included).
         self.batch_size = max(1, int(initial_batch_size))
-        self.grad_accumulation = 1
         self.iteration = 0
         self.dropped_iterations = 0
         self.process = None
@@ -140,25 +137,8 @@ class PSWorker:
         if isinstance(action, AdjustBatchSize):
             if self.name in action.batch_sizes:
                 self.batch_size = max(1, int(action.batch_sizes[self.name]))
-            if action.grad_accumulation and self.name in action.grad_accumulation:
-                self.grad_accumulation = max(1, int(action.grad_accumulation[self.name]))
         # BACKUP_WORKERS and ADJUST_LR are executed at the job level; the
         # worker only needs to observe them for the synchronised iteration.
-
-    # -- helpers ---------------------------------------------------------------------
-    def _compute_time(self, num_samples: int) -> float:
-        """Worker compute time for ``num_samples`` with gradient accumulation."""
-        if num_samples <= self.batch_size:
-            # No accumulation: one micro batch of exactly num_samples.
-            return self.node.compute_time(num_samples, self.env.now,
-                                          model_cost=self.config.model.compute_cost)
-        micro_batches = max(1, math.ceil(num_samples / self.batch_size))
-        micro_size = math.ceil(num_samples / micro_batches)
-        total = 0.0
-        for _ in range(micro_batches):
-            total += self.node.compute_time(micro_size, self.env.now,
-                                            model_cost=self.config.model.compute_cost)
-        return total
 
     # -- barrier membership --------------------------------------------------------------
     def _enter_barrier(self) -> None:
@@ -250,7 +230,7 @@ class PSWorker:
                 # 2. Fetch data from the allocator.  One iteration may span a
                 # shard boundary, in which case the worker reads the tail of
                 # its current shard plus the head of the next one.
-                wanted = self.batch_size * self.grad_accumulation
+                wanted = self.batch_size
                 ranges: List = []
                 gathered = 0
                 dds_cost = 0.0
@@ -286,7 +266,9 @@ class PSWorker:
                 # Push and pull move the same gradient volume over the same
                 # (static) link, so one transfer-time evaluation covers both.
                 push_time = pull_time = self.node.network.transfer_time(grad_bytes)
-                yield timeout(self._compute_time(gathered) + push_time)
+                yield timeout(self.node.compute_time(
+                    gathered, env.now, model_cost=config.model.compute_cost)
+                    + push_time)
                 sync_start = env.now
                 # The push targets are read *after* the compute sleep, in the
                 # same synchronous block as the submits: a server retiring

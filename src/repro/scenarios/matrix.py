@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..baselines.registry import get_method
 from ..core.config import coalesce_default
 from ..core.sharding import StatefulDDS, StaticPartition
@@ -68,7 +66,7 @@ def _failure_trace_process(job: PSTrainingJob, events: Sequence[FailureEvent]):
             yield env.timeout(delay)
         if job.completed:
             return
-        granted = job.inject_failure(event.node, event.error_code, detail="failure-trace")
+        granted = job.inject_failure(event.node, event.error_code)
         if not granted:
             job.metrics.log_event(env.now, "failure_skipped", event.node, event.code)
 
@@ -190,7 +188,7 @@ def build_scenario_job(spec: ScenarioSpec, *,
     """
     method = get_method(spec.method)
     scale = spec.resolve_scale()
-    injector = failure_injector or FailureInjector(np.random.default_rng(spec.seed))
+    injector = failure_injector or FailureInjector()
     env = Environment(coalesce=coalesce_default() if coalesce is None else coalesce)
     cluster = make_cpu_cluster(scale, seed=spec.seed, dedicated=spec.topology.dedicated)
     apply_scenario(cluster, spec.stragglers, scale, seed=spec.seed)

@@ -16,11 +16,9 @@ from .contention import (
     NoContention,
     PeriodicContention,
     RandomContention,
-    persistent_straggler,
-    transient_straggler,
 )
 from .engine import AllOf, AnyOf, Environment, Event, Interrupt, Process, Store, Timeout
-from .failures import ErrorCode, FailureInjector, NodeFailure, is_retryable
+from .failures import ErrorCode, FailureInjector, NodeFailure
 from .hardware import (
     CPU_SERVER_4C,
     CPU_SERVER_12C,
@@ -31,8 +29,6 @@ from .hardware import (
     GPU_V100,
     DeviceProfile,
     compute_time,
-    gpu_batch_limit,
-    gpu_saturation_point,
 )
 from .metrics import MetricPoint, MetricSeries, MetricsRecorder
 from .network import NetworkModel, parameter_bytes, ring_allreduce_time
@@ -78,11 +74,6 @@ __all__ = [
     "Store",
     "Timeout",
     "compute_time",
-    "gpu_batch_limit",
-    "gpu_saturation_point",
-    "is_retryable",
     "parameter_bytes",
-    "persistent_straggler",
     "ring_allreduce_time",
-    "transient_straggler",
 ]

@@ -11,7 +11,7 @@ changes after a KILL_RESTART relaunches the pod on a healthy machine).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -38,7 +38,6 @@ class NodeStatus(enum.Enum):
     PENDING = "pending"
     RUNNING = "running"
     RESTARTING = "restarting"
-    FAILED = "failed"
     FINISHED = "finished"
     #: Permanently departed from the job (elastic scale-in).
     LEFT = "left"
@@ -73,10 +72,6 @@ class NodeSpec:
     contention: ContentionModel = field(default_factory=NoContention)
     post_restart_contention: ContentionModel = field(default_factory=NoContention)
     network: NetworkModel = field(default_factory=NetworkModel)
-
-    def with_contention(self, contention: ContentionModel) -> "NodeSpec":
-        """Return a copy of the spec with a different initial contention model."""
-        return replace(self, contention=contention)
 
 
 class Node:
@@ -196,11 +191,6 @@ class Node:
         self.status = NodeStatus.RUNNING
         self.set_contention(self.spec.post_restart_contention)
         self.restart_count += 1
-        self._notify_status()
-
-    def mark_failed(self) -> None:
-        """Mark the node as permanently failed (unretryable error)."""
-        self.status = NodeStatus.FAILED
         self._notify_status()
 
     def mark_finished(self) -> None:

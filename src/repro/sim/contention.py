@@ -20,8 +20,8 @@ experiment is reproducible from a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -33,8 +33,6 @@ __all__ = [
     "RandomContention",
     "DeterministicSlowdown",
     "CompositeContention",
-    "transient_straggler",
-    "persistent_straggler",
 ]
 
 
@@ -229,25 +227,3 @@ class CompositeContention(ContentionModel):
 
     def describe(self) -> str:
         return " + ".join(model.describe() for model in self.models) or "none"
-
-
-def transient_straggler(
-    sleep_duration: float = 1.5,
-    intensity: float = 0.8,
-    period: float = 1800.0,
-    active_duration: float = 900.0,
-    phase: float = 0.0,
-) -> PeriodicContention:
-    """Paper's transient straggler pattern (Section VII-A.4)."""
-    return PeriodicContention(
-        sleep_duration=sleep_duration,
-        intensity=intensity,
-        period=period,
-        active_duration=active_duration,
-        phase=phase,
-    )
-
-
-def persistent_straggler(delay_seconds: float = 4.0) -> ConstantContention:
-    """Paper's persistent straggler pattern (constant 4 s delay)."""
-    return ConstantContention(delay_seconds=delay_seconds)

@@ -162,10 +162,6 @@ class Event:
             raise RuntimeError(f"{self!r} has not yet been triggered")
         return self._value
 
-    def defused(self) -> None:
-        """Mark a failed event as handled so it does not crash the run."""
-        self._defused = True
-
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
@@ -299,7 +295,6 @@ class Process(Event):
     # -- driver -----------------------------------------------------------
     def _resume(self, event: Event) -> None:
         env = self.env
-        env._active_process = self
         # Remove ourselves from the old target if we were pre-empted by an
         # interrupt while waiting on a different event.
         if self._target is not None and self._target is not event:
@@ -345,8 +340,6 @@ class Process(Event):
             callbacks.append(self._resume)
             self._target = next_event
             break
-
-        env._active_process = None
 
 
 class _Condition(Event):
@@ -745,7 +738,7 @@ class Environment:
     pins both modes to the same byte-identical traces).
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process",
+    __slots__ = ("_now", "_queue", "_eid",
                  "scheduled_count", "processed_count",
                  "coalesce", "coalesced_count", "_dead", "_inline_until")
 
@@ -753,7 +746,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List = []
         self._eid = itertools.count()
-        self._active_process: Optional[Process] = None
         self.scheduled_count = 0
         self.processed_count = 0
         self.coalesce = bool(coalesce)
@@ -771,11 +763,6 @@ class Environment:
         """Current simulation time."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None between steps)."""
-        return self._active_process
-
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
         """Create a new pending event."""
@@ -788,10 +775,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Start a new process from a generator."""
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition that waits for all ``events``."""
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Condition that waits for the first of ``events``."""

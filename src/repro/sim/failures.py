@@ -1,29 +1,22 @@
-"""Failure classification and random failure injection.
+"""Node termination reasons and the failure history of a run.
 
-The AntDT Monitor classifies node errors into *retryable* errors (proactive
-termination by KILL_RESTART, network errors, job eviction — the node should be
-relaunched and training resumed) and *unretryable* errors (user configuration
-or programming errors — the job must stop).  This module provides that
-taxonomy plus a failure injector that randomly kills nodes during a simulated
-run, which is how the data-integrity experiments exercise the failover path of
-the Stateful DDS.
+:class:`ErrorCode` names why a node terminated: a proactive KILL_RESTART, a
+network error, an eviction, a machine fault, or a user error.  The simulated
+cluster scheduler relaunches the node whatever the code.
+:class:`FailureInjector` is the run's failure history: the scheduler records
+every node termination there, and the scenario fingerprint reads it back.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
-
-from .metrics import window_start
+from dataclasses import dataclass
+from typing import List
 
 __all__ = [
     "ErrorCode",
     "NodeFailure",
-    "is_retryable",
     "FailureInjector",
 ]
 
@@ -45,22 +38,6 @@ class ErrorCode(enum.Enum):
     PROGRAMMING_ERROR = "programming_error"
 
 
-#: Errors after which the framework relaunches the node and resumes training.
-RETRYABLE_ERRORS = frozenset(
-    {
-        ErrorCode.PROACTIVE_KILL,
-        ErrorCode.NETWORK_ERROR,
-        ErrorCode.JOB_EVICTION,
-        ErrorCode.MACHINE_FAILURE,
-    }
-)
-
-
-def is_retryable(code: ErrorCode) -> bool:
-    """Return True if the framework should relaunch the node after ``code``."""
-    return code in RETRYABLE_ERRORS
-
-
 @dataclass(frozen=True)
 class NodeFailure:
     """A single node-termination occurrence."""
@@ -68,102 +45,27 @@ class NodeFailure:
     node_name: str
     code: ErrorCode
     time: float
-    detail: str = ""
-
-    @property
-    def retryable(self) -> bool:
-        """Whether the failure allows the node to be relaunched."""
-        return is_retryable(self.code)
 
 
 class FailureInjector:
-    """Randomly injects retryable node failures during a simulated run.
+    """Every node termination of a run, in time order."""
 
-    Parameters
-    ----------
-    rng:
-        Source of randomness (``numpy`` Generator) for reproducibility.
-    mean_time_between_failures:
-        Expected seconds between failures *per node*.  ``None`` or ``inf``
-        disables random failures.
-    codes:
-        The pool of retryable error codes to draw from.
-    """
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        mean_time_between_failures: Optional[float] = None,
-        codes: Optional[List[ErrorCode]] = None,
-    ) -> None:
-        if mean_time_between_failures is not None and mean_time_between_failures <= 0:
-            raise ValueError("mean_time_between_failures must be positive or None")
-        self._rng = rng
-        self._mtbf = mean_time_between_failures
-        self._codes = list(codes) if codes else [
-            ErrorCode.NETWORK_ERROR,
-            ErrorCode.JOB_EVICTION,
-            ErrorCode.MACHINE_FAILURE,
-        ]
+    def __init__(self) -> None:
         self.history: List[NodeFailure] = []
 
-    @property
-    def enabled(self) -> bool:
-        """True when random failures are being injected."""
-        return self._mtbf is not None and self._mtbf != float("inf")
-
-    def next_failure_delay(self) -> float:
-        """Sample the time until the next random failure of one node."""
-        if not self.enabled:
-            return float("inf")
-        return float(self._rng.exponential(self._mtbf))
-
-    def sample_code(self) -> ErrorCode:
-        """Draw the error code of the next failure."""
-        index = int(self._rng.integers(0, len(self._codes)))
-        return self._codes[index]
-
-    def record(self, node_name: str, code: ErrorCode, time: float, detail: str = "") -> NodeFailure:
+    def record(self, node_name: str, code: ErrorCode, time: float) -> NodeFailure:
         """Record a failure occurrence and return it.
 
-        ``time`` must be non-negative: the sliding-window queries share the
-        Monitor's half-open ``(start, now]`` semantics in which the first
-        window of a run is widened to reach the run start, and a failure
-        stamped before t=0 could never be attributed to any window.  The
-        history is kept sorted by time, so traces whose events are injected by
+        ``time`` must be non-negative: the run starts at t=0.  The history is
+        kept sorted by time, so traces whose events are injected by
         concurrent simulation processes still read back in order.
         """
         if time < 0:
             raise ValueError("failure time must be non-negative (the run starts at t=0)")
-        failure = NodeFailure(node_name=node_name, code=code, time=float(time), detail=detail)
+        failure = NodeFailure(node_name=node_name, code=code, time=float(time))
         history = self.history
         if history and failure.time < history[-1].time:
             insort(history, failure, key=lambda event: event.time)
         else:
             history.append(failure)
         return failure
-
-    def failures_for(self, node_name: str) -> List[NodeFailure]:
-        """All recorded failures of a given node."""
-        return [failure for failure in self.history if failure.node_name == node_name]
-
-    def failures_between(self, start: float, end: float) -> List[NodeFailure]:
-        """Failures inside the half-open interval ``(start, end]``.
-
-        The boundary semantics mirror
-        :meth:`repro.sim.metrics.MetricSeries.window`: a failure recorded
-        exactly at ``start`` belongs to the previous window, so back-to-back
-        windows partition the history without double counting.
-        """
-        return [failure for failure in self.history if start < failure.time <= end]
-
-    def failures_in_window(self, window_s: float, now: float) -> List[NodeFailure]:
-        """Failures in the sliding window ``(now - window_s, now]``.
-
-        Uses the shared :func:`repro.sim.metrics.window_start` widening, so a
-        failure injected exactly at t=0 is attributed to the *first* window of
-        the run — consistent with the Monitor's documented half-open window
-        semantics — instead of falling on the open edge and vanishing from
-        every window query.
-        """
-        return self.failures_between(window_start(window_s, now), now)

@@ -17,7 +17,7 @@ P100 GPUs) and the BPT cost functions built on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "GPU_P100",
     "DEVICE_REGISTRY",
     "compute_time",
-    "gpu_saturation_point",
-    "gpu_batch_limit",
 ]
 
 
@@ -120,22 +118,6 @@ def compute_time(device: DeviceProfile, batch_size: int, model_cost: float = 1.0
     saturation = device.saturation_batch or 1
     effective = max(batch_size, saturation)
     return device.base_overhead + effective * per_sample
-
-
-def gpu_saturation_point(device: DeviceProfile) -> int:
-    """Return the saturation batch size of a GPU profile."""
-    if device.kind != "gpu":
-        raise ValueError(f"{device.name} is not a GPU")
-    return int(device.saturation_batch or 1)
-
-
-def gpu_batch_limit(device: DeviceProfile) -> int:
-    """Return the memory-bound batch size limitation of a GPU profile."""
-    if device.kind != "gpu":
-        raise ValueError(f"{device.name} is not a GPU")
-    if device.memory_limit_batch is None:
-        raise ValueError(f"{device.name} has no configured memory limit")
-    return int(device.memory_limit_batch)
 
 
 # --------------------------------------------------------------------------

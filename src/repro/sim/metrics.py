@@ -23,9 +23,8 @@ __all__ = ["MetricPoint", "MetricSeries", "MetricsRecorder", "window_start"]
 def window_start(window_s: float, now: float) -> float:
     """Left edge of the half-open sliding window ``(start, now]`` ending at ``now``.
 
-    Window queries across the code base (the Monitor's ``L_trans`` / ``L_per``
-    windows, the failure injector's failure-rate windows) use half-open
-    ``(start, now]`` intervals so consecutive windows never double count an
+    Window queries (the Monitor's ``L_trans`` / ``L_per`` windows) use
+    half-open ``(start, now]`` intervals so consecutive windows never double count an
     observation.  For the *first* window of a run the naive ``now - window_s``
     start would silently exclude an observation recorded exactly at t=0
     (``bisect_right`` places it at the open edge); when the window reaches back
@@ -149,12 +148,6 @@ class MetricSeries:
         """Observation values."""
         return list(self._values)
 
-    def last(self) -> Optional[MetricPoint]:
-        """Most recent observation, or None when empty."""
-        if not self._times:
-            return None
-        return MetricPoint(self._times[-1], self._values[-1])
-
     def window(self, start: float, end: float) -> List[float]:
         """Values observed in the half-open interval ``(start, end]``.
 
@@ -250,11 +243,6 @@ class MetricsRecorder:
     def series(self, name: str, tag: str = GLOBAL) -> MetricSeries:
         """Return the series for ``(name, tag)`` (empty if never recorded)."""
         return self._get_or_create(name, tag)
-
-    def has_series(self, name: str, tag: str = GLOBAL) -> bool:
-        """True if at least one observation exists for ``(name, tag)``."""
-        series = self._series.get((name, tag))
-        return series is not None and len(series) > 0
 
     def tags(self, name: str) -> List[str]:
         """All tags that have observations under metric ``name``.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .contention import ContentionModel, NoContention
+from .contention import ContentionModel
 
 __all__ = ["NetworkModel", "ring_allreduce_time", "parameter_bytes"]
 

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.sharding import StatefulDDS
-from repro.core.solvers import DeviceGroup, solve_batch_sizes, solve_gradient_accumulation
+from repro.core.solvers import solve_batch_sizes
 from repro.core.detection import detect_stragglers
 from repro.ml.losses import bce_with_logits, sigmoid
 from repro.ml.metrics import auc
@@ -104,27 +104,6 @@ def test_batch_size_solver_always_sums_to_global_batch(throughputs, global_batch
 def test_batch_size_solver_gives_fast_worker_at_least_as_much(fast, slow, global_batch):
     sizes = solve_batch_sizes({"fast": fast, "slow": slow}, global_batch=global_batch)
     assert sizes["fast"] >= sizes["slow"]
-
-
-@_SETTINGS
-@given(
-    counts=st.tuples(st.integers(1, 6), st.integers(1, 6)),
-    batch_multiplier=st.integers(min_value=2, max_value=20),
-)
-def test_gradient_accumulation_solver_respects_bounds(counts, batch_multiplier):
-    groups = [
-        DeviceGroup(name="V100", count=counts[0], throughput=360.0, min_batch=64, max_batch=192),
-        DeviceGroup(name="P100", count=counts[1], throughput=120.0, min_batch=32, max_batch=96),
-    ]
-    lower = sum(g.count * g.min_batch for g in groups)
-    upper = sum(g.count * g.max_batch for g in groups) * 5
-    global_batch = min(max(lower, 64 * batch_multiplier * (counts[0] + counts[1])), upper)
-    plans = solve_gradient_accumulation(groups, global_batch=global_batch, max_accumulation=5)
-    by_name = {p.group: p for p in plans}
-    for group in groups:
-        plan = by_name[group.name]
-        assert group.min_batch <= plan.batch_size <= group.max_batch
-        assert 1 <= plan.accumulation <= 5
 
 
 # ----------------------------------------------------------------------------- detection

@@ -3,7 +3,8 @@
 Per-rule positive/negative fixtures through :func:`lint_source`, the inline
 suppression round-trip (including the unused-waiver check), baseline
 persistence and absorption, the CON001 cross-artifact pass against both the
-real repository and a deliberately broken one, the CLI exit-code contract,
+real repository and a deliberately broken one, the USE001/USE002 consumer
+rules on a planted package, the CLI exit-code contract,
 and the self-lint: ``src/repro`` must be clean against the committed
 baseline — with a deliberately planted wall-clock read proving the gate
 actually fires.
@@ -409,7 +410,8 @@ def test_findings_sorted_and_rendered():
 def test_rule_catalogue_is_complete():
     ids = {rule.rule_id for rule in all_rules()}
     assert {"DET001", "DET002", "DET003", "DET004", "DET005",
-            "SIM001", "SIM002", "CON001", "SUP001", "SYN001"} <= ids
+            "SIM001", "SIM002", "CON001", "SUP001", "SYN001",
+            "USE001", "USE002"} <= ids
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +505,449 @@ class TestConsistency:
         (strategy_dir / "test_scenario_roundtrip.py").write_text(broken)
         findings = check_project(tmp_path)
         assert any(keyword in f.message for f in findings)
+
+
+# ---------------------------------------------------------------------------
+# USE001 — definitions only tests reach; USE002 — imports nothing reads
+# ---------------------------------------------------------------------------
+
+def _plant(root, files):
+    """Write a package under ``root/src/repro`` plus the given files."""
+    files = {"src/repro/__init__.py": '"""A planted package."""\n', **files}
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+
+
+def _unused_definitions(report):
+    return sorted(finding.message.split("`")[1] for finding in report.active
+                  if finding.rule == "USE001")
+
+
+class TestUnusedDefinitions:
+    def _lint(self, root, files):
+        _plant(root, files)
+        return lint_paths([root / "src" / "repro"], baseline=None, root=root)
+
+    def test_definitions_without_a_consumer_are_findings(self, tmp_path):
+        report = self._lint(tmp_path, {
+            "src/repro/mod.py": """
+                __all__ = ["exported_only"]
+
+                def only_tests():
+                    return 1
+
+                def exported_only():
+                    return 2
+
+                def recursive(n):
+                    return recursive(n - 1) if n else 0
+
+                class Widget:
+                    def helper(self):
+                        return Widget()
+            """,
+            "src/repro/other.py": """
+                from .mod import exported_only
+            """,
+            "tests/test_mod.py": """
+                from repro.mod import Widget, only_tests, recursive
+                only_tests(), recursive(2), Widget().helper()
+            """,
+        })
+        assert _unused_definitions(report) == [
+            "Widget", "Widget.helper", "exported_only", "only_tests",
+            "recursive"]
+
+    def test_consumers_outside_src_and_getattr_literals_count(self, tmp_path):
+        report = self._lint(tmp_path, {
+            "src/repro/mod.py": """
+                def for_benchmarks():
+                    return 1
+
+                def for_examples():
+                    return 2
+
+                def for_perfbench():
+                    return 3
+
+                class Hooks:
+                    def on_event(self):
+                        return 4
+
+                    def probed(self):
+                        return 5
+
+                    def __repr__(self):
+                        return "Hooks()"
+
+                def dispatch(hooks):
+                    return getattr(hooks, "on_event")(), hasattr(hooks, "probed")
+            """,
+            "benchmarks/bench.py": """
+                from repro.mod import Hooks, dispatch, for_benchmarks
+                for_benchmarks(), dispatch(Hooks())
+            """,
+            "examples/demo.py": """
+                import repro.mod
+                repro.mod.for_examples()
+            """,
+            "perfbench/run.py": """
+                from repro import mod
+                mod.for_perfbench()
+            """,
+        })
+        assert _unused_definitions(report) == []
+
+    def test_waiver_suppresses_and_a_stale_waiver_is_reported(self, tmp_path):
+        report = self._lint(tmp_path, {
+            "src/repro/mod.py": """
+                def registered():  # detlint: ignore[USE001]
+                    return 1
+
+                def used():  # detlint: ignore[USE001]
+                    return 2
+
+                VALUE = used()
+            """,
+        })
+        assert [finding.message.split("`")[1]
+                for finding in report.suppressed] == ["registered"]
+        assert [(finding.rule, finding.line) for finding in report.active] == [
+            ("SUP001", 5)]
+
+    def test_waiver_is_not_judged_when_the_pass_does_not_run(self, tmp_path):
+        _plant(tmp_path, {"src/repro/mod.py": """
+            def registered():  # detlint: ignore[USE001]
+                return 1
+        """})
+        # The package __init__.py is outside the selection: USE001 is idle.
+        report = lint_paths([tmp_path / "src" / "repro" / "mod.py"],
+                            baseline=None, root=tmp_path)
+        assert report.findings == []
+
+    def test_lint_source_judges_waivers_only_for_passes_that_ran(self):
+        rel = "src/repro/mod.py"
+        source = "def registered():  # detlint: ignore[USE001]\n    return 1\n"
+        found = Finding(rule="USE001", path=rel, line=1, col=1,
+                        message="`registered` is referred to nowhere")
+        [waived] = lint_source(source, path=rel, rel=rel, project=[found],
+                               ran=["CON001", "USE001"])
+        assert waived.rule == "USE001" and waived.suppressed
+        # The pass ran and found nothing here: the waiver is stale ...
+        assert rules_of(lint_source(source, path=rel, rel=rel,
+                                    ran=["USE001"])) == ["SUP001"]
+        # ... but when it did not run, the waiver cannot be judged.
+        assert lint_source(source, path=rel, rel=rel, ran=["CON001"]) == []
+
+    def test_a_call_from_another_package_module_is_a_consumer(self, tmp_path):
+        report = self._lint(tmp_path, {
+            "src/repro/mod.py": """
+                def helper():
+                    return 1
+            """,
+            "src/repro/other.py": """
+                from .mod import helper
+
+                VALUE = helper()
+            """,
+        })
+        assert _unused_definitions(report) == []
+
+    def test_a_decorator_use_is_a_consumer_of_the_decorator_only(self, tmp_path):
+        report = self._lint(tmp_path, {
+            "src/repro/mod.py": """
+                HANDLERS = []
+
+                def handler(fn):
+                    HANDLERS.append(fn)
+                    return fn
+
+                @handler
+                def on_start():
+                    return on_start
+            """,
+        })
+        # The decorator line sits in on_start's own span: being registered
+        # is not being referred to, which is why registries need waivers.
+        assert _unused_definitions(report) == ["on_start"]
+
+    def test_nested_and_dunder_definitions_are_not_checked(self, tmp_path):
+        report = self._lint(tmp_path, {
+            "src/repro/mod.py": """
+                def outer():
+                    def inner():
+                        return 1
+
+                    class Local:
+                        def method(self):
+                            return 2
+                    return inner, Local
+
+                def __getattr__(name):
+                    raise AttributeError(name)
+
+                VALUE = outer()
+            """,
+        })
+        assert _unused_definitions(report) == []
+
+    def test_async_definitions_are_checked(self, tmp_path):
+        report = self._lint(tmp_path, {
+            "src/repro/mod.py": """
+                async def fetch():
+                    return 1
+
+                class Client:
+                    async def poll(self):
+                        return 2
+
+                CLIENT = Client()
+            """,
+        })
+        assert _unused_definitions(report) == ["Client.poll", "fetch"]
+
+    def test_only_getattr_literals_count_among_strings(self, tmp_path):
+        report = self._lint(tmp_path, {
+            "src/repro/mod.py": """
+                def hook():
+                    return 1
+
+                def documented():
+                    return 2
+
+                NAME = "hook"
+                NOTE = "call documented() first"
+
+                def call(obj, name):
+                    return getattr(obj, name), setattr(obj, "hook", None)
+            """,
+            "examples/demo.py": """
+                from repro.mod import call
+                call(object(), "x")
+            """,
+        })
+        assert _unused_definitions(report) == ["documented", "hook"]
+
+    def test_a_shared_bare_name_keeps_every_definition(self, tmp_path):
+        report = self._lint(tmp_path, {
+            "src/repro/mod.py": """
+                class Fast:
+                    def run(self):
+                        return 1
+
+                class Slow:
+                    def run(self):
+                        return 2
+
+                ENGINES = (Fast, Slow)
+
+                def pick(engine):
+                    return engine.run()
+            """,
+            "benchmarks/bench.py": """
+                from repro.mod import Fast, pick
+                pick(Fast())
+            """,
+        })
+        # Without type resolution, engine.run keeps both methods alive.
+        assert _unused_definitions(report) == []
+
+    def test_only_package_definitions_are_held_to_account(self, tmp_path):
+        _plant(tmp_path, {
+            "src/repro/mod.py": """
+                def used_by_tools():
+                    return 1
+            """,
+            "src/tools/helper.py": """
+                from repro.mod import used_by_tools
+
+                def orphan_tool():
+                    return used_by_tools()
+            """,
+            "benchmarks/bench.py": """
+                def orphan_bench():
+                    return 2
+            """,
+        })
+        report = lint_paths([tmp_path / "src", tmp_path / "benchmarks"],
+                            baseline=None, root=tmp_path)
+        assert report.files == 4
+        assert _unused_definitions(report) == []
+
+    def test_seed_engine_oracle_is_exempt(self, tmp_path):
+        body = """
+            def frozen_helper():
+                return 1
+        """
+        report = self._lint(tmp_path, {
+            "src/repro/perf/seed_engine.py": body,
+            "src/repro/perf/live_engine.py": body,
+        })
+        assert [(finding.path, finding.message.split("`")[1])
+                for finding in report.active if finding.rule == "USE001"] == [
+            ("src/repro/perf/live_engine.py", "frozen_helper")]
+
+    def test_only_definitions_in_linted_files_are_reported(self, tmp_path):
+        _plant(tmp_path, {
+            "src/repro/alpha.py": """
+                def alpha_only():
+                    return 1
+            """,
+            "src/repro/beta.py": """
+                def beta_only():
+                    return 2
+            """,
+        })
+        package = tmp_path / "src" / "repro"
+        report = lint_paths([package / "__init__.py", package / "alpha.py"],
+                            baseline=None, root=tmp_path)
+        assert _unused_definitions(report) == ["alpha_only"]
+
+    def test_finding_points_at_the_definition(self, tmp_path):
+        report = self._lint(tmp_path, {
+            "src/repro/mod.py": """
+                class Widget:
+                    '''A widget.'''
+
+                    def helper(self):
+                        return 1
+
+                WIDGET = Widget()
+            """,
+        })
+        [finding] = report.active
+        assert (finding.rule, finding.path, finding.line, finding.col) == (
+            "USE001", "src/repro/mod.py", 5, 5)
+        assert finding.message.startswith("`Widget.helper` is referred to "
+                                          "nowhere outside tests")
+
+    def test_an_unparsable_file_is_reported_and_the_pass_still_runs(self, tmp_path):
+        report = self._lint(tmp_path, {
+            "src/repro/broken.py": "def broken(:\n",
+            "src/repro/mod.py": """
+                def unused():
+                    return 1
+            """,
+            "examples/broken.py": "import (\n",
+        })
+        assert sorted((finding.rule, finding.path)
+                      for finding in report.active) == [
+            ("SYN001", "src/repro/broken.py"), ("USE001", "src/repro/mod.py")]
+
+    def test_self_lint_waives_exactly_the_rule_catalogue_and_adjust_lr(self):
+        report = lint_paths([repo_root() / "src" / "repro"], baseline=None)
+        assert [finding for finding in report.active
+                if finding.rule in ("USE001", "USE002")] == []
+        waived = sorted(finding.message.split("`")[1]
+                        for finding in report.suppressed
+                        if finding.rule in ("USE001", "USE002"))
+        catalogue = [type(rule).__name__ for rule in all_rules()]
+        assert len(catalogue) == 12
+        assert waived == sorted(catalogue + ["AdjustLRSolution"])
+
+
+class TestUnusedImports:
+    def test_unread_module_level_imports_are_findings(self):
+        findings = lint("""
+            import os
+            import numpy as np
+            from typing import Dict, List
+            from collections import OrderedDict as OD
+
+            def zeros() -> List[int]:
+                import json  # function-level: not checked
+                return np.zeros(1)
+        """)
+        assert rules_of(findings) == ["USE002"] * 3
+        assert [finding.message.split("`")[1] for finding in findings] == [
+            "os", "Dict", "OD"]
+
+    def test_all_string_annotations_and_future_imports_count_as_read(self):
+        assert lint("""
+            from __future__ import annotations
+            from typing import TYPE_CHECKING, Optional
+            from .api import exported
+            if TYPE_CHECKING:
+                from .store import Store
+
+            __all__ = ["exported"]
+
+            def lookup(key: "Optional[Store]") -> None:
+                return None
+        """) == []
+
+    def test_package_init_is_skipped(self):
+        assert lint("import os\n", rel="src/repro/pkg/__init__.py") == []
+
+    def test_a_dotted_import_binds_its_top_level_name(self):
+        findings = lint("""
+            import os.path
+            import xml.dom
+
+            HOME = os.path.join("a", "b")
+        """)
+        assert rules_of(findings) == ["USE002"]
+        assert findings[0].message.startswith("`xml` is imported but never read")
+
+    def test_star_imports_are_skipped(self):
+        assert lint("from json import *\n") == []
+
+    def test_imports_in_module_level_blocks_are_checked(self):
+        findings = lint("""
+            try:
+                import json
+            except ImportError:
+                import pickle as json
+            if json:
+                import csv
+
+            class Codec:
+                import struct  # a class attribute, not a module binding
+        """)
+        assert [(finding.message.split("`")[1], finding.line)
+                for finding in findings] == [("csv", 7)]
+
+    def test_a_read_inside_a_function_counts(self):
+        assert lint("""
+            import json
+
+            def dump(value):
+                return json.dumps(value)
+        """) == []
+
+    def test_augmented_and_annotated_all_count_as_read(self):
+        assert lint("""
+            from typing import List
+            from .api import first, second
+
+            __all__: List[str] = ["first"]
+            __all__ += ["second"]
+        """) == []
+
+    def test_string_annotations_on_variables_and_returns_count(self):
+        assert lint("""
+            from typing import Dict
+            from .store import Store
+
+            CACHE: "Dict[str, int]" = {}
+
+            def open_store() -> "Store":
+                raise NotImplementedError
+        """) == []
+
+    def test_a_waiver_silences_an_unread_import(self):
+        findings = lint("""
+            import json  # detlint: ignore[USE002]
+            import csv  # detlint: ignore[USE002]
+
+            ROW = csv.reader([])
+        """)
+        assert [(finding.rule, finding.line) for finding in findings
+                if finding.active] == [("SUP001", 3)]
+        assert [finding.message.split("`")[1] for finding in findings
+                if finding.suppressed] == ["json"]
 
 
 # ---------------------------------------------------------------------------

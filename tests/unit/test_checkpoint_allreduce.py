@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.checkpoint import Checkpoint, CheckpointSchedule, CheckpointStore, FailoverModel
+from repro.checkpoint import CheckpointSchedule, FailoverModel
 from repro.allreduce import (
     AllReduceJob,
     GPUWorkerGroup,
@@ -18,31 +18,6 @@ from repro.sim.hardware import GPU_P100, GPU_V100
 
 
 # ------------------------------------------------------------------------------ checkpoints
-def test_checkpoint_store_saves_deep_copies():
-    store = CheckpointStore(save_cost_s=1.0)
-    state = {"w": np.ones(3)}
-    checkpoint = store.save(step=1, time=10.0, model_state=state)
-    state["w"][0] = 99.0
-    assert checkpoint.model_state["w"][0] == 1.0
-    assert len(store) == 1
-    assert store.total_save_time_s == 1.0
-
-
-def test_checkpoint_store_keeps_last_n():
-    store = CheckpointStore(keep_last=2)
-    for step in range(5):
-        store.save(step=step, time=float(step), model_state={})
-    assert len(store) == 2
-    assert store.latest().step == 4
-    assert store.latest_before(3.5).step == 3
-
-
-def test_checkpoint_store_latest_empty():
-    store = CheckpointStore()
-    assert store.latest() is None
-    assert store.latest_before(100.0) is None
-
-
 def test_checkpoint_schedule_positions():
     schedule = CheckpointSchedule(save_interval_s=600.0)
     assert schedule.last_checkpoint_before(1500.0) == 1200.0

@@ -16,10 +16,9 @@ from repro.core.config import AntDTConfig, ConsistencyModel
 from repro.core.controller import ControlContext
 from repro.core.detection import classify_stragglers, detect_stragglers
 from repro.core.monitor import Monitor
-from repro.core.solutions import AntDTDD, AntDTND
-from repro.core.solvers import DeviceGroup, solve_batch_sizes, solve_gradient_accumulation
-from repro.baselines.solutions import AdjustLRSolution, LBBSPSolution, NoMitigationSolution
-from repro.sim.failures import ErrorCode, NodeFailure
+from repro.core.solutions import AntDTND
+from repro.core.solvers import solve_batch_sizes
+from repro.baselines.solutions import AdjustLRSolution, LBBSPSolution
 
 
 # ------------------------------------------------------------------------------- actions
@@ -31,13 +30,12 @@ def test_action_kinds_and_types():
     assert AdjustLearningRate(factors={"w0": 0.5}).action_type is ActionType.ADJUST_LR
 
 
-def test_adjust_batch_size_validation_and_effective_batch():
+def test_adjust_batch_size_validation_and_description():
     with pytest.raises(ValueError):
         AdjustBatchSize(batch_sizes={})
     with pytest.raises(ValueError):
         AdjustBatchSize(batch_sizes={"w0": 0})
-    action = AdjustBatchSize(batch_sizes={"w0": 32}, grad_accumulation={"w0": 3})
-    assert action.effective_batch("w0") == 96
+    action = AdjustBatchSize(batch_sizes={"w0": 32})
     assert "w0=32" in action.describe()
 
 
@@ -60,8 +58,6 @@ def test_backup_workers_validation():
 def test_detect_stragglers_flags_slow_nodes():
     report = detect_stragglers({"w0": 1.0, "w1": 1.1, "w2": 5.0}, slowness_ratio=1.5)
     assert report.stragglers == ["w2"]
-    assert report.relative_slowness("w2") > 1.5
-    assert not report.is_straggler("w0")
 
 
 def test_detect_stragglers_empty_input():
@@ -112,35 +108,6 @@ def test_solve_batch_sizes_rejects_non_positive_throughput():
         solve_batch_sizes({"a": 0.0}, global_batch=10)
 
 
-def test_solve_gradient_accumulation_balances_heterogeneous_groups():
-    groups = [
-        DeviceGroup(name="V100", count=4, throughput=360.0, min_batch=64, max_batch=192),
-        DeviceGroup(name="P100", count=4, throughput=120.0, min_batch=32, max_batch=96),
-    ]
-    plans = solve_gradient_accumulation(groups, global_batch=768)
-    by_name = {plan.group: plan for plan in plans}
-    total = sum(g.count * by_name[g.name].samples_per_sync for g in groups)
-    assert abs(total - 768) <= sum(g.count for g in groups) * 5
-    # The fast device takes a larger per-sync share than the slow one.
-    assert by_name["V100"].samples_per_sync > by_name["P100"].samples_per_sync
-    # Step times are reasonably balanced.
-    times = [plan.step_time for plan in plans]
-    assert max(times) / min(times) < 2.5
-
-
-def test_solve_gradient_accumulation_infeasible_batch():
-    groups = [DeviceGroup(name="g", count=1, throughput=100.0, min_batch=10, max_batch=20)]
-    with pytest.raises(ValueError):
-        solve_gradient_accumulation(groups, global_batch=100000, max_accumulation=1)
-
-
-def test_device_group_validation():
-    with pytest.raises(ValueError):
-        DeviceGroup(name="g", count=0, throughput=1.0, min_batch=1, max_batch=2)
-    with pytest.raises(ValueError):
-        DeviceGroup(name="g", count=1, throughput=1.0, min_batch=5, max_batch=2)
-
-
 # -------------------------------------------------------------------------------- monitor
 def test_monitor_sliding_window_means():
     monitor = Monitor()
@@ -150,7 +117,6 @@ def test_monitor_sliding_window_means():
     means = monitor.worker_bpt_means(window_s=15.0, now=25.0)
     assert means["w0"] == pytest.approx(3.0)
     assert means["w1"] == pytest.approx(2.0)
-    assert set(monitor.known_workers) == {"w0", "w1"}
 
 
 def test_monitor_throughput_derivation():
@@ -184,14 +150,6 @@ def test_third_party_information_reaches_both_control_loops(busy):
         assert context.pending_time_s == pending
 
 
-def test_monitor_node_events():
-    monitor = Monitor()
-    failure = NodeFailure(node_name="w0", code=ErrorCode.JOB_EVICTION, time=3.0)
-    monitor.report_node_event(failure)
-    assert monitor.node_events("w0") == [failure]
-    assert monitor.node_events("w1") == []
-
-
 def test_monitor_rejects_invalid_reports():
     monitor = Monitor()
     with pytest.raises(ValueError):
@@ -204,11 +162,10 @@ def _agent_group(report_interval=2):
     return AgentGroup(Monitor(), config)
 
 
-def test_agent_group_primary_election_and_broadcast():
+def test_agent_group_broadcast_reaches_every_agent_once():
     group = _agent_group()
-    first = group.create_agent("w0")
+    group.create_agent("w0")
     second = group.create_agent("w1")
-    assert first.is_primary and not second.is_primary
     generation = group.broadcast(AdjustBatchSize(batch_sizes={"w0": 1, "w1": 2}))
     assert generation == 1
     actions, overhead = second.poll()
@@ -246,18 +203,21 @@ def test_agent_group_rejects_duplicate_agents():
 
 
 def test_only_workers_get_agents():
-    """Servers run no Agent, so the primary is the first worker."""
+    """Every worker has an Agent; servers run none."""
     from repro.orchestrator import simulate_spec
     from repro.scenarios import build_scenario_job, get_scenario
 
-    workers = [f"worker-{index}" for index in range(6)]
     job, _ = build_scenario_job(get_scenario("dedicated-antdt-nd"))
-    assert [agent.node_name for agent in job.agent_group.agents] == workers
-    assert job.agent_group.primary == "worker-0"
+    for worker in job.workers:
+        assert job.agent_group.agent(worker.name).node_name == worker.name
+    for server in job.servers:
+        with pytest.raises(KeyError):
+            job.agent_group.agent(server.name)
     # A server that joins mid-run gets no Agent either.
     job = simulate_spec(get_scenario("elastic-server-scale-out")).job
     assert "server-3" in [server.name for server in job.servers]
-    assert [agent.node_name for agent in job.agent_group.agents] == workers
+    with pytest.raises(KeyError):
+        job.agent_group.agent("server-3")
 
 
 # ------------------------------------------------------------------------------ solutions
@@ -330,27 +290,6 @@ def test_antdt_nd_respects_restart_budget():
     assert not any(isinstance(a, KillRestart) for a in actions)
 
 
-def test_antdt_dd_emits_single_adjustment_with_accumulation():
-    groups = [
-        DeviceGroup(name="V100", count=1, throughput=360.0, min_batch=64, max_batch=192),
-        DeviceGroup(name="P100", count=1, throughput=120.0, min_batch=32, max_batch=96),
-    ]
-    solution = AntDTDD(groups, {"w0": "V100", "w1": "P100"})
-    ctx = _context(short={"w0": 1.0, "w1": 1.0}, long={"w0": 1.0, "w1": 1.0})
-    ctx = ControlContext(**{**ctx.__dict__, "global_batch_size": 256})
-    first = solution.decide(ctx)
-    assert isinstance(first[0], AdjustBatchSize)
-    assert first[0].grad_accumulation is not None
-    second = solution.decide(ctx)
-    assert isinstance(second[0], NoneAction)
-
-
-def test_antdt_dd_validates_worker_group_mapping():
-    groups = [DeviceGroup(name="V100", count=1, throughput=360.0, min_batch=64, max_batch=192)]
-    with pytest.raises(ValueError):
-        AntDTDD(groups, {"w0": "unknown-group"})
-
-
 def test_lb_bsp_solution_rebalances_proportionally():
     ctx = _context(short={"w0": 1.0, "w1": 2.0}, long={"w0": 1.0, "w1": 2.0},
                    throughputs={"w0": 300.0, "w1": 100.0})
@@ -369,11 +308,6 @@ def test_lb_bsp_solution_skips_small_changes():
     second = solution.decide(ctx)
     assert isinstance(first[0], AdjustBatchSize)
     assert isinstance(second[0], NoneAction)
-
-
-def test_no_mitigation_solution_is_inert():
-    ctx = _context(short={"w0": 9.0, "w1": 1.0}, long={"w0": 9.0, "w1": 1.0})
-    assert isinstance(NoMitigationSolution().decide(ctx)[0], NoneAction)
 
 
 def test_adjust_lr_solution_penalises_stragglers_once():

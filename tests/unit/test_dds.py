@@ -193,13 +193,34 @@ def test_dds_overhead_charged_per_shard_event():
     assert dds.total_overhead_s == pytest.approx(0.02)
 
 
-def test_dds_state_counts():
+def test_dds_first_fetch_opens_one_shard():
     dds = _dds(num_samples=400, shard_samples=200)
     dds.next_range("w0", 100)
-    counts = dds.state_counts()
-    assert counts["doing"] == 1
-    assert counts["todo"] == 1
-    assert counts["done"] == 0
+    accounting = dds.shard_accounting()
+    # One shard DOING (100 dispatched, 100 left), one TODO, none DONE.
+    assert (accounting["in_flight"], accounting["undispatched"]) == (100, 300)
+    assert accounting["confirmed"] == 0 and accounting["conserved"]
+    assert dds.shards_taken() == {"w0": 1}
+    assert dds.done_shards == 0
+
+
+@pytest.mark.parametrize("make_allocator", [
+    lambda: _dds(num_samples=300, shard_samples=100, epochs=3),
+    lambda: StaticPartition(num_samples=300, workers=["a", "b"], epochs=3),
+], ids=["stateful-dds", "static-partition"])
+def test_total_samples_counts_every_epoch(make_allocator):
+    allocator = make_allocator()
+    assert allocator.total_samples == 900
+    confirmed = 0
+    for worker in ("a", "b"):
+        allocator.register_worker(worker)
+    while not allocator.exhausted:
+        for worker in ("a", "b"):
+            rng = allocator.next_range(worker, 70)
+            if rng is not None:
+                allocator.mark_done(worker, rng)
+                confirmed += rng.length
+    assert confirmed == allocator.total_samples
 
 
 def test_dds_rejects_invalid_parameters():
@@ -218,19 +239,27 @@ def test_dds_next_range_requires_positive_request():
 
 
 # ------------------------------------------------------------------------ static partition
+def _drain(partition, worker):
+    """Every range ``worker`` is given until its slice is done, confirmed."""
+    ranges = []
+    while (rng := partition.next_range(worker, 30)) is not None:
+        partition.mark_done(worker, rng)
+        ranges.append(rng)
+    return ranges
+
+
 def test_static_partition_even_split():
     partition = StaticPartition(num_samples=100, workers=["a", "b", "c"])
-    sizes = [partition.partition_of(w)[1] - partition.partition_of(w)[0] for w in ("a", "b", "c")]
+    sizes = [sum(rng.length for rng in _drain(partition, w)) for w in ("a", "b", "c")]
     assert sum(sizes) == 100
     assert max(sizes) - min(sizes) <= 1
 
 
 def test_static_partition_worker_only_sees_its_slice():
     partition = StaticPartition(num_samples=100, workers=["a", "b"])
-    start, end = partition.partition_of("a")
-    rng = partition.next_range("a", 1000)
-    assert rng.offset == start
-    assert rng.end <= end
+    slice_a, slice_b = _drain(partition, "a"), _drain(partition, "b")
+    assert slice_a[0].offset == 0 and slice_b[-1].end == 100
+    assert slice_a[-1].end == slice_b[0].offset
 
 
 def test_static_partition_exhaustion_requires_all_workers():

@@ -213,7 +213,7 @@ def test_all_of_waits_for_every_timeout():
     log = []
 
     def proc(env):
-        yield env.all_of([env.timeout(2.0), env.timeout(5.0), env.timeout(1.0)])
+        yield AllOf(env, [env.timeout(2.0), env.timeout(5.0), env.timeout(1.0)])
         log.append(env.now)
 
     env.process(proc(env))

@@ -10,8 +10,6 @@ from repro.sim.contention import (
     NoContention,
     PeriodicContention,
     RandomContention,
-    persistent_straggler,
-    transient_straggler,
 )
 from repro.sim.hardware import (
     CPU_WORKER_16C,
@@ -19,8 +17,6 @@ from repro.sim.hardware import (
     GPU_V100,
     DeviceProfile,
     compute_time,
-    gpu_batch_limit,
-    gpu_saturation_point,
 )
 
 
@@ -38,25 +34,25 @@ def test_cpu_zero_batch_costs_only_overhead():
 
 
 def test_gpu_flat_below_saturation_point():
-    saturation = gpu_saturation_point(GPU_V100)
+    saturation = GPU_V100.saturation_batch
     t_small = GPU_V100.batch_time(saturation // 4)
     t_sat = GPU_V100.batch_time(saturation)
     assert t_small == pytest.approx(t_sat)
 
 
 def test_gpu_grows_above_saturation_point():
-    saturation = gpu_saturation_point(GPU_V100)
+    saturation = GPU_V100.saturation_batch
     assert GPU_V100.batch_time(saturation * 2) > GPU_V100.batch_time(saturation)
 
 
 def test_gpu_oom_beyond_memory_limit():
-    limit = gpu_batch_limit(GPU_P100)
+    limit = GPU_P100.memory_limit_batch
     with pytest.raises(ValueError):
         GPU_P100.batch_time(limit + 1)
 
 
 def test_v100_roughly_three_times_faster_than_p100():
-    batch = gpu_batch_limit(GPU_P100)
+    batch = GPU_P100.memory_limit_batch
     ratio = GPU_P100.throughput(batch) / GPU_V100.throughput(batch)
     assert 0.25 < ratio < 0.5
 
@@ -74,13 +70,6 @@ def test_invalid_device_kind_rejected():
 def test_gpu_profile_requires_saturation_batch():
     with pytest.raises(ValueError):
         DeviceProfile(name="x", kind="gpu", samples_per_second=1.0)
-
-
-def test_saturation_point_helpers_reject_cpu():
-    with pytest.raises(ValueError):
-        gpu_saturation_point(CPU_WORKER_16C)
-    with pytest.raises(ValueError):
-        gpu_batch_limit(CPU_WORKER_16C)
 
 
 def test_model_cost_scales_compute_time():
@@ -159,10 +148,3 @@ def test_composite_contention_combines_models():
     assert model.extra_delay(0.0, rng) == pytest.approx(3.0)
     assert model.slowdown(0.0) == pytest.approx(2.0)
     assert "persistent" in model.describe()
-
-
-def test_paper_pattern_factories():
-    transient = transient_straggler(intensity=0.5)
-    persistent = persistent_straggler()
-    assert transient.intensity == 0.5
-    assert persistent.delay_seconds == 4.0

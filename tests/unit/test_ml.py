@@ -4,28 +4,18 @@ import numpy as np
 import pytest
 
 from repro.ml import (
-    MLP,
     Adagrad,
-    Adam,
     Batch,
     CriteoConfig,
-    LogisticRegression,
-    SGD,
     TabularDataset,
     XDeepFMLite,
-    accuracy,
     auc,
     bce_with_logits,
-    log_loss,
     make_criteo_like,
-    make_production_like,
-    mse,
     scale_learning_rate,
     sigmoid,
-    softmax_cross_entropy,
 )
 from repro.ml.data.imagenet import imagenet_epoch, mini_imagenet_epoch
-from repro.ml.data.production import ProductionConfig
 from repro.ml.models.cost_models import MOBILENET_V1, RESNET101
 
 
@@ -67,22 +57,6 @@ def test_bce_numeric_gradient():
         assert grad[i] == pytest.approx((up - down) / (2 * eps), rel=1e-4, abs=1e-8)
 
 
-def test_mse_loss_and_gradient():
-    loss, grad = mse(np.array([1.0, 2.0]), np.array([0.0, 2.0]))
-    assert loss == pytest.approx(0.5)
-    assert grad[0] == pytest.approx(1.0)
-    assert grad[1] == pytest.approx(0.0)
-
-
-def test_softmax_cross_entropy_gradient_sums_to_zero():
-    rng = np.random.default_rng(0)
-    logits = rng.normal(size=(4, 3))
-    labels = np.array([0, 1, 2, 1])
-    loss, grad = softmax_cross_entropy(logits, labels)
-    assert loss > 0
-    assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-12)
-
-
 # --------------------------------------------------------------------------------- metrics
 def test_auc_perfect_and_random_scores():
     labels = np.array([0, 0, 1, 1])
@@ -96,43 +70,18 @@ def test_auc_requires_both_classes():
         auc(np.array([1, 1]), np.array([0.5, 0.6]))
 
 
-def test_accuracy_and_log_loss():
-    labels = np.array([0.0, 1.0, 1.0, 0.0])
-    scores = np.array([0.1, 0.9, 0.4, 0.6])
-    assert accuracy(labels, scores) == pytest.approx(0.5)
-    assert log_loss(labels, scores) > 0
-
-
 # ------------------------------------------------------------------------------- optimizers
 def _quadratic_params():
     return {"w": np.array([10.0, -10.0])}
 
 
-def test_sgd_converges_on_quadratic():
-    params = _quadratic_params()
-    optimizer = SGD(params, lr=0.1)
-    for _ in range(200):
-        optimizer.step({"w": 2 * params["w"]})
-    assert np.linalg.norm(params["w"]) < 1e-3
-
-
-def test_sgd_momentum_state_roundtrip():
-    params = _quadratic_params()
-    optimizer = SGD(params, lr=0.1, momentum=0.9)
+def test_adagrad_state_dict_copies_slots():
+    optimizer = Adagrad(_quadratic_params(), lr=0.1)
     optimizer.step({"w": np.ones(2)})
     state = optimizer.state_dict()
-    restored = SGD(_quadratic_params(), lr=0.1, momentum=0.9)
-    restored.load_state_dict(state)
-    assert restored.steps == 1
-    assert np.allclose(restored._velocity["w"], optimizer._velocity["w"])
-
-
-def test_adam_converges_on_quadratic():
-    params = _quadratic_params()
-    optimizer = Adam(params, lr=0.5)
-    for _ in range(300):
-        optimizer.step({"w": 2 * params["w"]})
-    assert np.linalg.norm(params["w"]) < 1e-2
+    assert (state["lr"], state["steps"]) == (0.1, 1)
+    optimizer.step({"w": np.ones(2)})
+    assert np.allclose(state["accum"]["w"], 1.0)  # a copy, not the live slot
 
 
 def test_adagrad_reduces_loss():
@@ -145,13 +94,13 @@ def test_adagrad_reduces_loss():
 
 
 def test_optimizer_rejects_unknown_parameter():
-    optimizer = SGD(_quadratic_params(), lr=0.1)
+    optimizer = Adagrad(_quadratic_params(), lr=0.1)
     with pytest.raises(KeyError):
         optimizer.step({"unknown": np.zeros(2)})
 
 
 def test_scale_learning_rate():
-    optimizer = SGD(_quadratic_params(), lr=0.1)
+    optimizer = Adagrad(_quadratic_params(), lr=0.1)
     assert scale_learning_rate(optimizer, 0.5) == pytest.approx(0.05)
     with pytest.raises(ValueError):
         scale_learning_rate(optimizer, 0.0)
@@ -159,7 +108,7 @@ def test_scale_learning_rate():
 
 def test_invalid_learning_rate_rejected():
     with pytest.raises(ValueError):
-        SGD(_quadratic_params(), lr=0.0)
+        Adagrad(_quadratic_params(), lr=0.0)
 
 
 # ----------------------------------------------------------------------------------- models
@@ -183,21 +132,6 @@ def _numeric_gradient_check(model, batch, params_to_check=3):
         assert analytic == pytest.approx(numeric, rel=1e-3, abs=1e-6), name
 
 
-def _dense_batch(n=16, d=5, seed=0):
-    rng = np.random.default_rng(seed)
-    return Batch(dense=rng.normal(size=(n, d)), labels=(rng.random(n) > 0.5).astype(float))
-
-
-def test_logistic_regression_gradients_match_numeric():
-    model = LogisticRegression(num_dense=5, seed=1)
-    _numeric_gradient_check(model, _dense_batch(), params_to_check=2)
-
-
-def test_mlp_gradients_match_numeric():
-    model = MLP(num_dense=5, hidden_dims=(8, 4), seed=1)
-    _numeric_gradient_check(model, _dense_batch(), params_to_check=4)
-
-
 def test_xdeepfm_gradients_match_numeric():
     rng = np.random.default_rng(0)
     n = 12
@@ -211,37 +145,35 @@ def test_xdeepfm_gradients_match_numeric():
     _numeric_gradient_check(model, batch, params_to_check=6)
 
 
-def test_logistic_regression_learns_separable_data():
+def test_model_learns_separable_data():
     rng = np.random.default_rng(0)
     n = 2000
     x = rng.normal(size=(n, 4))
     w_true = np.array([2.0, -1.0, 0.5, 3.0])
     labels = (x @ w_true + rng.normal(0, 0.1, n) > 0).astype(float)
-    dataset = TabularDataset(dense=x, labels=labels)
-    model = LogisticRegression(num_dense=4, seed=0)
-    optimizer = SGD(model.parameters(), lr=0.5)
+    # One constant categorical field: the signal is all in the dense part.
+    dataset = TabularDataset(dense=x, labels=labels,
+                             categorical=np.zeros((n, 1), dtype=np.int64))
+    model = XDeepFMLite(field_cardinalities=[1], num_dense=4, seed=0)
+    optimizer = Adagrad(model.parameters(), lr=0.5)
     for batch in dataset.iter_batches(128, shuffle=True, rng=rng):
         _, grads = model.loss_and_gradients(batch)
         optimizer.step(grads)
-    scores = model.predict_proba(dataset.read_range(0, n))
+    scores = model.predict_proba(dataset.read_indices(np.arange(n)))
     assert auc(labels, scores) > 0.9
 
 
-def test_model_state_dict_roundtrip():
-    model = MLP(num_dense=4, hidden_dims=(8,), seed=0)
-    state = model.state_dict()
-    clone = MLP(num_dense=4, hidden_dims=(8,), seed=99)
-    clone.load_state_dict(state)
-    for name in state:
-        assert np.allclose(clone.params[name], state[name])
+def _small_xdeepfm(seed):
+    return XDeepFMLite(field_cardinalities=[4, 4], num_dense=2, embedding_dim=2,
+                       dnn_hidden=(8,), seed=seed)
 
 
-def test_model_state_dict_shape_mismatch_rejected():
-    model = MLP(num_dense=4, hidden_dims=(8,), seed=0)
+def test_model_state_dict_is_a_copy():
+    model = _small_xdeepfm(seed=0)
     state = model.state_dict()
-    state["mlp.w0"] = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        model.load_state_dict(state)
+    assert set(state) == set(model.params)
+    state["bias"][0] = 99.0
+    assert model.params["bias"][0] == 0.0
 
 
 def test_model_num_parameters_positive():
@@ -264,18 +196,13 @@ def test_criteo_like_generator_shapes_and_signal():
     assert 0.1 < rate < 0.4
 
 
-def test_production_like_generator_is_imbalanced():
-    dataset = make_production_like(ProductionConfig(num_samples=5000, positive_rate=0.02, seed=1))
-    assert 0.005 < dataset.labels.mean() < 0.05
-
-
-def test_dataset_read_range_and_indices():
+def test_dataset_read_indices():
     dataset = make_criteo_like(CriteoConfig(num_samples=100, seed=0))
-    batch = dataset.read_range(10, 20)
+    batch = dataset.read_indices(np.arange(10, 30))
     assert len(batch) == 20
     assert batch.indices[0] == 10
     with pytest.raises(ValueError):
-        dataset.read_range(95, 10)
+        dataset.read_indices(np.arange(95, 105))
 
 
 def test_dataset_split_preserves_samples():

@@ -108,9 +108,6 @@ def test_store_discards_corrupt_and_mismatched_records(store):
     assert reread.get(spec_key(FAST_SPEC)) == {"jct_s": 1.0}
     assert len(reread) == 1
     assert reread.discarded == 3
-    # Compaction rewrites only the live record.
-    assert reread.compact() == 1
-    assert store.path.read_text().count("\n") == 1
 
 
 def test_store_rejects_tampered_fingerprints(store):
@@ -132,22 +129,19 @@ def test_store_get_and_put_do_not_alias_caller_dicts(store):
     assert first["restarts"] == {"worker-1": 1}
     first["restarts"]["worker-1"] = 77          # ...and mutates a get() result
     assert store.get(key)["restarts"] == {"worker-1": 1}
-    store.compact()                              # persists the *stored* state
     assert ResultStore(store.path).get(key)["restarts"] == {"worker-1": 1}
 
 
-def test_store_compacts_superseded_records(store):
+def test_store_last_record_for_a_key_wins(store):
     for value in (1.0, 2.0, 3.0):
         store.put(FAST_SPEC, {"jct_s": value})
-    assert store.compact() == 1
     assert ResultStore(store.path).get(spec_key(FAST_SPEC)) == {"jct_s": 3.0}
 
 
-def test_store_compact_with_mixed_valid_corrupt_and_duplicate_lines(store):
-    """compact() over a file holding everything at once: live records,
-    superseded duplicates, half-written junk, tampered entries, and blank
-    lines.  Only the live records survive, the rewritten file is fully
-    valid, and nothing readable is lost."""
+def test_store_load_with_mixed_valid_corrupt_and_duplicate_lines(store):
+    """Loading a file holding everything at once: live records, superseded
+    duplicates, half-written junk, tampered entries, and blank lines.  Only
+    the live records are served, and nothing readable is lost."""
     other = ScenarioSpec(name="orc-fast-2", method="bsp", seed=4, iterations=4)
     store.put(FAST_SPEC, {"jct_s": 1.0})
     store.put(FAST_SPEC, {"jct_s": 2.0})          # supersedes the first line
@@ -163,18 +157,8 @@ def test_store_compact_with_mixed_valid_corrupt_and_duplicate_lines(store):
     reread = ResultStore(store.path)
     assert len(reread) == 2
     assert reread.discarded == 3                   # junk lines, not the blanks
-    assert reread.compact() == 2
-    # The compacted file is minimal and self-consistent: one line per live
-    # key, every line re-validates, nothing readable was dropped.
-    lines = [line for line in store.path.read_text().splitlines() if line]
-    assert len(lines) == 2
-    final = ResultStore(store.path)
-    assert final.get(spec_key(FAST_SPEC)) == {"jct_s": 2.0}
-    assert final.get(spec_key(other)) == {"jct_s": 7.0}
-    assert final.discarded == 0
-    # Compaction is idempotent.
-    assert final.compact() == 2
-    assert store.path.read_text() == "\n".join(lines) + "\n"
+    assert reread.get(spec_key(FAST_SPEC)) == {"jct_s": 2.0}
+    assert reread.get(spec_key(other)) == {"jct_s": 7.0}
 
 
 # ---------------------------------------------------------------------------
