@@ -20,10 +20,10 @@ test:
 ## --exit-code` after the suite is left out: a working tree usually has edits.
 ci: lint test golden-check examples trace-smoke serve-smoke
 
-## Static analysis: the determinism & sim-safety linter (AST rules DET/SIM,
-## cross-artifact CON checks) against the committed lint-baseline.json, plus
-## ruff as a second syntax/undefined-name layer where it is installed (CI
-## always has it; offline dev environments may not).
+## Static analysis: the determinism & sim-safety linter (AST rules DET/SIM/USE,
+## cross-artifact CON checks; an inline waiver is the only way to accept a
+## finding), plus ruff as a second syntax/undefined-name layer where it is
+## installed (CI always has it; offline dev environments may not).
 lint:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro lint src/repro
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -46,9 +46,11 @@ golden:
 
 ## Byte-identity gate (also run in CI): regenerate every golden trace through
 ## the parallel orchestrator path and fail on any diff — fingerprint drift
-## can never merge silently.
+## can never merge silently.  The second run repeats it with coalescing off,
+## so the uncoalesced per-request path is held to the same traces.
 golden-check:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro golden-update --check --jobs $(JOBS)
+	REPRO_NO_COALESCE=1 $(PYTHONPATH_PREFIX) $(PYTHON) -m repro golden-update --check --jobs $(JOBS)
 
 ## Deliberately regenerate the golden traces after an intended behaviour
 ## change — through the parallel orchestrator CLI — then re-verify against

@@ -17,12 +17,11 @@ would otherwise only catch after the fact, and that no code lacks a consumer:
   (tests do not count; checked across files, like CON001), USE002 a
   module-level import its module never reads.
 
-Waivers are explicit (``# detlint: ignore[RULE]``, with an unused-waiver
-check SUP001) and grandfathered findings live in a committed baseline, so
-the ``python -m repro lint`` CI gate is strict from day one.
+An inline waiver (``# detlint: ignore[RULE]``, with an unused-waiver check
+SUP001) is the one way to accept a finding, so the ``python -m repro lint``
+CI gate fails on every other one.
 """
 
-from .baseline import BASELINE_FILENAME, Baseline
 from .findings import Finding, sort_findings
 from .registry import RULES, Rule, RuleContext, all_rules, catalog, register
 from .runner import LintReport, lint_paths, lint_source, repo_root
@@ -31,8 +30,6 @@ from .runner import LintReport, lint_paths, lint_source, repo_root
 from . import consistency, det_rules, sim_rules, suppress, usage  # noqa: F401  (registration side effect)
 
 __all__ = [
-    "BASELINE_FILENAME",
-    "Baseline",
     "Finding",
     "LintReport",
     "RULES",

@@ -18,9 +18,9 @@ __all__ = ["Finding", "sort_findings"]
 class Finding:
     """One rule violation at one source location.
 
-    ``suppressed`` / ``baselined`` are set by the reporting pipeline (an
-    inline ``# detlint: ignore[RULE]`` waiver, or a match in the committed
-    baseline file); a finding with either flag set does not fail the lint.
+    ``suppressed`` is set by the reporting pipeline when an inline
+    ``# detlint: ignore[RULE]`` waiver matches; a suppressed finding does not
+    fail the lint.
     """
 
     rule: str
@@ -29,12 +29,11 @@ class Finding:
     col: int
     message: str
     suppressed: bool = field(default=False, compare=False)
-    baselined: bool = field(default=False, compare=False)
 
     @property
     def active(self) -> bool:
         """True when the finding counts against the exit code."""
-        return not (self.suppressed or self.baselined)
+        return not self.suppressed
 
     @property
     def location(self) -> str:
@@ -46,7 +45,7 @@ class Finding:
         return f"{self.location}: {self.rule} {self.message}"
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-safe form for ``--json`` reports and the baseline file."""
+        """JSON-safe form for ``--json`` reports."""
         return {
             "rule": self.rule,
             "path": self.path,
@@ -54,12 +53,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
         }
-
-    def baseline_key(self) -> tuple:
-        """Identity used by the baseline: line numbers are deliberately
-        excluded so unrelated edits above a grandfathered finding do not
-        rot the baseline file."""
-        return (self.rule, self.path, self.message)
 
 
 def sort_findings(findings: List[Finding]) -> List[Finding]:

@@ -1,11 +1,10 @@
-"""The lint pipeline: files -> AST -> rules -> suppressions -> baseline.
+"""The lint pipeline: files -> AST -> rules -> suppressions.
 
 :func:`lint_source` is the per-file unit (what the fixture tests drive);
 :func:`lint_paths` is the front door the CLI and the self-lint test use —
 it walks the targets, runs every registered rule, runs each project-level
 pass whose trigger file is in scope (CON001 for the scenario registry,
-USE001 for the package's ``__init__.py``), applies inline waivers, and
-absorbs grandfathered findings into the committed baseline.
+USE001 for the package's ``__init__.py``) and applies inline waivers.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Collection, Dict, List, Optional, Sequence, Union
 
 from ..perf import Stopwatch
 from . import consistency, usage
-from .baseline import Baseline
 from .findings import Finding, sort_findings
 from .registry import Rule, RuleContext, all_rules, attach_parents, register
 from .suppress import (
@@ -59,20 +57,15 @@ class LintReport:
     findings: List[Finding] = field(default_factory=list)
     files: int = 0
     wall_s: float = 0.0
-    stale_baseline: List[Dict[str, object]] = field(default_factory=list)
 
     @property
     def active(self) -> List[Finding]:
-        """Findings that fail the lint (not suppressed, not baselined)."""
+        """Findings that fail the lint (not waived inline)."""
         return [finding for finding in self.findings if finding.active]
 
     @property
     def suppressed(self) -> List[Finding]:
         return [finding for finding in self.findings if finding.suppressed]
-
-    @property
-    def baselined(self) -> List[Finding]:
-        return [finding for finding in self.findings if finding.baselined]
 
     def counts_by_rule(self) -> Dict[str, int]:
         """Active finding tallies per rule (sorted by rule id)."""
@@ -90,8 +83,6 @@ class LintReport:
             "counts": self.counts_by_rule(),
             "findings": [finding.to_dict() for finding in self.active],
             "suppressed": [finding.to_dict() for finding in self.suppressed],
-            "baselined": [finding.to_dict() for finding in self.baselined],
-            "stale_baseline": self.stale_baseline,
         }
 
 
@@ -159,9 +150,8 @@ def _rel_path(path: Path, root: Path) -> str:
 
 
 def lint_paths(paths: Sequence[Union[str, Path]],
-               baseline: Optional[Baseline] = None,
                root: Optional[Path] = None) -> LintReport:
-    """Lint files/directories; apply the baseline; run project checks."""
+    """Lint files/directories and run the project checks in scope."""
     watch = Stopwatch().start()
     root = (root if root is not None else repo_root()).resolve()
     report = LintReport()
@@ -183,11 +173,6 @@ def lint_paths(paths: Sequence[Union[str, Path]],
         report.findings.extend(lint_source(
             source, path=rel, rel=rel, project=project.get(rel, ()), ran=ran))
         report.files += 1
-    if baseline is not None:
-        for finding in report.findings:
-            if finding.active:
-                baseline.absorb(finding)
-        report.stale_baseline = baseline.stale_entries()
     report.findings = sort_findings(report.findings)
     report.wall_s = watch.stop()
     return report

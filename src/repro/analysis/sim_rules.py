@@ -1,12 +1,14 @@
 """Simulation-safety rules (SIM001-SIM002).
 
 The discrete-event engine has a narrow, deliberate public surface:
-processes are generators that *yield* events, and cross-process channels are
-:class:`repro.sim.engine.Store` objects driven through ``put``/``push``/
-``get``/``try_get``.  Code that re-enters the run loop from inside a process
-or reaches into the event heap / store deques directly can deadlock the
-scheduler or silently break the exactly-once ledgers — these rules make both
-patterns visible at authoring time.
+processes are generators that *yield* events, and a
+:class:`repro.sim.engine.Store` channel is driven through ``put``/``get``
+only.  A component that needs more than that (the parameter server's
+backlog, for one) owns its queue instead of borrowing a ``Store``'s.  Code
+that re-enters the run loop from inside a process or reaches into the event
+heap / store deques directly can deadlock the scheduler or silently break
+the exactly-once ledgers — these rules make both patterns visible at
+authoring time.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class EngineInternalsRule(Rule):  # detlint: ignore[USE001]
     rationale = ("The event heap and Store deques are owned by the engine; "
                  "mutating them from outside bypasses getter dispatch and "
                  "the counters the exactly-once audits rely on.  Use "
-                 "put/push/get/try_get/cancel or grow the engine API.")
+                 "put/get, or give the component a queue of its own.")
 
     def check(self, ctx: RuleContext) -> List[Finding]:
         if ctx.rel_matches(_ENGINE_WHITELIST):
@@ -130,7 +132,7 @@ class EngineInternalsRule(Rule):  # detlint: ignore[USE001]
                     f"schedule through the public engine API")
         if attr in _STORE_INTERNALS:
             return (f"direct access to Store internal `.{attr}` — use "
-                    f"put/push/get/try_get/cancel")
+                    f"put/get")
         if attr == "items" and receiver is not None:
             lowered = receiver.lower()
             if any(hint in lowered for hint in _STORE_RECEIVER_HINTS):
@@ -140,6 +142,5 @@ class EngineInternalsRule(Rule):  # detlint: ignore[USE001]
                 if isinstance(parent, ast.Call) and parent.func is node:
                     return None
                 return (f"direct access to Store `.items` deque on "
-                        f"`{receiver}` — use put/push/get/try_get or "
-                        f"len(store)")
+                        f"`{receiver}` — use put/get or len(store)")
         return None

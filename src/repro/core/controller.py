@@ -21,10 +21,6 @@ from .actions import (
     BackupWorkers,
     KillRestart,
     NoneAction,
-    ScaleIn,
-    ScaleInServers,
-    ScaleOut,
-    ScaleOutServers,
 )
 from .agent import AgentGroup
 from .config import AntDTConfig, ConsistencyModel
@@ -99,27 +95,6 @@ class ActionExecutor(Protocol):
         """Simulation time of the most recent relaunch, per node."""
         ...
 
-    def request_scale_out(self, count: int, reason: str) -> List[str]:
-        """Request additional workers; returns the names actually requested.
-
-        Executors without elastic membership (e.g. a static-partition job)
-        may refuse by returning an empty list.
-        """
-        ...
-
-    def request_scale_in(self, node_names: "List[str]", reason: str) -> List[str]:
-        """Gracefully retire workers; returns the names actually retiring."""
-        ...
-
-    def request_server_scale_out(self, count: int, reason: str) -> List[str]:
-        """Request additional parameter servers; returns the names requested."""
-        ...
-
-    def request_server_scale_in(self, node_names: "List[str]",
-                                reason: str) -> List[str]:
-        """Gracefully retire parameter servers; returns the names draining."""
-        ...
-
 
 class Controller:
     """Periodic control loop dispatching straggler-mitigation actions."""
@@ -192,19 +167,6 @@ class Controller:
             return
         if isinstance(action, AdjustBatchSize):
             self.agent_group.broadcast(action)
-            return
-        if isinstance(action, ScaleOut):
-            self.executor.request_scale_out(action.num_workers, action.reason)
-            return
-        if isinstance(action, ScaleIn):
-            self.executor.request_scale_in(list(action.node_names), action.reason)
-            return
-        if isinstance(action, ScaleOutServers):
-            self.executor.request_server_scale_out(action.num_servers, action.reason)
-            return
-        if isinstance(action, ScaleInServers):
-            self.executor.request_server_scale_in(list(action.node_names),
-                                                  action.reason)
             return
         raise TypeError(f"unknown action type: {action!r}")
 

@@ -21,9 +21,6 @@ class StragglerReport:
     """Result of one detection pass over a set of nodes."""
 
     stragglers: List[str]
-    mean_bpt: float
-    bpts: Dict[str, float]
-    slowness_ratio: float
 
 
 def detect_stragglers(bpts: Mapping[str, float], slowness_ratio: float) -> StragglerReport:
@@ -45,14 +42,12 @@ def detect_stragglers(bpts: Mapping[str, float], slowness_ratio: float) -> Strag
         raise ValueError("slowness_ratio must be greater than 1.0")
     clean = {node: float(bpt) for node, bpt in bpts.items() if bpt is not None}
     if not clean:
-        return StragglerReport(stragglers=[], mean_bpt=0.0, bpts={}, slowness_ratio=slowness_ratio)
+        return StragglerReport(stragglers=[])
     mean_bpt = sum(clean.values()) / len(clean)
     stragglers = sorted(
         node for node, bpt in clean.items() if mean_bpt > 0 and bpt >= slowness_ratio * mean_bpt
     )
-    return StragglerReport(
-        stragglers=stragglers, mean_bpt=mean_bpt, bpts=clean, slowness_ratio=slowness_ratio
-    )
+    return StragglerReport(stragglers=stragglers)
 
 
 def classify_stragglers(

@@ -3,10 +3,10 @@
 The Monitor aggregates the information straggler mitigation reads (paper
 §V-D):
 
-* **Application state** — batch processing time and batch size reported by the
-  Agents on worker nodes, and each server's own ``server_bpt`` series: the
-  server records every request's handling time there, one point per
-  acknowledged push, and runs no Agent.
+* **Application state** — batch processing time and throughput (batch size
+  over BPT) reported by the Agents on worker nodes, and each server's own
+  ``server_bpt`` series: the server records every request's handling time
+  there, one point per acknowledged push, and runs no Agent.
 * **Third-party information** — values pulled from other modules on demand:
   the cluster scheduler's job pending time (``"pending_time"``) and busy flag
   (``"cluster_busy"``), which gate KILL_RESTART and elastic scale-out.  The
@@ -32,7 +32,6 @@ class Monitor:
     """Collects and aggregates observability data for the Controller."""
 
     WORKER_BPT = "worker_bpt"
-    WORKER_BATCH = "worker_batch_size"
     WORKER_THROUGHPUT = "worker_throughput"
     SERVER_BPT = "server_bpt"
 
@@ -42,11 +41,11 @@ class Monitor:
 
     # -- application state -------------------------------------------------------
     def report_worker(self, worker: str, bpt: float, batch_size: int, time: float) -> None:
-        """Record one worker application-state report (BPT and batch size)."""
+        """Record one worker application-state report: its BPT, and its
+        throughput at the reported batch size."""
         if bpt < 0 or batch_size <= 0:
             raise ValueError("bpt must be non-negative and batch_size positive")
         self.metrics.record(self.WORKER_BPT, bpt, time, tag=worker)
-        self.metrics.record(self.WORKER_BATCH, float(batch_size), time, tag=worker)
         throughput = batch_size / bpt if bpt > 0 else float("inf")
         self.metrics.record(self.WORKER_THROUGHPUT, throughput, time, tag=worker)
 

@@ -9,10 +9,10 @@ the job's membership into an
 actions, and executes them through the job's elastic executor surface.  A
 cooldown after every *granted* action damps membership flapping.
 
-The executor protocol (:class:`ElasticExecutor`) is the
-:class:`~repro.core.controller.ActionExecutor` elastic subset plus the
-progress accessors a policy needs; :class:`~repro.psarch.job.PSTrainingJob`
-implements it.
+The executor protocol (:class:`ElasticExecutor`) is the job's membership
+surface — the scale-out/scale-in requests, which only this loop issues, plus
+the progress accessors a policy needs;
+:class:`~repro.psarch.job.PSTrainingJob` implements it.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 Models expose their parameters as a flat dictionary (name -> ndarray), which
 is the representation that gets sharded across the simulated parameter
-servers, averaged by the AllReduce simulator, and saved by the checkpoint
-subsystem.  The training contract is ``forward`` -> cached activations ->
+servers and averaged by the AllReduce simulator.  The training contract is ``forward`` -> cached activations ->
 ``backward`` from the logit gradient, plus a convenience
 :meth:`Model.loss_and_gradients` wrapper used by workers.
 """
@@ -23,7 +22,7 @@ Gradients = Dict[str, np.ndarray]
 
 
 class Model:
-    """Base class: parameter bookkeeping, state dict, loss helper."""
+    """Base class: parameter bookkeeping and a loss helper."""
 
     def __init__(self) -> None:
         self.params: Dict[str, np.ndarray] = {}
@@ -36,10 +35,6 @@ class Model:
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""
         return int(sum(p.size for p in self.params.values()))
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Deep copy of all parameters (for checkpoints)."""
-        return {name: value.copy() for name, value in self.params.items()}
 
     # -- compute -------------------------------------------------------------
     def forward(self, batch: Batch) -> np.ndarray:

@@ -2,8 +2,6 @@
 
 Optimizers operate on parameter dictionaries (name -> ndarray), the same
 representation the simulated parameter servers shard across server nodes.
-They also expose ``state_dict``, a copy of the optimizer's slots (Adagrad's
-accumulators), the way a real training stack checkpoints them.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ class Optimizer:
             raise ValueError("learning rate must be positive")
         self.params = params
         self.lr = float(lr)
-        self.steps = 0
 
     def step(self, grads: Grads) -> None:
         """Apply one update from a gradient dictionary."""
@@ -36,10 +33,6 @@ class Optimizer:
         for name in grads:
             if name not in self.params:
                 raise KeyError(f"gradient for unknown parameter {name!r}")
-
-    def state_dict(self) -> Dict[str, object]:
-        """Serializable optimizer state (learning rate, step count, slots)."""
-        return {"lr": self.lr, "steps": self.steps}
 
 
 class Adagrad(Optimizer):
@@ -60,12 +53,6 @@ class Adagrad(Optimizer):
             accum = accum + grad * grad
             self._accum[name] = accum
             param -= self.lr * grad / (np.sqrt(accum) + self.eps)
-        self.steps += 1
-
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state["accum"] = {name: value.copy() for name, value in self._accum.items()}
-        return state
 
 
 def scale_learning_rate(optimizer: Optimizer, factor: float) -> float:

@@ -32,8 +32,8 @@ Subcommands
     Run the :mod:`repro.analysis` determinism & sim-safety linter: AST rules
     (unseeded RNGs, wall-clock reads, unsorted iteration into golden output,
     stray ``os.environ`` reads, engine-internal access) plus cross-artifact
-    consistency checks, gated by inline ``# detlint: ignore[RULE]`` waivers
-    and the committed ``lint-baseline.json``.
+    consistency checks; an inline ``# detlint: ignore[RULE]`` waiver is the
+    one way to accept a finding.
 
 Worker count comes from ``--jobs`` or the ``REPRO_JOBS`` environment
 variable; the result store lives under ``REPRO_CACHE_DIR`` (default:
@@ -548,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = commands.add_parser(
         "lint",
-        help="run the determinism & sim-safety linter (AST rules DET/SIM, "
-             "cross-artifact CON checks) against the committed baseline")
+        help="run the determinism & sim-safety linter (AST rules DET/SIM/"
+             "USE, cross-artifact CON checks)")
     from ..analysis.cli import configure_lint_parser
 
     configure_lint_parser(lint_parser)

@@ -19,7 +19,7 @@ With cohort coalescing the engine distinguishes two notions of "event":
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any
 
 __all__ = ["EngineStats"]
 
@@ -97,26 +97,6 @@ class EngineStats:
     def processed(self) -> int:
         """Logical events since construction (BENCH-comparable across modes)."""
         return self.logical
-
-    @property
-    def coalesced_commits(self) -> int:
-        """Logical events absorbed into cohort-coalesced commits."""
-        return self.logical - self.physical
-
-    def snapshot(self, wall_seconds: Optional[float] = None) -> Dict[str, float]:
-        """Stats as a JSON-ready dict (adds events/sec when given wall time)."""
-        result: Dict[str, float] = {
-            "events_scheduled": float(self.scheduled),
-            "events_processed": float(self.processed),
-            "logical_events": float(self.logical),
-            "physical_events": float(self.physical),
-            "coalesced_commits": float(self.coalesced_commits),
-            "sim_time": float(getattr(self.env, "now", 0.0)),
-        }
-        if wall_seconds is not None and wall_seconds > 0:
-            result["wall_s"] = float(wall_seconds)
-            result["events_per_sec"] = self.processed / wall_seconds
-        return result
 
     def __repr__(self) -> str:
         return f"EngineStats(scheduled={self.scheduled}, processed={self.processed})"

@@ -44,10 +44,6 @@ class ComputeBackend:
     def scale_learning_rate(self, worker: str, factor: float) -> None:
         """Apply the ADJUST_LR action for one worker (no-op by default)."""
 
-    def snapshot(self) -> Dict[str, object]:
-        """State to store in a checkpoint."""
-        return {}
-
     def evaluate(self) -> Optional[float]:
         """Return a statistical quality metric (AUC) or None if not applicable."""
         return None
@@ -95,12 +91,6 @@ class NumpyPSBackend(ComputeBackend):
 
     def scale_learning_rate(self, worker: str, factor: float) -> None:
         self._lr_factors[worker] = self._lr_factors.get(worker, 1.0) * factor
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "model": self.model.state_dict(),
-            "optimizer": self.optimizer.state_dict(),
-        }
 
     def evaluate(self) -> Optional[float]:
         """AUC on the held-out dataset (or the training data if none given)."""

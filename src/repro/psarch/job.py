@@ -955,11 +955,7 @@ class PSTrainingJob:
             return False
         self._recovering_servers.add(name)
         self._push_targets = None
-        pending = list(undelivered)
-        items = server.queue.items
-        if items:
-            pending.extend(items)
-            items.clear()
+        pending = undelivered + server.take_backlog()
         rerouted = [request for request in pending
                     if not request.done.triggered
                     and self._worker_requeue_ok(request.worker)]

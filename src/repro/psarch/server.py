@@ -18,7 +18,7 @@ this at two levels:
   computes the acknowledgement closed-form, appends one entry to the open
   :class:`_BatchPlan` and publishes the acknowledgement at its future time.
   The server process stays parked — a full iteration of W pushes costs zero
-  generator resumes and zero store round trips per server.
+  generator resumes and zero backlog round trips per server.
 * **Batch commits.**  When requests did accumulate in the queue (after a
   restart, a rollback or a drain re-route), the server process commits the
   whole backlog at once and sleeps until the window's end on a single
@@ -43,14 +43,15 @@ per-request ``server_bpt`` series.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 import numpy as np
 
 from ..elastic.membership import SCALE_IN
 from ..sim.cluster import Node
-from ..sim.engine import CountdownEvent, Environment, Event, Interrupt, PENDING, Store
+from ..sim.engine import CountdownEvent, Environment, Event, Interrupt, PENDING
 from ..sim.failures import ErrorCode
 from ..sim.metrics import MetricsRecorder
 from ..sim.scheduler import ClusterScheduler
@@ -149,8 +150,8 @@ class _BatchPlan:
         #: ``env.coalesced_count`` for this window (re-arm adjustments are
         #: tracked directly on the environment, not here).
         self.coalesced_logged = 0
-        #: Physical events that fed this window from the store: 1 for a
-        #: window the server process popped off its queue, 0 for a window
+        #: Physical events that fed this window from the backlog: 1 for a
+        #: window the server process popped off its backlog, 0 for a window
         #: opened by an eager submit-side commit.  The logical total of a
         #: fully delivered window of k requests is k+1 either way.
         self.origin_physical = origin_physical
@@ -195,7 +196,11 @@ class ParameterServer:
         # when the relaunch completes so the job can re-admit the server.
         self._outage_handler = outage_handler
         self._recovery_handler = recovery_handler
-        self.queue: Store = env.store()
+        # The FIFO backlog of requests waiting for the server process, and
+        # the event the process parks on while the backlog is empty (None
+        # while it runs, and from the moment ``_feed`` succeeds it).
+        self._backlog: Deque[PushRequest] = deque()
+        self._getter: Optional[Event] = None
         # Per-server scalar state lives in the job-owned columnar arrays
         # (chain tail, eligibility); a server constructed without a
         # state-owning job gets a private single-slot instance.
@@ -253,7 +258,7 @@ class ParameterServer:
         env = self.env
         request = PushRequest(worker=worker, nbytes=nbytes,
                               done=done if done is not None else Event(env))
-        if (self._accepting and env.coalesce and not self.queue.items
+        if (self._accepting and env.coalesce and not self._backlog
                 and self.node.contention.is_deterministic):
             self._commit_request(request)
             return request.done
@@ -270,16 +275,28 @@ class ParameterServer:
         A parked server with an open plan is logically *busy* until the
         plan's in-flight acknowledgement: feeding its parked getter now
         would start the next window early, so the request is held in the
-        queue and the window's wake-up feeds the getter when due (see
+        backlog and the window's wake-up feeds the getter when due (see
         :meth:`_on_wake`).
         """
-        queue = self.queue
-        if queue._getters:
+        self._backlog.append(request)
+        if self._getter is not None:
             self._set_accepting(False)
-            if self._plan is not None:
-                queue.items.append(request)
-                return
-        queue.push(request)
+            if self._plan is None:
+                self._feed()
+
+    def _feed(self) -> None:
+        """Succeed the parked getter with the head of the (non-empty) backlog."""
+        getter, self._getter = self._getter, None
+        getter.succeed(self._backlog.popleft())
+
+    def take_backlog(self) -> List[PushRequest]:
+        """Remove and return every queued request, oldest first.
+
+        The deque is emptied in place, never replaced: the run loop holds it.
+        """
+        taken = list(self._backlog)
+        self._backlog.clear()
+        return taken
 
     def discard_requests_from(self, worker: str) -> int:
         """Purge queued push requests of a departed worker; returns the count.
@@ -294,19 +311,19 @@ class ParameterServer:
         A committed coalesced window is rolled back first (keeping the
         in-flight request, which matches the uncoalesced server's behaviour
         of finishing the handling it already started): the rescinded tail
-        returns to the queue front, where the purge below catches the
+        returns to the backlog front, where the purge below catches the
         departing worker's requests like any other queued push.
         """
         _, queued = self._rollback_plan(self.env.now, keep_in_flight=True)
-        items = self.queue.items
+        backlog = self._backlog
         if queued:
-            items.extendleft(reversed(queued))
-        keep = [request for request in items if request.worker != worker]
-        dropped = len(items) - len(keep)
+            backlog.extendleft(reversed(queued))
+        keep = [request for request in backlog if request.worker != worker]
+        dropped = len(backlog) - len(keep)
         if dropped:
-            items.clear()
-            items.extend(keep)
-        if items:
+            backlog.clear()
+            backlog.extend(keep)
+        if backlog:
             # The survivors wait behind the window's in-flight request; the
             # wake-up will feed them to the parked server process when due.
             self._set_accepting(False)
@@ -315,11 +332,11 @@ class ParameterServer:
     def pending_request_count(self) -> int:
         """Queued pushes awaiting handling (excludes the one being handled).
 
-        Matches the uncoalesced server's ``len(queue.items)``: requests that
-        a coalesced window committed but whose handling has not *started* yet
+        Matches the uncoalesced server's backlog length: requests that a
+        coalesced window committed but whose handling has not *started* yet
         still count as queued; the in-flight one does not.
         """
-        count = len(self.queue.items)
+        count = len(self._backlog)
         plan = self._plan
         if plan is not None:
             now = self.env.now
@@ -329,9 +346,9 @@ class ParameterServer:
         return count
 
     def _requeue_front(self, queued: List[PushRequest]) -> None:
-        """Return rescinded requests to the queue front for re-planning."""
+        """Return rescinded requests to the backlog front for re-planning."""
         if queued:
-            self.queue.items.extendleft(reversed(queued))
+            self._backlog.extendleft(reversed(queued))
             # The retained in-flight entry is still being handled: the
             # server must not pick the requeued tail up (or accept eager
             # commits ahead of it) before the in-flight acknowledgement.
@@ -344,7 +361,7 @@ class ParameterServer:
         per request, so acknowledgements past this instant were committed
         under stale inputs.  The delivered prefix and the in-flight request
         keep their (correct, pre-change) decisions; the rescinded tail
-        re-enters the queue and is re-planned at wake-up.
+        re-enters the backlog and is re-planned at wake-up.
         """
         _, queued = self._rollback_plan(self.env.now, keep_in_flight=True)
         self._requeue_front(queued)
@@ -363,12 +380,12 @@ class ParameterServer:
         deadline), and the uncoalesced server would not yet have recorded the
         still-in-flight request or the queued tail.  Dropping the in-flight
         entry (its handling never completed) and restoring the tail to the
-        queue leaves every observable exactly where per-request stepping
+        backlog leaves every observable exactly where per-request stepping
         leaves it.
         """
         _, queued = self._rollback_plan(self.env.now, keep_in_flight=False)
         if queued:
-            self.queue.items.extendleft(reversed(queued))
+            self._backlog.extendleft(reversed(queued))
 
     # -- controller-facing API -----------------------------------------------------
     def request_kill_restart(self) -> bool:
@@ -417,7 +434,7 @@ class ParameterServer:
 
         With coalescing on and a deterministic contention model this loop is
         almost always *parked*: requests are committed eagerly at submit time
-        and never reach the queue.  The loop only turns when a backlog exists
+        and never reach the backlog.  The loop only turns when a backlog exists
         (post-restart, post-rollback, drain re-routes) — then it commits the
         whole backlog as one batch window — or when the contention model is
         non-deterministic, in which case it steps request by request.
@@ -428,25 +445,26 @@ class ParameterServer:
         # bound objects are stable across restarts (only the node's *status*
         # changes).
         env = self.env
-        queue = self.queue
+        backlog = self._backlog
         node = self.node
         per_byte_cost = self.config.server_per_byte_cost_s
         delay_fraction_provider = self._delay_fraction_provider
         bpt_series = self._bpt_series
         while True:
             try:
-                # Backed-up queue: take the next request synchronously instead
-                # of riding a one-step event round trip per message (the item
-                # popped is the same one the getter event would have carried).
-                current = queue.try_get()
-                if current is None:
+                # Backed-up server: take the next request synchronously; park
+                # on a getter only when the backlog is empty (``_feed``
+                # succeeds it with the next request to arrive).
+                if backlog:
+                    current = backlog.popleft()
+                else:
                     self._set_accepting(True)
-                    get_event = queue.get()
+                    get_event = self._getter = Event(env)
                     current = yield get_event
                     get_event = None
                 self._set_accepting(False)
                 if env.coalesce and node.contention.is_deterministic:
-                    # Every handling time in the current queue is a closed
+                    # Every handling time in the current backlog is a closed
                     # form of the pop time: commit the whole window at once
                     # and sleep until its end (see the module docstring).
                     wake = self._commit_batch(current)
@@ -478,19 +496,18 @@ class ParameterServer:
                 # coalesced window rolls back completely: the in-flight
                 # request joins ``undelivered`` (like the uncoalesced
                 # server's ``current``) and the untouched tail returns to
-                # the queue front (where per-request stepping left it).
+                # the backlog front (where per-request stepping left it).
                 undelivered: List[PushRequest] = []
                 in_flight, queued = self._rollback_plan(env.now, keep_in_flight=False)
-                if queued:
-                    queue.items.extendleft(reversed(queued))
+                self._requeue_front(queued)
                 if in_flight is not None and not in_flight.done.triggered:
                     undelivered.append(in_flight)
                 if get_event is not None:
-                    still_pending = self.queue.cancel(get_event)
-                    if not still_pending and get_event.triggered:
-                        delivered = get_event.value
-                        if isinstance(delivered, PushRequest) and not delivered.done.triggered:
-                            undelivered.append(delivered)
+                    # Withdraw the getter; one that was already fed carries a
+                    # request the process never resumed to take.
+                    self._getter = None
+                    if get_event.triggered and not get_event.value.done.triggered:
+                        undelivered.append(get_event.value)
                     get_event = None
                 if current is not None and not current.done.triggered:
                     undelivered.append(current)
@@ -500,8 +517,7 @@ class ParameterServer:
                     # (in-flight and queued) to the job, which re-partitions
                     # the parameter shards and re-routes the requests to the
                     # surviving servers, then leave the simulation for good.
-                    undelivered.extend(self.queue.items)
-                    self.queue.items.clear()
+                    undelivered.extend(self.take_backlog())
                     yield from self._drain_handler(self, undelivered)
                     return
                 # KILL_RESTART (or injected failure): requeue any in-flight
@@ -514,14 +530,14 @@ class ParameterServer:
                 #
                 # With warm standbys wired, the job may instead take over the
                 # unacknowledged requests (promoting each shard's standby
-                # owner); the local queue then stays empty until recovery.
+                # owner); the backlog then stays empty until recovery.
                 code = cause if isinstance(cause, ErrorCode) else ErrorCode.PROACTIVE_KILL
                 outage_handler = self._outage_handler
                 if outage_handler is None or not outage_handler(self, undelivered):
                     requeue_filter = self._requeue_filter
                     for request in reversed(undelivered):
                         if requeue_filter is None or requeue_filter(request.worker):
-                            self.queue.put_left(request)
+                            backlog.appendleft(request)
                 yield from self.scheduler.relaunch(self.node, code)
                 yield self.env.timeout(self.config.server_recovery_time_s)
                 self._restart_requested = False
@@ -609,18 +625,17 @@ class ParameterServer:
                 env.coalesced_count -= 1
                 return
             self._plan = None
-        queue = self.queue
-        if queue.items and queue._getters:
-            # The get event this dispatch schedules exists only because the
+        if self._backlog and self._getter is not None:
+            # The get event this feed schedules exists only because the
             # server parks between coalesced windows (the uncoalesced server
             # would have been busy handling and polled synchronously), so it
             # is cancelled out of the logical-event accounting.
             self._set_accepting(False)
             env.coalesced_count -= 1
-            queue._dispatch()
+            self._feed()
 
     def _commit_batch(self, first: PushRequest) -> Event:
-        """Commit the current queue as one coalesced window; return the wake event.
+        """Commit the current backlog as one coalesced window; return the wake event.
 
         Handling and acknowledgement times for ``first`` plus every queued
         request are computed closed-form and published immediately —
@@ -634,11 +649,11 @@ class ParameterServer:
         node = self.node
         state = self._state
         slot = self._slot
-        items = self.queue.items
+        backlog = self._backlog
         requests: List[PushRequest] = [first]
-        if items:
-            requests.extend(items)
-            items.clear()
+        if backlog:
+            requests.extend(backlog)
+            backlog.clear()
         k = len(requests)
         t0 = env.now
         per_byte_cost = self.config.server_per_byte_cost_s
@@ -708,7 +723,7 @@ class ParameterServer:
         committed outcome is preserved and the wake-up moves to its
         acknowledgement; otherwise it is rescinded with the rest and handed
         back as the first returned value.  Later entries never started and
-        are returned for queue-front reinsertion.
+        are returned for backlog-front reinsertion.
 
         Each entry appended one point to the ``server_bpt`` series, in entry
         order, and nothing else writes it, so cutting the series after the

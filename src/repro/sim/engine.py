@@ -14,8 +14,9 @@ The public surface mirrors the subset of SimPy semantics we need:
 * :class:`Process` — a generator-based coroutine; yields events to wait on and
   can be interrupted (used to model node kills in ``KILL_RESTART``).
 * :class:`AllOf` / :class:`AnyOf` — condition events over several events.
-* :class:`Store` — an unbounded FIFO channel used for message queues between
-  workers, servers, agents and the controller.
+* :class:`Store` — an unbounded FIFO channel between processes (``put`` /
+  ``get``), kept for the seed-engine comparison workload
+  (:mod:`repro.perf.workload`); the simulated components own their queues.
 
 Cohort coalescing
 -----------------
@@ -625,9 +626,10 @@ class Store:
     """An unbounded FIFO channel between processes.
 
     ``put`` never blocks; ``get`` returns an event that triggers with the
-    oldest item as soon as one is available.  This models the message queues
-    between workers and parameter servers as well as the shard queue inside
-    the Stateful DDS.
+    oldest item as soon as one is available.  Its one consumer is the
+    engine-only PS workload of :mod:`repro.perf.workload`, which drives this
+    module and the seed snapshot on identical terms; the simulated parameter
+    servers keep their own backlog.
     """
 
     __slots__ = ("env", "items", "_getters")
@@ -662,24 +664,6 @@ class Store:
             self._dispatch()
         return self._confirmation(item)
 
-    def push(self, item: Any) -> None:
-        """``put`` without the confirmation event.
-
-        Hot-path variant for producers that discard ``put``'s return value
-        (e.g. the parameter servers' request queues): same queue semantics,
-        no per-message Event allocation.
-        """
-        self.items.append(item)
-        if self._getters:
-            self._dispatch()
-
-    def put_left(self, item: Any) -> Event:
-        """Insert ``item`` at the head of the queue (priority re-insertion)."""
-        self.items.appendleft(item)
-        if self._getters:
-            self._dispatch()
-        return self._confirmation(item)
-
     def get(self) -> Event:
         """Return an event that triggers with the next available item."""
         event = Event(self.env)
@@ -691,26 +675,6 @@ class Store:
         self._getters.append(event)
         self._dispatch()
         return event
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: return an item or ``None`` when empty."""
-        if self.items and not self._getters:
-            return self.items.popleft()
-        return None
-
-    def cancel(self, get_event: Event) -> bool:
-        """Withdraw a pending get request.
-
-        Returns True if the request was still pending and has been removed.
-        If the request already triggered, the caller still owns the delivered
-        item (``get_event.value``) and is responsible for re-inserting it if
-        it can no longer be processed (e.g. the consumer was interrupted).
-        """
-        try:
-            self._getters.remove(get_event)
-            return True
-        except ValueError:
-            return False
 
     def _dispatch(self) -> None:
         while self.items and self._getters:
@@ -779,10 +743,6 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Condition that waits for the first of ``events``."""
         return AnyOf(self, events)
-
-    def store(self) -> Store:
-        """Create a new FIFO :class:`Store`."""
-        return Store(self)
 
     def wakeups(self) -> Wakeups:
         """Create a :class:`Wakeups` set for the calling process."""

@@ -1,4 +1,5 @@
-"""Unit tests for actions, detection, solvers, monitor, agents and solutions."""
+"""Unit tests for actions, detection, solvers, monitor, agents, controller
+dispatch and solutions."""
 
 import pytest
 
@@ -10,15 +11,20 @@ from repro.core.actions import (
     BackupWorkers,
     KillRestart,
     NoneAction,
+    ScaleIn,
+    ScaleInServers,
+    ScaleOut,
+    ScaleOutServers,
 )
 from repro.core.agent import AgentGroup
 from repro.core.config import AntDTConfig, ConsistencyModel
-from repro.core.controller import ControlContext
+from repro.core.controller import ControlContext, Controller
 from repro.core.detection import classify_stragglers, detect_stragglers
 from repro.core.monitor import Monitor
 from repro.core.solutions import AntDTND
 from repro.core.solvers import solve_batch_sizes
 from repro.baselines.solutions import AdjustLRSolution, LBBSPSolution
+from repro.sim.engine import Environment
 
 
 # ------------------------------------------------------------------------------- actions
@@ -218,6 +224,50 @@ def test_only_workers_get_agents():
     assert "server-3" in [server.name for server in job.servers]
     with pytest.raises(KeyError):
         job.agent_group.agent("server-3")
+
+
+# ----------------------------------------------------------------------------- controller
+class _ScalingExecutor:
+    """Offers every scaling entry point an elastic job has; records calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def request_scale_out(self, count, reason):
+        self.calls.append("request_scale_out")
+        return []
+
+    def request_scale_in(self, node_names, reason):
+        self.calls.append("request_scale_in")
+        return []
+
+    def request_server_scale_out(self, count, reason):
+        self.calls.append("request_server_scale_out")
+        return []
+
+    def request_server_scale_in(self, node_names, reason):
+        self.calls.append("request_server_scale_in")
+        return []
+
+
+@pytest.mark.parametrize("action", [
+    ScaleOut(num_workers=1),
+    ScaleIn(node_names=("w0",)),
+    ScaleOutServers(num_servers=1),
+    ScaleInServers(node_names=("s0",)),
+], ids=lambda action: action.action_type.name)
+def test_controller_leaves_scaling_actions_to_the_autoscaler(action):
+    """The Autoscaler is the one dispatcher of scaling actions: the Controller
+    refuses them rather than executing them a second way, even on an
+    executor that could."""
+    executor = _ScalingExecutor()
+    controller = Controller(
+        env=Environment(), monitor=Monitor(), agent_group=_agent_group(),
+        solution=AntDTND(), executor=executor, config=AntDTConfig(),
+        consistency=ConsistencyModel.BSP, global_batch_size=100)
+    with pytest.raises(TypeError, match="unknown action type"):
+        controller.dispatch(action)
+    assert executor.calls == []
 
 
 # ------------------------------------------------------------------------------ solutions

@@ -5,9 +5,11 @@ coverage audit, the migration cost model, the ServerElasticSpec serialization
 (and the spec keys of registry specs rebuilt from their dicts), the server
 autoscaler policies, the PS job's server scale-out/scale-in execution with
 shard-accounting and exactly-once proofs, the busy-cluster gate for server
-capacity, the autoscaler cooldown-on-denial satellite, and the headline
-regression: a server kill-restart racing an elastic scale-in drain must not
-resurrect a purged push request.
+capacity, the autoscaler cooldown-on-denial satellite, the hand-offs of the
+server's own request backlog (arrival at a parked server, a kill or scale-in
+after the getter was fed, an arrival during an open window,
+``take_backlog``), and the headline regression: a server kill-restart racing
+an elastic scale-in drain must not resurrect a purged push request.
 """
 
 import pytest
@@ -36,7 +38,7 @@ from repro.orchestrator import simulate_spec
 from repro.orchestrator.grid import expand
 from repro.orchestrator.hashing import spec_key
 from repro.psarch.config import PSJobConfig
-from repro.psarch.server import ParameterServer
+from repro.psarch.server import ParameterServer, PushRequest
 from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job
 from repro.scenarios.registry import all_scenarios
 from repro.sim.cluster import Cluster, NodeRole, NodeSpec
@@ -441,8 +443,8 @@ def test_autoscaler_dispatches_server_policy_actions():
 # ---------------------------------------------------------------------------
 
 
-def _standalone_server(draining):
-    env = Environment()
+def _standalone_server(draining, coalesce=True, drain_handler=None):
+    env = Environment(coalesce=coalesce)
     node_spec = NodeSpec(name="server-0", role=NodeRole.SERVER,
                          device=CPU_SERVER_4C)
     cluster = Cluster("c", [node_spec])
@@ -454,7 +456,8 @@ def _standalone_server(draining):
         env=env, node=cluster.get("server-0"),
         config=PSJobConfig(server_recovery_time_s=1.0), scheduler=scheduler,
         metrics=metrics, delay_fraction_provider=lambda: 1.0,
-        requeue_filter=lambda worker: worker not in draining)
+        requeue_filter=lambda worker: worker not in draining,
+        drain_handler=drain_handler)
     return env, server
 
 
@@ -480,7 +483,7 @@ def test_kill_restart_mid_drain_does_not_resurrect_purged_push():
     assert not done_gone.triggered
     assert done_live.triggered
     assert len(server.metrics.series("server_bpt", tag="server-0")) == 1
-    assert all(request.worker != "worker-gone" for request in server.queue.items)
+    assert server.discard_requests_from("worker-gone") == 0
 
 
 def test_kill_restart_still_requeues_live_workers_requests():
@@ -494,6 +497,133 @@ def test_kill_restart_still_requeues_live_workers_requests():
     env.run()
     assert done_live.triggered
     assert len(server.metrics.series("server_bpt", tag="server-0")) == 1
+
+
+def _push(env, worker):
+    return PushRequest(worker=worker, nbytes=1e9, done=env.event())
+
+
+@pytest.mark.parametrize("fed", [False, True])
+def test_kill_of_a_parked_server_loses_no_request(fed):
+    """Backlog hand-off 1: the kill lands while the process is parked on its
+    getter.  Fed but not yet resumed, the getter's request goes back to the
+    front of the backlog; still pending, the getter is withdrawn and a later
+    request queues instead of vanishing into it.  Either way both requests
+    are handled once each, in FIFO order, after the relaunch."""
+    env, server = _standalone_server(draining=set())
+    server.start()
+    env.run(until=0.5)  # parked on an empty backlog
+    first, second = _push(env, "worker-a"), _push(env, "worker-b")
+    if fed:
+        server.enqueue(first)  # succeeds the getter at t=0.5 ...
+        assert server.request_kill_restart()  # ... the urgent kill runs first
+        server.enqueue(second)
+    else:
+        assert server.request_kill_restart()
+        env.run(until=1.0)
+        server.enqueue(first)
+        server.enqueue(second)
+    env.run(until=2.0)  # the relaunch is under way
+    assert server.pending_request_count() == 2
+    assert not first.done.triggered and not second.done.triggered
+    env.run()
+    series = server.metrics.series("server_bpt", tag="server-0")
+    assert series.times() == [first.done.value, second.done.value]
+    assert first.done.value < second.done.value
+
+
+def test_request_arriving_during_an_open_window_waits_for_its_wake_up():
+    """Backlog hand-off 2: a parked server whose eagerly committed window is
+    still in flight is logically busy, so a request arriving meanwhile stays
+    in the backlog until the window's wake-up feeds it — its handling starts
+    at the window's last acknowledgement, not at its arrival."""
+    env, server = _standalone_server(draining=set())
+    server.start()
+    env.run(until=0.5)
+    first_done = server.submit("worker-a", 1e9)  # opens an eager window
+    first_ack = first_done.value  # committed closed-form, delivered later
+    env.run(until=1.0)
+    second = _push(env, "worker-b")
+    server.enqueue(second)
+    env.run(until=first_ack - 0.01)
+    assert server.pending_request_count() == 1
+    assert not second.done.triggered
+    env.run()
+    series = server.metrics.series("server_bpt", tag="server-0")
+    assert series.times() == [first_ack, second.done.value]
+    assert second.done.value == first_ack + series.values()[1]
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_parked_server_serves_its_backlog_back_to_back_in_arrival_order(coalesce):
+    """A request reaching a parked server starts its handling at that very
+    instant, and the requests queued behind it follow back to back in FIFO
+    order — coalesced windows and per-request stepping agree exactly."""
+    env, server = _standalone_server(draining=set(), coalesce=coalesce)
+    server.start()
+    env.run(until=0.5)
+    requests = [_push(env, worker)
+                for worker in ("worker-a", "worker-b", "worker-c")]
+    for request in requests:
+        server.enqueue(request)
+    env.run()
+    series = server.metrics.series("server_bpt", tag="server-0")
+    acks = [request.done.value for request in requests]
+    assert series.times() == acks
+    handlings = series.values()
+    assert acks[0] == 0.5 + handlings[0]
+    for previous, ack, handling in zip(acks, acks[1:], handlings[1:]):
+        assert ack == previous + handling
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_take_backlog_hands_over_the_queue_oldest_first(coalesce):
+    """``take_backlog`` empties the queue in place: the requests it returns
+    are never handled here, and the run loop keeps serving later arrivals."""
+    env, server = _standalone_server(draining=set(), coalesce=coalesce)
+    server.start()
+    env.run(until=0.5)
+    server.submit("worker-a", 1e9)  # handled from t=0.5 on
+    queued = [_push(env, "worker-b"), _push(env, "worker-c")]
+    for request in queued:
+        server.enqueue(request)
+    assert server.pending_request_count() == 2
+    assert server.take_backlog() == queued
+    assert server.pending_request_count() == 0
+    env.run()
+    series = server.metrics.series("server_bpt", tag="server-0")
+    assert len(series) == 1
+    assert not any(request.done.triggered for request in queued)
+    late = [_push(env, "worker-d"), _push(env, "worker-e")]
+    for request in late:
+        server.enqueue(request)
+    env.run()
+    assert series.times() == [series.times()[0]] + [
+        request.done.value for request in late]
+
+
+def test_scale_in_of_a_fed_server_drains_every_request_in_order():
+    """A scale-in that lands after the parked getter was fed, but before the
+    process resumed, hands the fed request and the backlog behind it to the
+    drain, oldest first; none of them is handled by the retiring server."""
+    handed = []
+
+    def drain(server, requests):
+        handed.extend(requests)
+        yield server.env.timeout(0.0)
+
+    env, server = _standalone_server(draining=set(), drain_handler=drain)
+    server.start()
+    env.run(until=0.5)
+    first, second = _push(env, "worker-a"), _push(env, "worker-b")
+    server.enqueue(first)  # succeeds the getter at t=0.5 ...
+    assert server.request_scale_in()  # ... the urgent interrupt runs first
+    server.enqueue(second)
+    env.run()
+    assert handed == [first, second]
+    assert not server.process.is_alive
+    assert server.pending_request_count() == 0
+    assert len(server.metrics.series("server_bpt", tag="server-0")) == 0
 
 
 # ---------------------------------------------------------------------------

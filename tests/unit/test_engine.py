@@ -268,7 +268,7 @@ def test_store_fifo_order():
             item = yield store.get()
             received.append(item)
 
-    store = env.store()
+    store = Store(env)
     env.process(producer(env, store))
     env.process(consumer(env, store))
     env.run()
@@ -287,36 +287,11 @@ def test_store_get_blocks_until_put():
         yield env.timeout(3.0)
         store.put("late")
 
-    store = env.store()
+    store = Store(env)
     env.process(consumer(env, store))
     env.process(producer(env, store))
     env.run()
     assert log == [(3.0, "late")]
-
-
-def test_store_put_left_has_priority():
-    env = Environment()
-    store = env.store()
-    store.put("second")
-    store.put_left("first")
-    assert store.try_get() == "first"
-    assert store.try_get() == "second"
-
-
-def test_store_try_get_empty_returns_none():
-    env = Environment()
-    store = env.store()
-    assert store.try_get() is None
-
-
-def test_store_cancel_pending_get():
-    env = Environment()
-    store = env.store()
-    pending = store.get()
-    assert store.cancel(pending) is True
-    store.put("item")
-    # The cancelled getter must not swallow the item.
-    assert store.try_get() == "item"
 
 
 def test_failed_event_propagates_into_process():
@@ -372,44 +347,16 @@ def test_store_put_event_is_already_processed():
     # put never blocks, so its confirmation event is returned pre-processed
     # (no heap traffic per message); yielding it resumes immediately.
     env = Environment()
-    store = env.store()
+    store = Store(env)
     event = store.put("thing")
     assert event.triggered and event.processed
     assert event.ok and event.value == "thing"
 
 
-def test_store_push_enqueues_without_event():
-    env = Environment()
-    store = env.store()
-    assert store.push("a") is None
-    store.push("b")
-    assert store.try_get() == "a"
-    assert store.try_get() == "b"
-
-
-def test_store_push_wakes_waiting_getter():
-    env = Environment()
-    store = env.store()
-    log = []
-
-    def consumer(env, store):
-        item = yield store.get()
-        log.append((env.now, item))
-
-    def producer(env, store):
-        yield env.timeout(2.0)
-        store.push("late")
-
-    env.process(consumer(env, store))
-    env.process(producer(env, store))
-    env.run()
-    assert log == [(2.0, "late")]
-
-
 def test_store_get_with_item_available_is_immediate():
     env = Environment()
-    store = env.store()
-    store.push("ready")
+    store = Store(env)
+    store.put("ready")
     event = store.get()
     assert event.triggered and event.value == "ready"
 

@@ -75,15 +75,6 @@ def _quadratic_params():
     return {"w": np.array([10.0, -10.0])}
 
 
-def test_adagrad_state_dict_copies_slots():
-    optimizer = Adagrad(_quadratic_params(), lr=0.1)
-    optimizer.step({"w": np.ones(2)})
-    state = optimizer.state_dict()
-    assert (state["lr"], state["steps"]) == (0.1, 1)
-    optimizer.step({"w": np.ones(2)})
-    assert np.allclose(state["accum"]["w"], 1.0)  # a copy, not the live slot
-
-
 def test_adagrad_reduces_loss():
     params = _quadratic_params()
     optimizer = Adagrad(params, lr=1.0)
@@ -161,19 +152,6 @@ def test_model_learns_separable_data():
         optimizer.step(grads)
     scores = model.predict_proba(dataset.read_indices(np.arange(n)))
     assert auc(labels, scores) > 0.9
-
-
-def _small_xdeepfm(seed):
-    return XDeepFMLite(field_cardinalities=[4, 4], num_dense=2, embedding_dim=2,
-                       dnn_hidden=(8,), seed=seed)
-
-
-def test_model_state_dict_is_a_copy():
-    model = _small_xdeepfm(seed=0)
-    state = model.state_dict()
-    assert set(state) == set(model.params)
-    state["bias"][0] = 99.0
-    assert model.params["bias"][0] == 0.0
 
 
 def test_model_num_parameters_positive():

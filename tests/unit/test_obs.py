@@ -210,7 +210,7 @@ class TestValidateChromeTrace:
 
 
 class TestEngineStatsSplit:
-    def test_snapshot_has_split_keys(self):
+    def test_without_coalescing_logical_equals_physical(self):
         from repro.perf import EngineStats
         from repro.sim.engine import Environment
 
@@ -218,11 +218,10 @@ class TestEngineStatsSplit:
         stats = EngineStats(env)
         env.timeout(1.0)
         env.run()
-        snapshot = stats.snapshot()
-        assert snapshot["coalesced_commits"] == 0.0
-        assert snapshot["logical_events"] == snapshot["physical_events"]
+        assert stats.physical == 1
+        assert stats.logical == stats.physical == stats.processed
 
-    def test_coalesced_commits_are_logical_minus_physical(self):
+    def test_coalesced_folds_count_as_logical_not_physical(self):
         from repro.perf import EngineStats
         from repro.sim.engine import Environment
 
@@ -235,5 +234,4 @@ class TestEngineStatsSplit:
         env.count_coalesced(5)
         env.run()
         assert stats.physical == 2
-        assert stats.logical == 7
-        assert stats.coalesced_commits == stats.logical - stats.physical == 5
+        assert stats.logical == stats.processed == 7

@@ -85,9 +85,6 @@ def test_engine_stats_counts_native_counters():
     env.run()
     assert stats.scheduled > 0
     assert stats.processed == stats.scheduled
-    snapshot = stats.snapshot(wall_seconds=1.0)
-    assert snapshot["events_processed"] == float(stats.processed)
-    assert snapshot["events_per_sec"] == float(stats.processed)
 
 
 def test_engine_stats_reset_rebases_window():
