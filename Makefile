@@ -8,7 +8,7 @@ PYTHONPATH_PREFIX = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 ## Parallel worker processes for orchestrated sweeps (python -m repro).
 JOBS ?= 2
 
-.PHONY: test tier1 fast lint golden golden-check golden-update sweep bench-smoke trace-smoke serve-smoke examples figure-rows ci
+.PHONY: test tier1 fast lint golden golden-check golden-update sweep bench-smoke bench-check trace-smoke serve-smoke examples figure-rows ci
 
 ## Full tier-1 suite (what the PR gate runs): unit + integration + property +
 ## golden traces + benchmarks.
@@ -18,7 +18,7 @@ test:
 ## The checks .github/workflows/ci.yml runs, in the same order — one local
 ## command to know the gate will pass before pushing.  CI's `git diff
 ## --exit-code` after the suite is left out: a working tree usually has edits.
-ci: lint test golden-check examples trace-smoke serve-smoke
+ci: lint test golden-check examples trace-smoke serve-smoke bench-check
 
 ## Static analysis: the determinism & sim-safety linter (AST rules DET/SIM/USE,
 ## cross-artifact CON checks; an inline waiver is the only way to accept a
@@ -107,3 +107,17 @@ figure-rows:
 ## tier-1 suite (`make test`) collects benchmarks/ and runs this file.
 bench-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks/test_perf_smoke.py -q -s
+
+## Benchmark output gate (run in CI): one plain repetition of each perfbench
+## workload at seed 0, failing unless its JSON record counts no failed check.
+## No golden trace covers the 1000-worker and 12-server serving specs, so this
+## is the one gate on the fingerprints perfbench/expected.json records for
+## them.  ~10-25 s in all; nd_1000w peaks at ~530 MB.
+bench-check:
+	@for workload in nd_1000w serving_colocated registry_sweep; do \
+		PYTHONHASHSEED=0 $(PYTHON) perfbench/workload.py --workload $$workload --seed 0 --mode plain \
+			| $(PYTHON) -c 'import json, sys; \
+	record = json.loads(sys.stdin.read().splitlines()[-1]); \
+	print(sys.argv[1], "failed:", record["failed"], *record["failures"]); \
+	sys.exit(record["failed"] != 0)' $$workload || exit 1; \
+	done

@@ -10,7 +10,6 @@ architecture: the Parameter Server and AllReduce jobs in
 
 from .actions import (
     Action,
-    ActionKind,
     ActionType,
     AdjustBatchSize,
     AdjustLearningRate,
@@ -34,7 +33,6 @@ from .solvers import solve_batch_sizes
 __all__ = [
     "Action",
     "ActionExecutor",
-    "ActionKind",
     "ActionType",
     "AdjustBatchSize",
     "AdjustLearningRate",

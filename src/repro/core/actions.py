@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 __all__ = [
-    "ActionKind",
     "ActionType",
     "Action",
     "AdjustBatchSize",
@@ -37,14 +36,6 @@ __all__ = [
     "ScaleInServers",
     "NoneAction",
 ]
-
-
-class ActionKind(enum.Enum):
-    """Synchronisation requirement of an action."""
-
-    GLOBAL = "global"
-    NODE = "node"
-    NONE = "none"
 
 
 class ActionType(enum.Enum):
@@ -70,11 +61,6 @@ class Action:
         """Which entry of the action set this is."""
         raise NotImplementedError
 
-    @property
-    def kind(self) -> ActionKind:
-        """Whether the action is global (synchronised) or per-node."""
-        raise NotImplementedError
-
     def describe(self) -> str:
         """One-line description for logs and experiment reports."""
         return self.action_type.value
@@ -98,10 +84,6 @@ class AdjustBatchSize(Action):
     def action_type(self) -> ActionType:
         return ActionType.ADJUST_BS
 
-    @property
-    def kind(self) -> ActionKind:
-        return ActionKind.GLOBAL
-
     def describe(self) -> str:
         sizes = ", ".join(f"{worker}={size}" for worker, size in sorted(self.batch_sizes.items()))
         return f"ADJUST_BS({sizes})"
@@ -122,10 +104,6 @@ class BackupWorkers(Action):
     def action_type(self) -> ActionType:
         return ActionType.BACKUP_WORKERS
 
-    @property
-    def kind(self) -> ActionKind:
-        return ActionKind.GLOBAL
-
     def describe(self) -> str:
         return f"BACKUP_WORKERS(b={self.num_backup})"
 
@@ -144,10 +122,6 @@ class KillRestart(Action):
     @property
     def action_type(self) -> ActionType:
         return ActionType.KILL_RESTART
-
-    @property
-    def kind(self) -> ActionKind:
-        return ActionKind.NODE
 
     def describe(self) -> str:
         return f"KILL_RESTART({self.node_name})"
@@ -169,10 +143,6 @@ class AdjustLearningRate(Action):
     @property
     def action_type(self) -> ActionType:
         return ActionType.ADJUST_LR
-
-    @property
-    def kind(self) -> ActionKind:
-        return ActionKind.GLOBAL
 
     def describe(self) -> str:
         factors = ", ".join(f"{worker}={factor:g}" for worker, factor in sorted(self.factors.items()))
@@ -197,10 +167,6 @@ class ScaleOut(Action):
     @property
     def action_type(self) -> ActionType:
         return ActionType.SCALE_OUT
-
-    @property
-    def kind(self) -> ActionKind:
-        return ActionKind.NODE
 
     def describe(self) -> str:
         return f"SCALE_OUT(+{self.num_workers})"
@@ -229,10 +195,6 @@ class ScaleIn(Action):
     def action_type(self) -> ActionType:
         return ActionType.SCALE_IN
 
-    @property
-    def kind(self) -> ActionKind:
-        return ActionKind.NODE
-
     def describe(self) -> str:
         return f"SCALE_IN({', '.join(self.node_names)})"
 
@@ -257,10 +219,6 @@ class ScaleOutServers(Action):
     @property
     def action_type(self) -> ActionType:
         return ActionType.SCALE_OUT_SERVERS
-
-    @property
-    def kind(self) -> ActionKind:
-        return ActionKind.NODE
 
     def describe(self) -> str:
         return f"SCALE_OUT_SERVERS(+{self.num_servers})"
@@ -290,10 +248,6 @@ class ScaleInServers(Action):
     def action_type(self) -> ActionType:
         return ActionType.SCALE_IN_SERVERS
 
-    @property
-    def kind(self) -> ActionKind:
-        return ActionKind.NODE
-
     def describe(self) -> str:
         return f"SCALE_IN_SERVERS({', '.join(self.node_names)})"
 
@@ -305,10 +259,6 @@ class NoneAction(Action):
     @property
     def action_type(self) -> ActionType:
         return ActionType.NONE
-
-    @property
-    def kind(self) -> ActionKind:
-        return ActionKind.NONE
 
     def describe(self) -> str:
         return "NONE"

@@ -641,7 +641,6 @@ class PSTrainingJob:
             if plan is None:
                 plan = server._open_plan(ack)
             plan.entries.append((request, start, ack, True, True, None))
-            plan.coalesced_logged += 1
             times.append(ack)
             values.append(handling)
         latch.count_down_many_at(acks_l)

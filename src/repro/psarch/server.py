@@ -10,22 +10,21 @@ Cohort request coalescing
 The FIFO discipline makes a server's near future fully determined the moment
 a request arrives: with a deterministic contention model every handling
 time — and therefore every acknowledgement time — is a closed-form function
-of the time handling starts.  When coalescing is enabled the server exploits
-this at two levels:
+of the time handling starts.  When coalescing is enabled the server commits
+requests into one kind of *window* (:class:`_BatchPlan`): each request's
+acknowledgement is computed closed-form behind the window's chain tail,
+appended as one plan entry and published at its future time, and a single
+wake-up event at the window's last acknowledgement closes it
+(:meth:`ParameterServer._on_wake`).
 
-* **Eager submit-side commits.**  While the server is idle (parked on its
-  queue) an arriving request never touches the queue at all: ``submit``
-  computes the acknowledgement closed-form, appends one entry to the open
-  :class:`_BatchPlan` and publishes the acknowledgement at its future time.
-  The server process stays parked — a full iteration of W pushes costs zero
-  generator resumes and zero backlog round trips per server.
-* **Batch commits.**  When requests did accumulate in the queue (after a
-  restart, a rollback or a drain re-route), the server process commits the
-  whole backlog at once and sleeps until the window's end on a single
-  wake-up event.
-
-A 1,000-worker iteration that used to cost W×S heap pops per server
-collapses to one wake-up pop per server per iteration.
+While the server process is parked on an empty backlog, an arriving request
+never touches the backlog at all: ``submit`` commits it right away.  When
+requests did accumulate (after a restart, a rollback or a drain re-route),
+the server process pops the head, commits it together with the whole
+backlog in the same way and parks again.  Either way the process never
+waits on a window: a full iteration of W pushes costs zero generator resumes
+per server, and a 1,000-worker iteration that used to cost W×S heap pops per
+server collapses to one wake-up pop per server per iteration.
 
 Quiescence can break before a window elapses — a kill-restart, an elastic
 membership change (which moves the delay fraction a contended server
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Sequence
 
 import numpy as np
 
@@ -135,26 +134,18 @@ class _BatchPlan:
 
     Holds the entry tuples in acknowledgement order plus the pre-window
     length of the ``server_bpt`` series, so a rollback can cut the series
-    right after the entries it keeps.
+    right after the entries it keeps.  Every entry credits one logical event
+    to ``env.coalesced_count``, so the window's credit is ``len(entries)``
+    (re-arm adjustments are made directly on the environment).
     """
 
-    __slots__ = ("entries", "wake", "wake_id", "series_len_before",
-                 "coalesced_logged", "origin_physical")
+    __slots__ = ("entries", "wake", "wake_id", "series_len_before")
 
-    def __init__(self, series_len_before: int, origin_physical: int) -> None:
+    def __init__(self, series_len_before: int) -> None:
         self.entries: List[tuple] = []
         self.wake: Optional[Event] = None
         self.wake_id = -1
         self.series_len_before = series_len_before
-        #: Per-entry logical events currently accounted to
-        #: ``env.coalesced_count`` for this window (re-arm adjustments are
-        #: tracked directly on the environment, not here).
-        self.coalesced_logged = 0
-        #: Physical events that fed this window from the backlog: 1 for a
-        #: window the server process popped off its backlog, 0 for a window
-        #: opened by an eager submit-side commit.  The logical total of a
-        #: fully delivered window of k requests is k+1 either way.
-        self.origin_physical = origin_physical
 
 
 class ParameterServer:
@@ -251,8 +242,8 @@ class ParameterServer:
         of one iteration (one slot per server); the server then counts its
         slot down instead of succeeding a private acknowledgement event.
 
-        While the server is idle-parked and its contention is deterministic,
-        the request is committed *eagerly* right here (see the module
+        While the server is parked on an empty backlog and its contention is
+        deterministic, the request is committed right here (see the module
         docstring) and never enters the queue.
         """
         env = self.env
@@ -260,7 +251,7 @@ class ParameterServer:
                               done=done if done is not None else Event(env))
         if (self._accepting and env.coalesce and not self._backlog
                 and self.node.contention.is_deterministic):
-            self._commit_request(request)
+            self._commit((request,))
             return request.done
         self._enqueue(request)
         return request.done
@@ -314,10 +305,8 @@ class ParameterServer:
         returns to the backlog front, where the purge below catches the
         departing worker's requests like any other queued push.
         """
-        _, queued = self._rollback_plan(self.env.now, keep_in_flight=True)
+        self._rollback_plan(self.env.now, keep_in_flight=True)
         backlog = self._backlog
-        if queued:
-            backlog.extendleft(reversed(queued))
         keep = [request for request in backlog if request.worker != worker]
         dropped = len(backlog) - len(keep)
         if dropped:
@@ -345,15 +334,6 @@ class ParameterServer:
                     count += 1
         return count
 
-    def _requeue_front(self, queued: List[PushRequest]) -> None:
-        """Return rescinded requests to the backlog front for re-planning."""
-        if queued:
-            self._backlog.extendleft(reversed(queued))
-            # The retained in-flight entry is still being handled: the
-            # server must not pick the requeued tail up (or accept eager
-            # commits ahead of it) before the in-flight acknowledgement.
-            self._set_accepting(False)
-
     def on_cohort_change(self) -> None:
         """Worker membership changed: re-plan any committed window.
 
@@ -363,14 +343,21 @@ class ParameterServer:
         keep their (correct, pre-change) decisions; the rescinded tail
         re-enters the backlog and is re-planned at wake-up.
         """
-        _, queued = self._rollback_plan(self.env.now, keep_in_flight=True)
-        self._requeue_front(queued)
+        self._replan()
 
     def _on_contention_change(self, _node: Node) -> None:
         """Contention model swapped mid-run: committed handling times are stale."""
-        _, queued = self._rollback_plan(self.env.now, keep_in_flight=True)
-        self._requeue_front(queued)
+        self._replan()
         self._sync_eligibility()
+
+    def _replan(self) -> None:
+        """Roll the committed window back to its in-flight request."""
+        self._rollback_plan(self.env.now, keep_in_flight=True)
+        if self._backlog:
+            # The retained in-flight entry is still being handled: the
+            # server must not pick the requeued tail up (or accept eager
+            # commits ahead of it) before the in-flight acknowledgement.
+            self._set_accepting(False)
 
     def finalize_run(self) -> None:
         """Rewind speculative state past the end of the run.
@@ -383,9 +370,7 @@ class ParameterServer:
         backlog leaves every observable exactly where per-request stepping
         leaves it.
         """
-        _, queued = self._rollback_plan(self.env.now, keep_in_flight=False)
-        if queued:
-            self._backlog.extendleft(reversed(queued))
+        self._rollback_plan(self.env.now, keep_in_flight=False)
 
     # -- controller-facing API -----------------------------------------------------
     def request_kill_restart(self) -> bool:
@@ -433,11 +418,12 @@ class ParameterServer:
         """Main loop: pop a request, spend the handling time, acknowledge it.
 
         With coalescing on and a deterministic contention model this loop is
-        almost always *parked*: requests are committed eagerly at submit time
-        and never reach the backlog.  The loop only turns when a backlog exists
+        almost always *parked*: requests are committed at submit time and
+        never reach the backlog.  The loop only turns when a backlog exists
         (post-restart, post-rollback, drain re-routes) — then it commits the
-        whole backlog as one batch window — or when the contention model is
-        non-deterministic, in which case it steps request by request.
+        popped request and the whole backlog behind it into a window and
+        parks again — or when the contention model is non-deterministic, in
+        which case it steps request by request.
         """
         current: Optional[PushRequest] = None
         get_event: Optional[Event] = None
@@ -465,12 +451,15 @@ class ParameterServer:
                 self._set_accepting(False)
                 if env.coalesce and node.contention.is_deterministic:
                     # Every handling time in the current backlog is a closed
-                    # form of the pop time: commit the whole window at once
-                    # and sleep until its end (see the module docstring).
-                    wake = self._commit_batch(current)
+                    # form of the pop time: commit them all as one window,
+                    # whose wake-up closes it (see the module docstring).
+                    # A window's wake-up stands for the pop that starts a
+                    # parked server's handling; here that pop already
+                    # happened (or was synchronous), so its credit goes back.
+                    self._commit([current, *backlog])
+                    backlog.clear()
                     current = None
-                    yield wake
-                    self._plan = None
+                    env.coalesced_count -= 1
                     continue
                 fraction = float(delay_fraction_provider())
                 handling = node.server_time(
@@ -498,8 +487,7 @@ class ParameterServer:
                 # server's ``current``) and the untouched tail returns to
                 # the backlog front (where per-request stepping left it).
                 undelivered: List[PushRequest] = []
-                in_flight, queued = self._rollback_plan(env.now, keep_in_flight=False)
-                self._requeue_front(queued)
+                in_flight = self._rollback_plan(env.now, keep_in_flight=False)
                 if in_flight is not None and not in_flight.done.triggered:
                     undelivered.append(in_flight)
                 if get_event is not None:
@@ -545,70 +533,92 @@ class ParameterServer:
                     self._recovery_handler(self)
 
     # -- coalesced windows ---------------------------------------------------------
-    def _open_plan(self, first_ack: float) -> _BatchPlan:
-        """Open a fresh eager window ending (for now) at ``first_ack``.
+    def _open_plan(self, last_ack: float) -> _BatchPlan:
+        """Open a fresh window ending (for now) at ``last_ack``.
 
-        The wake-up event is scheduled *before* the first acknowledgement so
-        that at the window's final instant the server's bookkeeping runs
+        The wake-up event is scheduled *before* any acknowledgement of the
+        window so that at its final instant the server's bookkeeping runs
         first, then the last worker — the same callback order per-request
         stepping produces.  Its callback (:meth:`_on_wake`) either closes the
         window or re-arms at the new end if commits extended it meanwhile.
         """
         env = self.env
-        plan = _BatchPlan(len(self._bpt_series), origin_physical=0)
+        plan = _BatchPlan(len(self._bpt_series))
         wake = Event(env)
         wake.callbacks.append(self._on_wake)
         plan.wake = wake
-        plan.wake_id = env.schedule_at(wake, first_ack)
+        plan.wake_id = env.schedule_at(wake, last_ack)
         self._plan = plan
         return plan
 
-    def _commit_request(self, request: PushRequest) -> None:
-        """Commit one request eagerly at submit time (server stays parked)."""
+    def _commit(self, requests: Sequence[PushRequest]) -> None:
+        """Commit ``requests``, in FIFO order, into the open window (or a new one).
+
+        Handling starts at ``max(chain_tail, now)`` and each acknowledgement
+        is the running total ``t + handling``, summed left to right exactly
+        as per-request stepping does.  A new window's wake-up is scheduled at
+        its last acknowledgement before any acknowledgement is published (see
+        :meth:`_open_plan`): one request's acknowledgement is that end, and a
+        longer backlog's end is summed up first.  Acknowledgements are
+        published at once via absolute-time scheduling and ``server_bpt``
+        points are written eagerly (windowed queries are bisect-bounded, so
+        future-dated observations stay invisible until due).  The delay
+        fraction, which the uncoalesced loop re-reads per request, is read
+        once: any event that could move it also rolls the window back.
+        """
         env = self.env
         node = self.node
-        now = env._now
         state = self._state
         slot = self._slot
+        per_byte_cost = self.config.server_per_byte_cost_s
+        now = env._now
+        t = float(state.chain_tail[slot])
+        if t < now:
+            t = now
+        contention_free = node.contention.is_null
+        fraction = 1.0 if contention_free else float(self._delay_fraction_provider())
         plan = self._plan
-        tail = float(state.chain_tail[slot])
-        start = tail if tail > now else now
-        contention = node.contention
-        if contention.is_null:
-            handling = node.device.base_overhead \
-                + request.nbytes * self.config.server_per_byte_cost_s
-        else:
-            fraction = float(self._delay_fraction_provider())
-            handling = node.server_time(
-                request.nbytes, start,
-                per_byte_cost=self.config.server_per_byte_cost_s,
-                delay_fraction=fraction)
-        ack = start + handling
-        if plan is None:
-            plan = self._open_plan(ack)
-        done = request.done
-        is_latch = type(done) is CountdownEvent
-        contributed = False
-        done_id = None
-        if not done.triggered:
-            if is_latch:
-                contributed = not done.abandoned
-                done.count_down_at(ack, ack)
+        if plan is None and len(requests) > 1:
+            end = t
+            for request in requests:
+                end += node.server_time(request.nbytes, end, per_byte_cost=per_byte_cost,
+                                        delay_fraction=fraction)
+            plan = self._open_plan(end)
+        overhead = node.device.base_overhead
+        append_point = self._bpt_series.append
+        for request in requests:
+            if contention_free:
+                # ``node.server_time`` without contention, inlined.
+                handling = overhead + request.nbytes * per_byte_cost
             else:
-                done_id = env.schedule_at(done, ack, ack)
-        state.chain_tail[slot] = ack
-        self._bpt_series.append(ack, handling)
-        plan.entries.append((request, start, ack, is_latch, contributed, done_id))
-        plan.coalesced_logged += 1
-        env.coalesced_count += 1
+                handling = node.server_time(request.nbytes, t, per_byte_cost=per_byte_cost,
+                                            delay_fraction=fraction)
+            ack = t + handling
+            if plan is None:
+                plan = self._open_plan(ack)
+            done = request.done
+            is_latch = type(done) is CountdownEvent
+            contributed = False
+            done_id = None
+            if not done.triggered:
+                if is_latch:
+                    contributed = not done.abandoned
+                    done.count_down_at(ack, ack)
+                else:
+                    done_id = env.schedule_at(done, ack, ack)
+            append_point(ack, handling)
+            plan.entries.append((request, t, ack, is_latch, contributed, done_id))
+            t = ack
+        state.chain_tail[slot] = t
+        env.coalesced_count += len(requests)
 
     def _on_wake(self, wake: Event) -> None:
-        """Wake-up callback of an eagerly opened window.
+        """Wake-up callback of a window.
 
         Closes the window when its last acknowledgement is due; re-arms at
-        the new end when eager commits extended the window past the instant
-        this wake-up was scheduled for (the replacement heap entry cancels
-        one logical-event credit, keeping the window's accounting at k+1).
+        the new end when commits extended the window past the instant this
+        wake-up was scheduled for (the replacement heap entry cancels one
+        logical-event credit, keeping the window's accounting at k+1).
         Closing also feeds any rollback-requeued backlog to the parked
         server process — the backlog had to wait for the in-flight
         acknowledgement (FIFO), and this wake-up marks exactly that instant.
@@ -634,96 +644,16 @@ class ParameterServer:
             env.coalesced_count -= 1
             self._feed()
 
-    def _commit_batch(self, first: PushRequest) -> Event:
-        """Commit the current backlog as one coalesced window; return the wake event.
-
-        Handling and acknowledgement times for ``first`` plus every queued
-        request are computed closed-form and published immediately —
-        acknowledgements via absolute-time scheduling, series writes eagerly
-        (windowed queries are bisect-bounded, so future-dated observations
-        stay invisible until due).  The delay fraction, which the uncoalesced
-        loop re-reads per request, is read once: any event that could move it
-        also triggers a rollback of this window.
-        """
-        env = self.env
-        node = self.node
-        state = self._state
-        slot = self._slot
-        backlog = self._backlog
-        requests: List[PushRequest] = [first]
-        if backlog:
-            requests.extend(backlog)
-            backlog.clear()
-        k = len(requests)
-        t0 = env.now
-        per_byte_cost = self.config.server_per_byte_cost_s
-        contention = node.contention
-        if contention.is_null:
-            # base_overhead + nbytes·cost per request; the acknowledgement
-            # times are the running total, accumulated with np.cumsum, which
-            # adds strictly left-to-right — bit-identical to the sequential
-            # ``t += handling`` of per-request stepping.
-            chain = np.empty(k + 1, dtype=np.float64)
-            chain[0] = t0
-            chain[1:] = node.device.base_overhead + per_byte_cost * np.fromiter(
-                (request.nbytes for request in requests), dtype=np.float64, count=k)
-            handlings = chain[1:].tolist()
-            acks = np.cumsum(chain)[1:].tolist()
-        else:
-            # Deterministic non-null contention: the model is a pure function
-            # of time, but not an affine one — step the scalar recurrence.
-            fraction = float(self._delay_fraction_provider())
-            handlings = []
-            acks = []
-            t = t0
-            for request in requests:
-                handling = node.server_time(
-                    request.nbytes, t,
-                    per_byte_cost=per_byte_cost, delay_fraction=fraction)
-                t += handling
-                handlings.append(handling)
-                acks.append(t)
-        # The wake event is scheduled before any acknowledgement so that at
-        # the window's final instant the server resumes first, then the last
-        # worker — the same callback order per-request stepping produces.
-        wake = Event(env)
-        plan = _BatchPlan(len(self._bpt_series), origin_physical=1)
-        plan.wake = wake
-        plan.wake_id = env.schedule_at(wake, acks[-1])
-        entries = plan.entries
-        bpt_series = self._bpt_series
-        start = t0
-        for request, handling, ack in zip(requests, handlings, acks):
-            done = request.done
-            is_latch = type(done) is CountdownEvent
-            contributed = False
-            done_id = None
-            if not done.triggered:
-                if is_latch:
-                    contributed = not done.abandoned
-                    done.count_down_at(ack, ack)
-                else:
-                    done_id = env.schedule_at(done, ack, ack)
-            bpt_series.append(ack, handling)
-            entries.append((request, start, ack, is_latch, contributed, done_id))
-            start = ack
-        state.chain_tail[slot] = acks[-1]
-        plan.coalesced_logged = k - 1
-        env.count_coalesced(k - 1)
-        self._plan = plan
-        return wake
-
-    def _rollback_plan(self, now: float, keep_in_flight: bool
-                       ) -> Tuple[Optional[PushRequest], List[PushRequest]]:
+    def _rollback_plan(self, now: float, keep_in_flight: bool) -> Optional[PushRequest]:
         """Rescind the undelivered tail of the committed window, if any.
 
         Entries acknowledged at or before ``now`` are delivered and stay.
         The first entry with a later acknowledgement is *in flight* (its
         handling started at or before ``now``): with ``keep_in_flight`` its
         committed outcome is preserved and the wake-up moves to its
-        acknowledgement; otherwise it is rescinded with the rest and handed
-        back as the first returned value.  Later entries never started and
-        are returned for backlog-front reinsertion.
+        acknowledgement; otherwise it is rescinded with the rest and
+        returned.  Later entries never started: they go back to the backlog
+        front, in order, for re-planning.
 
         Each entry appended one point to the ``server_bpt`` series, in entry
         order, and nothing else writes it, so cutting the series after the
@@ -732,13 +662,13 @@ class ParameterServer:
         """
         plan = self._plan
         if plan is None:
-            return None, []
+            return None
         entries = plan.entries
         if not entries or now >= entries[-1][_E_ACK]:
             # Fully delivered: nothing speculative left to unwind.  (The
             # window's wake-up stays scheduled and closes it as a no-op.)
             self._plan = None
-            return None, []
+            return None
         env = self.env
         state = self._state
         slot = self._slot
@@ -748,9 +678,9 @@ class ParameterServer:
                 break
         in_flight = entries[split]
         kept = entries[:split]
-        suffix = entries[split + 1:] if keep_in_flight else entries[split:]
+        tail = entries[split + 1:]
         # 1. Rescind the undelivered acknowledgements, newest first.
-        for entry in reversed(suffix):
+        for entry in reversed(tail if keep_in_flight else entries[split:]):
             done = entry[_E_REQUEST].done
             if entry[_E_IS_LATCH]:
                 if entry[_E_CONTRIBUTED]:
@@ -773,12 +703,12 @@ class ParameterServer:
             state.chain_tail[slot] = now
         # 3. Cut the series after the entries that stay.
         self._bpt_series.truncate(plan.series_len_before + len(plan.entries))
-        # Logical-event credits for the retained work: every kept entry plus
-        # the window's park/pop, minus what fed the window physically.
-        new_logged = len(kept) + 1 - plan.origin_physical
-        env.coalesced_count += new_logged - plan.coalesced_logged
-        plan.coalesced_logged = new_logged
+        # 4. The window credited one logical event per entry; the retained
+        #    work is every kept entry plus the window's park/pop.
+        env.coalesced_count += len(kept) + 1 - len(entries)
+        # 5. The never-started tail returns to the backlog front.
+        self._backlog.extendleft(entry[_E_REQUEST] for entry in reversed(tail))
         if keep_in_flight:
-            return None, [entry[_E_REQUEST] for entry in suffix]
+            return None
         self._plan = None
-        return in_flight[_E_REQUEST], [entry[_E_REQUEST] for entry in suffix[1:]]
+        return in_flight[_E_REQUEST]

@@ -73,9 +73,10 @@ class FailureEvent(SpecCodec):
     """One scheduled node termination in a failure trace.
 
     ``code`` is the :class:`~repro.sim.failures.ErrorCode` *value* (a string,
-    to keep the spec JSON-safe); only retryable codes make sense in a trace —
-    an unretryable error would abort the job rather than ride the failover
-    path.
+    to keep the spec JSON-safe).  Only retryable codes are accepted: on a
+    configuration or programming error paper §V-D stops the job instead of
+    relaunching the node, and that stop is not modelled (the simulated
+    scheduler relaunches whatever the code).
     """
 
     time_s: float
@@ -87,7 +88,11 @@ class FailureEvent(SpecCodec):
             raise ValueError("failure times must be non-negative (the run starts at t=0)")
         # Normalise: accept an ErrorCode member too, but store the JSON-safe
         # string value.  Raises ValueError for unknown codes.
-        object.__setattr__(self, "code", ErrorCode(self.code).value)
+        code = ErrorCode(self.code)
+        if code in (ErrorCode.CONFIGURATION_ERROR, ErrorCode.PROGRAMMING_ERROR):
+            raise ValueError(f"{code.value!r} is not retryable: it stops the job, "
+                             "which a failure trace does not model")
+        object.__setattr__(self, "code", code.value)
 
     @property
     def error_code(self) -> ErrorCode:

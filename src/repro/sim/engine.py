@@ -44,7 +44,7 @@ place: no heap push or pop, no generator resume.  Otherwise exactly that key
 goes through the heap.
 
 The environment keeps the two event counters separate: ``processed_count``
-counts *physical* heap pops, while :meth:`count_coalesced` accounts the
+counts *physical* heap pops, while ``coalesced_count`` accounts the
 *logical* events a coalesced window stood in for, so throughput numbers stay
 comparable with pre-coalescing benchmarks (see :mod:`repro.perf`).
 
@@ -185,14 +185,6 @@ class Event:
         self._value = exception
         self.env._schedule(self, _NORMAL)
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of another event onto this one (callback helper)."""
-        if self._value is not PENDING:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.env._schedule(self, _NORMAL)
 
     def __repr__(self) -> str:
         state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
@@ -541,7 +533,7 @@ class CountdownEvent(Event):
         if fire_delay > 0.0:
             # The consumer's follow-up wait rode along on this heap entry:
             # account the timeout event it replaced.
-            self.env.count_coalesced(1)
+            self.env.coalesced_count += 1
 
     def rescind(self, when: float, value: Any = None) -> None:
         """Withdraw one prior :meth:`count_down_at` contribution.
@@ -781,15 +773,6 @@ class Environment:
         object is to be reused.
         """
         self._dead.add(eid)
-
-    def count_coalesced(self, n: int) -> None:
-        """Account ``n`` logical events that were absorbed into a coalesced
-        window instead of being scheduled individually."""
-        self.coalesced_count += n
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when the queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process the next scheduled event."""

@@ -1,7 +1,7 @@
 """Registry-wide proof that cohort coalescing is behaviour-preserving.
 
-The engine's fast paths — eager submit-side commits, batched cohort plans,
-vectorized push fan-out — may only ever change *how fast* a run executes,
+The engine's fast paths — servers committing requests into coalesced
+windows, vectorized push fan-out — may only ever change *how fast* a run executes,
 never *what* it computes.  The golden suite pins 36 checked-in traces; these tests go further and pin, for **every** registered
 scenario, that the fingerprint with coalescing forced on is byte-identical to
 the fingerprint with coalescing forced off (``Environment(coalesce=False)``),

@@ -4,7 +4,6 @@ dispatch and solutions."""
 import pytest
 
 from repro.core.actions import (
-    ActionKind,
     ActionType,
     AdjustBatchSize,
     AdjustLearningRate,
@@ -29,9 +28,6 @@ from repro.sim.engine import Environment
 
 # ------------------------------------------------------------------------------- actions
 def test_action_kinds_and_types():
-    assert AdjustBatchSize(batch_sizes={"w0": 10}).kind is ActionKind.GLOBAL
-    assert KillRestart(node_name="w0").kind is ActionKind.NODE
-    assert NoneAction().kind is ActionKind.NONE
     assert BackupWorkers(num_backup=1).action_type is ActionType.BACKUP_WORKERS
     assert AdjustLearningRate(factors={"w0": 0.5}).action_type is ActionType.ADJUST_LR
 

@@ -7,9 +7,11 @@ autoscaler policies, the PS job's server scale-out/scale-in execution with
 shard-accounting and exactly-once proofs, the busy-cluster gate for server
 capacity, the autoscaler cooldown-on-denial satellite, the hand-offs of the
 server's own request backlog (arrival at a parked server, a kill or scale-in
-after the getter was fed, an arrival during an open window,
-``take_backlog``), and the headline regression: a server kill-restart racing
-an elastic scale-in drain must not resurrect a purged push request.
+after the getter was fed, an arrival during an open window, a relaunched
+server's backlog committed as one window, a contention swap re-committing a
+window's tail, ``take_backlog``), and the headline regression: a server
+kill-restart racing an elastic scale-in drain must not resurrect a purged
+push request.
 """
 
 import pytest
@@ -42,6 +44,7 @@ from repro.psarch.server import ParameterServer, PushRequest
 from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job
 from repro.scenarios.registry import all_scenarios
 from repro.sim.cluster import Cluster, NodeRole, NodeSpec
+from repro.sim.contention import ConstantContention
 from repro.sim.engine import Environment
 from repro.sim.hardware import CPU_SERVER_4C
 from repro.sim.metrics import MetricsRecorder
@@ -574,6 +577,64 @@ def test_parked_server_serves_its_backlog_back_to_back_in_arrival_order(coalesce
     assert acks[0] == 0.5 + handlings[0]
     for previous, ack, handling in zip(acks, acks[1:], handlings[1:]):
         assert ack == previous + handling
+
+
+@pytest.mark.parametrize("replan", [False, True])
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_relaunched_server_commits_its_backlog_as_one_window(coalesce, replan):
+    """Three requests queue while a killed server relaunches; the relaunched
+    process commits them as one window and parks again, so a request
+    submitted mid-window joins that window behind them.  A cohort change
+    mid-window (``replan``) sends the tail behind the in-flight request back
+    through the backlog.  Acknowledgements, the ``server_bpt`` series and
+    the logical event count are those of per-request stepping."""
+    env, server = _standalone_server(draining=set(), coalesce=coalesce)
+    server.start()
+    env.run(until=0.5)
+    assert server.request_kill_restart()
+    env.run(until=1.0)
+    queued = [_push(env, worker)
+              for worker in ("worker-a", "worker-b", "worker-c")]
+    for request in queued:
+        server.enqueue(request)
+    env.run(until=12.0)  # relaunched at 11.5: the first handling is under way
+    if replan:
+        server.on_cohort_change()
+        assert server.pending_request_count() == 2
+    late = server.submit("worker-d", 1e9)
+    env.run()
+    acks = [request.done.value for request in queued] + [late.value]
+    assert acks == pytest.approx([12.51, 13.52, 14.53, 15.54])
+    series = server.metrics.series("server_bpt", tag="server-0")
+    assert series.times() == acks
+    assert series.values() == pytest.approx([1.01] * 4)
+    for previous, ack, handling in zip(acks, acks[1:], series.values()[1:]):
+        assert ack == previous + handling
+    assert env.processed_count + env.coalesced_count == 12
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_contention_swap_recommits_the_tail_under_the_new_model(coalesce):
+    """A persistent straggler appears mid-window: the in-flight request keeps
+    its handling, the two behind it go back through the backlog and are
+    committed again, as one window, under the new (deterministic) model.
+    That window's wake-up is scheduled at its true end, so it closes on one
+    heap pop."""
+    env, server = _standalone_server(draining=set(), coalesce=coalesce)
+    server.start()
+    env.run(until=0.5)
+    dones = [server.submit(worker, 1e9)
+             for worker in ("worker-a", "worker-b", "worker-c")]
+    env.run(until=0.6)
+    server.node.set_contention(ConstantContention(delay_seconds=0.5))
+    env.run()
+    acks = [done.value for done in dones]
+    assert acks == pytest.approx([1.51, 3.02, 4.53])
+    series = server.metrics.series("server_bpt", tag="server-0")
+    assert series.times() == acks
+    assert series.values() == pytest.approx([1.01, 1.51, 1.51])
+    assert env.processed_count + env.coalesced_count == 8
+    assert env.processed_count == (7 if coalesce else 8)
 
 
 @pytest.mark.parametrize("coalesce", [True, False])

@@ -318,31 +318,6 @@ def test_run_until_past_time_raises():
         env.run(until=5.0)
 
 
-def test_peek_empty_queue_is_infinite():
-    env = Environment()
-    assert env.peek() == float("inf")
-
-
-def test_trigger_already_triggered_raises():
-    env = Environment()
-    source = env.event()
-    source.succeed("src")
-    target = env.event()
-    target.succeed("already")
-    with pytest.raises(RuntimeError):
-        target.trigger(source)
-
-
-def test_trigger_copies_outcome():
-    env = Environment()
-    source = env.event()
-    source.succeed("payload")
-    target = env.event()
-    target.trigger(source)
-    env.run()
-    assert target.value == "payload"
-
-
 def test_store_put_event_is_already_processed():
     # put never blocks, so its confirmation event is returned pre-processed
     # (no heap traffic per message); yielding it resumes immediately.

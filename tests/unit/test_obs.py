@@ -231,7 +231,7 @@ class TestEngineStatsSplit:
         stats = EngineStats(env)
         env.timeout(1.0)
         env.timeout(2.0)
-        env.count_coalesced(5)
+        env.coalesced_count += 5
         env.run()
         assert stats.physical == 2
         assert stats.logical == stats.processed == 7

@@ -52,6 +52,20 @@ def test_failure_event_rejects_bad_inputs():
     assert FailureEvent(time_s=0.0, node="worker-0").error_code is ErrorCode.JOB_EVICTION
 
 
+@pytest.mark.parametrize("code", ["configuration_error", "programming_error"])
+def test_failure_event_rejects_unretryable_codes(code):
+    """Paper §V-D stops the job on these codes; the scheduler would relaunch
+    the node instead, so a trace may not carry them — neither built directly
+    nor decoded from a stored spec."""
+    with pytest.raises(ValueError, match="not retryable"):
+        FailureEvent(time_s=30.0, node="worker-1", code=code)
+    stored = ScenarioSpec(name="unretryable", method="bsp", seed=5, failures=FailureTraceSpec(
+        events=(FailureEvent(time_s=30.0, node="worker-1"),))).to_dict()
+    stored["failures"]["events"][0]["code"] = code
+    with pytest.raises(ValueError, match="not retryable"):
+        ScenarioSpec.from_dict(stored)
+
+
 def test_topology_validation():
     with pytest.raises(ValueError):
         TopologySpec(num_workers=0)
