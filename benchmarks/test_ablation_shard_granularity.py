@@ -27,8 +27,6 @@ def _run_with_shard_size(samples_per_shard: int):
         op_cost_s=cfg.dds_op_overhead_s,
         samples_per_shard=samples_per_shard,
     )
-    for worker in job.workers:
-        worker.allocator = job.allocator
     result = job.run()
     return result.jct, job.allocator.total_overhead_s
 

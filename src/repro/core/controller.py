@@ -119,8 +119,6 @@ class Controller:
         self.consistency = consistency
         self.global_batch_size = global_batch_size
         self.action_log: List[Action] = []
-        self.decision_times: List[float] = []
-        self._stopped = False
 
     # -- context ------------------------------------------------------------------
     def build_context(self) -> ControlContext:
@@ -174,7 +172,6 @@ class Controller:
         """Run one decision round immediately (used by tests and by :meth:`run`)."""
         context = self.build_context()
         actions = self.solution.decide(context)
-        self.decision_times.append(self.env.now)
         for action in actions:
             self.dispatch(action)
         return actions
@@ -182,12 +179,8 @@ class Controller:
     # -- simulated control loop ------------------------------------------------------
     def run(self):
         """Simulation process: decide every ``control_interval_s`` seconds."""
-        while not self._stopped:
+        while True:
             yield self.env.timeout(self.config.control_interval_s)
-            if self.executor.finished or self._stopped:
+            if self.executor.finished:
                 break
             self.control_step()
-
-    def stop(self) -> None:
-        """Stop the control loop after the current interval."""
-        self._stopped = True

@@ -22,7 +22,7 @@ delays or effectively denies new capacity); scale-in drains gracefully
 through the Stateful DDS so data integrity is preserved.
 """
 
-from .autoscaler import Autoscaler, AutoscalerConfig, ElasticExecutor
+from .autoscaler import Autoscaler, ElasticExecutor
 from .allreduce import (
     ElasticAllReduceJob,
     ElasticAllReduceResult,
@@ -63,7 +63,6 @@ from .spec import (
 
 __all__ = [
     "Autoscaler",
-    "AutoscalerConfig",
     "AutoscalerPolicy",
     "ContendedServerPolicy",
     "ElasticAllReduceJob",

@@ -9,24 +9,30 @@ the job's membership into an
 actions, and executes them through the job's elastic executor surface.  A
 cooldown after every *granted* action damps membership flapping.
 
+The loop owns only its cadence and damping.  The membership bounds a policy
+plans against are the ones the executor enforces (its ``elastic_*``
+attributes), and the detection windows and slowness ratio are the job's
+:class:`~repro.core.config.AntDTConfig`, read exactly as the Controller
+reads them — so both loops, and the job, always agree on them.
+
 The executor protocol (:class:`ElasticExecutor`) is the job's membership
-surface — the scale-out/scale-in requests, which only this loop issues, plus
-the progress accessors a policy needs;
+surface — the bounds, the scale-out/scale-in requests, which only this loop
+issues, plus the progress accessors a policy needs;
 :class:`~repro.psarch.job.PSTrainingJob` implements it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol
 
 from ..core.actions import Action, ScaleIn, ScaleInServers, ScaleOut, ScaleOutServers
+from ..core.config import AntDTConfig
 from ..core.monitor import Monitor
 from ..obs.recorder import NULL_RECORDER, Decision
 from ..sim.engine import Environment
 from .policies import AutoscalerPolicy, ElasticContext
 
-__all__ = ["AutoscalerConfig", "ElasticExecutor", "Autoscaler"]
+__all__ = ["ElasticExecutor", "Autoscaler"]
 
 #: Trace verdict recorded when an action of this type is granted.
 _ACTION_VERDICTS = {
@@ -37,37 +43,18 @@ _ACTION_VERDICTS = {
 }
 
 
-@dataclass
-class AutoscalerConfig:
-    """Cadence, damping, membership bounds and detection windows."""
-
-    interval_s: float = 20.0
-    cooldown_s: float = 0.0
-    min_workers: int = 1
-    max_workers: Optional[int] = None
-    min_servers: int = 1
-    max_servers: Optional[int] = None
-    short_window_s: float = 20.0
-    long_window_s: float = 45.0
-    slowness_ratio: float = 1.4
-
-    def __post_init__(self) -> None:
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown_s must be non-negative")
-        if self.min_workers < 1:
-            raise ValueError("min_workers must be at least 1")
-        if self.max_workers is not None and self.max_workers < self.min_workers:
-            raise ValueError("max_workers must be >= min_workers")
-        if self.min_servers < 1:
-            raise ValueError("min_servers must be at least 1")
-        if self.max_servers is not None and self.max_servers < self.min_servers:
-            raise ValueError("max_servers must be >= min_servers")
-
-
 class ElasticExecutor(Protocol):
-    """What the autoscaler needs from a training job."""
+    """What the autoscaler needs from a training job.
+
+    The four ``elastic_*`` bounds are the hard membership limits the job's
+    scale requests enforce; the autoscaler hands the same values to its
+    policies, so a policy never plans against a bound the job does not hold.
+    """
+
+    elastic_min_workers: int
+    elastic_max_workers: Optional[int]
+    elastic_min_servers: int
+    elastic_max_servers: Optional[int]
 
     @property
     def finished(self) -> bool:
@@ -134,34 +121,40 @@ class Autoscaler:
         monitor: Monitor,
         policy: Optional[AutoscalerPolicy],
         executor: ElasticExecutor,
-        config: Optional[AutoscalerConfig] = None,
+        config: AntDTConfig,
+        interval_s: float,
+        cooldown_s: float = 0.0,
         server_policy: Optional[AutoscalerPolicy] = None,
         recorder: Optional[object] = None,
     ) -> None:
         if policy is None and server_policy is None:
             raise ValueError("an autoscaler needs a worker policy, a server "
                              "policy, or both")
+        if interval_s <= 0:
+            raise ValueError("interval_s must be positive")
+        if cooldown_s < 0:
+            raise ValueError("cooldown_s must be non-negative")
         self.env = env
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.monitor = monitor
         self.policy = policy
         self.server_policy = server_policy
         self.executor = executor
-        self.config = config if config is not None else AutoscalerConfig()
+        self.config = config
+        self.interval_s = interval_s
+        self.cooldown_s = cooldown_s
         #: Every action the policy emitted, whether or not it was granted.
         self.action_log: List[Action] = []
-        #: Names granted per action, aligned with :attr:`action_log`.
-        self.granted_log: List[List[str]] = []
-        self.decision_times: List[float] = []
         self._last_scale_time: Optional[float] = None
-        self._stopped = False
 
     # -- context ------------------------------------------------------------------
     def build_context(self) -> ElasticContext:
         """Snapshot membership, progress and Monitor windows for one decision.
 
-        Cluster busy and pending time come from the Monitor's third-party
-        information; a bare Monitor reports an idle cluster.
+        The bounds are the executor's, the windows and slowness ratio the
+        job's AntDT config.  Cluster busy and pending time come from the
+        Monitor's third-party information; a bare Monitor reports an idle
+        cluster.
         """
         now = self.env.now
         cfg = self.config
@@ -170,30 +163,30 @@ class Autoscaler:
             now=now,
             active_workers=executor.active_worker_names(),
             pending_workers=executor.pending_worker_count(),
-            min_workers=cfg.min_workers,
-            max_workers=cfg.max_workers,
+            min_workers=executor.elastic_min_workers,
+            max_workers=executor.elastic_max_workers,
             cluster_busy=bool(self.monitor.third_party("cluster_busy", False)),
             pending_time_s=self.monitor.third_party("pending_time", 0.0),
             remaining_samples=executor.remaining_samples(),
-            worker_short_bpts=self.monitor.worker_bpt_means(cfg.short_window_s, now),
-            worker_long_bpts=self.monitor.worker_bpt_means(cfg.long_window_s, now),
-            worker_throughputs=self.monitor.worker_throughputs(cfg.short_window_s, now),
+            worker_short_bpts=self.monitor.worker_bpt_means(cfg.transient_window_s, now),
+            worker_long_bpts=self.monitor.worker_bpt_means(cfg.persistent_window_s, now),
+            worker_throughputs=self.monitor.worker_throughputs(cfg.transient_window_s, now),
             slowness_ratio=cfg.slowness_ratio,
             active_servers=executor.active_server_names(),
             pending_servers=executor.pending_server_count(),
-            min_servers=cfg.min_servers,
-            max_servers=cfg.max_servers,
+            min_servers=executor.elastic_min_servers,
+            max_servers=executor.elastic_max_servers,
             server_queue_depths=executor.server_queue_depths(),
-            server_long_bpts=self.monitor.server_bpt_means(cfg.long_window_s, now),
+            server_long_bpts=self.monitor.server_bpt_means(cfg.persistent_window_s, now),
             server_shard_weights=executor.server_shard_weights(),
             serving=executor.serving_slo_snapshot(),
         )
 
     # -- dispatch -----------------------------------------------------------------
     def _in_cooldown(self) -> bool:
-        if self._last_scale_time is None or self.config.cooldown_s <= 0:
+        if self._last_scale_time is None or self.cooldown_s <= 0:
             return False
-        return self.env.now - self._last_scale_time < self.config.cooldown_s
+        return self.env.now - self._last_scale_time < self.cooldown_s
 
     def dispatch(self, action: Action) -> List[str]:
         """Execute one scaling action; returns the node names it moved."""
@@ -211,7 +204,6 @@ class Autoscaler:
                 list(action.node_names), action.reason)
         else:
             raise TypeError(f"autoscalers only emit scaling actions, got {action!r}")
-        self.granted_log.append(list(granted))
         if granted:
             self._last_scale_time = self.env.now
         return granted
@@ -275,14 +267,13 @@ class Autoscaler:
     def control_step(self) -> List[Action]:
         """Run one decision round immediately (used by tests and :meth:`run`)."""
         now = self.env.now
-        self.decision_times.append(now)
         recorder = self.recorder
         pairs = [(tier, pol) for tier, pol in (("workers", self.policy),
                                                ("servers", self.server_policy))
                  if pol is not None]
         if self._in_cooldown():
             if recorder.enabled:
-                cooldown = self.config.cooldown_s
+                cooldown = self.cooldown_s
                 remaining = cooldown - (now - self._last_scale_time)
                 reason = (f"cooldown: {remaining:.1f}s of {cooldown:.1f}s "
                           "remaining after the last granted action")
@@ -328,12 +319,8 @@ class Autoscaler:
     # -- simulated control loop ------------------------------------------------------
     def run(self):
         """Simulation process: decide every ``interval_s`` seconds."""
-        while not self._stopped:
-            yield self.env.timeout(self.config.interval_s)
-            if self.executor.finished or self._stopped:
+        while True:
+            yield self.env.timeout(self.interval_s)
+            if self.executor.finished:
                 break
             self.control_step()
-
-    def stop(self) -> None:
-        """Stop the control loop after the current interval."""
-        self._stopped = True

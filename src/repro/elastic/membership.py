@@ -15,10 +15,10 @@ then leaves the simulation for good instead of riding the failover path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 __all__ = ["SCALE_IN", "ScaleInSignal", "MembershipEvent", "MembershipLog",
-           "JOIN_REQUESTED", "JOINED", "LEFT"]
+           "JOIN_REQUESTED", "JOINED", "LEFT", "newest"]
 
 
 class ScaleInSignal:
@@ -35,6 +35,16 @@ SCALE_IN = ScaleInSignal()
 JOIN_REQUESTED = "join_requested"
 JOINED = "joined"
 LEFT = "left"
+
+
+def newest(names: Sequence[str], count: int) -> List[str]:
+    """The ``count`` most recently joined of ``names`` (join-ordered), newest first.
+
+    The LIFO scale-in choice of both tiers.
+    """
+    if count <= 0:
+        return []
+    return list(reversed(names[-count:]))
 
 
 @dataclass(frozen=True)

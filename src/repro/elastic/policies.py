@@ -39,6 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.actions import Action, ScaleIn, ScaleInServers, ScaleOut, ScaleOutServers
 from ..core.detection import detect_stragglers
+from .membership import newest
 
 __all__ = [
     "ElasticContext",
@@ -113,12 +114,6 @@ class ElasticContext:
         """How many active workers may retire before hitting the floor."""
         return max(0, len(self.active_workers) - self.min_workers)
 
-    def newest_active(self, count: int) -> List[str]:
-        """The ``count`` most recently joined active workers (LIFO order)."""
-        if count <= 0:
-            return []
-        return list(reversed(self.active_workers[-count:]))
-
     def estimated_remaining_s(self) -> Optional[float]:
         """Remaining work over aggregate fleet throughput (None when unknown)."""
         total = sum(self.worker_throughputs.get(worker, 0.0)
@@ -144,12 +139,6 @@ class ElasticContext:
     def server_shrinkable(self) -> int:
         """How many active servers may retire before hitting the floor."""
         return max(0, len(self.active_servers) - self.min_servers)
-
-    def newest_active_servers(self, count: int) -> List[str]:
-        """The ``count`` most recently joined active servers (LIFO order)."""
-        if count <= 0:
-            return []
-        return list(reversed(self.active_servers[-count:]))
 
     def weighted_server_depths(self) -> Dict[str, float]:
         """Queue depth per *active* server, scaled by its hot-shard heat.
@@ -227,7 +216,7 @@ class UtilizationThresholdPolicy(AutoscalerPolicy):
                              reason=f"eta {remaining:.0f}s over horizon")]
         if remaining < self.scale_in_horizon_s and context.shrinkable > 0:
             count = min(self.step, context.shrinkable)
-            return [ScaleIn(node_names=tuple(context.newest_active(count)),
+            return [ScaleIn(node_names=tuple(newest(context.active_workers, count)),
                             reason=f"eta {remaining:.0f}s under horizon")]
         return []
 
@@ -322,7 +311,7 @@ class ScheduledCapacityPolicy(AutoscalerPolicy):
             count = min(-delta, context.shrinkable)
             if count <= 0:
                 return []
-            return [ScaleIn(node_names=tuple(context.newest_active(count)),
+            return [ScaleIn(node_names=tuple(newest(context.active_workers, count)),
                             reason=f"capacity plan target {target}")]
         return []
 
@@ -374,7 +363,7 @@ class ServerQueueDepthPolicy(AutoscalerPolicy):
         if mean_depth < self.scale_in_depth and context.server_shrinkable > 0:
             count = min(self.step, context.server_shrinkable)
             return [ScaleInServers(
-                node_names=tuple(context.newest_active_servers(count)),
+                node_names=tuple(newest(context.active_servers, count)),
                 reason=f"mean queue depth {mean_depth:.2f} under threshold")]
         return []
 
@@ -505,7 +494,7 @@ class ServingSLOPolicy(AutoscalerPolicy):
                 and context.server_shrinkable > 0):
             count = min(self.step, context.server_shrinkable)
             return [ScaleInServers(
-                node_names=tuple(context.newest_active_servers(count)),
+                node_names=tuple(newest(context.active_servers, count)),
                 reason=f"serving SLO clear: p99 {p99:.3f}s well under target")]
         return []
 

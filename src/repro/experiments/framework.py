@@ -188,7 +188,6 @@ def integrity_report(num_samples: int = 12_288, epochs: int = 1, seed: int = 7,
     sim = simulate_spec(
         spec,
         backend=backend,
-        evaluate_after_run=True,
         num_samples=len(train),
         track_coverage=True,
     )

@@ -1,6 +1,6 @@
 """Parameter Server training architecture on the simulated cluster."""
 
-from .backend import ComputeBackend, NumpyPSBackend, SyntheticBackend
+from .backend import NumpyPSBackend
 from .barrier import BSPBarrier
 from .config import PSJobConfig
 from .job import PSRunResult, PSTrainingJob
@@ -9,7 +9,6 @@ from .worker import PSWorker
 
 __all__ = [
     "BSPBarrier",
-    "ComputeBackend",
     "NumpyPSBackend",
     "PSJobConfig",
     "PSRunResult",
@@ -17,5 +16,4 @@ __all__ = [
     "PSWorker",
     "ParameterServer",
     "PushRequest",
-    "SyntheticBackend",
 ]

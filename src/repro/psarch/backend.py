@@ -1,16 +1,12 @@
-"""Compute backends: what actually happens when a worker "trains" a batch.
+"""The compute backend: what actually happens when a worker "trains" a batch.
 
-Two backends implement the same protocol so the same simulated architecture
-can be used for pure timing experiments and for statistical/data-integrity
-experiments:
-
-* :class:`SyntheticBackend` — no real math; gradients are opaque tokens.  All
-  timing comes from the device cost models, which is exactly what the JCT
-  experiments need and keeps even the 90-worker Cluster-C runs cheap.
-* :class:`NumpyPSBackend` — a real NumPy model is trained: the worker computes
-  gradients on the actual rows named by its DDS sample range and the (logical)
-  servers apply them with the configured optimizer.  Used by the AUC /
-  data-integrity experiments (paper §VII-D).
+A job without a backend trains nothing: all timing comes from the device cost
+models, which is exactly what the JCT experiments need and keeps even the
+1000-worker runs cheap.  With a :class:`NumpyPSBackend` attached a real NumPy
+model is trained: the worker computes gradients on the actual rows named by
+its DDS sample range and the (logical) servers apply them with the configured
+optimizer, and the run reports the model's AUC.  Used by the AUC /
+data-integrity experiments (paper §VII-D).
 """
 
 from __future__ import annotations
@@ -27,39 +23,10 @@ from ..ml.metrics import auc
 from ..ml.models.base import Model
 from ..ml.optim import Optimizer
 
-__all__ = ["ComputeBackend", "SyntheticBackend", "NumpyPSBackend"]
+__all__ = ["NumpyPSBackend"]
 
 
-class ComputeBackend:
-    """Protocol between the simulated workers/servers and the ML substrate."""
-
-    def compute_gradient(self, worker: str, sample_range: SampleRange) -> object:
-        """Produce the worker-side payload for one batch (may be a no-op token)."""
-        raise NotImplementedError
-
-    def apply_gradient(self, worker: str, payload: object, weight: float) -> None:
-        """Server-side: fold an accepted payload into the global model."""
-        raise NotImplementedError
-
-    def scale_learning_rate(self, worker: str, factor: float) -> None:
-        """Apply the ADJUST_LR action for one worker (no-op by default)."""
-
-    def evaluate(self) -> Optional[float]:
-        """Return a statistical quality metric (AUC) or None if not applicable."""
-        return None
-
-
-class SyntheticBackend(ComputeBackend):
-    """Timing-only backend: gradients carry nothing and updates change nothing."""
-
-    def compute_gradient(self, worker: str, sample_range: SampleRange) -> object:
-        return None
-
-    def apply_gradient(self, worker: str, payload: object, weight: float) -> None:
-        pass
-
-
-class NumpyPSBackend(ComputeBackend):
+class NumpyPSBackend:
     """Backend that really trains a NumPy model.
 
     The model parameters conceptually live on the servers; the simulation's
@@ -79,20 +46,23 @@ class NumpyPSBackend(ComputeBackend):
         self._lr_factors: Dict[str, float] = {}
 
     def compute_gradient(self, worker: str, sample_range: SampleRange) -> object:
+        """Produce the worker-side gradient payload for one batch."""
         indices = self.shuffler.sample_indices(sample_range) % len(self.dataset)
         batch = self.dataset.read_indices(indices)
         _, grads = self.model.loss_and_gradients(batch, bce_with_logits)
         return grads
 
     def apply_gradient(self, worker: str, payload: object, weight: float) -> None:
+        """Server-side: fold an accepted payload into the global model."""
         factor = self._lr_factors.get(worker, 1.0)
         scaled = {name: grad * (weight * factor) for name, grad in payload.items()}
         self.optimizer.step(scaled)
 
     def scale_learning_rate(self, worker: str, factor: float) -> None:
+        """Apply the ADJUST_LR action for one worker."""
         self._lr_factors[worker] = self._lr_factors.get(worker, 1.0) * factor
 
-    def evaluate(self) -> Optional[float]:
+    def evaluate(self) -> float:
         """AUC on the held-out dataset (or the training data if none given)."""
         dataset = self.test_dataset if self.test_dataset is not None else self.dataset
         scores = []

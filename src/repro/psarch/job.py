@@ -11,7 +11,7 @@ can kill/relaunch its nodes and reconfigure backup workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from ..elastic.membership import (
 )
 from ..elastic.resharding import MigrationCostModel, ReshardEvent, ServerShardMap
 from ..obs.recorder import NULL_RECORDER
-from ..sim.cluster import Cluster, Node, NodeStatus
+from ..sim.cluster import Cluster, Node, NodeRole, NodeSpec, NodeStatus
 from ..sim.engine import Environment
 from ..sim.failures import ErrorCode
 from ..sim.metrics import MetricsRecorder
@@ -39,7 +39,7 @@ from ..sim.scheduler import ClusterScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..elastic.autoscaler import Autoscaler
-from .backend import ComputeBackend, SyntheticBackend
+from .backend import NumpyPSBackend
 from .barrier import BSPBarrier
 from .config import PSJobConfig
 from .server import ParameterServer, PushRequest, ServerStateArrays
@@ -55,6 +55,12 @@ _RUNNING = NodeStatus.RUNNING
 SERVING_WORKER_PREFIX = "serve:"
 
 
+def _room(count: int, committed: int, cap: Optional[int]) -> int:
+    """How many of ``count`` requested joins fit under ``cap`` (None: all)."""
+    count = max(0, int(count))
+    return count if cap is None else max(0, min(count, cap - committed))
+
+
 @dataclass
 class PSRunResult:
     """Summary of one simulated Parameter Server training run."""
@@ -66,13 +72,11 @@ class PSRunResult:
     consumed_per_worker: Dict[str, int]
     restarts_per_node: Dict[str, int]
     dropped_iterations: int
-    framework_overhead_s: float
     action_log: List[Action] = field(default_factory=list)
     done_shards: Optional[int] = None
     total_shards: Optional[int] = None
     auc: Optional[float] = None
     metrics: Optional[MetricsRecorder] = None
-    monitor: Optional[Monitor] = None
     # Elastic membership transitions (empty for fixed-fleet runs).
     membership_events: List[MembershipEvent] = field(default_factory=list)
     # Elastic *server* membership transitions and the parameter-shard
@@ -115,9 +119,8 @@ class PSTrainingJob:
         antdt_config: AntDTConfig,
         scheduler: ClusterScheduler,
         metrics: MetricsRecorder,
-        backend: Optional[ComputeBackend] = None,
+        backend: Optional[NumpyPSBackend] = None,
         solution: Optional[Solution] = None,
-        evaluate_after_run: bool = False,
         recorder: Optional[object] = None,
     ) -> None:
         if not cluster.workers:
@@ -130,10 +133,11 @@ class PSTrainingJob:
         self.allocator = allocator
         self.config = config
         self.antdt_config = antdt_config
-        self.backend = backend if backend is not None else SyntheticBackend()
+        # None trains nothing (timing only); a backend trains a real model
+        # and the run reports its AUC.
+        self.backend = backend
         self.metrics = metrics
         self.scheduler = scheduler
-        self.evaluate_after_run = evaluate_after_run
         # The trace recorder is passive: it observes state the job already
         # computes (membership transitions, reshard events, iteration BPTs)
         # and never schedules or mutates — attaching one cannot perturb the
@@ -161,26 +165,10 @@ class PSTrainingJob:
         self.servers: List[ParameterServer] = [
             self._make_server(node) for node in cluster.servers]
 
-        initial_batch = max(1, config.global_batch_size // max(1, cluster.num_workers))
-        self.workers: List[PSWorker] = []
-        for node in cluster.workers:
-            agent = self.agent_group.create_agent(node.name)
-            self.workers.append(
-                PSWorker(
-                    env=env,
-                    node=node,
-                    agent=agent,
-                    allocator=allocator,
-                    backend=self.backend,
-                    servers=self.servers,
-                    config=config,
-                    scheduler=self.scheduler,
-                    metrics=self.metrics,
-                    job=self,
-                    barrier=self.barrier,
-                    initial_batch_size=initial_batch,
-                )
-            )
+        batch = self._even_batch()
+        self.workers: List[PSWorker] = [
+            PSWorker(self, node, self.agent_group.create_agent(node.name), batch)
+            for node in cluster.workers]
 
         self.controller: Optional[Controller] = None
         if solution is not None:
@@ -202,18 +190,20 @@ class PSTrainingJob:
         self._exited_workers: List[str] = []
         self._exited_worker_set: set = set()
 
-        # Elastic membership: joining workers clone the first worker's spec
-        # (fresh pods land on uncontended machines, so the template's
-        # post-restart contention applies), names continue the worker-N
-        # sequence without ever reusing a departed name, and every transition
-        # is appended to the membership log (part of the run fingerprint).
+        # Elastic membership, one surface for both tiers: joining nodes clone
+        # their tier's first spec (fresh pods land on uncontended machines,
+        # so the template's post-restart contention applies), names continue
+        # the tier's <role>-N sequence without ever reusing a departed name,
+        # and every transition is appended to the tier's membership log
+        # (part of the run fingerprint).  configure_elastic sets the bounds.
         self.membership = MembershipLog()
         self.autoscaler: Optional["Autoscaler"] = None
-        self.elastic_min_workers = 1
-        self.elastic_max_workers: Optional[int] = None
+        self.configure_elastic()
         self._worker_template = cluster.workers[0].spec
-        self._next_worker_index = cluster.num_workers
-        self._pending_worker_count = 0
+        self._next_index = {NodeRole.WORKER: cluster.num_workers,
+                            NodeRole.SERVER: cluster.num_servers}
+        # Nodes requested from the scheduler but not yet placed, per role.
+        self._pending = {NodeRole.WORKER: 0, NodeRole.SERVER: 0}
         # Workers whose scale-in drain was granted but has not yet finished:
         # they still count as RUNNING until the interrupt is processed, so
         # the min-workers floor must discount them explicitly or two
@@ -228,11 +218,7 @@ class PSTrainingJob:
         # (non-draining) target list.  Server transitions live in their own
         # membership log so fixed-server-fleet fingerprints stay untouched.
         self.server_membership = MembershipLog()
-        self.elastic_min_servers = 1
-        self.elastic_max_servers: Optional[int] = None
         self._server_template = cluster.servers[0].spec if cluster.servers else None
-        self._next_server_index = cluster.num_servers
-        self._pending_server_count = 0
         self._draining_servers: set = set()
         # Killed primaries whose warm standbys took over: out of the push
         # rotation until their relaunch completes (empty without replicas).
@@ -351,25 +337,20 @@ class PSTrainingJob:
         return [server.name for server in self.servers
                 if server.node.is_running and server.name not in draining]
 
+    def _member(self, name: str) -> Optional[Union[PSWorker, ParameterServer]]:
+        """The worker or server process named ``name`` (None when unknown)."""
+        return next((member for members in (self.workers, self.servers)
+                     for member in members if member.name == name), None)
+
     def request_kill_restart(self, node_name: str, reason: str = "") -> bool:
         """Kill and relaunch a worker or server node."""
-        for worker in self.workers:
-            if worker.name == node_name:
-                granted = worker.request_kill_restart()
-                if granted:
-                    self.metrics.log_event(self.env.now, "kill_restart", node_name, reason)
-                    if self.recorder.enabled:
-                        self._trace_event("failures", "kill-restart", node=node_name)
-                return granted
-        for server in self.servers:
-            if server.name == node_name:
-                granted = server.request_kill_restart()
-                if granted:
-                    self.metrics.log_event(self.env.now, "kill_restart", node_name, reason)
-                    if self.recorder.enabled:
-                        self._trace_event("failures", "kill-restart", node=node_name)
-                return granted
-        return False
+        member = self._member(node_name)
+        if member is None or not member.request_kill_restart():
+            return False
+        self.metrics.log_event(self.env.now, "kill_restart", node_name, reason)
+        if self.recorder.enabled:
+            self._trace_event("failures", "kill-restart", node=node_name)
+        return True
 
     def _trace_event(self, track: str, name: str, **args: object) -> None:
         """Record one instantaneous trace event at the current sim time."""
@@ -383,26 +364,32 @@ class PSTrainingJob:
         relaunch is recorded under ``code`` in the scheduler's failure
         history.
         """
-        for collection in (self.workers, self.servers):
-            for member in collection:
-                if member.name == node_name:
-                    granted = member.inject_failure(code)
-                    if granted and self.recorder.enabled:
-                        self._trace_event("failures", "injected-failure",
-                                          node=node_name, code=code.value)
-                    return granted
-        return False
+        member = self._member(node_name)
+        if member is None or not member.inject_failure(code):
+            return False
+        if self.recorder.enabled:
+            self._trace_event("failures", "injected-failure",
+                              node=node_name, code=code.value)
+        return True
 
     # -- elastic membership ------------------------------------------------------------
-    def configure_elastic(self, min_workers: int = 1,
-                          max_workers: Optional[int] = None) -> None:
-        """Set the hard membership bounds scale requests are clamped to."""
-        if min_workers < 1:
-            raise ValueError("min_workers must be at least 1")
-        if max_workers is not None and max_workers < min_workers:
-            raise ValueError("max_workers must be >= min_workers")
+    def configure_elastic(self, min_workers: int = 1, max_workers: Optional[int] = None,
+                          min_servers: int = 1, max_servers: Optional[int] = None) -> None:
+        """Set the hard membership bounds scale requests are clamped to.
+
+        These are the only copy of the bounds: the autoscaler hands the same
+        values to its policies (see :class:`~repro.elastic.ElasticExecutor`).
+        """
+        for role, low, high in (("workers", min_workers, max_workers),
+                                ("servers", min_servers, max_servers)):
+            if low < 1:
+                raise ValueError(f"min_{role} must be at least 1")
+            if high is not None and high < low:
+                raise ValueError(f"max_{role} must be >= min_{role}")
         self.elastic_min_workers = min_workers
         self.elastic_max_workers = max_workers
+        self.elastic_min_servers = min_servers
+        self.elastic_max_servers = max_servers
 
     def attach_autoscaler(self, autoscaler: "Autoscaler") -> None:
         """Attach an autoscaler; its control loop starts with :meth:`start`."""
@@ -410,26 +397,42 @@ class PSTrainingJob:
 
     def pending_worker_count(self) -> int:
         """Workers requested from the scheduler but not yet placed."""
-        return self._pending_worker_count
+        return self._pending[NodeRole.WORKER]
 
     def remaining_samples(self) -> int:
         """Samples of the workload not yet confirmed by the servers."""
         return max(0, self.allocator.total_samples - self._samples_confirmed)
 
-    def default_scale_in_targets(self, count: int) -> List[str]:
-        """The ``count`` most recently joined active workers (LIFO order)."""
-        if count <= 0:
-            return []
-        active = self.active_worker_names()
-        return list(reversed(active[-count:]))
+    def _even_batch(self) -> int:
+        """The global batch split evenly over the cluster's worker nodes.
 
-    def _next_worker_name(self) -> str:
-        name = f"worker-{self._next_worker_index}"
-        while self.cluster.is_known(name):
-            self._next_worker_index += 1
-            name = f"worker-{self._next_worker_index}"
-        self._next_worker_index += 1
-        return name
+        ``Cluster.num_workers`` scans every node, so each construction site
+        computes this once and hands it to all the workers it builds.
+        """
+        return max(1, self.config.global_batch_size // max(1, self.cluster.num_workers))
+
+    def _next_name(self, role: NodeRole) -> str:
+        """The next ``<role>-N`` name that no node, active or departed, holds."""
+        index = self._next_index[role]
+        while self.cluster.is_known(f"{role.value}-{index}"):
+            index += 1
+        self._next_index[role] = index + 1
+        return f"{role.value}-{index}"
+
+    def _request_join(self, template: NodeSpec, log: MembershipLog, reason: str) -> str:
+        """Add one PENDING node cloned from ``template`` and start provisioning it."""
+        role = template.role
+        node = self.cluster.add_node(replace(
+            template, name=self._next_name(role),
+            contention=template.post_restart_contention))
+        self._pending[role] += 1
+        log.record(self.env.now, JOIN_REQUESTED, node.name)
+        if self.recorder.enabled:
+            self._trace_event("membership", f"{role.value}-join-requested",
+                              node=node.name, reason=reason)
+        self.env.process(self._provision_worker(node) if role is NodeRole.WORKER
+                         else self._provision_server(node))
+        return node.name
 
     def request_scale_out(self, count: int, reason: str = "scale out") -> List[str]:
         """Request ``count`` additional workers from the cluster scheduler.
@@ -438,36 +441,25 @@ class PSTrainingJob:
         scheduler's pending-time queue (:meth:`ClusterScheduler.provision`)
         before its worker process starts — on a busy cluster the capacity
         arrives late or, if the job finishes first, never.  Requests beyond
-        ``elastic_max_workers`` (counting active plus pending members) are
-        refused.  Returns the node names actually requested.
+        ``elastic_max_workers`` are refused; the cap counts running,
+        relaunching (they will return) and pending workers.  Returns the
+        node names actually requested.
         """
         if not isinstance(self.allocator, StatefulDDS):
             # A static partition fixes the worker set at construction time;
             # elastic membership requires the DDS's dynamic work queue.
             return []
-        granted: List[str] = []
-        for _ in range(max(0, int(count))):
-            committed = self.active_worker_count() + self._pending_worker_count
-            if (self.elastic_max_workers is not None
-                    and committed >= self.elastic_max_workers):
-                break
-            template = self._worker_template
-            spec = replace(template, name=self._next_worker_name(),
-                           contention=template.post_restart_contention)
-            node = self.cluster.add_node(spec)
-            self._pending_worker_count += 1
-            self.membership.record(self.env.now, JOIN_REQUESTED, node.name)
-            if self.recorder.enabled:
-                self._trace_event("membership", "worker-join-requested",
-                                  node=node.name, reason=reason)
-            self.env.process(self._provision_worker(node))
-            granted.append(node.name)
-        return granted
+        exited = self._exited_worker_set
+        committed = self._pending[NodeRole.WORKER] + sum(
+            1 for worker in self.workers if worker.name not in exited
+            and worker.node.status in (_RUNNING, NodeStatus.RESTARTING))
+        return [self._request_join(self._worker_template, self.membership, reason)
+                for _ in range(_room(count, committed, self.elastic_max_workers))]
 
     def _provision_worker(self, node: Node):
         """Simulation process: ride the scheduling queue, then join training."""
         yield from self.scheduler.provision(node)
-        self._pending_worker_count -= 1
+        self._pending[NodeRole.WORKER] -= 1
         if self.completed:
             # The job finished while the pod sat in the scheduling queue; the
             # capacity arrives to nothing (the busy-cluster gate in action).
@@ -478,21 +470,7 @@ class PSTrainingJob:
         # broadcasts (old batch assignments keyed by other workers) must not
         # replay against it.
         agent.reset_after_restart()
-        worker = PSWorker(
-            env=self.env,
-            node=node,
-            agent=agent,
-            allocator=self.allocator,
-            backend=self.backend,
-            servers=self.servers,
-            config=self.config,
-            scheduler=self.scheduler,
-            metrics=self.metrics,
-            job=self,
-            barrier=self.barrier,
-            initial_batch_size=max(
-                1, self.config.global_batch_size // max(1, self.cluster.num_workers)),
-        )
+        worker = PSWorker(self, node, agent, self._even_batch())
         self.workers.append(worker)
         node.add_status_listener(self._on_worker_status_change)
         self._on_worker_status_change(node)
@@ -647,16 +625,6 @@ class PSTrainingJob:
         env.coalesced_count += len(hot)
         return True
 
-    def configure_elastic_servers(self, min_servers: int = 1,
-                                  max_servers: Optional[int] = None) -> None:
-        """Set the hard membership bounds of the parameter-server tier."""
-        if min_servers < 1:
-            raise ValueError("min_servers must be at least 1")
-        if max_servers is not None and max_servers < min_servers:
-            raise ValueError("max_servers must be >= min_servers")
-        self.elastic_min_servers = min_servers
-        self.elastic_max_servers = max_servers
-
     def configure_server_replication(self, replicas: int = 0,
                                      hot_shards=(),
                                      staleness_catchup_s: float = 0.0) -> None:
@@ -717,7 +685,7 @@ class PSTrainingJob:
 
     def pending_server_count(self) -> int:
         """Servers requested from the scheduler but not yet placed."""
-        return self._pending_server_count
+        return self._pending[NodeRole.SERVER]
 
     def server_queue_depths(self) -> Dict[str, int]:
         """Queued push requests per active (non-draining) server.
@@ -728,21 +696,6 @@ class PSTrainingJob:
         """
         return {server.name: server.pending_request_count()
                 for server in self.push_targets() if server.node.is_running}
-
-    def default_server_scale_in_targets(self, count: int) -> List[str]:
-        """The ``count`` most recently joined active servers (LIFO order)."""
-        if count <= 0:
-            return []
-        active = self.active_server_names()
-        return list(reversed(active[-count:]))
-
-    def _next_server_name(self) -> str:
-        name = f"server-{self._next_server_index}"
-        while self.cluster.is_known(name):
-            self._next_server_index += 1
-            name = f"server-{self._next_server_index}"
-        self._next_server_index += 1
-        return name
 
     def _record_reshard(self, kind: str, trigger: str,
                         moved: List[int], cost_s: float,
@@ -765,38 +718,25 @@ class PSTrainingJob:
         Mirrors :meth:`request_scale_out`: each requested node enters the
         membership as PENDING and rides the scheduler's pending-time queue —
         on a busy cluster the serving capacity arrives late or never.
-        Requests beyond ``elastic_max_servers`` (active plus pending) are
-        refused.  Jobs without a server tier (pure AllReduce substrates)
-        refuse outright.  Returns the node names actually requested.
+        Requests beyond ``elastic_max_servers`` are refused; the cap counts
+        push targets, restarting servers (they stay push targets), servers
+        whose standbys took over while they relaunch, and pending servers —
+        draining ones no longer count.  Jobs without a server tier (pure
+        AllReduce substrates) refuse outright.  Returns the node names
+        actually requested.
         """
         if self._server_template is None:
             return []
-        granted: List[str] = []
-        for _ in range(max(0, int(count))):
-            # Membership-based cap: restarting servers still count (they will
-            # return), draining ones no longer do.
-            committed = len(self.push_targets()) + self._pending_server_count
-            if (self.elastic_max_servers is not None
-                    and committed >= self.elastic_max_servers):
-                break
-            template = self._server_template
-            spec = replace(template, name=self._next_server_name(),
-                           contention=template.post_restart_contention)
-            node = self.cluster.add_node(spec)
-            self._pending_server_count += 1
-            self.server_membership.record(self.env.now, JOIN_REQUESTED, node.name)
-            if self.recorder.enabled:
-                self._trace_event("membership", "server-join-requested",
-                                  node=node.name, reason=reason)
-            self.env.process(self._provision_server(node))
-            granted.append(node.name)
-        return granted
+        committed = (len(self.push_targets()) + len(self._recovering_servers)
+                     + self._pending[NodeRole.SERVER])
+        return [self._request_join(self._server_template, self.server_membership, reason)
+                for _ in range(_room(count, committed, self.elastic_max_servers))]
 
     def _provision_server(self, node: Node):
         """Simulation process: ride the scheduling queue, receive the shard
         slice, then start serving."""
         yield from self.scheduler.provision(node)
-        self._pending_server_count -= 1
+        self._pending[NodeRole.SERVER] -= 1
         if self.completed:
             # The job finished while the pod sat in the scheduling queue.
             node.mark_finished()
@@ -859,6 +799,35 @@ class PSTrainingJob:
                 retiring.append(name)
         return retiring
 
+    def _heirs(self, name: str) -> Dict[int, str]:
+        """Shard -> first warm standby, for each shard ``name`` leads that has one.
+
+        Those standbys already hold the shards' bytes, so they inherit both
+        the shards (promotion, not migration) and the requests ``name``
+        leaves unacknowledged.  Empty without replicas.
+        """
+        smap = self.shard_map
+        heirs: Dict[int, str] = {}
+        for shard in range(smap.num_shards):
+            chain = smap.chain_of(shard)
+            if len(chain) > 1 and chain[0] == name:
+                heirs[shard] = chain[1]
+        return heirs
+
+    def _reroute(self, requests: List["PushRequest"],
+                 recipients: List[ParameterServer]) -> int:
+        """Hand ``requests`` to ``recipients`` round-robin; returns how many.
+
+        Acknowledged requests, and pushes of draining or departed workers
+        (which stay purged), are dropped.
+        """
+        wanted = [request for request in requests
+                  if not request.done.triggered
+                  and self._worker_requeue_ok(request.worker)]
+        for index, request in enumerate(wanted):
+            recipients[index % len(recipients)].enqueue(request)
+        return len(wanted)
+
     def server_departed(self, server: ParameterServer,
                         leftover: List["PushRequest"]):
         """Simulation sub-process finishing a server's graceful drain.
@@ -878,26 +847,15 @@ class PSTrainingJob:
         """
         name = server.name
         smap = self.shard_map
-        heirs: List[str] = []
-        promoted: List[int] = []
-        for shard in range(smap.num_shards):
-            if smap.owner_of(shard) != name:
-                continue
-            standbys = smap.standbys_of(shard)
-            if standbys:
-                promoted.append(shard)
-                if standbys[0] not in heirs:
-                    heirs.append(standbys[0])
+        heirs = self._heirs(name)
         moved = smap.remove_member(name)
-        promoted_set = set(promoted)
-        cold = [shard for shard in moved if shard not in promoted_set]
-        cost = self._migration_model.promotion_time(len(promoted)) \
+        cold = [shard for shard in moved if shard not in heirs]
+        cost = self._migration_model.promotion_time(len(heirs)) \
             + self._migration_model.handoff_time(
                 len(cold), smap.num_shards,
                 weight_fraction=smap.weight_fraction(cold)
                 if smap.has_weights else None)
-        self._record_reshard("leave", name, moved, cost,
-                             promoted=len(promoted))
+        self._record_reshard("leave", name, moved, cost, promoted=len(heirs))
         if cost > 0:
             yield self.env.timeout(cost)
         self._draining_servers.discard(name)
@@ -905,19 +863,15 @@ class PSTrainingJob:
             self.servers.remove(server)
         self._push_targets = None
         survivors = self.push_targets()
-        heir_set = set(heirs)
+        heir_names = set(heirs.values())
         recipients = [candidate for candidate in survivors
-                      if candidate.name in heir_set] or survivors
-        rerouted = [request for request in leftover
-                    if not request.done.triggered
-                    and self._worker_requeue_ok(request.worker)]
-        for index, request in enumerate(rerouted):
-            recipients[index % len(recipients)].enqueue(request)
+                      if candidate.name in heir_names] or survivors
+        rerouted = self._reroute(leftover, recipients)
         self.cluster.remove_node(name)
         self.server_membership.record(self.env.now, LEFT, name)
         if self.recorder.enabled:
             self._trace_event("membership", "server-left",
-                              node=name, rerouted=len(rerouted))
+                              node=name, rerouted=rerouted)
 
     def _server_outage(self, server: ParameterServer,
                        undelivered: List["PushRequest"]) -> bool:
@@ -935,40 +889,30 @@ class PSTrainingJob:
         if self._server_replicas <= 0 or self.completed:
             return False
         name = server.name
-        smap = self.shard_map
-        heirs: List[str] = []
-        for shard in range(smap.num_shards):
-            if smap.owner_of(shard) != name:
-                continue
-            standbys = smap.standbys_of(shard)
-            if standbys and standbys[0] not in heirs:
-                heirs.append(standbys[0])
-        heir_set = set(heirs)
+        heir_names = set(self._heirs(name).values())
         recipients = [candidate for candidate in self.push_targets()
-                      if candidate.name in heir_set
+                      if candidate.name in heir_names
                       and candidate.node.is_running]
         if not recipients:
             return False
-        promoted = smap.promote_standbys(name)
-        if not promoted:
-            return False
+        # A live heir stands by in a chain ``name`` leads: this promotes it.
+        promoted = self.shard_map.promote_standbys(name)
         self._recovering_servers.add(name)
         self._push_targets = None
-        pending = undelivered + server.take_backlog()
-        rerouted = [request for request in pending
-                    if not request.done.triggered
-                    and self._worker_requeue_ok(request.worker)]
         cost = (self._migration_model.promotion_time(len(promoted))
                 + self._staleness_catchup_s)
         self._record_reshard("promotion", name, promoted, cost,
                              promoted=len(promoted))
-        self.env.process(self._deliver_promoted(recipients, rerouted, cost))
+        self.env.process(self._deliver_promoted(
+            recipients, undelivered + server.take_backlog(), cost))
         return True
 
     def _deliver_promoted(self, recipients: List[ParameterServer],
-                          rerouted: List["PushRequest"], cost_s: float):
+                          requests: List["PushRequest"], cost_s: float):
         """Simulation process: pay the promotion cost, then hand the dead
-        primary's surviving requests to the promoted owners round-robin."""
+        primary's surviving requests to the promoted owners round-robin —
+        or, if every one of them is draining or down by then, to the
+        running push targets."""
         if cost_s > 0:
             yield self.env.timeout(cost_s)
         draining = self._draining_servers
@@ -977,14 +921,8 @@ class PSTrainingJob:
         if not live:
             live = [candidate for candidate in self.push_targets()
                     if candidate.node.is_running]
-        if not live:
-            return
-        index = 0
-        for request in rerouted:
-            if request.done.triggered or not self._worker_requeue_ok(request.worker):
-                continue
-            live[index % len(live)].enqueue(request)
-            index += 1
+        if live:
+            self._reroute(requests, live)
 
     def _server_recovered(self, server: ParameterServer) -> None:
         """Recovery hook: a promoted-away primary finished its relaunch.
@@ -1007,9 +945,10 @@ class PSTrainingJob:
             self.barrier.set_backup_workers(num_backup)
 
     def apply_lr_factors(self, factors: Dict[str, float]) -> None:
-        """Apply ADJUST_LR scaling factors through the compute backend."""
-        for worker, factor in factors.items():
-            self.backend.scale_learning_rate(worker, factor)
+        """Apply ADJUST_LR scaling factors through the compute backend, if any."""
+        if self.backend is not None:
+            for worker, factor in factors.items():
+                self.backend.scale_learning_rate(worker, factor)
 
     def restart_counts(self) -> Dict[str, int]:
         """Relaunches performed so far per node (departed nodes included)."""
@@ -1072,14 +1011,10 @@ class PSTrainingJob:
                               samples_confirmed=self._samples_confirmed)
         # Departed workers stay in self.workers, so their drops still count.
         dropped = sum(worker.dropped_iterations for worker in self.workers)
-        overhead = self.agent_group.total_overhead_s + self.allocator.total_overhead_s
         done_shards = total_shards = None
         if isinstance(self.allocator, StatefulDDS):
             done_shards = self.allocator.done_shards
             total_shards = self.allocator.total_shards
-        auc_value = None
-        if self.evaluate_after_run:
-            auc_value = self.backend.evaluate()
         action_log = list(self.controller.action_log) if self.controller else []
         if self.autoscaler is not None:
             action_log.extend(self.autoscaler.action_log)
@@ -1091,13 +1026,11 @@ class PSTrainingJob:
             consumed_per_worker=self.allocator.consumed_counts(),
             restarts_per_node=self.restart_counts(),
             dropped_iterations=dropped,
-            framework_overhead_s=overhead,
             action_log=action_log,
             done_shards=done_shards,
             total_shards=total_shards,
-            auc=auc_value,
+            auc=self.backend.evaluate() if self.backend is not None else None,
             metrics=self.metrics,
-            monitor=self.monitor,
             membership_events=self.membership.events,
             server_membership_events=self.server_membership.events,
             reshard_events=list(self.reshard_log),

@@ -24,56 +24,35 @@ from typing import List, Optional
 
 from ..core.actions import Action, AdjustBatchSize
 from ..core.agent import Agent
-from ..core.sharding import DataAllocator
 from ..elastic.membership import SCALE_IN
 from ..sim.cluster import Node
-from ..sim.engine import CountdownEvent, Environment, Interrupt
+from ..sim.engine import CountdownEvent, Interrupt
 from ..sim.failures import ErrorCode
-from ..sim.metrics import MetricsRecorder
-from ..sim.scheduler import ClusterScheduler
-from .backend import ComputeBackend
-from .barrier import BSPBarrier
-from .config import PSJobConfig
-from .server import ParameterServer
 
 __all__ = ["PSWorker"]
 
 
 class PSWorker:
-    """The simulation process of one worker node."""
+    """The simulation process of one worker node.
 
-    def __init__(
-        self,
-        env: Environment,
-        node: Node,
-        agent: Agent,
-        allocator: DataAllocator,
-        backend: ComputeBackend,
-        servers: List[ParameterServer],
-        config: PSJobConfig,
-        scheduler: ClusterScheduler,
-        metrics: MetricsRecorder,
-        job: "PSTrainingJob",
-        barrier: Optional[BSPBarrier] = None,
-        initial_batch_size: int = 1,
-    ) -> None:
-        self.env = env
+    Everything a worker shares with the rest of the job — environment,
+    allocator, backend, servers, config, scheduler, metrics and barrier — is
+    read from ``job``; the worker owns only its node, its Agent and its
+    training state.
+    """
+
+    def __init__(self, job: "PSTrainingJob", node: Node, agent: Agent,
+                 batch_size: int) -> None:
+        self.job = job
         self.node = node
         # Plain attribute (the node name never changes): this is read in every
         # per-request hot path and a property lookup per read adds up.
         self.name = node.name
         self.agent = agent
-        self.allocator = allocator
-        self.backend = backend
-        self.servers = servers
-        self.config = config
-        self.scheduler = scheduler
-        self.job = job
-        self.barrier = barrier
         # Training state: ADJUST_BS sets the batch size, the barrier aligns
         # the iteration number, and the job sums the backup-worker drops
         # into the run result (departed workers included).
-        self.batch_size = max(1, int(initial_batch_size))
+        self.batch_size = max(1, int(batch_size))
         self.iteration = 0
         self.dropped_iterations = 0
         self.process = None
@@ -86,12 +65,12 @@ class PSWorker:
         self._pending_acks: Optional[CountdownEvent] = None
         # Cached series handles: two appends per iteration otherwise pay a
         # recorder key lookup each.
-        self._bpt_series = metrics.series("bpt", tag=self.name)
-        self._batch_series = metrics.series("batch_size", tag=self.name)
+        self._bpt_series = job.metrics.series("bpt", tag=self.name)
+        self._batch_series = job.metrics.series("batch_size", tag=self.name)
 
     def start(self) -> None:
         """Launch the worker's simulation process."""
-        self.process = self.env.process(self.run())
+        self.process = self.job.env.process(self.run())
 
     # -- controller-facing API ----------------------------------------------------
     def request_kill_restart(self) -> bool:
@@ -142,14 +121,16 @@ class PSWorker:
 
     # -- barrier membership --------------------------------------------------------------
     def _enter_barrier(self) -> None:
-        if self.barrier is not None and not self._in_barrier:
-            self.barrier.join(self.name)
-            self.iteration = self.barrier.next_round
+        barrier = self.job.barrier
+        if barrier is not None and not self._in_barrier:
+            barrier.join(self.name)
+            self.iteration = barrier.next_round
             self._in_barrier = True
 
     def _exit_barrier(self) -> None:
-        if self.barrier is not None and self._in_barrier:
-            self.barrier.leave(self.name)
+        barrier = self.job.barrier
+        if barrier is not None and self._in_barrier:
+            barrier.leave(self.name)
             self._in_barrier = False
 
     # -- elastic departure -------------------------------------------------------------
@@ -161,30 +142,33 @@ class PSWorker:
         sample owned by nobody — the shard-accounting invariant holds across
         the whole transition.
         """
+        job = self.job
         self._exit_barrier()
-        self.allocator.on_worker_failover(self.name)
-        for server in self.servers:
+        job.allocator.on_worker_failover(self.name)
+        for server in job.servers:
             server.discard_requests_from(self.name)
         acks = self._pending_acks
         if acks is not None and not acks.triggered:
             acks.abandon()
         self._pending_acks = None
-        self.job.worker_departed(self)
+        job.worker_departed(self)
 
     # -- failover ---------------------------------------------------------------------
     def _failover(self, cause: object):
         code = cause if isinstance(cause, ErrorCode) else ErrorCode.PROACTIVE_KILL
-        failover_start = self.env.now
+        job = self.job
+        env = job.env
+        failover_start = env.now
         self._exit_barrier()
-        self.allocator.on_worker_failover(self.name)
+        job.allocator.on_worker_failover(self.name)
         self.agent.reset_after_restart()
-        yield from self.scheduler.relaunch(self.node, code)
-        yield self.env.timeout(self.config.worker_recovery_time_s)
+        yield from job.scheduler.relaunch(self.node, code)
+        yield env.timeout(job.config.worker_recovery_time_s)
         self._enter_barrier()
         self._restart_requested = False
-        recorder = self.job.recorder
+        recorder = job.recorder
         if recorder.enabled:
-            recorder.span(self.name, "failover", failover_start, self.env.now,
+            recorder.span(self.name, "failover", failover_start, env.now,
                           cat="failover", args={"code": code.value})
 
     # -- simulation process ---------------------------------------------------------------
@@ -193,18 +177,20 @@ class PSWorker:
         # Hot-loop locals: the loop body runs once per iteration per worker.
         # Everything bound here is stable across restarts; mutable per-
         # iteration state (batch_size, iteration, ...) stays on self.
-        env = self.env
-        allocator = self.allocator
-        agent = self.agent
         job = self.job
-        backend = self.backend
+        env = job.env
+        allocator = job.allocator
+        agent = self.agent
+        barrier = job.barrier
+        # None for timing-only runs: then no gradient is built or applied.
+        backend = job.backend
         push_targets = job.push_targets
         # Vectorized fan-out commit (None when coalescing is off): one call
         # commits the whole iteration's pushes against the job's
         # ServerStateArrays when every target server is idle-eligible.
         push_fanout = job.push_fanout if env.coalesce else None
         name = self.name
-        config = self.config
+        config = job.config
         timeout = env.timeout
         bpt_series = self._bpt_series
         batch_series = self._batch_series
@@ -261,7 +247,8 @@ class PSWorker:
                 # between the two, and halving the timeout events per
                 # iteration measurably speeds large-cluster simulations (an
                 # interrupt lands identically in either interval).
-                payloads = [backend.compute_gradient(name, r) for r in ranges]
+                if backend is not None:
+                    payloads = [backend.compute_gradient(name, r) for r in ranges]
                 grad_bytes = config.model.gradient_bytes
                 # Push and pull move the same gradient volume over the same
                 # (static) link, so one transfer-time evaluation covers both.
@@ -326,13 +313,15 @@ class PSWorker:
                 # 4. BSP barrier (with backup-worker drops) and confirmation.
                 accepted = True
                 release = None
-                if self.barrier is not None:
-                    release, accepted = self.barrier.arrive(name, self.iteration)
+                if barrier is not None:
+                    release, accepted = barrier.arrive(name, self.iteration)
                 if accepted:
-                    weight = gathered / config.global_batch_size
-                    for sample_range, payload in zip(ranges, payloads):
-                        backend.apply_gradient(name, payload,
-                                               weight * sample_range.length / gathered)
+                    if backend is not None:
+                        weight = gathered / config.global_batch_size
+                        for sample_range, payload in zip(ranges, payloads):
+                            backend.apply_gradient(
+                                name, payload, weight * sample_range.length / gathered)
+                    for sample_range in ranges:
                         allocator.mark_done(name, sample_range)
                     job.notify_progress(gathered, env.now)
                 else:
@@ -340,7 +329,7 @@ class PSWorker:
                         allocator.return_range(name, sample_range)
                     self.dropped_iterations += 1
 
-                if self.barrier is not None and accepted and not job.completed:
+                if barrier is not None and accepted and not job.completed:
                     yield release
                 self.iteration += 1
             except Interrupt as interrupt:
@@ -356,4 +345,4 @@ class PSWorker:
         # Exit: leave the barrier so remaining workers are not blocked.
         self._exit_barrier()
         self.node.mark_finished()
-        self.job.worker_exited(self.name)
+        job.worker_exited(self.name)

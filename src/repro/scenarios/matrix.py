@@ -15,12 +15,13 @@ from ..baselines.registry import get_method
 from ..core.config import coalesce_default
 from ..core.sharding import StatefulDDS, StaticPartition
 from ..core.shuffler import ShardShuffler
-from ..elastic.autoscaler import Autoscaler, AutoscalerConfig
+from ..elastic.autoscaler import Autoscaler
+from ..elastic.membership import newest
 from ..elastic.policies import make_policy, make_server_policy
 from ..elastic.spec import ElasticSpec, ScaleEvent
 from ..experiments.stragglers import apply_scenario
 from ..experiments.workloads import antdt_config, make_cpu_cluster, pending_model, ps_job_config
-from ..psarch.backend import ComputeBackend
+from ..psarch.backend import NumpyPSBackend
 from ..psarch.job import PSTrainingJob
 from ..sim.cluster import Cluster
 from ..sim.contention import CompositeContention, DeterministicSlowdown
@@ -74,10 +75,10 @@ def _failure_trace_process(job: PSTrainingJob, events: Sequence[FailureEvent]):
 def _scale_event_process(job: PSTrainingJob, events: Sequence[ScaleEvent], tier: str,
                          scale_out: Callable[..., List[str]],
                          scale_in: Callable[..., List[str]],
-                         default_targets: Callable[[int], List[str]]):
+                         active_names: Callable[[], List[str]]):
     """Simulation process replaying one tier's deterministic scale schedule.
 
-    ``scale_out``/``scale_in``/``default_targets`` are the job's methods for
+    ``scale_out``/``scale_in``/``active_names`` are the job's methods for
     the tier (workers or servers), and ``tier`` prefixes the record tags
     (``""`` gives ``scale_out``, ``"server_"`` gives ``server_scale_out``).
     A scale-in without explicit node names retires the tier's most recently
@@ -96,7 +97,8 @@ def _scale_event_process(job: PSTrainingJob, events: Sequence[ScaleEvent], tier:
         if event.action == "out":
             granted = scale_out(event.count, reason="elastic-schedule")
         else:
-            targets = list(event.nodes) if event.nodes else default_targets(event.count)
+            targets = (list(event.nodes) if event.nodes
+                       else newest(active_names(), event.count))
             granted = scale_in(targets, reason="elastic-schedule")
         if len(granted) < event.count:
             job.metrics.log_event(
@@ -109,9 +111,9 @@ def _arm_elastic(job: PSTrainingJob, spec: ScenarioSpec) -> None:
     elastic: ElasticSpec = spec.elastic
     servers = elastic.servers
     job.configure_elastic(min_workers=elastic.min_workers,
-                          max_workers=elastic.max_workers)
-    job.configure_elastic_servers(min_servers=servers.min_servers,
-                                  max_servers=servers.max_servers)
+                          max_workers=elastic.max_workers,
+                          min_servers=servers.min_servers,
+                          max_servers=servers.max_servers)
     if servers.replicas or servers.hot_shards:
         job.configure_server_replication(
             replicas=servers.replicas,
@@ -123,40 +125,29 @@ def _arm_elastic(job: PSTrainingJob, spec: ScenarioSpec) -> None:
         server_policy = (
             make_server_policy(servers.policy, **dict(servers.policy_params))
             if servers.policy is not None else None)
-        antdt = job.antdt_config
-        autoscaler = Autoscaler(
+        job.attach_autoscaler(Autoscaler(
             env=job.env,
             monitor=job.monitor,
             policy=policy,
-            server_policy=server_policy,
             executor=job,
-            config=AutoscalerConfig(
-                interval_s=elastic.interval_s,
-                cooldown_s=elastic.cooldown_s,
-                min_workers=elastic.min_workers,
-                max_workers=elastic.max_workers,
-                min_servers=servers.min_servers,
-                max_servers=servers.max_servers,
-                short_window_s=antdt.transient_window_s,
-                long_window_s=antdt.persistent_window_s,
-                slowness_ratio=antdt.slowness_ratio,
-            ),
+            config=job.antdt_config,
+            interval_s=elastic.interval_s,
+            cooldown_s=elastic.cooldown_s,
+            server_policy=server_policy,
             recorder=job.recorder,
-        )
-        job.attach_autoscaler(autoscaler)
+        ))
     if elastic.events:
         job.env.process(_scale_event_process(
             job, elastic.events, "", job.request_scale_out, job.request_scale_in,
-            job.default_scale_in_targets))
+            job.active_worker_names))
     if servers.events:
         job.env.process(_scale_event_process(
             job, servers.events, "server_", job.request_server_scale_out,
-            job.request_server_scale_in, job.default_server_scale_in_targets))
+            job.request_server_scale_in, job.active_server_names))
 
 
 def build_scenario_job(spec: ScenarioSpec, *,
-                       backend: Optional[ComputeBackend] = None,
-                       evaluate_after_run: bool = False,
+                       backend: Optional[NumpyPSBackend] = None,
                        num_samples: Optional[int] = None,
                        track_coverage: bool = False,
                        failure_injector: Optional[FailureInjector] = None,
@@ -176,15 +167,21 @@ def build_scenario_job(spec: ScenarioSpec, *,
     plausible golden trace for a scenario that never ran.
 
     The keyword overrides cover the knobs that are *not* part of the
-    declarative scenario: a real compute ``backend`` (with
-    ``evaluate_after_run`` for its test AUC), a dataset-driven
-    ``num_samples`` for the allocator, per-sample coverage counters
-    (``track_coverage``: a numpy slice-add per confirmed range, so only the
-    integrity runs turn it on), a caller-held ``failure_injector``, the
-    engine's cohort ``coalesce`` mode (None = on unless
-    ``REPRO_NO_COALESCE`` is set; both modes are byte-identical, so this is
-    for debugging and for checking that equivalence) and a trace
-    ``recorder`` (None = the zero-overhead NullRecorder; see repro.obs).
+    declarative scenario, and none of them has a scenario field:
+
+    * ``backend`` — a real compute backend.  None (the default) trains
+      nothing and times the run only; with a backend the workers train its
+      model and the run result reports its test AUC.
+    * ``num_samples`` — a dataset-driven sample count for the allocator.
+    * ``track_coverage`` — per-sample coverage counters: a numpy slice-add
+      per confirmed range, so only the integrity runs turn it on.
+    * ``failure_injector`` — a caller-held injector, to read its relaunch
+      record after the run.
+    * ``coalesce`` — the engine's cohort coalescing (None = on unless
+      ``REPRO_NO_COALESCE`` is set).  Both modes are byte-identical, so this
+      is for debugging and for checking that equivalence.
+    * ``recorder`` — a trace recorder (None = the zero-overhead
+      NullRecorder; see repro.obs).
     """
     method = get_method(spec.method)
     scale = spec.resolve_scale()
@@ -235,7 +232,6 @@ def build_scenario_job(spec: ScenarioSpec, *,
         solution=method.make_solution(),
         scheduler=scheduler,
         metrics=MetricsRecorder(),
-        evaluate_after_run=evaluate_after_run,
         recorder=recorder,
     )
     unknown = sorted({event.node for event in spec.failures.events}

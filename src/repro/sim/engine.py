@@ -249,13 +249,12 @@ class Process(Event):
     triggers with the generator's return value when it finishes.
     """
 
-    __slots__ = ("_generator", "_target", "_send", "_throw")
+    __slots__ = ("_target", "_send", "_throw")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "throw"):
             raise ValueError("Process requires a generator")
         super().__init__(env)
-        self._generator = generator
         self._target: Optional[Event] = None
         # Bound methods cached once: _resume runs once per processed event and
         # the repeated attribute lookups through the generator add up.

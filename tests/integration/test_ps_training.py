@@ -111,8 +111,10 @@ def test_worker_kill_restart_resumes_and_completes():
     assert result.completed
     assert result.samples_confirmed == result.total_samples
     assert sum(result.restarts_per_node.values()) >= 1
-    # The framework overhead stays a small fraction of the JCT.
-    assert result.framework_overhead_s < 0.1 * result.jct
+    # The framework overhead (Agent syncs plus DDS operations, as Fig. 18
+    # splits it) stays a small fraction of the JCT.
+    overhead = job.agent_group.total_overhead_s + job.allocator.total_overhead_s
+    assert overhead < 0.1 * result.jct
 
 
 def test_cluster_busy_gates_kill_restart():

@@ -10,11 +10,13 @@ node removal mid-step, and the elastic AllReduce phase model.
 import pytest
 
 from repro.core.actions import ActionType, ScaleIn, ScaleOut
+from repro.core.config import AntDTConfig
+from repro.core.controller import ActionExecutor
 from repro.core.sharding import StatefulDDS
 from repro.elastic import (
     Autoscaler,
-    AutoscalerConfig,
     ElasticContext,
+    ElasticExecutor,
     ElasticSpec,
     SCALE_IN,
     ScaleEvent,
@@ -27,6 +29,7 @@ from repro.elastic import (
     verify_exactly_once,
 )
 from repro.elastic.membership import MembershipLog
+from repro.obs.recorder import TraceRecorder
 from repro.orchestrator import simulate_spec
 from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job
 from repro.sim.cluster import NodeRole, NodeSpec, NodeStatus
@@ -204,6 +207,11 @@ def test_make_policy_registry():
 class _StubExecutor:
     """Minimal ElasticExecutor double recording every request."""
 
+    elastic_min_workers = 1
+    elastic_max_workers = None
+    elastic_min_servers = 1
+    elastic_max_servers = None
+
     def __init__(self):
         self.finished = False
         self.active = ["worker-0", "worker-1"]
@@ -268,16 +276,19 @@ def test_autoscaler_cooldown_damps_flapping():
     from repro.core.monitor import Monitor
 
     executor = _StubExecutor()
+    recorder = TraceRecorder()
     autoscaler = Autoscaler(
         env=env, monitor=Monitor(), policy=_AlwaysOut(), executor=executor,
-        config=AutoscalerConfig(interval_s=10.0, cooldown_s=25.0))
+        config=AntDTConfig(), interval_s=10.0, cooldown_s=25.0, recorder=recorder)
     env.process(autoscaler.run())
     env.run(until=65.0)
     # Rounds at t=10..60; the 25s cooldown after every granted action thins
     # them to t=10, 40 (t=20/30 suppressed), then t=70 would be next.
     assert [call[0] for call in executor.calls] == ["out", "out"]
-    assert len(autoscaler.decision_times) == 6
-    assert autoscaler.granted_log == [["worker-2"], ["worker-3"]]
+    assert [decision.verdict for decision in recorder.decisions] == [
+        "scale-out", "cooldown", "cooldown", "scale-out", "cooldown", "cooldown"]
+    assert [decision.granted for decision in recorder.decisions
+            if decision.granted] == [("worker-2",), ("worker-3",)]
 
 
 def test_autoscaler_stops_when_job_finishes():
@@ -286,13 +297,26 @@ def test_autoscaler_stops_when_job_finishes():
 
     executor = _StubExecutor()
     autoscaler = Autoscaler(env=env, monitor=Monitor(), policy=_AlwaysOut(),
-                            executor=executor,
-                            config=AutoscalerConfig(interval_s=10.0))
+                            executor=executor, config=AntDTConfig(), interval_s=10.0)
     env.process(autoscaler.run())
     env.run(until=15.0)
     executor.finished = True
     env.run(until=100.0)
     assert len(executor.calls) == 1  # only the t=10 round acted
+
+
+def test_the_job_implements_both_control_loops_executor_protocols():
+    """Both control loops act on the job through one surface: it has every
+    member either protocol declares, the four membership bounds included."""
+    job, _ = build_scenario_job(ScenarioSpec(name="unit-protocols", method="antdt-nd"))
+    bounds = {"elastic_min_workers", "elastic_max_workers",
+              "elastic_min_servers", "elastic_max_servers"}
+    assert bounds <= set(vars(ElasticExecutor)["__annotations__"])
+    for protocol in (ElasticExecutor, ActionExecutor):
+        declared = set(vars(protocol).get("__annotations__", {})) | {
+            name for name in vars(protocol) if not name.startswith("_")}
+        missing = sorted(name for name in declared if not hasattr(job, name))
+        assert not missing, f"{protocol.__name__} members missing: {missing}"
 
 
 # ---------------------------------------------------------------------------

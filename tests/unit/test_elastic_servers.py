@@ -17,10 +17,10 @@ push request.
 import pytest
 
 from repro.core.actions import ActionType, ScaleInServers, ScaleOutServers
+from repro.core.config import AntDTConfig
 from repro.core.monitor import Monitor
 from repro.elastic import (
     Autoscaler,
-    AutoscalerConfig,
     ContendedServerPolicy,
     ElasticContext,
     ElasticSpec,
@@ -35,7 +35,9 @@ from repro.elastic import (
     verify_exactly_once,
     verify_shard_coverage,
 )
+from repro.elastic.membership import newest
 from repro.experiments.stragglers import server_scenario
+from repro.obs.recorder import TraceRecorder
 from repro.orchestrator import simulate_spec
 from repro.orchestrator.grid import expand
 from repro.orchestrator.hashing import spec_key
@@ -43,7 +45,7 @@ from repro.psarch.config import PSJobConfig
 from repro.psarch.server import ParameterServer, PushRequest
 from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job
 from repro.scenarios.registry import all_scenarios
-from repro.sim.cluster import Cluster, NodeRole, NodeSpec
+from repro.sim.cluster import Cluster, NodeRole, NodeSpec, NodeStatus
 from repro.sim.contention import ConstantContention
 from repro.sim.engine import Environment
 from repro.sim.hardware import CPU_SERVER_4C
@@ -288,6 +290,11 @@ def test_make_server_policy_registry():
 class _DenyingExecutor:
     """ElasticExecutor double that refuses every scaling request."""
 
+    elastic_min_workers = 1
+    elastic_max_workers = None
+    elastic_min_servers = 1
+    elastic_max_servers = None
+
     def __init__(self):
         self.finished = False
         self.requests = 0
@@ -347,16 +354,18 @@ def test_fully_denied_action_does_not_start_a_cooldown():
     request must not suppress the next legitimate decision."""
     env = Environment()
     executor = _DenyingExecutor()
+    recorder = TraceRecorder()
     autoscaler = Autoscaler(
         env=env, monitor=Monitor(), policy=_AlwaysOut(), executor=executor,
-        config=AutoscalerConfig(interval_s=10.0, cooldown_s=1000.0))
+        config=AntDTConfig(), interval_s=10.0, cooldown_s=1000.0, recorder=recorder)
     env.process(autoscaler.run())
     env.run(until=45.0)
     # Four rounds (t=10..40), all denied: every round must still decide and
     # dispatch — a cooldown after a denial would have silenced rounds 2-4.
     assert executor.requests == 4
     assert autoscaler._last_scale_time is None
-    assert autoscaler.granted_log == [[], [], [], []]
+    assert [(decision.verdict, decision.granted)
+            for decision in recorder.decisions] == [("denied", ())] * 4
 
 
 class _ServerOnlyExecutor(_DenyingExecutor):
@@ -390,11 +399,12 @@ class _ServerOnlyExecutor(_DenyingExecutor):
 def test_build_context_reads_the_server_tier_from_the_executor():
     executor = _ServerOnlyExecutor()
     executor.server_shard_weights = lambda: {"server-0": 2.0, "server-1": 1.0}
+    # The bounds a policy plans against are the executor's own.
+    executor.elastic_min_servers, executor.elastic_max_servers = 2, 4
     autoscaler = Autoscaler(
         env=Environment(), monitor=Monitor(), policy=None,
         server_policy=ServerQueueDepthPolicy(scale_out_depth=3.0),
-        executor=executor,
-        config=AutoscalerConfig(interval_s=10.0, min_servers=2, max_servers=4))
+        executor=executor, config=AntDTConfig(), interval_s=10.0)
     context = autoscaler.build_context()
     assert context.active_servers == ["server-0", "server-1"]
     assert (context.pending_servers, context.min_servers,
@@ -407,6 +417,8 @@ def test_build_context_reads_the_server_tier_from_the_executor():
 def test_build_context_requires_the_whole_executor_surface():
     class _WorkerTierOnly:
         finished = False
+        elastic_min_workers = 1
+        elastic_max_workers = None
 
         def active_worker_names(self):
             return ["worker-0"]
@@ -420,7 +432,7 @@ def test_build_context_requires_the_whole_executor_surface():
     autoscaler = Autoscaler(
         env=Environment(), monitor=Monitor(), policy=None,
         server_policy=ServerQueueDepthPolicy(scale_out_depth=3.0),
-        executor=_WorkerTierOnly(), config=AutoscalerConfig(interval_s=10.0))
+        executor=_WorkerTierOnly(), config=AntDTConfig(), interval_s=10.0)
     # No fallback reads a missing server tier as an idle one.
     with pytest.raises(AttributeError, match="active_server_names"):
         autoscaler.build_context()
@@ -429,16 +441,17 @@ def test_build_context_requires_the_whole_executor_surface():
 def test_autoscaler_dispatches_server_policy_actions():
     env = Environment()
     executor = _ServerOnlyExecutor()
+    executor.elastic_max_servers = 4
     autoscaler = Autoscaler(
         env=env, monitor=Monitor(), policy=None,
         server_policy=ServerQueueDepthPolicy(scale_out_depth=3.0),
-        executor=executor,
-        config=AutoscalerConfig(interval_s=10.0, max_servers=4))
+        executor=executor, config=AntDTConfig(), interval_s=10.0)
     env.process(autoscaler.run())
     env.run(until=25.0)
     assert executor.server_calls == [("out", 1), ("out", 1)]
     with pytest.raises(ValueError):
-        Autoscaler(env=env, monitor=Monitor(), policy=None, executor=executor)
+        Autoscaler(env=env, monitor=Monitor(), policy=None, executor=executor,
+                   config=AntDTConfig(), interval_s=10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +743,7 @@ def test_server_busy_gate_denies_the_join():
 
 def test_server_scale_in_respects_floor_and_same_instant_requests():
     job, _ = build_scenario_job(_server_spec())
-    job.configure_elastic_servers(min_servers=2)
+    job.configure_elastic(min_servers=2)
     job.start()
     job.env.run(until=10.0)
     # 3 servers, floor at 2: the first drain is granted, the second —
@@ -770,6 +783,51 @@ def test_server_scale_out_at_cap_is_refused():
     assert [(tag, detail) for _, _, tag, detail
             in result.metrics.events("scale_skipped")] == [
         ("server_scale_out", "granted 0/1")]
+
+
+def _run_to_end(job):
+    deadline = job.env.timeout(job.config.max_duration_s)
+    job.env.run(until=job.env.any_of([job._completion_event, deadline]))
+    assert job.completed
+
+
+def test_worker_scale_out_cap_counts_a_relaunching_worker():
+    """A relaunching worker returns: a join granted while it is down would
+    leave 7 workers under a cap of 6 once it is back."""
+    job, _ = build_scenario_job(_server_spec())
+    job.configure_elastic(max_workers=6)
+    env = job.env
+    job.start()
+    env.run(until=20.0)
+    assert job.request_kill_restart("worker-1")
+    env.run(until=20.001)
+    assert job.cluster.get("worker-1").status is NodeStatus.RESTARTING
+    assert job.request_scale_out(1) == []
+    _run_to_end(job)
+    assert not job.membership
+    assert job.restart_counts()["worker-1"] == 1
+
+
+@pytest.mark.parametrize("replicas", [0, 1])
+def test_server_scale_out_cap_counts_a_relaunching_server(replicas):
+    """A killed server returns whether or not its standbys took over
+    meanwhile (with replicas it sits out the push rotation until then), so
+    a join granted while it is down would leave 4 servers under a cap of 3."""
+    job, _ = build_scenario_job(_server_spec())
+    job.configure_server_replication(replicas=replicas)
+    job.configure_elastic(max_servers=3)
+    env = job.env
+    job.start()
+    env.run(until=20.0)
+    assert job.request_kill_restart("server-1")
+    env.run(until=20.001)
+    in_rotation = "server-1" in [server.name for server in job.push_targets()]
+    assert in_rotation is (replicas == 0)
+    assert job.request_server_scale_out(1) == []
+    _run_to_end(job)
+    assert not job.server_membership
+    assert [server.name for server in job.servers] == [
+        "server-0", "server-1", "server-2"]
 
 
 def test_mid_handoff_join_has_not_mutated_the_shard_map():
@@ -856,8 +914,8 @@ def test_elastic_server_cycle_is_exactly_once():
     assert job.request_server_scale_in(contended[:1]) == contended[:1]
     audit_allocator(job.allocator, where="after contended retire")
     env.run(until=70.0)
-    newest = job.default_server_scale_in_targets(1)
-    job.request_server_scale_in(newest, reason="cycle scale-in")
+    job.request_server_scale_in(newest(job.active_server_names(), 1),
+                                reason="cycle scale-in")
     deadline = env.timeout(job.config.max_duration_s)
     env.run(until=env.any_of([job._completion_event, deadline]))
     assert job.completed
@@ -893,6 +951,67 @@ def test_worker_drain_racing_server_kill_stays_exactly_once():
     # No server queue ever holds the departed worker's pushes again.
     for server in job.servers:
         assert server.discard_requests_from(victim) == 0
+    summary = verify_exactly_once(job.allocator)
+    assert summary["missed"] == 0 and summary["duplicated"] == 0
+
+
+def _rerouting_job(replicas, staleness_catchup_s=0.0):
+    """A contended-server job on a 4-shard map, recording every re-route.
+
+    With 4 shards, server-2 (the contended one, backlogged at t=30) leads
+    shards whose standbys are all server-1, so its heirs are a strict subset
+    of the survivors.  Returns the job and the ``(server, worker)`` list
+    every ``enqueue`` — the re-route entry point — appends to.
+    """
+    job, _ = build_scenario_job(_server_spec(
+        topology=TopologySpec(dedicated=False), stragglers=server_scenario(0.8),
+        iterations=40), track_coverage=True)
+    job.shard_map = ServerShardMap(members=job.shard_map.members, num_shards=4)
+    job.configure_server_replication(replicas=replicas,
+                                     staleness_catchup_s=staleness_catchup_s)
+    received = []
+    for server in job.servers:
+        def enqueue(request, server=server, forward=server.enqueue):
+            received.append((server.name, request.worker))
+            forward(request)
+        server.enqueue = enqueue
+    job.start()
+    job.env.run(until=30.0)
+    assert job.server_queue_depths()["server-2"] >= 2
+    return job, received
+
+
+@pytest.mark.parametrize("replicas", [0, 1])
+def test_drained_servers_requests_go_to_its_heirs_else_to_every_survivor(replicas):
+    job, received = _rerouting_job(replicas)
+    heirs = {chain[1] for chain in map(job.shard_map.chain_of, range(4))
+             if len(chain) > 1 and chain[0] == "server-2"}
+    assert job.request_server_scale_in(["server-2"]) == ["server-2"]
+    _run_to_end(job)
+    survivors = [server.name for server in job.servers]
+    assert survivors == ["server-0", "server-1"]
+    receivers = [server for server, _ in received]
+    assert len(receivers) >= 2
+    if replicas:
+        assert heirs == {"server-1"}
+        assert set(receivers) == heirs
+    else:
+        assert receivers == [survivors[index % 2] for index in range(len(receivers))]
+    summary = verify_exactly_once(job.allocator)
+    assert summary["missed"] == 0 and summary["duplicated"] == 0
+
+
+def test_promoted_requests_fall_back_to_running_push_targets():
+    """Every heir of a killed primary drains before the promotion cost
+    elapses: the primary's requests go to the running push targets."""
+    job, received = _rerouting_job(replicas=1, staleness_catchup_s=2.0)
+    assert job.request_kill_restart("server-2")
+    job.env.run(until=30.001)
+    assert job.reshard_log[-1].kind == "promotion"
+    assert [server.name for server in job.push_targets()] == ["server-0", "server-1"]
+    assert job.request_server_scale_in(["server-1"]) == ["server-1"]
+    _run_to_end(job)
+    assert received and {server for server, _ in received} == {"server-0"}
     summary = verify_exactly_once(job.allocator)
     assert summary["missed"] == 0 and summary["duplicated"] == 0
 
