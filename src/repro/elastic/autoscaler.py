@@ -69,6 +69,10 @@ class ElasticExecutor(Protocol):
         """Workers requested from the scheduler but not yet placed."""
         ...
 
+    def committed_worker_count(self) -> int:
+        """Workers held against the cap: active, relaunching and pending."""
+        ...
+
     def remaining_samples(self) -> int:
         """Samples of the workload not yet confirmed."""
         ...
@@ -88,6 +92,10 @@ class ElasticExecutor(Protocol):
 
     def pending_server_count(self) -> int:
         """Servers requested from the scheduler but not yet placed."""
+        ...
+
+    def committed_server_count(self) -> int:
+        """Servers held against the cap: serving, relaunching and pending."""
         ...
 
     def server_queue_depths(self) -> Dict[str, int]:
@@ -163,6 +171,7 @@ class Autoscaler:
             now=now,
             active_workers=executor.active_worker_names(),
             pending_workers=executor.pending_worker_count(),
+            committed_workers=executor.committed_worker_count(),
             min_workers=executor.elastic_min_workers,
             max_workers=executor.elastic_max_workers,
             cluster_busy=bool(self.monitor.third_party("cluster_busy", False)),
@@ -174,6 +183,7 @@ class Autoscaler:
             slowness_ratio=cfg.slowness_ratio,
             active_servers=executor.active_server_names(),
             pending_servers=executor.pending_server_count(),
+            committed_servers=executor.committed_server_count(),
             min_servers=executor.elastic_min_servers,
             max_servers=executor.elastic_max_servers,
             server_queue_depths=executor.server_queue_depths(),

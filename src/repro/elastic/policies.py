@@ -64,13 +64,14 @@ class ElasticContext:
     ``active_workers`` is ordered by join time (original workers first,
     elastically added ones after), which is what makes "retire the newest"
     deterministic.  ``pending_workers`` counts requested-but-not-yet-placed
-    pods, so a policy does not re-request capacity that is already in the
-    scheduling queue.
+    pods; ``committed_workers`` and ``committed_servers`` are what the job's
+    scale-out caps count (active, relaunching and pending members).
     """
 
     now: float
     active_workers: List[str]
     pending_workers: int
+    committed_workers: int
     min_workers: int
     max_workers: Optional[int]
     cluster_busy: bool
@@ -84,6 +85,7 @@ class ElasticContext:
     # autoscaling; ``active_servers`` is ordered by join time like workers).
     active_servers: List[str] = field(default_factory=list)
     pending_servers: int = 0
+    committed_servers: int = 0
     min_servers: int = 1
     max_servers: Optional[int] = None
     server_queue_depths: Dict[str, int] = field(default_factory=dict)
@@ -96,11 +98,6 @@ class ElasticContext:
     # and p99_s when the window saw completions).  None when the scenario
     # has no serving traffic — the serving-slo policy then stands down.
     serving: Optional[Dict[str, float]] = None
-
-    @property
-    def committed_workers(self) -> int:
-        """Active plus pending membership (what a scale-out adds on top of)."""
-        return len(self.active_workers) + self.pending_workers
 
     @property
     def headroom(self) -> int:
@@ -123,11 +120,6 @@ class ElasticContext:
         return self.remaining_samples / total
 
     # -- server tier --------------------------------------------------------------
-    @property
-    def committed_servers(self) -> int:
-        """Active plus pending server membership."""
-        return len(self.active_servers) + self.pending_servers
-
     @property
     def server_headroom(self) -> int:
         """How many more servers may be requested before hitting the cap."""
@@ -264,8 +256,8 @@ class ScheduledCapacityPolicy(AutoscalerPolicy):
 
     At every decision round the target is the last step whose time has been
     reached; the policy emits whatever scale-out/scale-in delta moves the
-    *committed* membership (active + pending) to the target, clamped to the
-    context's min/max bounds.  Steps must be time-sorted.
+    *committed* membership (active, relaunching and pending) to the target,
+    clamped to the context's min/max bounds.  Steps must be time-sorted.
     """
 
     name = "scheduled-capacity"

@@ -441,20 +441,25 @@ class PSTrainingJob:
         scheduler's pending-time queue (:meth:`ClusterScheduler.provision`)
         before its worker process starts — on a busy cluster the capacity
         arrives late or, if the job finishes first, never.  Requests beyond
-        ``elastic_max_workers`` are refused; the cap counts running,
-        relaunching (they will return) and pending workers.  Returns the
-        node names actually requested.
+        ``elastic_max_workers`` are refused; the cap counts
+        :meth:`committed_worker_count`.  Returns the node names actually
+        requested.
         """
         if not isinstance(self.allocator, StatefulDDS):
             # A static partition fixes the worker set at construction time;
             # elastic membership requires the DDS's dynamic work queue.
             return []
+        return [self._request_join(self._worker_template, self.membership, reason)
+                for _ in range(_room(count, self.committed_worker_count(),
+                                     self.elastic_max_workers))]
+
+    def committed_worker_count(self) -> int:
+        """Workers held against ``elastic_max_workers``: running,
+        relaunching (they will return) and pending ones."""
         exited = self._exited_worker_set
-        committed = self._pending[NodeRole.WORKER] + sum(
+        return self._pending[NodeRole.WORKER] + sum(
             1 for worker in self.workers if worker.name not in exited
             and worker.node.status in (_RUNNING, NodeStatus.RESTARTING))
-        return [self._request_join(self._worker_template, self.membership, reason)
-                for _ in range(_room(count, committed, self.elastic_max_workers))]
 
     def _provision_worker(self, node: Node):
         """Simulation process: ride the scheduling queue, then join training."""
@@ -606,8 +611,12 @@ class PSTrainingJob:
         now = env._now
         # Acknowledgement closed form, all servers at once.  Each numpy op
         # is elementwise over independent slots, so the arithmetic per slot
-        # is the same sequence of scalar operations submit() performs.
-        starts = np.maximum(state.chain_tail[idx], now)
+        # is the same sequence of scalar operations submit() performs.  A
+        # tail strictly before now (-inf without a window) opens a new one.
+        tails = state.chain_tail[idx]
+        for opening in np.flatnonzero(tails < now).tolist():
+            hot[opening][0]._open_plan()
+        starts = np.maximum(tails, now)
         handlings = state.overhead[idx] + self.config.server_per_byte_cost_s * nbytes
         acks = starts + handlings
         state.chain_tail[idx] = acks
@@ -615,10 +624,7 @@ class PSTrainingJob:
         request = PushRequest(worker=worker, nbytes=nbytes, done=latch)
         for (server, times, values), start, ack, handling \
                 in zip(hot, starts.tolist(), acks_l, handlings.tolist()):
-            plan = server._plan
-            if plan is None:
-                plan = server._open_plan(ack)
-            plan.entries.append((request, start, ack, True, True, None))
+            server._plan.entries.append((request, start, ack, True, True, None))
             times.append(ack)
             values.append(handling)
         latch.count_down_many_at(acks_l)
@@ -719,18 +725,23 @@ class PSTrainingJob:
         membership as PENDING and rides the scheduler's pending-time queue —
         on a busy cluster the serving capacity arrives late or never.
         Requests beyond ``elastic_max_servers`` are refused; the cap counts
-        push targets, restarting servers (they stay push targets), servers
-        whose standbys took over while they relaunch, and pending servers —
-        draining ones no longer count.  Jobs without a server tier (pure
+        :meth:`committed_server_count`.  Jobs without a server tier (pure
         AllReduce substrates) refuse outright.  Returns the node names
         actually requested.
         """
         if self._server_template is None:
             return []
-        committed = (len(self.push_targets()) + len(self._recovering_servers)
-                     + self._pending[NodeRole.SERVER])
         return [self._request_join(self._server_template, self.server_membership, reason)
-                for _ in range(_room(count, committed, self.elastic_max_servers))]
+                for _ in range(_room(count, self.committed_server_count(),
+                                     self.elastic_max_servers))]
+
+    def committed_server_count(self) -> int:
+        """Servers held against ``elastic_max_servers``: push targets
+        (restarting servers stay push targets), servers whose standbys took
+        over while they relaunch, and pending servers; draining ones no
+        longer count."""
+        return (len(self.push_targets()) + len(self._recovering_servers)
+                + self._pending[NodeRole.SERVER])
 
     def _provision_server(self, node: Node):
         """Simulation process: ride the scheduling queue, receive the shard

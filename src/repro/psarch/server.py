@@ -13,18 +13,20 @@ time — and therefore every acknowledgement time — is a closed-form function
 of the time handling starts.  When coalescing is enabled the server commits
 requests into one kind of *window* (:class:`_BatchPlan`): each request's
 acknowledgement is computed closed-form behind the window's chain tail,
-appended as one plan entry and published at its future time, and a single
-wake-up event at the window's last acknowledgement closes it
-(:meth:`ParameterServer._on_wake`).
+appended as one plan entry and published at its future time.  The window
+itself puts nothing on the heap: it is live while the chain tail is at or
+after now (so a request landing exactly on the last acknowledgement joins
+it), and a commit behind an earlier tail opens a new one.
 
 While the server process is parked on an empty backlog, an arriving request
-never touches the backlog at all: ``submit`` commits it right away.  When
-requests did accumulate (after a restart, a rollback or a drain re-route),
-the server process pops the head, commits it together with the whole
-backlog in the same way and parks again.  Either way the process never
-waits on a window: a full iteration of W pushes costs zero generator resumes
-per server, and a 1,000-worker iteration that used to cost W×S heap pops per
-server collapses to one wake-up pop per server per iteration.
+never touches the backlog at all: ``submit`` commits it right away.  A
+backlog that forms behind a live window (an arrival meanwhile, a rollback)
+waits for the window's last acknowledgement, where one wake-up commits it in
+place (:meth:`ParameterServer._on_wake`); one that forms without a window
+(after a restart) is popped by the process, committed the same way, and the
+process parks again.  Either way the process never waits on a window: a
+full iteration of W pushes costs zero generator resumes per server, and no
+heap pop beyond the acknowledgements themselves.
 
 Quiescence can break before a window elapses — a kill-restart, an elastic
 membership change (which moves the delay fraction a contended server
@@ -42,8 +44,10 @@ per-request ``server_bpt`` series.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Deque, List, Optional, Sequence
 
 import numpy as np
@@ -103,8 +107,9 @@ class ServerStateArrays:
 
     def __init__(self, capacity: int = 0) -> None:
         capacity = max(int(capacity), 4)
-        #: Last committed acknowledgement time (handling of the next request
-        #: starts at ``max(chain_tail, now)``).
+        #: Last committed acknowledgement: handling of the next request starts
+        #: at ``max(chain_tail, now)``, in a window that is live while this is
+        #: at or after now (-inf without one).
         self.chain_tail = np.zeros(capacity, dtype=np.float64)
         #: Per-request base overhead of the node's device.
         self.overhead = np.zeros(capacity, dtype=np.float64)
@@ -125,6 +130,7 @@ class ServerStateArrays:
                 extended = np.zeros(grown, dtype=array.dtype)
                 extended[:capacity] = array
                 setattr(self, name, extended)
+        self.chain_tail[slot] = -np.inf
         self._size = slot + 1
         return slot
 
@@ -134,17 +140,17 @@ class _BatchPlan:
 
     Holds the entry tuples in acknowledgement order plus the pre-window
     length of the ``server_bpt`` series, so a rollback can cut the series
-    right after the entries it keeps.  Every entry credits one logical event
-    to ``env.coalesced_count``, so the window's credit is ``len(entries)``
-    (re-arm adjustments are made directly on the environment).
+    right after the entries it keeps.  Opening the window credits its
+    park/pop to ``env.coalesced_count`` and every entry credits one more;
+    the window schedules nothing but the wake-up (``wake_id``) of a backlog
+    held behind it.
     """
 
-    __slots__ = ("entries", "wake", "wake_id", "series_len_before")
+    __slots__ = ("entries", "wake_id", "series_len_before")
 
     def __init__(self, series_len_before: int) -> None:
         self.entries: List[tuple] = []
-        self.wake: Optional[Event] = None
-        self.wake_id = -1
+        self.wake_id: Optional[int] = None
         self.series_len_before = series_len_before
 
 
@@ -208,8 +214,9 @@ class ParameterServer:
         # a recorder key lookup each.  This series is the Monitor's whole
         # view of the server (Monitor.server_bpt_means reads it).
         self._bpt_series = metrics.series("server_bpt", tag=self.name)
-        # The coalesced window currently in flight (None while stepping
-        # request-by-request or idle).
+        # The latest coalesced window, live while the chain tail is at or
+        # after now (None before the first, and once a kill or the end of
+        # the run drops it).
         self._plan: Optional[_BatchPlan] = None
         # A mid-run contention swap invalidates the handling times of a
         # committed window (and the slot's vectorized-commit eligibility).
@@ -249,31 +256,38 @@ class ParameterServer:
         env = self.env
         request = PushRequest(worker=worker, nbytes=nbytes,
                               done=done if done is not None else Event(env))
-        if (self._accepting and env.coalesce and not self._backlog
-                and self.node.contention.is_deterministic):
+        if self._accepting and env.coalesce and self.node.contention.is_deterministic:
             self._commit((request,))
             return request.done
-        self._enqueue(request)
+        self.enqueue(request)
         return request.done
 
     def enqueue(self, request: PushRequest) -> None:
-        """Route an existing request to this server (drain re-route path)."""
-        self._enqueue(request)
-
-    def _enqueue(self, request: PushRequest) -> None:
-        """Queue a request, preserving FIFO order against any open window.
-
-        A parked server with an open plan is logically *busy* until the
-        plan's in-flight acknowledgement: feeding its parked getter now
-        would start the next window early, so the request is held in the
-        backlog and the window's wake-up feeds the getter when due (see
-        :meth:`_on_wake`).
-        """
+        """Queue a request behind everything before it (the slow path of
+        ``submit``, and the drain re-route path); see :meth:`_hand_off`."""
         self._backlog.append(request)
-        if self._getter is not None:
-            self._set_accepting(False)
-            if self._plan is None:
-                self._feed()
+        self._hand_off()
+
+    def _hand_off(self) -> None:
+        """Pass a parked server's backlog on, preserving FIFO order.
+
+        A live window keeps the server logically *busy* until its last
+        acknowledgement, where the wake-up armed here (:meth:`_on_wake`)
+        commits the backlog; without one the parked process takes the head
+        right away.  A parked server without a backlog accepts eager
+        commits.
+        """
+        if self._getter is None:
+            return
+        backlog = self._backlog
+        self._set_accepting(not backlog)
+        tail = float(self._state.chain_tail[self._slot])
+        if backlog and tail < self.env._now:
+            self._feed()
+        elif backlog and self._plan.wake_id is None:
+            wake = Event(self.env)
+            wake.callbacks.append(self._on_wake)
+            self._plan.wake_id = self.env.schedule_at(wake, tail)
 
     def _feed(self) -> None:
         """Succeed the parked getter with the head of the (non-empty) backlog."""
@@ -312,10 +326,8 @@ class ParameterServer:
         if dropped:
             backlog.clear()
             backlog.extend(keep)
-        if backlog:
-            # The survivors wait behind the window's in-flight request; the
-            # wake-up will feed them to the parked server process when due.
-            self._set_accepting(False)
+        # The survivors wait behind the window's in-flight request.
+        self._hand_off()
         return dropped
 
     def pending_request_count(self) -> int:
@@ -328,10 +340,9 @@ class ParameterServer:
         count = len(self._backlog)
         plan = self._plan
         if plan is not None:
-            now = self.env.now
-            for entry in plan.entries:
-                if entry[_E_START] > now:
-                    count += 1
+            entries = plan.entries
+            count += len(entries) - bisect_right(entries, self.env.now,
+                                                 key=itemgetter(_E_START))
         return count
 
     def on_cohort_change(self) -> None:
@@ -351,13 +362,13 @@ class ParameterServer:
         self._sync_eligibility()
 
     def _replan(self) -> None:
-        """Roll the committed window back to its in-flight request."""
+        """Roll the committed window back to its in-flight request.
+
+        The retained in-flight entry is still being handled: the requeued
+        tail waits for its acknowledgement.
+        """
         self._rollback_plan(self.env.now, keep_in_flight=True)
-        if self._backlog:
-            # The retained in-flight entry is still being handled: the
-            # server must not pick the requeued tail up (or accept eager
-            # commits ahead of it) before the in-flight acknowledgement.
-            self._set_accepting(False)
+        self._hand_off()
 
     def finalize_run(self) -> None:
         """Rewind speculative state past the end of the run.
@@ -419,11 +430,13 @@ class ParameterServer:
 
         With coalescing on and a deterministic contention model this loop is
         almost always *parked*: requests are committed at submit time and
-        never reach the backlog.  The loop only turns when a backlog exists
-        (post-restart, post-rollback, drain re-routes) — then it commits the
-        popped request and the whole backlog behind it into a window and
-        parks again — or when the contention model is non-deterministic, in
-        which case it steps request by request.
+        never reach the backlog, and a backlog held behind a live window is
+        committed by the window's wake-up.  The loop only turns when a
+        backlog exists without a live window (post-restart, or a drain
+        re-route reaching an idle server) — then it commits the popped
+        request and the whole backlog behind it into a window and parks
+        again — or when the contention model is non-deterministic, in which
+        case it steps request by request.
         """
         current: Optional[PushRequest] = None
         get_event: Optional[Event] = None
@@ -451,11 +464,12 @@ class ParameterServer:
                 self._set_accepting(False)
                 if env.coalesce and node.contention.is_deterministic:
                     # Every handling time in the current backlog is a closed
-                    # form of the pop time: commit them all as one window,
-                    # whose wake-up closes it (see the module docstring).
-                    # A window's wake-up stands for the pop that starts a
-                    # parked server's handling; here that pop already
-                    # happened (or was synchronous), so its credit goes back.
+                    # form of the pop time: commit them all as one window
+                    # (see the module docstring).  The loop gets here only
+                    # without a live window, so the commit opens one, and
+                    # that credits the pop that starts a parked server's
+                    # handling; here that pop already happened (or was
+                    # synchronous), so its credit goes back.
                     self._commit([current, *backlog])
                     backlog.clear()
                     current = None
@@ -533,38 +547,26 @@ class ParameterServer:
                     self._recovery_handler(self)
 
     # -- coalesced windows ---------------------------------------------------------
-    def _open_plan(self, last_ack: float) -> _BatchPlan:
-        """Open a fresh window ending (for now) at ``last_ack``.
-
-        The wake-up event is scheduled *before* any acknowledgement of the
-        window so that at its final instant the server's bookkeeping runs
-        first, then the last worker — the same callback order per-request
-        stepping produces.  Its callback (:meth:`_on_wake`) either closes the
-        window or re-arms at the new end if commits extended it meanwhile.
-        """
-        env = self.env
-        plan = _BatchPlan(len(self._bpt_series))
-        wake = Event(env)
-        wake.callbacks.append(self._on_wake)
-        plan.wake = wake
-        plan.wake_id = env.schedule_at(wake, last_ack)
-        self._plan = plan
+    def _open_plan(self) -> _BatchPlan:
+        """Open a fresh window, crediting its park/pop (the pop that starts a
+        parked server's handling): the window itself schedules no event."""
+        plan = self._plan = _BatchPlan(len(self._bpt_series))
+        self.env.coalesced_count += 1
         return plan
 
     def _commit(self, requests: Sequence[PushRequest]) -> None:
-        """Commit ``requests``, in FIFO order, into the open window (or a new one).
+        """Commit ``requests``, in FIFO order, into the live window (or a new one).
 
         Handling starts at ``max(chain_tail, now)`` and each acknowledgement
         is the running total ``t + handling``, summed left to right exactly
-        as per-request stepping does.  A new window's wake-up is scheduled at
-        its last acknowledgement before any acknowledgement is published (see
-        :meth:`_open_plan`): one request's acknowledgement is that end, and a
-        longer backlog's end is summed up first.  Acknowledgements are
-        published at once via absolute-time scheduling and ``server_bpt``
-        points are written eagerly (windowed queries are bisect-bounded, so
-        future-dated observations stay invisible until due).  The delay
-        fraction, which the uncoalesced loop re-reads per request, is read
-        once: any event that could move it also rolls the window back.
+        as per-request stepping does.  A chain tail at or after now is a live
+        window, which the requests join; a strictly earlier one opens a new
+        window.  Acknowledgements are published at once via absolute-time
+        scheduling and ``server_bpt`` points are written eagerly (windowed
+        queries are bisect-bounded, so future-dated observations stay
+        invisible until due).  The delay fraction, which the uncoalesced
+        loop re-reads per request, is read once: any event that could move
+        it also rolls the window back.
         """
         env = self.env
         node = self.node
@@ -573,17 +575,12 @@ class ParameterServer:
         per_byte_cost = self.config.server_per_byte_cost_s
         now = env._now
         t = float(state.chain_tail[slot])
+        plan = self._plan
         if t < now:
             t = now
+            plan = self._open_plan()
         contention_free = node.contention.is_null
         fraction = 1.0 if contention_free else float(self._delay_fraction_provider())
-        plan = self._plan
-        if plan is None and len(requests) > 1:
-            end = t
-            for request in requests:
-                end += node.server_time(request.nbytes, end, per_byte_cost=per_byte_cost,
-                                        delay_fraction=fraction)
-            plan = self._open_plan(end)
         overhead = node.device.base_overhead
         append_point = self._bpt_series.append
         for request in requests:
@@ -594,8 +591,6 @@ class ParameterServer:
                 handling = node.server_time(request.nbytes, t, per_byte_cost=per_byte_cost,
                                             delay_fraction=fraction)
             ack = t + handling
-            if plan is None:
-                plan = self._open_plan(ack)
             done = request.done
             is_latch = type(done) is CountdownEvent
             contributed = False
@@ -612,35 +607,25 @@ class ParameterServer:
         state.chain_tail[slot] = t
         env.coalesced_count += len(requests)
 
-    def _on_wake(self, wake: Event) -> None:
-        """Wake-up callback of a window.
+    def _on_wake(self, _wake: Event) -> None:
+        """Serve the held backlog at the window's last acknowledgement.
 
-        Closes the window when its last acknowledgement is due; re-arms at
-        the new end when commits extended the window past the instant this
-        wake-up was scheduled for (the replacement heap entry cancels one
-        logical-event credit, keeping the window's accounting at k+1).
-        Closing also feeds any rollback-requeued backlog to the parked
-        server process — the backlog had to wait for the in-flight
-        acknowledgement (FIFO), and this wake-up marks exactly that instant.
+        The uncoalesced server was busy until this instant and takes its
+        backlog synchronously, so this pop stands for no logical event.  The
+        backlog joins the window (its tail is now) and the parked process
+        accepts eager commits again; it is never resumed.  A model that is
+        no longer deterministic steps the backlog request by request
+        instead: the window closes and the parked process takes the head
+        through its getter, whose pop stands for no logical event either.
         """
         env = self.env
-        plan = self._plan
-        if plan is not None and plan.wake is wake:
-            entries = plan.entries
-            if entries and entries[-1][_E_ACK] > env._now:
-                new_wake = Event(env)
-                new_wake.callbacks.append(self._on_wake)
-                plan.wake = new_wake
-                plan.wake_id = env.schedule_at(new_wake, entries[-1][_E_ACK])
-                env.coalesced_count -= 1
-                return
-            self._plan = None
-        if self._backlog and self._getter is not None:
-            # The get event this feed schedules exists only because the
-            # server parks between coalesced windows (the uncoalesced server
-            # would have been busy handling and polled synchronously), so it
-            # is cancelled out of the logical-event accounting.
-            self._set_accepting(False)
+        self._plan.wake_id = None
+        env.coalesced_count -= 1
+        if self.node.contention.is_deterministic:
+            self._commit(self.take_backlog())
+            self._set_accepting(True)
+        else:
+            self._state.chain_tail[self._slot] = -np.inf
             env.coalesced_count -= 1
             self._feed()
 
@@ -650,10 +635,12 @@ class ParameterServer:
         Entries acknowledged at or before ``now`` are delivered and stay.
         The first entry with a later acknowledgement is *in flight* (its
         handling started at or before ``now``): with ``keep_in_flight`` its
-        committed outcome is preserved and the wake-up moves to its
+        committed outcome is preserved and the window now ends at its
         acknowledgement; otherwise it is rescinded with the rest and
-        returned.  Later entries never started: they go back to the backlog
-        front, in order, for re-planning.
+        returned, and the server has no window left.  Later entries never
+        started: they go back to the backlog front, in order, for
+        re-planning.  A held backlog's wake-up is discarded: the caller
+        holds the backlog again behind the window's new end.
 
         Each entry appended one point to the ``server_bpt`` series, in entry
         order, and nothing else writes it, so cutting the series after the
@@ -663,21 +650,21 @@ class ParameterServer:
         plan = self._plan
         if plan is None:
             return None
-        entries = plan.entries
-        if not entries or now >= entries[-1][_E_ACK]:
-            # Fully delivered: nothing speculative left to unwind.  (The
-            # window's wake-up stays scheduled and closes it as a no-op.)
-            self._plan = None
-            return None
         env = self.env
         state = self._state
         slot = self._slot
-        split = 0
-        for split, entry in enumerate(entries):
-            if entry[_E_ACK] > now:
-                break
+        if plan.wake_id is not None:
+            env.discard_scheduled(plan.wake_id)
+            plan.wake_id = None
+        if not keep_in_flight:
+            self._plan = None
+            state.chain_tail[slot] = -np.inf
+        entries = plan.entries
+        if now >= entries[-1][_E_ACK]:
+            # Fully delivered: nothing speculative left to unwind.
+            return None
+        split = bisect_right(entries, now, key=itemgetter(_E_ACK))
         in_flight = entries[split]
-        kept = entries[:split]
         tail = entries[split + 1:]
         # 1. Rescind the undelivered acknowledgements, newest first.
         for entry in reversed(tail if keep_in_flight else entries[split:]):
@@ -689,26 +676,17 @@ class ParameterServer:
                 env.discard_scheduled(entry[_E_DONE_ID])
                 done._ok = None
                 done._value = PENDING
-        # 2. Keep (or drop) the in-flight entry and move the wake-up.
-        env.discard_scheduled(plan.wake_id)
-        wake = plan.wake
-        wake._ok = None
-        wake._value = PENDING
+        # 2. Keep (or drop) the in-flight entry.
         if keep_in_flight:
-            plan.wake_id = env.schedule_at(wake, in_flight[_E_ACK])
-            plan.entries = kept + [in_flight]
+            plan.entries = entries[:split + 1]
             state.chain_tail[slot] = in_flight[_E_ACK]
         else:
-            plan.entries = kept
-            state.chain_tail[slot] = now
+            plan.entries = entries[:split]
         # 3. Cut the series after the entries that stay.
         self._bpt_series.truncate(plan.series_len_before + len(plan.entries))
-        # 4. The window credited one logical event per entry; the retained
-        #    work is every kept entry plus the window's park/pop.
-        env.coalesced_count += len(kept) + 1 - len(entries)
+        # 4. The window credited one logical event per entry (its park/pop
+        #    stays credited): take back the rescinded ones.
+        env.coalesced_count += len(plan.entries) - len(entries)
         # 5. The never-started tail returns to the backlog front.
         self._backlog.extendleft(entry[_E_REQUEST] for entry in reversed(tail))
-        if keep_in_flight:
-            return None
-        self._plan = None
-        return in_flight[_E_REQUEST]
+        return None if keep_in_flight else in_flight[_E_REQUEST]

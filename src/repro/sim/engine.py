@@ -24,13 +24,14 @@ Beyond the SimPy subset, the environment supports *absolute-time scheduling*
 (:meth:`Environment.schedule_at` / :meth:`Environment.discard_scheduled`):
 a component that can compute a whole window of deterministic future outcomes
 closed-form — e.g. a parameter server acknowledging a cohort of queued pushes
-whose handling times are all known — commits the window eagerly, schedules a
-single wake-up event at the end of the window, and the clock crosses the
-window in one heap pop instead of one pop per member.  Should the
-window's quiescence break before it elapses (a failure, a straggler
-transition, an elastic membership change), the committed tail is *rescinded*:
-``discard_scheduled`` lazily kills the stale heap entries and the component
-re-plans from the perturbation point.  The ``coalesce`` flag (or the
+whose handling times are all known — commits the window eagerly and
+publishes each outcome at its future time, and the clock crosses the window
+in zero heap pops of its own instead of one pop per member (the server
+knows its window is open while its last acknowledgement lies at or after
+now).  Should the window's quiescence break before it elapses (a failure,
+a straggler transition, an elastic membership change), the committed tail
+is *rescinded*: ``discard_scheduled`` lazily kills the stale heap entries
+and the component re-plans from the perturbation point.  The ``coalesce`` flag (or the
 ``REPRO_NO_COALESCE=1`` escape hatch at the experiment layer) turns the whole
 mechanism off, falling back to strictly per-event stepping — both modes
 produce byte-identical traces, which the golden suite pins.

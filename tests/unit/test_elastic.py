@@ -130,6 +130,8 @@ def _context(**overrides):
         worker_long_bpts={"worker-0": 1.0, "worker-1": 1.0, "worker-2": 1.0},
     )
     defaults.update(overrides)
+    defaults.setdefault("committed_workers", len(defaults["active_workers"])
+                        + defaults["pending_workers"])
     return ElasticContext(**defaults)
 
 
@@ -184,6 +186,8 @@ def test_scheduled_capacity_policy_follows_the_plan():
     assert isinstance(grow[0], ScaleOut) and grow[0].num_workers == 2
     # Pending pods count toward the plan: nothing more to request.
     assert policy.decide(_context(now=60.0, pending_workers=2)) == []
+    # So do relaunching workers, which the job's committed count includes.
+    assert policy.decide(_context(now=60.0, committed_workers=5)) == []
     with pytest.raises(ValueError):
         ScheduledCapacityPolicy(schedule=[])
     with pytest.raises(ValueError):
@@ -223,6 +227,9 @@ class _StubExecutor:
     def pending_worker_count(self):
         return 0
 
+    def committed_worker_count(self):
+        return len(self.active)
+
     def remaining_samples(self):
         return 1_000_000
 
@@ -244,6 +251,9 @@ class _StubExecutor:
         return []
 
     def pending_server_count(self):
+        return 0
+
+    def committed_server_count(self):
         return 0
 
     def server_queue_depths(self):

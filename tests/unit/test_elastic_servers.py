@@ -5,13 +5,15 @@ coverage audit, the migration cost model, the ServerElasticSpec serialization
 (and the spec keys of registry specs rebuilt from their dicts), the server
 autoscaler policies, the PS job's server scale-out/scale-in execution with
 shard-accounting and exactly-once proofs, the busy-cluster gate for server
-capacity, the autoscaler cooldown-on-denial satellite, the hand-offs of the
-server's own request backlog (arrival at a parked server, a kill or scale-in
-after the getter was fed, an arrival during an open window, a relaunched
-server's backlog committed as one window, a contention swap re-committing a
-window's tail, ``take_backlog``), and the headline regression: a server
-kill-restart racing an elastic scale-in drain must not resurrect a purged
-push request.
+capacity, the autoscaler's cooldown on denial and its headroom with a
+relaunching worker, the server's windows (no heap event of their own, a
+push on the last acknowledgement joining) and the hand-offs of its own
+request backlog (arrival at a parked server, a kill or scale-in after the
+getter was fed, an arrival during an open window, a relaunched server's
+backlog committed as one window, a contention swap re-committing a window's
+tail or stepping it under a random model, ``take_backlog``), and the
+headline regression: a server kill-restart racing an elastic scale-in drain
+must not resurrect a purged push request.
 """
 
 import pytest
@@ -30,6 +32,7 @@ from repro.elastic import (
     ServerQueueDepthPolicy,
     ServerShardMap,
     ShardConservationError,
+    UtilizationThresholdPolicy,
     audit_allocator,
     make_server_policy,
     verify_exactly_once,
@@ -46,7 +49,7 @@ from repro.psarch.server import ParameterServer, PushRequest
 from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job
 from repro.scenarios.registry import all_scenarios
 from repro.sim.cluster import Cluster, NodeRole, NodeSpec, NodeStatus
-from repro.sim.contention import ConstantContention
+from repro.sim.contention import ConstantContention, RandomContention
 from repro.sim.engine import Environment
 from repro.sim.hardware import CPU_SERVER_4C
 from repro.sim.metrics import MetricsRecorder
@@ -216,6 +219,9 @@ def _server_context(**overrides):
         server_long_bpts={"server-0": 0.2, "server-1": 0.2, "server-2": 0.2},
     )
     defaults.update(overrides)
+    defaults.setdefault("committed_workers", len(defaults["active_workers"]))
+    defaults.setdefault("committed_servers", len(defaults["active_servers"])
+                        + defaults["pending_servers"])
     return ElasticContext(**defaults)
 
 
@@ -305,6 +311,9 @@ class _DenyingExecutor:
     def pending_worker_count(self):
         return 0
 
+    def committed_worker_count(self):
+        return len(self.active_worker_names())
+
     def remaining_samples(self):
         return 1_000_000
 
@@ -321,6 +330,9 @@ class _DenyingExecutor:
 
     def pending_server_count(self):
         return 0
+
+    def committed_server_count(self):
+        return len(self.active_server_names())
 
     def server_queue_depths(self):
         return {}
@@ -425,6 +437,9 @@ def test_build_context_requires_the_whole_executor_surface():
 
         def pending_worker_count(self):
             return 0
+
+        def committed_worker_count(self):
+            return 1
 
         def remaining_samples(self):
             return 1
@@ -551,8 +566,8 @@ def test_kill_of_a_parked_server_loses_no_request(fed):
 def test_request_arriving_during_an_open_window_waits_for_its_wake_up():
     """Backlog hand-off 2: a parked server whose eagerly committed window is
     still in flight is logically busy, so a request arriving meanwhile stays
-    in the backlog until the window's wake-up feeds it — its handling starts
-    at the window's last acknowledgement, not at its arrival."""
+    in the backlog until a wake-up at the window's last acknowledgement
+    commits it — its handling starts then, not at its arrival."""
     env, server = _standalone_server(draining=set())
     server.start()
     env.run(until=0.5)
@@ -630,9 +645,9 @@ def test_relaunched_server_commits_its_backlog_as_one_window(coalesce, replan):
 def test_contention_swap_recommits_the_tail_under_the_new_model(coalesce):
     """A persistent straggler appears mid-window: the in-flight request keeps
     its handling, the two behind it go back through the backlog and are
-    committed again, as one window, under the new (deterministic) model.
-    That window's wake-up is scheduled at its true end, so it closes on one
-    heap pop."""
+    committed again under the new (deterministic) model.  One wake-up at the
+    in-flight acknowledgement commits them in place, joining the window, and
+    the window closes by its chain tail without a heap pop of its own."""
     env, server = _standalone_server(draining=set(), coalesce=coalesce)
     server.start()
     env.run(until=0.5)
@@ -647,7 +662,81 @@ def test_contention_swap_recommits_the_tail_under_the_new_model(coalesce):
     assert series.times() == acks
     assert series.values() == pytest.approx([1.01, 1.51, 1.51])
     assert env.processed_count + env.coalesced_count == 8
-    assert env.processed_count == (7 if coalesce else 8)
+    assert env.processed_count == (5 if coalesce else 8)
+
+
+def test_swap_to_a_random_model_steps_the_held_backlog():
+    """A non-deterministic model arrives mid-window: the wake-up at the
+    in-flight acknowledgement hands the held backlog to the parked process,
+    which steps it request by request.  Acknowledgements, ``server_bpt`` and
+    the logical count are the uncoalesced server's."""
+    outcomes = []
+    for coalesce in (True, False):
+        env, server = _standalone_server(draining=set(), coalesce=coalesce)
+        server.start()
+        env.run(until=0.5)
+        dones = [server.submit(worker, 1e9)
+                 for worker in ("worker-a", "worker-b", "worker-c")]
+        env.run(until=0.6)
+        server.node.set_contention(RandomContention(probability=1.0))
+        dones.append(server.submit("worker-d", 1e9))
+        env.run()
+        series = server.metrics.series("server_bpt", tag="server-0")
+        acks = [done.value for done in dones]
+        assert series.times() == acks
+        outcomes.append((acks, series.values(),
+                         env.processed_count + env.coalesced_count))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][0] == pytest.approx(1.51)
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_parked_servers_window_schedules_no_event_besides_its_acks(coalesce):
+    """Three pushes reach a parked server: the coalesced window they form
+    puts exactly their three acknowledgements on the heap — it opens and
+    closes by the server's chain tail, with no wake-up — and still counts
+    the logical events of per-request stepping."""
+    env, server = _standalone_server(draining=set(), coalesce=coalesce)
+    server.start()
+    env.run(until=0.5)
+    scheduled, processed = env.scheduled_count, env.processed_count
+    dones = [server.submit(worker, 1e9)
+             for worker in ("worker-a", "worker-b", "worker-c")]
+    env.run()
+    assert [done.value for done in dones] == pytest.approx([1.51, 2.52, 3.53])
+    if coalesce:
+        assert env.scheduled_count - scheduled == 3
+    assert env.processed_count - processed == (3 if coalesce else 7)
+    assert env.processed_count + env.coalesced_count == 8
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_push_landing_exactly_on_the_last_ack_joins_the_window(coalesce):
+    """A push that arrives at the very instant of the window's last
+    acknowledgement, ordered before it (the uncoalesced server is still
+    busy), joins the window: it starts at that acknowledgement and opens no
+    window of its own, so the logical count is per-request stepping's in
+    both modes."""
+    env, server = _standalone_server(draining=set(), coalesce=coalesce)
+    server.start()
+    env.run(until=0.5)
+    handling = (server.node.device.base_overhead
+                + 1e9 * server.config.server_per_byte_cost_s)
+    late = []
+
+    def push_on_the_ack():
+        yield env.timeout(handling)
+        late.append(server.submit("worker-b", 1e9))
+
+    env.process(push_on_the_ack())
+    env.run(until=0.5)  # the pusher's timeout is now ordered first
+    first = server.submit("worker-a", 1e9)
+    env.run()
+    assert late[0].value == first.value + handling
+    series = server.metrics.series("server_bpt", tag="server-0")
+    assert series.times() == [first.value, late[0].value]
+    assert env.processed_count + env.coalesced_count == 9
+    assert env.processed_count == (6 if coalesce else 9)
 
 
 @pytest.mark.parametrize("coalesce", [True, False])
@@ -806,6 +895,35 @@ def test_worker_scale_out_cap_counts_a_relaunching_worker():
     _run_to_end(job)
     assert not job.membership
     assert job.restart_counts()["worker-1"] == 1
+
+
+def test_headroom_counts_a_relaunching_worker():
+    """The autoscaler plans against the job's own cap: while worker-1
+    relaunches, a 6-worker fleet under ``max_workers=6`` has no headroom,
+    so a policy that asks for every join the headroom allows asks for none
+    and no decision is denied."""
+    job, _ = build_scenario_job(_server_spec())
+    job.configure_elastic(max_workers=6)
+    recorder = TraceRecorder()
+    autoscaler = Autoscaler(
+        env=job.env, monitor=job.monitor,
+        policy=UtilizationThresholdPolicy(scale_out_horizon_s=1.0,
+                                          scale_in_horizon_s=0.5),
+        executor=job, config=job.antdt_config, interval_s=5.0,
+        recorder=recorder)
+    job.attach_autoscaler(autoscaler)
+    env = job.env
+    job.start()
+    env.run(until=20.0)
+    assert job.request_kill_restart("worker-1")
+    env.run(until=20.001)
+    context = autoscaler.build_context()
+    assert (len(context.active_workers), context.committed_workers) == (5, 6)
+    assert context.headroom == 0
+    _run_to_end(job)
+    assert [decision.verdict for decision in recorder.decisions
+            if decision.verdict == "denied"] == []
+    assert not job.membership
 
 
 @pytest.mark.parametrize("replicas", [0, 1])

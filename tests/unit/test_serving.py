@@ -225,6 +225,9 @@ def _slo_context(**overrides):
                  "inflight": 4.0, "p99_s": 0.1},
     )
     defaults.update(overrides)
+    defaults.setdefault("committed_workers", len(defaults["active_workers"]))
+    defaults.setdefault("committed_servers", len(defaults["active_servers"])
+                        + defaults["pending_servers"])
     return ElasticContext(**defaults)
 
 
