@@ -112,12 +112,16 @@ bench-smoke:
 ## workload at seed 0, failing unless its JSON record counts no failed check.
 ## No golden trace covers the 1000-worker and 12-server serving specs, so this
 ## is the one gate on the fingerprints perfbench/expected.json records for
-## them.  ~10-25 s in all; nd_1000w peaks at ~530 MB.
+## them.  Each line also prints the record's exact counts (heap pops, logical
+## events) and its peak RSS, so a log shows a change's effect on them.
+## ~8-20 s in all; nd_1000w peaks at ~195 MB.
 bench-check:
 	@for workload in nd_1000w serving_colocated registry_sweep; do \
 		PYTHONHASHSEED=0 $(PYTHON) perfbench/workload.py --workload $$workload --seed 0 --mode plain \
 			| $(PYTHON) -c 'import json, sys; \
 	record = json.loads(sys.stdin.read().splitlines()[-1]); \
-	print(sys.argv[1], "failed:", record["failed"], *record["failures"]); \
+	print(sys.argv[1], "failed:", record["failed"], "heap_pops:", record["heap_pops"], \
+	      "logical_events:", record["logical_events"], "rss_mb: %.1f" % record["rss_mb"], \
+	      *record["failures"]); \
 	sys.exit(record["failed"] != 0)' $$workload || exit 1; \
 	done

@@ -49,6 +49,12 @@ __all__ = ["PSRunResult", "PSTrainingJob", "SERVING_WORKER_PREFIX"]
 
 _RUNNING = NodeStatus.RUNNING
 
+#: The narrowest fan-out :meth:`PSTrainingJob.push_fanout` commits as
+#: columns.  On a 2-vCPU VM the column operations cost a fixed ~29 µs
+#: however few servers they cover, a ``submit`` ~5 µs per server: five
+#: targets break even.
+VECTOR_MIN_TARGETS = 6
+
 #: Pseudo-worker prefix carried by serving-tier requests.  Lives here (not
 #: in :mod:`repro.serving`) so the requeue filter can honour it without the
 #: training layer depending on the serving layer.
@@ -156,11 +162,17 @@ class PSTrainingJob:
             self.barrier = BSPBarrier(env, backup_workers=config.backup_workers)
 
         # Columnar per-server serving state (acknowledgement chain tails,
-        # eager-commit eligibility): created before the servers so every
-        # server allocates its slot here, and the job can commit one
-        # worker's whole push fan-out vectorized (push_fanout).  Servers get
-        # no Agent: the Monitor reads each server's own series.
-        self.server_state = ServerStateArrays(cluster.num_servers)
+        # eager-commit eligibility, every server's ``server_bpt`` row):
+        # created before the servers so every server allocates its slot
+        # here, and the job can commit one worker's whole push fan-out
+        # vectorized (push_fanout).  Each worker iteration writes one point
+        # per server, and growing the rows copies every one of them, so they
+        # start at the iterations of a run that trains every sample at the
+        # even batch, plus an eighth for the pushes a kill re-sends.  Servers
+        # get no Agent: the Monitor reads each server's own series.
+        iterations = allocator.total_samples // self._even_batch() + 1
+        self.server_state = ServerStateArrays(cluster.num_servers,
+                                              points=iterations + iterations // 8)
         self._fanout_cache = None
         self.servers: List[ParameterServer] = [
             self._make_server(node) for node in cluster.servers]
@@ -256,15 +268,17 @@ class PSTrainingJob:
         self._notify_cohort_change()
 
     def _notify_cohort_change(self) -> None:
-        """Worker membership moved: invalidate every committed server window.
+        """Worker membership moved: invalidate the windows it made stale.
 
-        The active-worker count feeds the delay fraction each server bakes
-        into its coalesced window, so a lifecycle change anywhere in the
-        worker fleet makes every committed tail stale (see
-        :meth:`ParameterServer.on_cohort_change`).
+        The active-worker count feeds the delay fraction a contended server
+        bakes into its coalesced window, so a lifecycle change anywhere in
+        the worker fleet makes those committed tails stale (see
+        :meth:`ParameterServer.on_cohort_change`).  A server without
+        contention never reads the fraction: its window stands.
         """
         for server in self.servers:
-            server.on_cohort_change()
+            if not server.node.contention.is_null:
+                server.on_cohort_change()
 
     # -- internal hooks ------------------------------------------------------------
     def _server_delay_fraction(self) -> float:
@@ -582,53 +596,40 @@ class PSTrainingJob:
 
         The common steady state at scale — every target server parked on an
         empty queue with null contention — makes each per-server
-        acknowledgement an affine function of that server's chain tail.  This
-        commits all S requests of one iteration with a handful of numpy
-        operations over :class:`ServerStateArrays` plus one tight Python loop
-        for the bookkeeping each server owns (plan entry, series append),
-        then arms the shared latch once with
-        :meth:`CountdownEvent.count_down_many_at
-        <repro.sim.engine.CountdownEvent.count_down_many_at>`.
+        acknowledgement an affine function of that server's chain tail.
+        With at least :data:`VECTOR_MIN_TARGETS` targets this commits all S
+        requests of one iteration as column operations with no per-server
+        Python (:meth:`ServerStateArrays.commit_fanout`): one compare opens
+        the windows, one scatter writes every target's ``server_bpt`` point,
+        and the latch is armed once with the array of acknowledgements
+        (:meth:`CountdownEvent.count_down_many_at
+        <repro.sim.engine.CountdownEvent.count_down_many_at>`).
 
-        Returns False without side effects when any target is not eligible
-        (busy, backlogged, draining-held, or non-null contention); the worker
-        then falls back to per-server :meth:`ParameterServer.submit` calls,
-        which reproduce the exact same acknowledgements scalar-wise.
+        Returns False without side effects for a narrower fan-out, or when
+        any target is not eligible (busy, backlogged, draining-held, or
+        non-null contention); the worker then falls back to per-server
+        :meth:`ParameterServer.submit` calls, which reproduce the exact same
+        acknowledgements and event counts scalar-wise.
         """
-        state = self.server_state
         cache = self._fanout_cache
         if cache is None or cache[0] is not targets:
             # push_targets() rebuilds its list object on every membership
             # change, so list identity doubles as cache validation.
-            idx = np.fromiter((server._slot for server in targets),
-                              dtype=np.intp, count=len(targets))
-            hot = [(server, *server._bpt_series.buffers()) for server in targets]
-            cache = self._fanout_cache = (targets, idx, hot)
-        _, idx, hot = cache
-        if not state.eligible[idx].all():
+            slots = None
+            if len(targets) >= VECTOR_MIN_TARGETS:
+                slots = np.fromiter((server._slot for server in targets),
+                                    dtype=np.intp, count=len(targets))
+            cache = self._fanout_cache = (targets, slots)
+        slots = cache[1]
+        state = self.server_state
+        if slots is None or not state.eligible[slots].all():
             return False
         env = self.env
-        now = env._now
-        # Acknowledgement closed form, all servers at once.  Each numpy op
-        # is elementwise over independent slots, so the arithmetic per slot
-        # is the same sequence of scalar operations submit() performs.  A
-        # tail strictly before now (-inf without a window) opens a new one.
-        tails = state.chain_tail[idx]
-        for opening in np.flatnonzero(tails < now).tolist():
-            hot[opening][0]._open_plan()
-        starts = np.maximum(tails, now)
-        handlings = state.overhead[idx] + self.config.server_per_byte_cost_s * nbytes
-        acks = starts + handlings
-        state.chain_tail[idx] = acks
-        acks_l = acks.tolist()
-        request = PushRequest(worker=worker, nbytes=nbytes, done=latch)
-        for (server, times, values), start, ack, handling \
-                in zip(hot, starts.tolist(), acks_l, handlings.tolist()):
-            server._plan.entries.append((request, start, ack, True, True, None))
-            times.append(ack)
-            values.append(handling)
-        latch.count_down_many_at(acks_l)
-        env.coalesced_count += len(hot)
+        acks, opened = state.commit_fanout(
+            slots, env._now, self.config.server_per_byte_cost_s * nbytes,
+            PushRequest(worker=worker, nbytes=nbytes, done=latch))
+        latch.count_down_many_at(acks)
+        env.coalesced_count += len(slots) + opened
         return True
 
     def configure_server_replication(self, replicas: int = 0,
@@ -747,24 +748,25 @@ class PSTrainingJob:
         """Simulation process: ride the scheduling queue, receive the shard
         slice, then start serving."""
         yield from self.scheduler.provision(node)
+        if not self.completed:
+            # The shard map re-partitions on the join; the newcomer must
+            # receive its parameter shards from the incumbents before it can
+            # serve, so the migration cost is paid on the joining path.  The
+            # map itself is only mutated once the handoff completed: a join
+            # abandoned mid-handoff (the job finished first) must leave no
+            # ghost owner behind, or the coverage audit would flag shards
+            # owned by a server that never joined.
+            would_move = self.shard_map.preview_add(node.name)
+            cost = self._migration_model.handoff_time(would_move,
+                                                      self.shard_map.num_shards)
+            if cost > 0:
+                yield self.env.timeout(cost)
+        # The joiner stays pending (it counts against the cap) until it
+        # joins or is abandoned.
         self._pending[NodeRole.SERVER] -= 1
         if self.completed:
-            # The job finished while the pod sat in the scheduling queue.
-            node.mark_finished()
-            return
-        # The shard map re-partitions on the join; the newcomer must receive
-        # its parameter shards from the incumbents before it can serve, so
-        # the migration cost is paid on the joining path.  The map itself is
-        # only mutated once the handoff completed: a join abandoned mid-
-        # handoff (the job finished first) must leave no ghost owner behind,
-        # or the coverage audit would flag shards owned by a server that
-        # never joined.
-        would_move = self.shard_map.preview_add(node.name)
-        cost = self._migration_model.handoff_time(would_move,
-                                                  self.shard_map.num_shards)
-        if cost > 0:
-            yield self.env.timeout(cost)
-        if self.completed:
+            # The job finished while the pod was queued or receiving shards;
+            # the capacity arrives to nothing.
             node.mark_finished()
             return
         moved = self.shard_map.add_member(node.name)

@@ -11,12 +11,20 @@ The FIFO discipline makes a server's near future fully determined the moment
 a request arrives: with a deterministic contention model every handling
 time — and therefore every acknowledgement time — is a closed-form function
 of the time handling starts.  When coalescing is enabled the server commits
-requests into one kind of *window* (:class:`_BatchPlan`): each request's
-acknowledgement is computed closed-form behind the window's chain tail,
-appended as one plan entry and published at its future time.  The window
-itself puts nothing on the heap: it is live while the chain tail is at or
-after now (so a request landing exactly on the last acknowledgement joins
-it), and a commit behind an earlier tail opens a new one.
+requests into a *window*: each request's acknowledgement is computed
+closed-form behind the window's chain tail, written as one ``server_bpt``
+point and published at its future time.  The window itself puts nothing on
+the heap: it is live while the chain tail is at or after now (so a request
+landing exactly on the last acknowledgement joins it), and a commit behind
+an earlier tail opens a new one.
+
+The tier keeps all of this in columns (:class:`ServerStateArrays`): per
+server its chain tail, and per point — each server's ``server_bpt`` series
+is one row of the store — its time, its value and the token of the commit
+record a rollback needs.  The row is time-ordered, so the points
+acknowledged after now are the window's undelivered tail, and one worker's
+whole push fan-out commits with one scatter (:meth:`PSTrainingJob.push_fanout
+<repro.psarch.job.PSTrainingJob.push_fanout>`).
 
 While the server process is parked on an empty backlog, an arriving request
 never touches the backlog at all: ``submit`` commits it right away.  A
@@ -32,11 +40,12 @@ Quiescence can break before a window elapses — a kill-restart, an elastic
 membership change (which moves the delay fraction a contended server
 samples), a worker draining out, or a contention swap.  Every such
 perturbation rolls the uncommitted tail back
-(:meth:`ParameterServer._rollback_plan`): future acknowledgements are
-rescinded, the ``server_bpt`` series — one point per plan entry, and nothing
-else writes it — is cut after the entries that stay, and the rescinded
-requests return to the queue front for re-planning.  The golden suite pins
-coalesced and uncoalesced execution to byte-identical traces.
+(:meth:`ParameterServer._rollback_window`): future acknowledgements are
+rescinded, the ``server_bpt`` row — one point per committed request, and
+nothing else writes it meanwhile — is cut after the points that stay, and
+the rescinded requests return to the queue front for re-planning.  The
+golden suite pins coalesced and uncoalesced execution to byte-identical
+traces.
 
 Servers run no Agent: the Monitor's view of a server is exactly this
 per-request ``server_bpt`` series.
@@ -44,11 +53,11 @@ per-request ``server_bpt`` series.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Deque, List, Optional, Sequence
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +65,7 @@ from ..elastic.membership import SCALE_IN
 from ..sim.cluster import Node
 from ..sim.engine import CountdownEvent, Environment, Event, Interrupt, PENDING
 from ..sim.failures import ErrorCode
-from ..sim.metrics import MetricsRecorder
+from ..sim.metrics import MetricSeries, MetricsRecorder, SeriesStore
 from ..sim.scheduler import ClusterScheduler
 from .config import PSJobConfig
 
@@ -72,86 +81,114 @@ class PushRequest:
     done: Event
 
 
-# One request inside a committed coalesced window, as a plain tuple — plan
-# entries are created once per push request across the whole fleet, and a
-# tuple build is several times cheaper than a (slotted) dataclass:
-#   (request, start, ack, is_latch, contributed, done_id)
-# * start:    when handling begins (the previous entry's acknowledgement).
-# * ack:      when the acknowledgement takes effect.
-# * is_latch: whether ``done`` is a shared CountdownEvent (vs private Event).
-# * contributed: whether a latch contribution was actually recorded (False
-#   for latches already abandoned when the window was committed).
-# * done_id:  heap entry id of a private acknowledgement, for rescinding.
-# Each entry appended exactly one point to the server's ``server_bpt``
-# series, in entry order.
-(_E_REQUEST, _E_START, _E_ACK,
- _E_IS_LATCH, _E_CONTRIBUTED, _E_DONE_ID) = range(6)
+class ServerStateArrays(SeriesStore):
+    """The server tier's state as columns: one slot (a store row) per server
+    ever admitted.
 
-
-class ServerStateArrays:
-    """Per-server scalar serving state for a whole job, as numpy arrays.
-
-    Owned by the job with one slot per server ever admitted.  Keeping the
-    acknowledgement chain tail and the per-request overhead columnar lets
-    the job commit one worker's whole push fan-out — one request per
-    server — as a handful of vectorized array operations
-    (:meth:`PSTrainingJob.push_fanout
-    <repro.psarch.job.PSTrainingJob.push_fanout>`) instead of S scalar
-    ``submit`` calls.
+    Owned by the job; a server constructed without one gets a private
+    single-slot instance.  Per slot it holds the acknowledgement chain
+    tail, the per-request overhead and the vectorized-commit eligibility.
+    The slot's row is the server's ``server_bpt`` series, time-ordered like
+    any series, so the points acknowledged after now are exactly the
+    undelivered tail of the live window.  Beside each point's time and value
+    it keeps the token of the commit's record: ``(request, contributed,
+    done_id)``, what a rollback needs — the request, whether it counted a
+    latch down, and the heap id of a private acknowledgement.  A fan-out's
+    points share one record.
 
     Slots are append-only: a departed server's slot keeps its final values,
-    and elastic joins extend the arrays.
+    and elastic joins extend the columns.  ``points`` is the row capacity
+    to start with; a row that outgrows it doubles every row.
     """
 
-    _FIELDS = ("chain_tail", "overhead", "eligible")
+    ROW_COLUMNS = SeriesStore.ROW_COLUMNS + (
+        # Last committed acknowledgement: handling of the next request
+        # starts at ``max(chain_tail, now)``, in a window that is live while
+        # this is at or after now (-inf without one).
+        ("chain_tail", np.float64),
+        # Per-request base overhead of the node's device.
+        ("overhead", np.float64),
+        # Whether the slot accepts vectorized commits right now: the server
+        # is parked on an empty queue, coalescing is on, and its contention
+        # model is null (affine handling times).
+        ("eligible", np.bool_),
+    )
+    POINT_COLUMNS = SeriesStore.POINT_COLUMNS + (("tokens", np.int64),)
 
-    def __init__(self, capacity: int = 0) -> None:
-        capacity = max(int(capacity), 4)
-        #: Last committed acknowledgement: handling of the next request starts
-        #: at ``max(chain_tail, now)``, in a window that is live while this is
-        #: at or after now (-inf without one).
-        self.chain_tail = np.zeros(capacity, dtype=np.float64)
-        #: Per-request base overhead of the node's device.
-        self.overhead = np.zeros(capacity, dtype=np.float64)
-        #: Whether the slot accepts vectorized eager commits right now:
-        #: the server is parked on an empty queue, coalescing is on, and
-        #: its contention model is null (affine handling times).
-        self.eligible = np.zeros(capacity, dtype=bool)
-        self._size = 0
+    def __init__(self, slots: int = 1, points: int = 64) -> None:
+        super().__init__(rows=slots, capacity=points)
+        # Commit records by token, from ``_first_token`` on: older ones
+        # belong to acknowledged points, which no rollback reaches.
+        self._records: List[tuple] = []
+        self._first_token = 0
+        self._prune_at = 1024
 
     def allocate_slot(self) -> int:
-        """Claim the next slot (growing the arrays when full); returns its index."""
-        slot = self._size
-        capacity = len(self.chain_tail)
-        if slot >= capacity:
-            grown = max(capacity * 2, slot + 1)
-            for name in self._FIELDS:
-                array = getattr(self, name)
-                extended = np.zeros(grown, dtype=array.dtype)
-                extended[:capacity] = array
-                setattr(self, name, extended)
-        self.chain_tail[slot] = -np.inf
-        self._size = slot + 1
+        """Claim the next slot (growing the columns when full); returns its index."""
+        slot = self.add_row()
+        self._chain_tail[slot] = -math.inf
         return slot
 
+    @property
+    def next_token(self) -> int:
+        """The token the next kept record gets."""
+        return self._first_token + len(self._records)
 
-class _BatchPlan:
-    """Bookkeeping for one committed coalesced window.
+    def record_at(self, index: int) -> tuple:
+        """The commit record of the point at flat index ``index``."""
+        return self._records[self._tokens[index] - self._first_token]
 
-    Holds the entry tuples in acknowledgement order plus the pre-window
-    length of the ``server_bpt`` series, so a rollback can cut the series
-    right after the entries it keeps.  Opening the window credits its
-    park/pop to ``env.coalesced_count`` and every entry credits one more;
-    the window schedules nothing but the wake-up (``wake_id``) of a backlog
-    held behind it.
-    """
+    def keep(self, records: List[tuple], now: float) -> None:
+        """Keep the records of the points just written with tokens
+        :attr:`next_token` onwards.
 
-    __slots__ = ("entries", "wake_id", "series_len_before")
+        Every so often it first forgets the records that no rollback can
+        reach any more: a rollback at ``now`` or later only touches points
+        acknowledged after ``now``, all of which sit in slots whose chain
+        tail is after ``now``, and tokens grow along every row.
+        """
+        held = self._records
+        if len(held) >= self._prune_at:
+            first = self.next_token
+            times = self._times
+            tokens = self._tokens
+            for slot in np.flatnonzero(self.chain_tail[:self.rows] > now).tolist():
+                base = slot * self.capacity
+                top = base + self._lengths[slot]
+                pending = bisect_right(times, now, base, top)
+                if pending < top:
+                    first = min(first, tokens[pending])
+            del held[:first - self._first_token]
+            self._first_token = first
+            self._prune_at = max(1024, 2 * len(held))
+        held.extend(records)
 
-    def __init__(self, series_len_before: int) -> None:
-        self.entries: List[tuple] = []
-        self.wake_id: Optional[int] = None
-        self.series_len_before = series_len_before
+    def commit_fanout(self, slots: np.ndarray, now: float, per_request: float,
+                      request: PushRequest) -> Tuple[np.ndarray, int]:
+        """Commit ``request`` to every slot in ``slots``: the vectorized
+        :meth:`ParameterServer._commit` of one request per server.
+
+        Each slot's handling is its overhead plus ``per_request``, and its
+        acknowledgement the handling added to ``max(chain_tail, now)``:
+        elementwise, the same scalar operations ``_commit`` performs.  A
+        tail strictly before now opens a window.  Returns the
+        acknowledgement times, in slot order, and the number of windows
+        opened.
+        """
+        tails = self.chain_tail[slots]
+        opened = int(np.count_nonzero(tails < now))
+        lengths = self.lengths[slots]
+        handlings = self.overhead[slots] + per_request
+        acks = np.maximum(tails, now) + handlings
+        self.chain_tail[slots] = acks
+        self.reserve(int(lengths.max()) + 1)
+        points = slots * self.capacity + lengths
+        self.times[points] = acks
+        self.values[points] = handlings
+        self.tokens[points] = self.next_token
+        self.lengths[slots] = lengths + 1
+        self.keep([(request, True, None)], now)
+        return acks, opened
 
 
 class ParameterServer:
@@ -198,9 +235,9 @@ class ParameterServer:
         # while it runs, and from the moment ``_feed`` succeeds it).
         self._backlog: Deque[PushRequest] = deque()
         self._getter: Optional[Event] = None
-        # Per-server scalar state lives in the job-owned columnar arrays
-        # (chain tail, eligibility); a server constructed without a
-        # state-owning job gets a private single-slot instance.
+        # Per-server state lives in the job-owned columns (chain tail,
+        # eligibility, window, the ``server_bpt`` row); a server constructed
+        # without a state-owning job gets a private single-slot instance.
         self._state = state if state is not None else ServerStateArrays()
         self._slot = self._state.allocate_slot()
         self.process = None
@@ -210,14 +247,14 @@ class ParameterServer:
         # the window in which an arriving request can be committed eagerly
         # at submit time without reordering against queued work.
         self._accepting = False
-        # Cached series handle: one append per handled request otherwise pays
-        # a recorder key lookup each.  This series is the Monitor's whole
-        # view of the server (Monitor.server_bpt_means reads it).
-        self._bpt_series = metrics.series("server_bpt", tag=self.name)
-        # The latest coalesced window, live while the chain tail is at or
-        # after now (None before the first, and once a kill or the end of
-        # the run drops it).
-        self._plan: Optional[_BatchPlan] = None
+        # The slot's row, registered as this server's ``server_bpt`` series:
+        # the Monitor's whole view of the server (Monitor.server_bpt_means
+        # reads it).
+        self._bpt_series = MetricSeries(self._state, self._slot)
+        metrics.attach("server_bpt", self.name, self._bpt_series)
+        # Heap id of the wake-up armed for a backlog held behind the live
+        # window (None without one).
+        self._wake_id: Optional[int] = None
         # A mid-run contention swap invalidates the handling times of a
         # committed window (and the slot's vectorized-commit eligibility).
         node.add_contention_listener(self._on_contention_change)
@@ -237,9 +274,9 @@ class ParameterServer:
         """Refresh this slot's vectorized-commit eligibility and overhead."""
         state = self._state
         slot = self._slot
-        state.eligible[slot] = (self._accepting and self.env.coalesce
-                                and self.node.contention.is_null)
-        state.overhead[slot] = self.node.device.base_overhead
+        state._eligible[slot] = (self._accepting and self.env.coalesce
+                                 and self.node.contention.is_null)
+        state._overhead[slot] = self.node.device.base_overhead
 
     # -- worker-facing API --------------------------------------------------------
     def submit(self, worker: str, nbytes: float, done: Optional[Event] = None) -> Event:
@@ -281,13 +318,13 @@ class ParameterServer:
             return
         backlog = self._backlog
         self._set_accepting(not backlog)
-        tail = float(self._state.chain_tail[self._slot])
+        tail = self._state._chain_tail[self._slot]
         if backlog and tail < self.env._now:
             self._feed()
-        elif backlog and self._plan.wake_id is None:
+        elif backlog and self._wake_id is None:
             wake = Event(self.env)
             wake.callbacks.append(self._on_wake)
-            self._plan.wake_id = self.env.schedule_at(wake, tail)
+            self._wake_id = self.env.schedule_at(wake, tail)
 
     def _feed(self) -> None:
         """Succeed the parked getter with the head of the (non-empty) backlog."""
@@ -319,7 +356,7 @@ class ParameterServer:
         returns to the backlog front, where the purge below catches the
         departing worker's requests like any other queued push.
         """
-        self._rollback_plan(self.env.now, keep_in_flight=True)
+        self._rollback_window(self.env.now, keep_in_flight=True)
         backlog = self._backlog
         keep = [request for request in backlog if request.worker != worker]
         dropped = len(backlog) - len(keep)
@@ -337,13 +374,13 @@ class ParameterServer:
         coalesced window committed but whose handling has not *started* yet
         still count as queued; the in-flight one does not.
         """
-        count = len(self._backlog)
-        plan = self._plan
-        if plan is not None:
-            entries = plan.entries
-            count += len(entries) - bisect_right(entries, self.env.now,
-                                                 key=itemgetter(_E_START))
-        return count
+        state = self._state
+        base = self._slot * state.capacity
+        top = base + state._lengths[self._slot]
+        # Past the in-flight one, each request acknowledged after now starts
+        # at its predecessor's acknowledgement, also after now: it waits.
+        acked = bisect_right(state._times, self.env.now, base, top)
+        return len(self._backlog) + max(0, top - acked - 1)
 
     def on_cohort_change(self) -> None:
         """Worker membership changed: re-plan any committed window.
@@ -367,7 +404,7 @@ class ParameterServer:
         The retained in-flight entry is still being handled: the requeued
         tail waits for its acknowledgement.
         """
-        self._rollback_plan(self.env.now, keep_in_flight=True)
+        self._rollback_window(self.env.now, keep_in_flight=True)
         self._hand_off()
 
     def finalize_run(self) -> None:
@@ -381,7 +418,7 @@ class ParameterServer:
         backlog leaves every observable exactly where per-request stepping
         leaves it.
         """
-        self._rollback_plan(self.env.now, keep_in_flight=False)
+        self._rollback_window(self.env.now, keep_in_flight=False)
 
     # -- controller-facing API -----------------------------------------------------
     def request_kill_restart(self) -> bool:
@@ -501,7 +538,7 @@ class ParameterServer:
                 # server's ``current``) and the untouched tail returns to
                 # the backlog front (where per-request stepping left it).
                 undelivered: List[PushRequest] = []
-                in_flight = self._rollback_plan(env.now, keep_in_flight=False)
+                in_flight = self._rollback_window(env.now, keep_in_flight=False)
                 if in_flight is not None and not in_flight.done.triggered:
                     undelivered.append(in_flight)
                 if get_event is not None:
@@ -547,13 +584,6 @@ class ParameterServer:
                     self._recovery_handler(self)
 
     # -- coalesced windows ---------------------------------------------------------
-    def _open_plan(self) -> _BatchPlan:
-        """Open a fresh window, crediting its park/pop (the pop that starts a
-        parked server's handling): the window itself schedules no event."""
-        plan = self._plan = _BatchPlan(len(self._bpt_series))
-        self.env.coalesced_count += 1
-        return plan
-
     def _commit(self, requests: Sequence[PushRequest]) -> None:
         """Commit ``requests``, in FIFO order, into the live window (or a new one).
 
@@ -561,12 +591,14 @@ class ParameterServer:
         is the running total ``t + handling``, summed left to right exactly
         as per-request stepping does.  A chain tail at or after now is a live
         window, which the requests join; a strictly earlier one opens a new
-        window.  Acknowledgements are published at once via absolute-time
-        scheduling and ``server_bpt`` points are written eagerly (windowed
-        queries are bisect-bounded, so future-dated observations stay
-        invisible until due).  The delay fraction, which the uncoalesced
-        loop re-reads per request, is read once: any event that could move
-        it also rolls the window back.
+        window, crediting its park/pop (the pop that starts a parked
+        server's handling) — the window itself schedules no event.
+        Acknowledgements are published at once via absolute-time scheduling
+        and ``server_bpt`` points are written eagerly (windowed queries are
+        bisect-bounded, so future-dated observations stay invisible until
+        due).  The delay fraction, which the uncoalesced loop re-reads per
+        request, is read once: any event that could move it also rolls the
+        window back.
         """
         env = self.env
         node = self.node
@@ -574,15 +606,21 @@ class ParameterServer:
         slot = self._slot
         per_byte_cost = self.config.server_per_byte_cost_s
         now = env._now
-        t = float(state.chain_tail[slot])
-        plan = self._plan
+        length = state._lengths[slot]
+        state.reserve(length + len(requests))
+        t = state._chain_tail[slot]
         if t < now:
             t = now
-            plan = self._open_plan()
+            env.coalesced_count += 1
         contention_free = node.contention.is_null
         fraction = 1.0 if contention_free else float(self._delay_fraction_provider())
         overhead = node.device.base_overhead
-        append_point = self._bpt_series.append
+        times = state._times
+        values = state._values
+        tokens = state._tokens
+        index = slot * state.capacity + length
+        token = state.next_token
+        records = []
         for request in requests:
             if contention_free:
                 # ``node.server_time`` without contention, inlined.
@@ -592,19 +630,24 @@ class ParameterServer:
                                             delay_fraction=fraction)
             ack = t + handling
             done = request.done
-            is_latch = type(done) is CountdownEvent
             contributed = False
             done_id = None
             if not done.triggered:
-                if is_latch:
+                if type(done) is CountdownEvent:
                     contributed = not done.abandoned
                     done.count_down_at(ack, ack)
                 else:
                     done_id = env.schedule_at(done, ack, ack)
-            append_point(ack, handling)
-            plan.entries.append((request, t, ack, is_latch, contributed, done_id))
+            times[index] = ack
+            values[index] = handling
+            tokens[index] = token
+            records.append((request, contributed, done_id))
+            index += 1
+            token += 1
             t = ack
-        state.chain_tail[slot] = t
+        state._lengths[slot] = length + len(requests)
+        state._chain_tail[slot] = t
+        state.keep(records, now)
         env.coalesced_count += len(requests)
 
     def _on_wake(self, _wake: Event) -> None:
@@ -619,74 +662,74 @@ class ParameterServer:
         through its getter, whose pop stands for no logical event either.
         """
         env = self.env
-        self._plan.wake_id = None
+        self._wake_id = None
         env.coalesced_count -= 1
         if self.node.contention.is_deterministic:
             self._commit(self.take_backlog())
             self._set_accepting(True)
         else:
-            self._state.chain_tail[self._slot] = -np.inf
+            self._state._chain_tail[self._slot] = -math.inf
             env.coalesced_count -= 1
             self._feed()
 
-    def _rollback_plan(self, now: float, keep_in_flight: bool) -> Optional[PushRequest]:
+    def _rollback_window(self, now: float, keep_in_flight: bool) -> Optional[PushRequest]:
         """Rescind the undelivered tail of the committed window, if any.
 
-        Entries acknowledged at or before ``now`` are delivered and stay.
-        The first entry with a later acknowledgement is *in flight* (its
-        handling started at or before ``now``): with ``keep_in_flight`` its
-        committed outcome is preserved and the window now ends at its
-        acknowledgement; otherwise it is rescinded with the rest and
-        returned, and the server has no window left.  Later entries never
-        started: they go back to the backlog front, in order, for
-        re-planning.  A held backlog's wake-up is discarded: the caller
-        holds the backlog again behind the window's new end.
+        Points acknowledged at or before ``now`` are delivered and stay; the
+        row is time-ordered, so the later ones are the window's undelivered
+        tail.  The first of them is *in flight* (its handling started at or
+        before ``now``): with ``keep_in_flight`` its committed outcome is
+        preserved and the window now ends at its acknowledgement; otherwise
+        it is rescinded with the rest and its request returned, and the
+        server has no window left.  Later points never started: their
+        requests go back to the backlog front, in order, for re-planning.  A
+        held backlog's wake-up is discarded: the caller holds the backlog
+        again behind the window's new end.
 
-        Each entry appended one point to the ``server_bpt`` series, in entry
-        order, and nothing else writes it, so cutting the series after the
-        entries that stay leaves it exactly as per-request stepping would
+        Each committed request wrote one point, and nothing else writes the
+        row while a window is open, so cutting the row after the points
+        that stay leaves the series exactly as per-request stepping would
         have left it at ``now``.
         """
-        plan = self._plan
-        if plan is None:
-            return None
         env = self.env
         state = self._state
         slot = self._slot
-        if plan.wake_id is not None:
-            env.discard_scheduled(plan.wake_id)
-            plan.wake_id = None
+        if self._wake_id is not None:
+            env.discard_scheduled(self._wake_id)
+            self._wake_id = None
         if not keep_in_flight:
-            self._plan = None
-            state.chain_tail[slot] = -np.inf
-        entries = plan.entries
-        if now >= entries[-1][_E_ACK]:
-            # Fully delivered: nothing speculative left to unwind.
+            state._chain_tail[slot] = -math.inf
+        base = slot * state.capacity
+        top = base + state._lengths[slot]
+        times = state._times
+        in_flight = bisect_right(times, now, base, top)
+        if in_flight == top:
+            # Nothing acknowledged after now: nothing speculative to unwind.
             return None
-        split = bisect_right(entries, now, key=itemgetter(_E_ACK))
-        in_flight = entries[split]
-        tail = entries[split + 1:]
+        stop = in_flight + 1 if keep_in_flight else in_flight
         # 1. Rescind the undelivered acknowledgements, newest first.
-        for entry in reversed(tail if keep_in_flight else entries[split:]):
-            done = entry[_E_REQUEST].done
-            if entry[_E_IS_LATCH]:
-                if entry[_E_CONTRIBUTED]:
-                    done.rescind(entry[_E_ACK], entry[_E_ACK])
-            elif entry[_E_DONE_ID] is not None:
-                env.discard_scheduled(entry[_E_DONE_ID])
+        rescinded = []
+        for index in range(top - 1, stop - 1, -1):
+            request, contributed, done_id = state.record_at(index)
+            done = request.done
+            if type(done) is CountdownEvent:
+                if contributed:
+                    ack = times[index]
+                    done.rescind(ack, ack)
+            elif done_id is not None:
+                env.discard_scheduled(done_id)
                 done._ok = None
                 done._value = PENDING
-        # 2. Keep (or drop) the in-flight entry.
+            rescinded.append(request)
+        # 2. A kept in-flight request ends the window.
         if keep_in_flight:
-            plan.entries = entries[:split + 1]
-            state.chain_tail[slot] = in_flight[_E_ACK]
-        else:
-            plan.entries = entries[:split]
-        # 3. Cut the series after the entries that stay.
-        self._bpt_series.truncate(plan.series_len_before + len(plan.entries))
-        # 4. The window credited one logical event per entry (its park/pop
-        #    stays credited): take back the rescinded ones.
-        env.coalesced_count += len(plan.entries) - len(entries)
-        # 5. The never-started tail returns to the backlog front.
-        self._backlog.extendleft(entry[_E_REQUEST] for entry in reversed(tail))
-        return None if keep_in_flight else in_flight[_E_REQUEST]
+            state._chain_tail[slot] = times[in_flight]
+        # 3. Cut the series after the points that stay.
+        self._bpt_series.truncate(stop - base)
+        # 4. The window credited one logical event per request (its
+        #    park/pop stays credited): take back the rescinded ones.
+        env.coalesced_count -= top - stop
+        # 5. The never-started requests return to the backlog front.
+        dropped = None if keep_in_flight else rescinded.pop()
+        self._backlog.extendleft(rescinded)
+        return dropped

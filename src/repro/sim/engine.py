@@ -430,7 +430,7 @@ class CountdownEvent(Event):
     """
 
     __slots__ = ("_remaining", "_abandoned", "_fire_delay",
-                 "_contributions", "_fire_id")
+                 "_batch", "_contributions", "_fire_id")
 
     def __init__(self, env: "Environment", count: int,
                  fire_delay: float = 0.0) -> None:
@@ -442,8 +442,11 @@ class CountdownEvent(Event):
         self._remaining = int(count)
         self._abandoned = False
         self._fire_delay = fire_delay
-        # (when, value) per count_down, in call order.  Kept so a rescinded
-        # contribution can be removed and the firing time recomputed.
+        # A fresh latch's batch of times from count_down_many_at, kept as the
+        # array it came in, then (when, value) per later count_down, in call
+        # order.  Kept so a rescinded contribution can be removed and the
+        # firing time recomputed; a rescind unpacks the batch into pairs.
+        self._batch = None
         self._contributions: List = []
         self._fire_id: Optional[int] = None
 
@@ -504,10 +507,11 @@ class CountdownEvent(Event):
         """Record a batch of completions, each valued with its own time.
 
         Vectorised fan-out entry point: a producer that just committed one
-        acknowledgement per slot calls this once with all the ack times
-        instead of issuing ``len(whens)`` ``count_down_at`` calls.  Each
-        contribution's value is its time (the fan-out protocol's ack
-        payload).  Returns True when the batch armed the firing event.
+        acknowledgement per slot calls this once with all the ack times (a
+        float64 array) instead of issuing ``len(whens)`` ``count_down_at``
+        calls.  Each contribution's value is its time (the fan-out
+        protocol's ack payload).  A fresh latch keeps the array as it is.
+        Returns True when the batch armed the firing event.
         """
         if self._abandoned:
             return False
@@ -515,15 +519,26 @@ class CountdownEvent(Event):
         if n > self._remaining:
             raise RuntimeError(f"{self!r} has already been fully counted down")
         self._remaining -= n
-        self._contributions.extend(zip(whens, whens))
+        if self._batch is None and not self._contributions:
+            self._batch = whens
+        else:
+            whens = whens.tolist()
+            self._contributions.extend(zip(whens, whens))
         if self._remaining != 0:
             return False
         self._arm_fire()
         return True
 
     def _arm_fire(self) -> None:
-        """Schedule the latch at the latest contribution (latest call wins ties)."""
-        fire_when, fire_value = self._contributions[0]
+        """Schedule the latch at the latest contribution (latest call wins ties).
+
+        A batch precedes every pair, and its values equal its times, so its
+        latest time stands for all of it.
+        """
+        if self._batch is not None:
+            fire_when = fire_value = float(self._batch.max())
+        else:
+            fire_when, fire_value = self._contributions[0]
         for contrib_when, contrib_value in self._contributions:
             if contrib_when >= fire_when:
                 fire_when, fire_value = contrib_when, contrib_value
@@ -543,6 +558,11 @@ class CountdownEvent(Event):
         event, the heap entry is discarded and the latch returns to the
         pending state so producers can contribute again.
         """
+        batch = self._batch
+        if batch is not None:
+            self._batch = None
+            whens = batch.tolist()
+            self._contributions[:0] = zip(whens, whens)
         self._contributions.remove((when, value))
         self._remaining += 1
         if self._fire_id is not None:
@@ -819,8 +839,8 @@ class Environment:
         # the attribute lookups per iteration dominate the engine's own cost.
         #
         # The cyclic garbage collector is suspended for the duration of the
-        # loop: a large simulation keeps millions of long-lived tracked
-        # objects alive (coalesced plan entries, metric series), and each
+        # loop: a large simulation keeps many long-lived tracked objects
+        # alive (processes, requests, latches), and each
         # generational collection re-traverses all of them — at 1,000 workers
         # the collector alone more than doubles the wall time.  The engine's
         # object graph is overwhelmingly acyclic (events and requests free by

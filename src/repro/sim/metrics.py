@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["MetricPoint", "MetricSeries", "MetricsRecorder", "window_start"]
+__all__ = ["MetricPoint", "MetricSeries", "MetricsRecorder", "SeriesStore", "window_start"]
 
 
 def window_start(window_s: float, now: float) -> float:
@@ -44,83 +44,154 @@ class MetricPoint:
     value: float
 
 
-class MetricSeries:
-    """An append-only, time-ordered series of observations.
+class SeriesStore:
+    """Rows of time-ordered observations: the storage behind every series.
 
-    Alongside the raw observations the series maintains a prefix-sum array,
-    so every windowed aggregate (:meth:`window_mean`, :meth:`window_stats`)
-    is answered with two bisections and one subtraction instead of slicing a
-    copy of the window — the Monitor and the straggler detector issue these
-    queries every control interval for every node, and the old O(window)
-    copies dominated large-cluster runs.
+    A row holds one series' times, its values and their prefix sums in flat
+    float64 columns of ``rows * capacity`` cells (row ``r``, position ``i``
+    at ``r * capacity + i``), plus one length and one synced-prefix count.
+    A standalone :class:`MetricSeries` owns a one-row store; the server tier
+    keeps every server's ``server_bpt`` series as one row of its own store
+    (:class:`~repro.psarch.server.ServerStateArrays`), so a push fan-out
+    writes a point into every target's row with one scatter.
 
-    The prefix sums are maintained *lazily*: appends touch only the raw
-    lists (the dominant cost of the simulator's hottest series is the append
-    itself), and the first aggregate query after a batch of appends extends
-    the prefix array for the new suffix.  The catch-up accumulates strictly
-    left to right (``np.cumsum`` seeded with the last synced prefix value),
-    so aggregates are bit-identical to eagerly maintained sums.
+    Scalar paths read and write through flat memoryviews (``_times``,
+    ``_lengths``, ... named after their column), far cheaper than a numpy
+    scalar access.  Both rows and capacity grow by doubling, which replaces
+    every column and its view: hold neither across a call that may grow the
+    store, or the old buffer stays alive.
     """
 
-    __slots__ = ("_times", "_values", "_prefix")
+    #: ``(name, dtype)`` of the per-row and the per-point columns; a
+    #: subclass appends its own.
+    ROW_COLUMNS = (("lengths", np.intp), ("synced", np.intp))
+    POINT_COLUMNS = (("times", np.float64), ("values", np.float64),
+                     ("prefix", np.float64))
 
-    def __init__(self) -> None:
-        self._times: List[float] = []
-        self._values: List[float] = []
-        # _prefix[i] is the sum of the first i values.  Invariant:
-        # len(_prefix) <= len(_values) + 1; the gap is the unsynced suffix.
-        self._prefix: List[float] = [0.0]
+    def __init__(self, rows: int = 1, capacity: int = 16) -> None:
+        #: Rows in use; ``len(self.lengths)`` rows are allocated.
+        self.rows = 0
+        self.capacity = max(int(capacity), 1)
+        self._resize(max(int(rows), 1), self.capacity)
+
+    def add_row(self) -> int:
+        """Claim the next (empty) row, growing the store when full."""
+        row = self.rows
+        if row == len(self.lengths):
+            self._resize(2 * row, self.capacity)
+        self.rows = row + 1
+        return row
+
+    def reserve(self, length: int) -> None:
+        """Make room for ``length`` points in every row."""
+        if length > self.capacity:
+            self._resize(len(self.lengths), max(2 * self.capacity, length))
+
+    def _resize(self, rows: int, capacity: int) -> None:
+        """Reallocate every column at ``rows`` x ``capacity``, keeping the data.
+
+        Columns are replaced one at a time together with their views, so
+        each old buffer is freed before the next new one is filled.
+        """
+        live = self.rows
+        used = int(self.lengths[:live].max()) if live else 0
+        old_capacity = self.capacity
+        self.capacity = capacity
+        for name, dtype in self.ROW_COLUMNS:
+            column = np.zeros(rows, dtype=dtype)
+            if live:
+                column[:live] = getattr(self, name)[:live]
+            self._install(name, column)
+        for name, dtype in self.POINT_COLUMNS:
+            column = np.empty(rows * capacity, dtype=dtype)
+            if used:
+                column.reshape(rows, capacity)[:live, :used] = \
+                    getattr(self, name).reshape(-1, old_capacity)[:live, :used]
+            self._install(name, column)
+
+    def _install(self, name: str, column: np.ndarray) -> None:
+        setattr(self, name, column)
+        setattr(self, "_" + name, memoryview(column))
+
+    def sync_prefix(self, row: int) -> None:
+        """Extend ``row``'s prefix sums over the values appended since the last sync.
+
+        ``prefix[i]`` is the sum of values ``0..i``.  The catch-up
+        accumulates strictly left to right (a Python loop, or ``np.cumsum``
+        seeded with the last synced sum), so every sum is bit-identical to
+        one-at-a-time adds.
+        """
+        synced = self._synced[row]
+        length = self._lengths[row]
+        if synced >= length:
+            return
+        base = row * self.capacity
+        prefix = self._prefix
+        running = prefix[base + synced - 1] if synced else 0.0
+        if length - synced > 64:
+            block = np.empty(length - synced + 1, dtype=np.float64)
+            block[0] = running
+            block[1:] = self.values[base + synced:base + length]
+            self.prefix[base + synced:base + length] = np.cumsum(block)[1:]
+        else:
+            values = self._values
+            for index in range(base + synced, base + length):
+                running += values[index]
+                prefix[index] = running
+        self._synced[row] = length
+
+
+#: The store every series built without one reads until its first append
+#: gives it a one-row store of its own: empty, and never written.
+_NO_POINTS = SeriesStore()
+_NO_POINTS.add_row()
+
+
+class MetricSeries:
+    """An append-only, time-ordered series of observations: one row of a
+    :class:`SeriesStore` (a series built without one owns a one-row store,
+    allocated at its first append — many series never get a point).
+
+    Alongside the raw observations the row keeps prefix sums, so every
+    windowed aggregate (:meth:`window_mean`, :meth:`window_stats`) is
+    answered with two bisections and one subtraction instead of slicing a
+    copy of the window — the Monitor and the straggler detector issue these
+    queries every control interval for every node.
+
+    The prefix sums are maintained *lazily*: appends touch only the raw
+    columns, and the first aggregate query after a batch of appends extends
+    the prefix sums over the new suffix (:meth:`SeriesStore.sync_prefix`).
+    """
+
+    __slots__ = ("_store", "_row")
+
+    def __init__(self, store: Optional[SeriesStore] = None, row: int = 0) -> None:
+        self._store = store if store is not None else _NO_POINTS
+        self._row = row
 
     def __len__(self) -> int:
-        return len(self._times)
+        return self._store._lengths[self._row]
 
     def append(self, time: float, value: float) -> None:
         """Append an observation; times must be non-decreasing."""
-        times = self._times
-        if times and time < times[-1]:
+        store = self._store
+        if store is _NO_POINTS:
+            store = self._store = SeriesStore()
+            self._row = store.add_row()
+        row = self._row
+        length = store._lengths[row]
+        if length == store.capacity:
+            store.reserve(length + 1)
+        index = row * store.capacity + length
+        times = store._times
+        if length and time < times[index - 1]:
             raise ValueError(
                 f"observations must be appended in time order "
-                f"({time} < {times[-1]})"
+                f"({time} < {times[index - 1]})"
             )
-        value = value if type(value) is float else float(value)
-        times.append(time if type(time) is float else float(time))
-        self._values.append(value)
-
-    def _sync_prefix(self) -> List[float]:
-        """Extend the prefix sums over any values appended since last sync."""
-        prefix = self._prefix
-        values = self._values
-        synced = len(prefix) - 1
-        missing = len(values) - synced
-        if missing <= 0:
-            return prefix
-        if missing > 64:
-            # Seeding cumsum with the running total keeps the accumulation
-            # strictly sequential — bit-identical to one-at-a-time adds.
-            block = np.empty(missing + 1, dtype=np.float64)
-            block[0] = prefix[-1]
-            block[1:] = values[synced:]
-            prefix.extend(np.cumsum(block)[1:].tolist())
-        else:
-            running = prefix[-1]
-            for value in values[synced:]:
-                running += value
-                prefix.append(running)
-        return prefix
-
-    def buffers(self) -> Tuple[List[float], List[float]]:
-        """The live ``(times, values)`` lists, for trusted hot-path appends.
-
-        The vectorized push fan-out appends one observation per server per
-        iteration; going through :meth:`append` costs a method call and a
-        monotonicity check per observation.  Callers appending through these
-        handles must keep times non-decreasing themselves (coalesced commits
-        do — acknowledgements advance along each server's chain, and a
-        rollback only cuts the series with :meth:`truncate`).  The lazy
-        prefix machinery is unaffected: it reads ``_values`` on the next
-        aggregate query.
-        """
-        return self._times, self._values
+        times[index] = time
+        store._values[index] = value
+        store._lengths[row] = length + 1
 
     def truncate(self, length: int) -> None:
         """Drop every observation past the first ``length``.
@@ -130,23 +201,41 @@ class MetricSeries:
         owning server cuts its series right after the entries that stay.
         Synced prefix sums past the cut are dropped with it.
         """
-        if length < 0 or length > len(self._times):
-            raise ValueError(f"cannot truncate series of {len(self._times)} to {length}")
-        del self._times[length:]
-        del self._values[length:]
-        del self._prefix[length + 1:]
+        store = self._store
+        row = self._row
+        if length < 0 or length > store._lengths[row]:
+            raise ValueError(
+                f"cannot truncate series of {store._lengths[row]} to {length}")
+        store._lengths[row] = length
+        if store._synced[row] > length:
+            store._synced[row] = length
+
+    def _slice(self) -> slice:
+        """The row's observations as a slice of the store's flat columns."""
+        base = self._row * self._store.capacity
+        return slice(base, base + self._store._lengths[self._row])
+
+    def _span(self, start: float, end: float) -> Tuple[int, int, int]:
+        """Flat indices ``[lo, hi)`` of the observations in ``(start, end]``,
+        and the row's first flat index."""
+        store = self._store
+        base = self._row * store.capacity
+        top = base + store._lengths[self._row]
+        times = store._times
+        lo = bisect_right(times, start, base, top)
+        return lo, bisect_right(times, end, lo, top), base
 
     def points(self) -> List[MetricPoint]:
         """All observations as :class:`MetricPoint` objects."""
-        return [MetricPoint(t, v) for t, v in zip(self._times, self._values)]
+        return [MetricPoint(t, v) for t, v in zip(self.times(), self.values())]
 
     def times(self) -> List[float]:
         """Observation times."""
-        return list(self._times)
+        return self._store.times[self._slice()].tolist()
 
     def values(self) -> List[float]:
         """Observation values."""
-        return list(self._values)
+        return self._store.values[self._slice()].tolist()
 
     def window(self, start: float, end: float) -> List[float]:
         """Values observed in the half-open interval ``(start, end]``.
@@ -158,9 +247,8 @@ class MetricSeries:
         should pass ``start=-math.inf`` (see ``Monitor``) so observations
         recorded exactly at t=0 are not silently dropped.
         """
-        lo = bisect_right(self._times, start)
-        hi = bisect_right(self._times, end)
-        return self._values[lo:hi]
+        lo, hi, _ = self._span(start, end)
+        return self._store.values[lo:hi].tolist()
 
     def window_stats(self, start: float, end: float) -> Tuple[int, float]:
         """(count, sum) of the values in ``(start, end]`` without copying.
@@ -170,12 +258,13 @@ class MetricSeries:
         not anchored at the start of the series — acceptable for monitoring
         aggregates (detection thresholds use ratios well away from 1 ulp).
         """
-        lo = bisect_right(self._times, start)
-        hi = bisect_right(self._times, end)
+        lo, hi, base = self._span(start, end)
         if hi <= lo:
             return 0, 0.0
-        prefix = self._sync_prefix()
-        return hi - lo, prefix[hi] - prefix[lo]
+        store = self._store
+        store.sync_prefix(self._row)
+        prefix = store._prefix
+        return hi - lo, prefix[hi - 1] - (prefix[lo - 1] if lo > base else 0.0)
 
     def window_mean(self, start: float, end: float) -> Optional[float]:
         """Mean of the values in ``(start, end]`` or None if there are none.
@@ -190,13 +279,18 @@ class MetricSeries:
 
     def mean(self) -> Optional[float]:
         """Mean over the whole series, or None when empty."""
-        if not self._values:
+        length = len(self)
+        if not length:
             return None
-        return self._sync_prefix()[-1] / len(self._values)
+        return self.total() / length
 
     def total(self) -> float:
         """Sum over the whole series."""
-        return self._sync_prefix()[-1]
+        row = self._slice()
+        if row.stop == row.start:
+            return 0.0
+        self._store.sync_prefix(self._row)
+        return self._store._prefix[row.stop - 1]
 
 
 class MetricsRecorder:
@@ -229,6 +323,14 @@ class MetricsRecorder:
             series = self._series[key] = MetricSeries()
             self._tags_by_name.setdefault(name, []).append(tag)
         return series
+
+    def attach(self, name: str, tag: str, series: MetricSeries) -> None:
+        """Register ``series`` — a row of a shared store — as ``(name, tag)``."""
+        key = (name, tag)
+        if key in self._series:
+            raise ValueError(f"metric {name!r} already has a series for {tag!r}")
+        self._series[key] = series
+        self._tags_by_name.setdefault(name, []).append(tag)
 
     # -- recording ----------------------------------------------------------
     def record(self, name: str, value: float, time: float, tag: str = GLOBAL) -> None:

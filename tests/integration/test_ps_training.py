@@ -1,5 +1,7 @@
 """Integration tests: full Parameter-Server training runs on the simulator."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.actions import ActionType
@@ -11,6 +13,7 @@ from repro.experiments import (
 )
 from repro.experiments.workloads import ExperimentScale
 from repro.orchestrator import simulate_spec
+from repro.psarch.job import PSTrainingJob
 from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job, get_scenario
 
 TINY = ExperimentScale(
@@ -159,3 +162,23 @@ def test_server_series_holds_one_point_per_acknowledged_push(name, coalesce):
     assert pushes > 0
     for server in job.servers:
         assert len(metrics.series("server_bpt", tag=server.name)) == pushes
+
+
+@pytest.mark.parametrize("servers, vectorized", [(5, False), (6, True)])
+def test_push_fanout_commits_as_columns_from_six_targets(monkeypatch, servers, vectorized):
+    """A fan-out narrower than six targets declines to per-server submits,
+    which are cheaper there; from six targets on it commits as columns."""
+    widths = []
+    push_fanout = PSTrainingJob.push_fanout
+
+    def counted(self, worker, nbytes, targets, latch):
+        committed = push_fanout(self, worker, nbytes, targets, latch)
+        widths.append((len(targets), committed))
+        return committed
+
+    monkeypatch.setattr(PSTrainingJob, "push_fanout", counted)
+    scale = replace(TINY, num_servers=servers)
+    run = simulate_spec(_spec("bsp", NO_STRAGGLERS, scale=scale)).run
+    assert run.completed
+    assert {width for width, _ in widths} == {servers}
+    assert any(committed for _, committed in widths) is vectorized

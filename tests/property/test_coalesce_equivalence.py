@@ -5,7 +5,11 @@ windows, vectorized push fan-out — may only ever change *how fast* a run execu
 never *what* it computes.  The golden suite pins 36 checked-in traces; these tests go further and pin, for **every** registered
 scenario, that the fingerprint with coalescing forced on is byte-identical to
 the fingerprint with coalescing forced off (``Environment(coalesce=False)``),
+and so is every server's ``server_bpt`` series (which no fingerprint holds),
 and that the ``REPRO_NO_COALESCE=1`` escape hatch selects the slow path.
+Every registered scenario but one runs 3 servers, below the width at which
+a push fan-out commits as columns, so three of them and the scale-in probe
+below run again on 24 servers, through the vectorized fan-out.
 
 The coalescing × elastic interaction gets its own regression test: a scale-in
 that retires a worker mid-iteration — i.e. from inside a live coalesced
@@ -16,17 +20,41 @@ run.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.elastic.spec import ElasticSpec, ScaleEvent
 from repro.orchestrator import simulate_spec
 from repro.perf import EngineStats
+from repro.psarch.job import PSTrainingJob
 from repro.scenarios import ScenarioSpec, all_scenarios, get_scenario
 from repro.scenarios.fingerprint import fingerprint
 from repro.scenarios.matrix import build_scenario_job
 
 ALL_NAMES = [spec.name for spec in all_scenarios()]
+
+# A deterministic scale-in at a time that is *not* an iteration boundary:
+# when it fires, the retiring worker's requests sit inside live coalesced
+# windows on the servers, so the interrupt must split the cohort
+# (rollback + replay of the surviving entries) rather than merely skip it.
+SCALE_IN_PROBE = ScenarioSpec(
+    name="coalesce-scale-in-probe",
+    method="antdt-nd",
+    seed=11,
+    elastic=ElasticSpec(events=(
+        ScaleEvent(time_s=33.7, action="in", count=1),
+    )),
+    description="probe: scale-in lands mid-iteration inside a coalesced cohort",
+)
+
+
+def _server_series(sim):
+    """Every server's ``server_bpt`` times and values, by server name."""
+    metrics = sim.run.metrics
+    return {tag: (metrics.series("server_bpt", tag).times(),
+                  metrics.series("server_bpt", tag).values())
+            for tag in metrics.tags("server_bpt")}
 
 
 def test_registry_is_fully_covered():
@@ -44,6 +72,36 @@ def test_coalesce_on_off_fingerprints_byte_identical(name):
     assert fast.golden_trace() == slow.golden_trace(), (
         f"scenario {name!r} fingerprints differently with cohort coalescing "
         f"on vs off — the fast path changed observable behaviour")
+    assert _server_series(fast) == _server_series(slow), (
+        f"scenario {name!r} records different server_bpt series with cohort "
+        f"coalescing on vs off")
+
+
+@pytest.mark.parametrize("spec", [
+    *(get_scenario(name) for name in ("server-eviction", "elastic-server-retire-replace",
+                                      "nd-transient-heavy-antdt")),
+    SCALE_IN_PROBE,
+], ids=lambda spec: spec.name)
+def test_wide_server_tier_is_mode_invariant(monkeypatch, spec):
+    """On 24 servers the push fan-out commits as columns and rolls back
+    per server: fingerprints, server series and logical events must still
+    equal the uncoalesced run's."""
+    committed = []
+    push_fanout = PSTrainingJob.push_fanout
+
+    def counted(self, worker, nbytes, targets, latch):
+        committed.append(push_fanout(self, worker, nbytes, targets, latch))
+        return committed[-1]
+
+    monkeypatch.setattr(PSTrainingJob, "push_fanout", counted)
+    wide = replace(spec, name=f"{spec.name}@servers=24",
+                   topology=replace(spec.topology, num_servers=24))
+    fast = simulate_spec(wide, coalesce=True)
+    assert any(committed)
+    slow = simulate_spec(wide, coalesce=False)
+    assert fast.golden_trace() == slow.golden_trace()
+    assert _server_series(fast) == _server_series(slow)
+    assert fast.run.engine_events_processed == slow.run.engine_events_processed
 
 
 def test_no_coalesce_env_hatch_selects_the_slow_path(monkeypatch):
@@ -58,20 +116,7 @@ def test_no_coalesce_env_hatch_selects_the_slow_path(monkeypatch):
 
 
 def test_scale_in_mid_iteration_splits_cohort_and_conserves_ledger():
-    # A deterministic scale-in at a time that is *not* an iteration boundary:
-    # when it fires, the retiring worker's requests sit inside live coalesced
-    # cohort plans on the servers, so the interrupt must split the cohort
-    # (rollback + replay of the surviving entries) rather than merely skip it.
-    spec = ScenarioSpec(
-        name="coalesce-scale-in-probe",
-        method="antdt-nd",
-        seed=11,
-        elastic=ElasticSpec(events=(
-            ScaleEvent(time_s=33.7, action="in", count=1),
-        )),
-        description="probe: scale-in lands mid-iteration inside a coalesced cohort",
-    )
-
+    spec = SCALE_IN_PROBE
     results = {}
     for coalesce in (True, False):
         job, injector = build_scenario_job(spec, coalesce=coalesce)

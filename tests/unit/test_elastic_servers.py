@@ -641,6 +641,36 @@ def test_relaunched_server_commits_its_backlog_as_one_window(coalesce, replan):
     assert env.processed_count + env.coalesced_count == 12
 
 
+def test_kill_rolls_back_a_window_whose_records_outlived_a_prune():
+    """A window's commit records survive every prune while its points are
+    unacknowledged.  1,500 spaced pushes are acknowledged one by one (their
+    records become prunable), then 1,500 land at one instant and form one
+    long window; the records pass the prune threshold mid-burst, and a kill
+    half-way through the window rolls it back.  Acknowledgements and the
+    ``server_bpt`` series are those of per-request stepping."""
+    outcomes = []
+    for coalesce in (True, False):
+        env, server = _standalone_server(draining=set(), coalesce=coalesce)
+        server.start()
+        acks = []
+
+        def client():
+            for index in range(3000):
+                done = server.submit("worker-a", 1e6)
+                done.callbacks.append(lambda event: acks.append(env.now))
+                if index < 1500:
+                    yield env.timeout(0.01)
+            yield env.timeout(0.5)
+            assert server.request_kill_restart()
+
+        env.process(client())
+        env.run()
+        series = server.metrics.series("server_bpt", tag="server-0")
+        assert len(acks) == len(series) == 3000
+        outcomes.append((acks, series.times(), series.values()))
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("coalesce", [True, False])
 def test_contention_swap_recommits_the_tail_under_the_new_model(coalesce):
     """A persistent straggler appears mid-window: the in-flight request keeps
@@ -946,6 +976,26 @@ def test_server_scale_out_cap_counts_a_relaunching_server(replicas):
     assert not job.server_membership
     assert [server.name for server in job.servers] == [
         "server-0", "server-1", "server-2"]
+
+
+def test_server_scale_out_cap_counts_a_joiner_during_its_handoff():
+    """A joining server stays pending until it joins: placed at t=25,
+    server-3 receives its shards until t=25.5, and a join granted meanwhile
+    would leave 5 servers under a cap of 4."""
+    job, _ = build_scenario_job(_server_spec())
+    job.configure_elastic(max_servers=4)
+    env = job.env
+    job.start()
+    env.run(until=10.0)
+    assert job.request_server_scale_out(1) == ["server-3"]
+    env.run(until=25.1)
+    assert job.cluster.get("server-3").status is NodeStatus.RUNNING
+    assert "server-3" not in [server.name for server in job.servers]
+    assert job.committed_server_count() == 4
+    assert job.request_server_scale_out(1) == []
+    _run_to_end(job)
+    assert [server.name for server in job.servers] == [
+        "server-0", "server-1", "server-2", "server-3"]
 
 
 def test_mid_handoff_join_has_not_mutated_the_shard_map():

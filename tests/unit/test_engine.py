@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import numpy as np
 import pytest
 
 from repro.sim.engine import (
@@ -388,6 +389,33 @@ def test_countdown_fires_at_latest_contribution(contributions, fire_delay, fired
     assert armed[-1] and not any(armed[:-1])
     assert (env.now, latch.value) == fired
     assert env.coalesced_count == (1 if fire_delay else 0)  # the wait rode along
+
+
+@pytest.mark.parametrize("fire_delay", [0.0, 0.5])
+@pytest.mark.parametrize("whens, rescinded, again", [
+    ([2.0, 6.0, 3.0], None, None),  # the batch alone fires at its latest time
+    ([2.0, 6.0, 3.0], 6.0, 4.0),  # the latest time leaves: the latch re-arms earlier
+    ([2.0, 6.0, 6.0], 6.0, 1.0),  # a tie: the other 6.0 still decides
+    ([5.0, 1.0, 3.0], 1.0, 7.0),  # the re-contribution becomes the latest
+])
+def test_countdown_batch_fires_like_one_at_a_time(whens, rescinded, again, fire_delay):
+    # The fan-out arms a fresh latch with one array of acknowledgement times;
+    # a rollback rescinds one of them and the re-commit contributes again.
+    def fire(batched):
+        env = Environment()
+        latch = CountdownEvent(env, len(whens), fire_delay=fire_delay)
+        if batched:
+            assert latch.count_down_many_at(np.array(whens))
+        else:
+            assert [latch.count_down_at(when, when) for when in whens][-1]
+        if rescinded is not None:
+            latch.rescind(rescinded, rescinded)
+            assert latch.remaining == 1
+            assert latch.count_down_at(again, again)
+        env.run()
+        return env.now, latch.value, env.processed_count, env.coalesced_count
+
+    assert fire(batched=True) == fire(batched=False)
 
 
 # -- Wakeups: reserved timeouts stepped inline while they are next ----------

@@ -9,7 +9,7 @@ from repro.sim.contention import ConstantContention, NoContention
 from repro.sim.engine import Environment
 from repro.sim.failures import ErrorCode, FailureInjector
 from repro.sim.hardware import CPU_SERVER_4C, CPU_WORKER_16C
-from repro.sim.metrics import MetricSeries, MetricsRecorder
+from repro.sim.metrics import MetricSeries, MetricsRecorder, SeriesStore
 from repro.sim.network import NetworkModel, parameter_bytes, ring_allreduce_time
 from repro.sim.scheduler import BusyPeriod, ClusterScheduler, PendingTimeModel
 
@@ -264,6 +264,48 @@ def test_metric_series_truncate_keeps_prefix_sums_exact():
         series.truncate(71)
     with pytest.raises(ValueError):
         series.truncate(-1)
+
+    # A series that is one row of a shared store (the server tier keeps its
+    # server_bpt series so) answers exactly as a standalone one, also once
+    # the store has grown its rows and its capacity.
+    store = SeriesStore(rows=1, capacity=8)
+    shared = [MetricSeries(store, store.add_row()) for _ in range(3)]
+    alone = [MetricSeries() for _ in range(3)]
+
+    def assert_same():
+        windows = [(-math.inf, math.inf), (3.0, 40.0), (10.5, 10.5), (12.0, 90.0),
+                   (95.0, 200.0), (40.0, 3.0)]
+        for row, reference in zip(shared, alone):
+            assert len(row) == len(reference)
+            assert row.times() == reference.times()
+            assert row.values() == reference.values()
+            assert row.total() == reference.total()
+            assert row.mean() == reference.mean()
+            for start, end in windows:
+                assert row.window(start, end) == reference.window(start, end)
+                assert row.window_stats(start, end) == reference.window_stats(start, end)
+
+    assert_same()
+    for index in range(100):
+        for offset, (row, reference) in enumerate(zip(shared, alone)):
+            value = 0.1 * (index % 7) + index / (3.0 + offset)
+            row.append(float(index), value)
+            reference.append(float(index), value)
+        if index == 30:
+            assert_same()  # syncs the prefix sums part-way
+    assert store.capacity >= 100
+    assert_same()
+    for series in (shared[1], alone[1]):
+        series.truncate(40)
+        for index in range(200):
+            series.append(40.0 + index / 4.0, 0.7 / (index + 1))
+    assert store.capacity >= 240
+    assert_same()
+    # Fresh series share one empty store until their first append: the
+    # appends above left it empty.
+    fresh = MetricSeries()
+    assert (len(fresh), fresh.times(), fresh.total(), fresh.mean()) == (0, [], 0.0, None)
+    assert fresh.window_stats(-math.inf, math.inf) == (0, 0.0)
 
 
 def test_metrics_recorder_tags_index_tracks_first_seen():
