@@ -13,7 +13,7 @@ JOBS ?= 2
 ## Full tier-1 suite (what the PR gate runs): unit + integration + property +
 ## golden traces + benchmarks.
 test:
-	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q
+	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest -x -q --durations=15
 
 ## The checks .github/workflows/ci.yml runs, in the same order — one local
 ## command to know the gate will pass before pushing.  CI's `git diff

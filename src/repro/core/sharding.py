@@ -18,7 +18,7 @@ mitigation method can swap them freely:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +67,15 @@ class DataAllocator:
     def on_worker_failover(self, worker: str) -> int:
         """Requeue all in-flight work of ``worker``; returns samples requeued."""
         raise NotImplementedError
+
+    def idle_polls(self, workers: Iterable[str]) -> bool:
+        """Serve one :meth:`next_range` to each of ``workers`` if all come back empty.
+
+        True only when ``next_range`` would return None for each of them,
+        and then its side effects have been applied, call by call.  False
+        changes nothing; an allocator that cannot tell says False.
+        """
+        return False
 
     @property
     def exhausted(self) -> bool:
@@ -303,6 +312,23 @@ class StatefulDDS(DataAllocator):
         self._outstanding[worker].append(sample_range)
         return sample_range
 
+    def idle_polls(self, workers: Iterable[str]) -> bool:
+        # With no shard queued, a registered worker that holds none gets
+        # None from next_range after one round-trip charge.  The charges
+        # are summed one call at a time, so the overhead stays bit-identical.
+        if self._queue:
+            return False
+        current = self._current_shard
+        cost = self.op_cost_s
+        overhead = self._total_overhead
+        for worker in workers:
+            if current.get(worker, 0) is not None:
+                return False
+            overhead += cost
+        self._total_overhead = overhead
+        self.last_op_cost_s = cost
+        return True
+
     def _acquire_shard(self, worker: str) -> Optional[int]:
         while self._queue:
             shard_id = self._queue.popleft()
@@ -421,22 +447,30 @@ class StaticPartition(DataAllocator):
         slice_size = end - start
         return self._consumed[worker] >= slice_size * self.epochs
 
+    def _drained(self, worker: str) -> bool:
+        """True when ``worker``'s slice has nothing left to dispatch."""
+        return self._worker_done(worker) or (
+            self._cursor[worker] >= self._bounds[worker][1]
+            and self._epoch[worker] + 1 >= self.epochs)
+
     def register_worker(self, worker: str) -> None:
         if worker not in self._bounds:
             raise KeyError(f"worker {worker!r} is not part of the static partition")
+
+    def idle_polls(self, workers: Iterable[str]) -> bool:
+        # An empty poll of a static slice changes nothing.
+        return all(map(self._drained, workers))
 
     def next_range(self, worker: str, max_samples: int) -> Optional[SampleRange]:
         if max_samples <= 0:
             raise ValueError("max_samples must be positive")
         self.register_worker(worker)
-        start, end = self._bounds[worker]
-        if self._worker_done(worker):
+        if self._drained(worker):
             return None
+        start, end = self._bounds[worker]
         cursor = self._cursor[worker]
         if cursor >= end:
             # Move to the next epoch of this worker's own slice.
-            if self._epoch[worker] + 1 >= self.epochs:
-                return None
             self._epoch[worker] += 1
             self._cursor[worker] = start
             cursor = start

@@ -197,6 +197,10 @@ class PSTrainingJob:
 
         self.completed = False
         self.completion_time: Optional[float] = None
+        # Workers that found no data wait here for their next poll: with
+        # coalescing on, a block of them re-polls in one step while every
+        # poll comes back empty (see _idle_polls).
+        self.idle_workers = env.parking(config.data_poll_interval_s, self._idle_polls)
         self._completion_event = env.event()
         self._samples_confirmed = 0
         self._exited_workers: List[str] = []
@@ -306,6 +310,18 @@ class PSTrainingJob:
             self.completion_time = time
             if not self._completion_event.triggered:
                 self._completion_event.succeed(time)
+
+    def _idle_polls(self, names, generation) -> bool:
+        """The re-check of parked workers: would each one's next poll be empty?
+
+        True only when each named worker, resumed now, would find the job
+        running, no action broadcast past ``generation`` (the generation
+        every one of them applied), the allocator not exhausted and no data
+        for it; the allocator has then served those empty polls.
+        """
+        allocator = self.allocator
+        return (not self.completed and generation == self.agent_group.generation
+                and not allocator.exhausted and allocator.idle_polls(names))
 
     def worker_exited(self, worker: str) -> None:
         """Called by a worker process when it leaves the training loop."""

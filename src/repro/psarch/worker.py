@@ -5,7 +5,11 @@ One worker process per worker node.  Every iteration a worker:
 1. polls its Agent for global actions broadcast by the Controller
    (ADJUST_BS changes its batch size);
 2. fetches a sample range from the data allocator (Stateful DDS or static
-   partition);
+   partition); a worker that finds none waits one poll interval and asks
+   again.  With coalescing on it waits parked among the job's idle workers
+   (:class:`~repro.sim.engine.Parking`), where workers that parked back to
+   back re-poll as one block, without resuming, while every poll is empty;
+   with coalescing off it sleeps a plain timeout;
 3. computes the gradients (``T_w``), pushes them to every server and waits
    for the acknowledgements (``T_s`` + ``T_m``), pulls the new parameters;
 4. reports its batch processing time to the Agent and, in BSP mode,
@@ -189,6 +193,9 @@ class PSWorker:
         # commits the whole iteration's pushes against the job's
         # ServerStateArrays when every target server is idle-eligible.
         push_fanout = job.push_fanout if env.coalesce else None
+        # With coalescing on, an empty data poll parks the worker among the
+        # job's idle workers, re-polled in blocks; off, it sleeps a timeout.
+        park = job.idle_workers.park if env.coalesce else None
         name = self.name
         config = job.config
         timeout = env.timeout
@@ -234,7 +241,10 @@ class PSWorker:
                     # are DOING on other workers): step out of the barrier so
                     # the workers that do hold data are not blocked, and poll.
                     self._exit_barrier()
-                    yield timeout(config.data_poll_interval_s)
+                    if park is None:
+                        yield timeout(config.data_poll_interval_s)
+                    else:
+                        yield park(name, agent.applied_generation)
                     continue
                 self._enter_barrier()
                 if dds_cost > 0:

@@ -44,6 +44,15 @@ and lies within the running ``run(until=)`` bound) the clock steps to it in
 place: no heap push or pop, no generator resume.  Otherwise exactly that key
 goes through the heap.
 
+The third mechanism is *parked re-checks* (:meth:`Environment.parking`):
+processes that wait and ask again — a worker polling an empty data queue —
+park, each reserving the key its timeout would get.  Those parked back to
+back at one instant form a block of consecutive keys, and while a re-check
+says every member would only park again, the whole block re-reserves its
+keys in one step, with no resume; otherwise its members are taken one at a
+time at their own keys.  Blocks come due inline under the wake-ups'
+conditions, and one heap entry stands for all of them otherwise.
+
 The environment keeps the two event counters separate: ``processed_count``
 counts *physical* heap pops, while ``coalesced_count`` accounts the
 *logical* events a coalesced window stood in for, so throughput numbers stay
@@ -80,6 +89,7 @@ __all__ = [
     "AnyOf",
     "CountdownEvent",
     "Wakeups",
+    "Parking",
     "Store",
     "StopSimulation",
     "PENDING",
@@ -293,6 +303,8 @@ class Process(Event):
         if self._target is not None and self._target is not event:
             if self._target.callbacks is not None and self._resume in self._target.callbacks:
                 self._target.callbacks.remove(self._resume)
+                if type(self._target) is _Parked:
+                    self._target.block.interrupted = True
         self._target = None
 
         send = self._send
@@ -634,6 +646,208 @@ class Wakeups:
         return key[3], event
 
 
+#: The stamp of a block whose members parked with different stamps: it
+#: equals nothing a check compares it with.
+_MIXED = object()
+
+
+class _Parked(Event):
+    """The event a parked waiter yields: one member of a :class:`_Block`."""
+
+    __slots__ = ("tag", "stamp", "block")
+
+
+class _Block(Event):
+    """Waiters parked back to back at one instant.
+
+    Member ``i`` holds the key ``(when, _NORMAL, first + i)``: consecutive
+    ids at one time, so no other event can sort between them.  While armed,
+    the block itself is the heap entry that carries its first key.
+    """
+
+    __slots__ = ("when", "first", "members", "tags", "stamp", "interrupted")
+
+    def __init__(self, env: "Environment", member: _Parked) -> None:
+        super().__init__(env)
+        self._ok = True
+        self._value = None
+        self.members = deque((member,))
+        self.tags = deque((member.tag,))
+        self.stamp = member.stamp
+        # Set when a member's process is interrupted while parked: the block
+        # can then no longer come due in one step.
+        self.interrupted = False
+        member.block = self
+
+
+class Parking:
+    """Waiters re-checked every ``interval``, parked as blocks of reserved keys.
+
+    :meth:`park` returns the event the calling process yields and reserves
+    the heap key ``env.timeout(interval)`` would create — the same float
+    sum, an id drawn at the same point, counted in ``scheduled_count`` —
+    without pushing it.  Waiters parked back to back at one instant hold
+    consecutive ids at one time, so they form a block.  Every key is its
+    reservation time plus the same interval, so the blocks are in key order
+    as they were parked, and one armed heap entry carries the first key of
+    the earliest.
+
+    When a block comes due, ``check(tags, stamp)`` answers for all of its
+    members at once.  It returns True when each tagged waiter, resumed now,
+    would find nothing to do and park again, having applied those re-checks'
+    side effects in member order.  The block then re-reserves its K keys one
+    interval on (consecutive ids, one counter bump), ``coalesced_count``
+    credits the K events, and no member resumes.  ``stamp`` is the members'
+    common :meth:`park` stamp, or a value no check matches when they
+    differ: it stands for state a re-check reads that cannot change while a
+    waiter is parked, so a check compares it once per block.  Otherwise the
+    members are taken one at a time at their own keys.  Each one is parked
+    again if ``check((tag,), stamp)`` holds and resumed in place if not; one
+    that was interrupted while parked is dropped, but its key still counts
+    the event an orphaned timeout's pop would.
+
+    Due blocks are taken inline, one after another, under the conditions of
+    :class:`Wakeups`: coalescing on, every key taken within the running
+    ``run(until=)`` bound and below the heap top.  Otherwise the next key
+    goes through the heap, so with ``coalesce=False`` and under
+    :meth:`Environment.step` every member pops on its own, as the timeouts
+    it stands for would.
+    """
+
+    __slots__ = ("env", "interval", "_check", "_blocks")
+
+    def __init__(self, env: "Environment", interval: float,
+                 check: Callable[[Any, Any], bool]) -> None:
+        if interval <= 0:
+            raise ValueError("interval must be positive")
+        self.env = env
+        self.interval = interval
+        self._check = check
+        # Blocks in key order.  The front one is armed, or being served.
+        self._blocks: deque = deque()
+
+    def park(self, tag: Any, stamp: Any = None) -> Event:
+        """Park the calling process until its re-check, one interval from now.
+
+        ``tag`` names the waiter to the check; ``stamp`` must not change
+        while it is parked.  Yield the returned event.
+        """
+        env = self.env
+        event = _Parked(env)
+        event._ok = True
+        event._value = None
+        event.tag = tag
+        event.stamp = stamp
+        env.scheduled_count += 1
+        block = _Block(env, event)
+        self._place(block, env._now + self.interval, next(env._eid))
+        if self._blocks[0] is block:
+            self._arm(block)
+        return event
+
+    def _place(self, block: _Block, when: float, first: int) -> None:
+        """Key ``block`` at ``(when, first)`` and queue it last.
+
+        If its keys follow the last block's on, it joins that block.  Only
+        a fresh or a re-reserved block comes here, so none was interrupted.
+        """
+        block.when = when
+        block.first = first
+        blocks = self._blocks
+        if blocks:
+            back = blocks[-1]
+            if back.when == when and back.first + len(back.members) == first:
+                for event in block.members:
+                    event.block = back
+                back.members.extend(block.members)
+                back.tags.extend(block.tags)
+                if back.stamp != block.stamp:
+                    back.stamp = _MIXED
+                return
+        blocks.append(block)
+
+    def _arm(self, block: _Block) -> None:
+        """Push the heap entry that brings ``block`` due at its first key."""
+        block.callbacks = [self._due]
+        heapq.heappush(self.env._queue, (block.when, _NORMAL, block.first, block))
+
+    def _steppable(self, when: float, eid: int) -> bool:
+        """True when the key ``(when, _NORMAL, eid)`` may be stepped to inline."""
+        env = self.env
+        queue = env._queue
+        return (env.coalesce and when <= env._inline_until
+                and (not queue or (when, _NORMAL, eid) < queue[0]))
+
+    def _due(self, _armed: _Block) -> None:
+        """The armed entry popped: take due blocks, earliest first, while next."""
+        env = self.env
+        blocks = self._blocks
+        popped = 1
+        while blocks:
+            block = blocks[0]
+            if not popped:
+                if not self._steppable(block.when, block.first):
+                    break
+                env._now = block.when
+            k = len(block.members)
+            if (block.interrupted
+                    or (k > popped and not self._steppable(block.when, block.first + k - 1))
+                    or not self._check(block.tags, block.stamp)):
+                if self._take_apart(block, popped):
+                    return
+            else:
+                env.coalesced_count += k - popped
+                env.scheduled_count += k
+                first = next(env._eid)
+                env._eid = itertools.count(first + k)
+                blocks.popleft()
+                self._place(block, block.when + self.interval, first)
+            popped = 0
+        if blocks:
+            self._arm(blocks[0])
+
+    def _take_apart(self, block: _Block, popped: int) -> bool:
+        """Serve the front block's members one at a time, each at its own key.
+
+        Returns True when the rest of the block is left armed behind an
+        event that a member resumed in place scheduled.
+        """
+        env = self.env
+        queue = env._queue
+        check = self._check
+        when = block.when
+        members = block.members
+        tags = block.tags
+        while members:
+            if not popped:
+                if not self._steppable(when, block.first):
+                    return False
+                env.coalesced_count += 1
+            popped = 0
+            event = members.popleft()
+            tags.popleft()
+            block.first += 1
+            if not event.callbacks:
+                continue  # interrupted while parked: its key is spent
+            if check((event.tag,), event.stamp):
+                env.scheduled_count += 1
+                self._place(_Block(env, event), when + self.interval, next(env._eid))
+                continue
+            # Resume it in place, with the rest of the block armed meanwhile
+            # so that anything peeking at the heap sees the keys still due.
+            if members:
+                self._arm(block)
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+            if members:
+                if queue[0][3] is not block:
+                    return True
+                heapq.heappop(queue)
+        self._blocks.popleft()
+        return False
+
+
 class Store:
     """An unbounded FIFO channel between processes.
 
@@ -759,6 +973,11 @@ class Environment:
     def wakeups(self) -> Wakeups:
         """Create a :class:`Wakeups` set for the calling process."""
         return Wakeups(self)
+
+    def parking(self, interval: float,
+                check: Callable[[Any, Any], bool]) -> Parking:
+        """Create a :class:`Parking` for waiters re-checked every ``interval``."""
+        return Parking(self, interval, check)
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:

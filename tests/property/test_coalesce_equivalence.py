@@ -17,6 +17,12 @@ cohort plan on the servers — must split the cohort (roll the plan back and
 replay the surviving entries), keep the exactly-once sample ledger conserved
 (``shard_accounting``), and still fingerprint identically to the uncoalesced
 run.
+
+Idle workers' parked data polls are held to the same coalesced job with
+every park turned back into the timeout it stands for: fingerprints, logical
+events and the DDS's overhead must be equal when a parked worker is evicted
+or retired, when an action is broadcast over parked workers, when a kill
+requeues a shard to them, and under a static partition.
 """
 
 import json
@@ -24,6 +30,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.actions import AdjustBatchSize
 from repro.elastic.spec import ElasticSpec, ScaleEvent
 from repro.orchestrator import simulate_spec
 from repro.perf import EngineStats
@@ -31,6 +38,8 @@ from repro.psarch.job import PSTrainingJob
 from repro.scenarios import ScenarioSpec, all_scenarios, get_scenario
 from repro.scenarios.fingerprint import fingerprint
 from repro.scenarios.matrix import build_scenario_job
+from repro.scenarios.spec import FailureEvent, FailureTraceSpec
+from repro.sim.engine import Parking, Process
 
 ALL_NAMES = [spec.name for spec in all_scenarios()]
 
@@ -141,3 +150,118 @@ def test_scale_in_mid_iteration_splits_cohort_and_conserves_ledger():
     assert fast_stats.logical == slow_stats.logical
     assert json.dumps(fast_print, sort_keys=True) == \
         json.dumps(slow_print, sort_keys=True)
+
+
+# -- Parked idle workers: the same job sleeping plain timeouts is the oracle --
+#
+# The uncoalesced mode counts a few logical events differently on some specs,
+# so it cannot referee logical counts.  The exact oracle for the parked idle
+# polls is the same coalesced job with ``Parking.park`` forced back to the
+# ``env.timeout`` it stands for.  ``scale-120w`` runs 120 workers of which
+# 60 hold no data for most of the run; each perturbation below lands while
+# they wait.
+
+SCALE_POINT = get_scenario("scale-120w")
+
+
+class _IdleRun:
+    """One coalesced run whose idle workers park, or sleep timeouts instead.
+
+    Records, for every interrupt, whether it hit a parked worker, which
+    workers were parked then and how many shards each had taken.
+    """
+
+    def __init__(self, monkeypatch, spec, parked, broadcast_at=None):
+        handed_out = set()
+        self.interrupts = []
+        self.parked_at_broadcast = None
+        park = Parking.park
+        interrupt = Process.interrupt
+
+        def parking(waiters, tag, stamp=None):
+            if not parked:
+                return waiters.env.timeout(waiters.interval)
+            event = park(waiters, tag, stamp)
+            handed_out.add(event)
+            return event
+
+        def interrupting(process, cause=None):
+            idle = {w.name for w in job.workers if w.process.target in handed_out}
+            self.interrupts.append((process.target in handed_out, idle,
+                                    job.allocator.shards_taken()))
+            interrupt(process, cause)
+
+        def broadcast():
+            # Resizes only the last 20 workers, which never train: each
+            # applies the action at its next poll, and the training part of
+            # the run stays as it was.
+            yield job.env.timeout(broadcast_at)
+            idle = job.workers[-20:]
+            self.parked_at_broadcast = sum(w.process.target in handed_out for w in idle)
+            job.agent_group.broadcast(AdjustBatchSize(
+                {w.name: w.batch_size // 2 + 1 for w in idle}))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Parking, "park", parking)
+            patch.setattr(Process, "interrupt", interrupting)
+            job, injector = build_scenario_job(spec, coalesce=True)
+            if broadcast_at is not None:
+                job.env.process(broadcast())
+            run = job.run()
+        self.job = job
+        self.fingerprint = json.dumps(fingerprint(spec, run, injector), sort_keys=True)
+        self.logical = run.engine_events_processed
+        self.physical = run.engine_events_physical
+        self.overhead = job.allocator.total_overhead_s
+
+
+def _parked_matches_oracle(monkeypatch, spec, broadcast_at=None):
+    parked = _IdleRun(monkeypatch, spec, True, broadcast_at)
+    oracle = _IdleRun(monkeypatch, spec, False, broadcast_at)
+    assert parked.fingerprint == oracle.fingerprint
+    assert parked.logical == oracle.logical
+    assert parked.overhead == oracle.overhead  # bit-identical, not approximate
+    assert parked.physical < oracle.physical
+    return parked
+
+
+def _at_12s(**fields):
+    return replace(SCALE_POINT, name=f"{SCALE_POINT.name}@12s", **fields)
+
+
+def test_evicting_a_parked_worker_matches_the_timeout_oracle(monkeypatch):
+    spec = _at_12s(failures=FailureTraceSpec(events=(
+        FailureEvent(time_s=12.0, node="worker-100"),)))
+    run = _parked_matches_oracle(monkeypatch, spec)
+    assert run.interrupts[0][0], "the evicted worker was not parked"
+
+
+def test_scaling_in_a_parked_worker_matches_the_timeout_oracle(monkeypatch):
+    spec = _at_12s(elastic=replace(SCALE_POINT.elastic, events=(
+        ScaleEvent(time_s=12.0, action="in", nodes=("worker-100",)),)))
+    run = _parked_matches_oracle(monkeypatch, spec)
+    assert run.interrupts[0][0], "the retired worker was not parked"
+    assert run.job.membership.events
+
+
+def test_an_adjust_bs_broadcast_over_parked_workers_matches_the_oracle(monkeypatch):
+    # After the controller's last kill (60 s) nothing requeues a shard, so
+    # only the broadcast can resume the parked workers before the run ends.
+    run = _parked_matches_oracle(monkeypatch, SCALE_POINT, broadcast_at=61.3)
+    assert run.parked_at_broadcast == 20
+
+
+def test_a_requeued_shard_goes_to_the_first_parked_worker_as_in_the_oracle(monkeypatch):
+    # worker-5 holds a shard; its kill requeues it while 60 workers are
+    # parked, and a parked worker (the first in key order) must take it.
+    spec = _at_12s(failures=FailureTraceSpec(events=(
+        FailureEvent(time_s=12.0, node="worker-5"),)))
+    run = _parked_matches_oracle(monkeypatch, spec)
+    was_parked, idle, taken = run.interrupts[0]
+    assert not was_parked and len(idle) == 60
+    after = run.job.allocator.shards_taken()
+    assert any(after[name] > taken[name] for name in idle)
+
+
+def test_a_static_partition_parks_like_the_timeout_oracle(monkeypatch):
+    _parked_matches_oracle(monkeypatch, get_scenario("hetero-static-partition"))

@@ -584,3 +584,216 @@ def test_wakeup_in_the_past_is_rejected():
     env.run(until=1.0)
     with pytest.raises(ValueError):
         env.wakeups().add(0.5, "late")
+
+
+# -- Parking: idle waiters re-checked as blocks of reserved keys --------------
+
+
+def _pollers(env, tags, parked, interval=1.0, feeds=(), work_s=0.25):
+    """Waiters polling a shared pile of work every ``interval``.
+
+    A waiter that finds work takes one unit, logs it and works ``work_s``;
+    one that finds none counts a poll and waits one interval, parked or on
+    a plain timeout (the reference).  ``feeds`` add ``(time, units)`` to the
+    pile.  Returns the log and the poll counter.
+    """
+    log, pile, polls = [], [0], [0]
+
+    def check(tags, stamp):
+        if pile[0]:
+            return False
+        polls[0] += len(tags)
+        return True
+
+    parking = env.parking(interval, check)
+
+    def waiter(tag):
+        while True:
+            if pile[0]:
+                pile[0] -= 1
+                log.append((tag, env.now))
+                yield env.timeout(work_s)
+                continue
+            polls[0] += 1
+            yield parking.park(tag) if parked else env.timeout(interval)
+
+    def feeder():
+        for when, units in feeds:
+            yield env.timeout(when - env.now)
+            pile[0] += units
+
+    for tag in tags:
+        env.process(waiter(tag))
+    env.process(feeder())
+    return log, polls
+
+
+def _events(env):
+    return env.processed_count + env.coalesced_count, env.scheduled_count
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_parked_waiters_interleave_like_plain_timeouts(coalesce):
+    # Three waiters park as one block at 0; a late starter and a fed unit
+    # split them, so blocks form, come due inline, merge and break apart.
+    feeds = ((2.5, 1), (3.0, 2), (4.1, 1))
+
+    def simulate(parked):
+        env = Environment(coalesce=coalesce)
+        log, polls = _pollers(env, "abc", parked, feeds=feeds)
+        late = env.event()
+        late.callbacks.append(lambda _event: _pollers(env, "d", parked, interval=0.7))
+        env.schedule_at(late, 0.3)
+        env.run(until=9.0)
+        return log, polls[0], env
+
+    log, polls, env = simulate(parked=True)
+    reference_log, reference_polls, reference = simulate(parked=False)
+    assert (log, polls) == (reference_log, reference_polls)
+    assert len(log) == 4 and polls > 20
+    assert _events(env) == _events(reference)
+    if coalesce:
+        assert env.processed_count < reference.processed_count
+    else:
+        assert env.processed_count == reference.processed_count
+        assert env.coalesced_count == 0
+
+
+def test_a_parked_key_is_the_key_a_timeout_would_draw():
+    keys = []
+    for parked in (True, False):
+        env = Environment()
+        parking = env.parking(0.2, lambda tags, stamp: True)
+
+        def proc():
+            yield env.timeout(0.1)
+            yield parking.park("w") if parked else env.timeout(0.2)
+
+        env.process(proc())
+        env.run(until=0.2)
+        keys.append((env._queue[0][:3], env.scheduled_count))
+    assert keys[0] == keys[1]
+    assert keys[0][0][0] == 0.1 + 0.2 != 0.3  # the same float sum
+
+
+def test_a_re_reserved_block_leaves_the_ids_timeouts_would():
+    def simulate(parked):
+        env = Environment()
+        _pollers(env, "abc", parked)
+        env.run(until=2.5)  # due at 1.0 and 2.0, both taken in one step
+        keys = sorted(entry[:3] for entry in env._queue)
+        env.timeout(0.0)
+        return keys, min(env._queue)[:3], env
+
+    keys, after, env = simulate(parked=True)
+    reference_keys, reference_after, reference = simulate(parked=False)
+    # One armed entry stands for the three timeouts' consecutive keys.
+    assert keys == reference_keys[:1]
+    assert [key[2] for key in reference_keys] == [keys[0][2] + i for i in range(3)]
+    assert after == reference_after
+    assert _events(env) == _events(reference)
+    assert env.coalesced_count == 5  # two members at 1.0, all three at 2.0
+
+
+def test_step_takes_one_parked_member_per_call():
+    envs = [Environment(), Environment()]
+    logs = [_pollers(env, "ab", parked, feeds=((1.5, 1),)) for env, parked
+            in zip(envs, (True, False))]
+    for _ in range(12):
+        for env in envs:
+            env.step()
+        assert envs[0].now == envs[1].now
+        assert _events(envs[0]) == _events(envs[1])
+        assert logs[0][0] == logs[1][0] and logs[0][1] == logs[1][1]
+    assert envs[0].coalesced_count == 0
+
+
+def test_parked_blocks_stop_at_a_numeric_run_bound():
+    env = Environment()
+    reference = Environment()
+    _pollers(env, "ab", True, feeds=((0.1, 0),))
+    _pollers(reference, "ab", False, feeds=((0.1, 0),))
+    for until in (2.0, 2.5, 6.0):
+        env.run(until=until)
+        reference.run(until=until)
+        assert env.now == until
+        assert _events(env) == _events(reference)
+    # Three starts, the feeder's timeout and exit, and the block's pops at
+    # 1.0 and at 3.0: stepped to 2.0 inline, it waited through the bound
+    # at 2.5 in the heap, then stepped to 4.0, 5.0 and 6.0.
+    assert env.processed_count == 7
+
+
+@pytest.mark.parametrize("parked_first", [True, False])
+def test_an_urgent_event_mid_block_splits_it_in_key_order(parked_first):
+    # At 1.0 the first member finds the unit of work: it interrupts the
+    # third, parked behind it, and starts a process.  Both urgent events
+    # must run before the second member's key, and the interrupted one's
+    # key still counts its event.
+    def simulate(parked):
+        env = Environment()
+        log, pile, procs = [], [0], {}
+        parking = env.parking(1.0, lambda tags, stamp: not pile[0])
+
+        def waiter(tag):
+            try:
+                while True:
+                    if pile[0]:
+                        pile[0] -= 1
+                        log.append((tag, "work", env.now))
+                        procs["c"].interrupt()
+                        env.process(spawned())
+                        yield env.timeout(5.0)
+                    yield parking.park(tag) if parked else env.timeout(1.0)
+            except Interrupt:
+                log.append((tag, "interrupted", env.now))
+
+        def spawned():
+            log.append(("spawned", env.now))
+            yield env.timeout(0.0)
+
+        def feeder():
+            yield env.timeout(0.5)
+            pile[0] += 1
+
+        if not parked_first:
+            env.process(feeder())
+        for tag in "abc":
+            procs[tag] = env.process(waiter(tag))
+        if parked_first:
+            env.process(feeder())
+        env.run(until=3.5)
+        return log, env
+
+    log, env = simulate(parked=True)
+    reference_log, reference = simulate(parked=False)
+    assert log == reference_log == [("a", "work", 1.0), ("c", "interrupted", 1.0),
+                                    ("spawned", 1.0)]
+    assert _events(env) == _events(reference)
+
+
+def test_a_parked_block_passes_its_common_stamp():
+    seen = []
+
+    def check(tags, stamp):
+        seen.append((list(tags), stamp))
+        return stamp in (1, 2)
+
+    env = Environment()
+    parking = env.parking(1.0, check)
+
+    def waiter(tag, stamp):
+        while True:
+            yield parking.park(tag, stamp)
+
+    for tag, stamp in (("a", 1), ("b", 1), ("c", 2)):
+        env.process(waiter(tag, stamp))
+    env.run(until=1.5)
+    # Mixed stamps match nothing, so the block is checked one member at a time.
+    assert seen[0][0] == ["a", "b", "c"] and seen[0][1] not in (1, 2)
+    assert seen[1:] == [(["a"], 1), (["b"], 1), (["c"], 2)]
+
+
+def test_a_parking_interval_must_be_positive():
+    with pytest.raises(ValueError):
+        Environment().parking(0.0, lambda tags, stamp: True)
