@@ -50,9 +50,9 @@ __all__ = ["PSRunResult", "PSTrainingJob", "SERVING_WORKER_PREFIX"]
 _RUNNING = NodeStatus.RUNNING
 
 #: The narrowest fan-out :meth:`PSTrainingJob.push_fanout` commits as
-#: columns.  On a 2-vCPU VM the column operations cost a fixed ~29 µs
-#: however few servers they cover, a ``submit`` ~5 µs per server: five
-#: targets break even.
+#: columns when its targets are not an intact lock-step group.  On a
+#: 2-vCPU VM the column operations cost a fixed ~29 µs however few servers
+#: they cover, a ``submit`` ~5 µs per server: five targets break even.
 VECTOR_MIN_TARGETS = 6
 
 #: Pseudo-worker prefix carried by serving-tier requests.  Lives here (not
@@ -169,13 +169,17 @@ class PSTrainingJob:
         # per server, and growing the rows copies every one of them, so they
         # start at the iterations of a run that trains every sample at the
         # even batch, plus an eighth for the pushes a kill re-sends.  Servers
-        # get no Agent: the Monitor reads each server's own series.
+        # get no Agent: the Monitor reads each server's own series.  With
+        # coalescing on, the servers the job starts with share one more row
+        # while they stay in lock step (ParameterServer.form_group): then
+        # their own rows stay empty, and take no memory.
         iterations = allocator.total_samples // self._even_batch() + 1
-        self.server_state = ServerStateArrays(cluster.num_servers,
+        self.server_state = ServerStateArrays(cluster.num_servers + 1,
                                               points=iterations + iterations // 8)
         self._fanout_cache = None
         self.servers: List[ParameterServer] = [
             self._make_server(node) for node in cluster.servers]
+        ParameterServer.form_group(self.servers)
 
         batch = self._even_batch()
         self.workers: List[PSWorker] = [
@@ -613,34 +617,51 @@ class PSTrainingJob:
         The common steady state at scale — every target server parked on an
         empty queue with null contention — makes each per-server
         acknowledgement an affine function of that server's chain tail.
-        With at least :data:`VECTOR_MIN_TARGETS` targets this commits all S
-        requests of one iteration as column operations with no per-server
-        Python (:meth:`ServerStateArrays.commit_fanout`): one compare opens
-        the windows, one scatter writes every target's ``server_bpt`` point,
-        and the latch is armed once with the array of acknowledgements
-        (:meth:`CountdownEvent.count_down_many_at
+        When the targets are exactly the intact lock-step group, all
+        eligible, they share that tail: one point on the group row stands
+        for all S requests (:meth:`ServerStateArrays.commit_group`).
+        Otherwise, with at least :data:`VECTOR_MIN_TARGETS` targets, this
+        commits them as column operations with no per-server Python
+        (:meth:`ServerStateArrays.commit_fanout`): one compare opens the
+        windows, one scatter writes every target's ``server_bpt`` point.
+        Either way the latch is armed once with the array of
+        acknowledgements (:meth:`CountdownEvent.count_down_many_at
         <repro.sim.engine.CountdownEvent.count_down_many_at>`).
 
-        Returns False without side effects for a narrower fan-out, or when
-        any target is not eligible (busy, backlogged, draining-held, or
-        non-null contention); the worker then falls back to per-server
-        :meth:`ParameterServer.submit` calls, which reproduce the exact same
-        acknowledgements and event counts scalar-wise.
+        A fan-out that does not match the intact group first takes its
+        targets out of it (:meth:`ParameterServer.detach`).  It returns
+        False for a narrower fan-out, or when any target is not eligible
+        (busy, backlogged, draining-held, or non-null contention); the
+        worker then falls back to per-server :meth:`ParameterServer.submit`
+        calls, which reproduce the exact same acknowledgements and event
+        counts scalar-wise.
         """
         cache = self._fanout_cache
+        state = self.server_state
         if cache is None or cache[0] is not targets:
             # push_targets() rebuilds its list object on every membership
             # change, so list identity doubles as cache validation.
-            slots = None
-            if len(targets) >= VECTOR_MIN_TARGETS:
-                slots = np.fromiter((server._slot for server in targets),
-                                    dtype=np.intp, count=len(targets))
-            cache = self._fanout_cache = (targets, slots)
-        slots = cache[1]
-        state = self.server_state
-        if slots is None or not state.eligible[slots].all():
-            return False
+            slots = np.fromiter((server._slot for server in targets),
+                                dtype=np.intp, count=len(targets))
+            cache = self._fanout_cache = (
+                targets, slots, frozenset(slots.tolist()) == state.group_slots,
+                any(server.in_group for server in targets))
+        targets, slots, grouped, attached = cache
         env = self.env
+        if grouped and state.group_intact and not state.group_ineligible:
+            ack, opened = state.commit_group(
+                env._now, self.config.server_per_byte_cost_s * nbytes,
+                PushRequest(worker=worker, nbytes=nbytes, done=latch))
+            acks = np.empty(len(slots))
+            acks.fill(ack)
+            latch.count_down_many_at(acks)
+            env.coalesced_count += len(slots) * (2 if opened else 1)
+            return True
+        if attached:
+            ParameterServer.detach(targets)
+            self._fanout_cache = (targets, slots, grouped, False)
+        if len(slots) < VECTOR_MIN_TARGETS or not state.eligible[slots].all():
+            return False
         acks, opened = state.commit_fanout(
             slots, env._now, self.config.server_per_byte_cost_s * nbytes,
             PushRequest(worker=worker, nbytes=nbytes, done=latch))

@@ -47,6 +47,30 @@ the rescinded requests return to the queue front for re-planning.  The
 golden suite pins coalesced and uncoalesced execution to byte-identical
 traces.
 
+Servers in lock step
+--------------------
+When every push reaches every server and the servers are alike, their
+rows never differ: at 1,000 workers and 333 servers the tier would write,
+store and read one row 333 times.  So with coalescing on, the servers a job
+starts with form a *group* when their devices share one base overhead
+(:meth:`ParameterServer.form_group`): one extra row of the columns holds
+their common chain tail and ``server_bpt`` series, and each member's series
+reads it.  A fan-out whose targets are exactly the intact group, all
+eligible, commits one point there
+(:meth:`ServerStateArrays.commit_group`) and counts the latch down once per
+member, with the logical events of one commit per member.
+
+A member *detaches* right before its first write of its own — a commit, a
+wake-up, an uncoalesced append, a rollback that rescinds points or drops a
+chain tail a commit at this instant would join, or a change of its base
+overhead: its slot row takes an exact copy of the group row and holds its
+state from then on (:meth:`ParameterServer.detach`).  The group is then no
+longer intact, and the next fan-out detaches all its targets before it
+commits as columns or per server, exactly as it would without a group.
+With coalescing off no group forms.  The known cost is that copy: on a wide
+tier one server event copies every member's history once (up to ~130 MB at
+333 servers near the end of a run); no benchmark workload measures it.
+
 Servers run no Agent: the Monitor's view of a server is exactly this
 per-request ``server_bpt`` series.
 """
@@ -99,6 +123,10 @@ class ServerStateArrays(SeriesStore):
     Slots are append-only: a departed server's slot keeps its final values,
     and elastic joins extend the columns.  ``points`` is the row capacity
     to start with; a row that outgrows it doubles every row.
+
+    At most one extra row is the lock-step *group*'s (:meth:`add_group`):
+    its members read their chain tail and series there, and their own slot
+    rows stay empty until they detach (:meth:`copy_row`).
     """
 
     ROW_COLUMNS = SeriesStore.ROW_COLUMNS + (
@@ -122,12 +150,42 @@ class ServerStateArrays(SeriesStore):
         self._records: List[tuple] = []
         self._first_token = 0
         self._prune_at = 1024
+        # The lock-step group: its row (-1 without one), its members' slots,
+        # whether every member still reads the row, and how many members
+        # do not accept vectorized commits right now.
+        self.group_row = -1
+        self.group_slots: frozenset = frozenset()
+        self.group_intact = False
+        self.group_ineligible = 0
 
     def allocate_slot(self) -> int:
         """Claim the next slot (growing the columns when full); returns its index."""
         slot = self.add_row()
         self._chain_tail[slot] = -math.inf
         return slot
+
+    def add_group(self, slots: Sequence[int], overhead: float) -> int:
+        """Claim the row the servers in ``slots`` share while in lock step,
+        with their common per-request ``overhead``; returns its index."""
+        row = self.allocate_slot()
+        self._overhead[row] = overhead
+        self.group_row = row
+        self.group_slots = frozenset(slots)
+        self.group_intact = True
+        self.group_ineligible = len(slots) - int(np.count_nonzero(self.eligible[list(slots)]))
+        return row
+
+    def copy_row(self, source: int, rows: np.ndarray) -> None:
+        """Make every row in ``rows`` an exact copy of row ``source``: its
+        points (times, values, prefix sums, tokens), length, synced prefix
+        count and chain tail."""
+        length = self._lengths[source]
+        for name, _ in self.POINT_COLUMNS:
+            cells = getattr(self, name).reshape(-1, self.capacity)
+            cells[rows, :length] = cells[source, :length]
+        for name in ("lengths", "synced", "chain_tail"):
+            column = getattr(self, name)
+            column[rows] = column[source]
 
     @property
     def next_token(self) -> int:
@@ -190,6 +248,32 @@ class ServerStateArrays(SeriesStore):
         self.keep([(request, True, None)], now)
         return acks, opened
 
+    def commit_group(self, now: float, per_request: float,
+                     request: PushRequest) -> Tuple[float, bool]:
+        """Commit ``request`` to every member of the intact group: one point
+        on the group row.
+
+        The members share one chain tail and one overhead, so
+        :meth:`commit_fanout` would compute one acknowledgement for all of
+        them; this computes it once, with the same scalar operations.
+        Returns the acknowledgement time and whether it opened a window.
+        """
+        row = self.group_row
+        tail = self._chain_tail[row]
+        opened = tail < now
+        handling = self._overhead[row] + per_request
+        ack = (now if opened else tail) + handling
+        length = self._lengths[row]
+        self.reserve(length + 1)
+        index = row * self.capacity + length
+        self._times[index] = ack
+        self._values[index] = handling
+        self._tokens[index] = self.next_token
+        self._lengths[row] = length + 1
+        self._chain_tail[row] = ack
+        self.keep([(request, True, None)], now)
+        return ack, opened
+
 
 class ParameterServer:
     """The simulation process of one server node."""
@@ -240,6 +324,9 @@ class ParameterServer:
         # without a state-owning job gets a private single-slot instance.
         self._state = state if state is not None else ServerStateArrays()
         self._slot = self._state.allocate_slot()
+        # The row holding this server's chain tail and series: the group's
+        # while the server is in lock step (see form_group), else its slot.
+        self._row = self._slot
         self.process = None
         self._restart_requested = False
         self._scale_in_requested = False
@@ -264,6 +351,43 @@ class ParameterServer:
         """Launch the server's simulation process."""
         self.process = self.env.process(self.run())
 
+    # -- lock-step group -------------------------------------------------------------
+    @property
+    def in_group(self) -> bool:
+        """Whether this server still reads the lock-step group's row."""
+        return self._row != self._slot
+
+    @staticmethod
+    def form_group(servers: Sequence["ParameterServer"]) -> None:
+        """Put ``servers`` — fresh servers sharing one store — in lock step
+        on one group row, if there are two or more, coalescing is on and
+        their devices share one base overhead (see the module docstring)."""
+        overheads = {server.node.device.base_overhead for server in servers}
+        if len(servers) < 2 or not servers[0].env.coalesce or len(overheads) != 1:
+            return
+        row = servers[0]._state.add_group([server._slot for server in servers],
+                                          overheads.pop())
+        for server in servers:
+            server._row = server._bpt_series._row = row
+
+    @staticmethod
+    def detach(servers: Sequence["ParameterServer"]) -> None:
+        """Take each of ``servers`` still in the group out of it.
+
+        Its slot row becomes an exact copy of the group row and holds its
+        state from now on.  The group is no longer intact: no fan-out
+        commits to it again, and its row only serves the members that never
+        write on their own.
+        """
+        leaving = [server for server in servers if server._row != server._slot]
+        if leaving:
+            state = leaving[0]._state
+            state.copy_row(state.group_row, np.fromiter(
+                (server._slot for server in leaving), dtype=np.intp, count=len(leaving)))
+            state.group_intact = False
+            for server in leaving:
+                server._row = server._bpt_series._row = server._slot
+
     # -- array-backed scalar state -------------------------------------------------
     def _set_accepting(self, value: bool) -> None:
         if self._accepting != value:
@@ -271,12 +395,23 @@ class ParameterServer:
             self._sync_eligibility()
 
     def _sync_eligibility(self) -> None:
-        """Refresh this slot's vectorized-commit eligibility and overhead."""
+        """Refresh this slot's vectorized-commit eligibility and overhead.
+
+        A group member keeps the group's count of ineligible members, and
+        leaves the group when its base overhead no longer matches the
+        group's: the group's handling times no longer hold for it.
+        """
         state = self._state
         slot = self._slot
-        state._eligible[slot] = (self._accepting and self.env.coalesce
-                                 and self.node.contention.is_null)
-        state._overhead[slot] = self.node.device.base_overhead
+        eligible = self._accepting and self.env.coalesce and self.node.contention.is_null
+        overhead = self.node.device.base_overhead
+        if self._row != slot:
+            if eligible != state._eligible[slot]:
+                state.group_ineligible += -1 if eligible else 1
+            if overhead != state._overhead[self._row]:
+                self.detach((self,))
+        state._eligible[slot] = eligible
+        state._overhead[slot] = overhead
 
     # -- worker-facing API --------------------------------------------------------
     def submit(self, worker: str, nbytes: float, done: Optional[Event] = None) -> Event:
@@ -318,7 +453,7 @@ class ParameterServer:
             return
         backlog = self._backlog
         self._set_accepting(not backlog)
-        tail = self._state._chain_tail[self._slot]
+        tail = self._state._chain_tail[self._row]
         if backlog and tail < self.env._now:
             self._feed()
         elif backlog and self._wake_id is None:
@@ -375,8 +510,8 @@ class ParameterServer:
         still count as queued; the in-flight one does not.
         """
         state = self._state
-        base = self._slot * state.capacity
-        top = base + state._lengths[self._slot]
+        base = self._row * state.capacity
+        top = base + state._lengths[self._row]
         # Past the in-flight one, each request acknowledged after now starts
         # at its predecessor's acknowledgement, also after now: it waits.
         acked = bisect_right(state._times, self.env.now, base, top)
@@ -416,9 +551,11 @@ class ParameterServer:
         still-in-flight request or the queued tail.  Dropping the in-flight
         entry (its handling never completed) and restoring the tail to the
         backlog leaves every observable exactly where per-request stepping
-        leaves it.
+        leaves it.  A group member whose group row holds no point after the
+        stop stays in the group: every member rewinds at this instant, so
+        its chain tail alone is seen by nobody.
         """
-        self._rollback_window(self.env.now, keep_in_flight=False)
+        self._rollback_window(self.env.now, keep_in_flight=False, final=True)
 
     # -- controller-facing API -----------------------------------------------------
     def request_kill_restart(self) -> bool:
@@ -526,6 +663,8 @@ class ParameterServer:
                         done.count_down(env.now)
                     else:
                         done.succeed(env.now)
+                if self._row != self._slot:
+                    self.detach((self,))
                 bpt_series.append(env.now, handling)
                 current = None
             except Interrupt as interrupt:
@@ -600,6 +739,8 @@ class ParameterServer:
         request, is read once: any event that could move it also rolls the
         window back.
         """
+        if self._row != self._slot:
+            self.detach((self,))
         env = self.env
         node = self.node
         state = self._state
@@ -660,9 +801,13 @@ class ParameterServer:
         no longer deterministic steps the backlog request by request
         instead: the window closes and the parked process takes the head
         through its getter, whose pop stands for no logical event either.
+        Either way the server writes on its own: a group member leaves the
+        group first.
         """
         env = self.env
         self._wake_id = None
+        if self._row != self._slot:
+            self.detach((self,))
         env.coalesced_count -= 1
         if self.node.contention.is_deterministic:
             self._commit(self.take_backlog())
@@ -672,7 +817,8 @@ class ParameterServer:
             env.coalesced_count -= 1
             self._feed()
 
-    def _rollback_window(self, now: float, keep_in_flight: bool) -> Optional[PushRequest]:
+    def _rollback_window(self, now: float, keep_in_flight: bool,
+                         final: bool = False) -> Optional[PushRequest]:
         """Rescind the undelivered tail of the committed window, if any.
 
         Points acknowledged at or before ``now`` are delivered and stay; the
@@ -690,23 +836,34 @@ class ParameterServer:
         row while a window is open, so cutting the row after the points
         that stay leaves the series exactly as per-request stepping would
         have left it at ``now``.
+
+        A group member rolls back its own copy of the group row, and only
+        when a sibling could tell the difference: the rollback rescinds
+        points, or it drops a chain tail at ``now`` that a commit at this
+        instant would still join (unless the run stopped: ``final``).
+        Otherwise it stays in the group and writes nothing.
         """
         env = self.env
         state = self._state
-        slot = self._slot
+        row = self._row
         if self._wake_id is not None:
             env.discard_scheduled(self._wake_id)
             self._wake_id = None
-        if not keep_in_flight:
-            state._chain_tail[slot] = -math.inf
-        base = slot * state.capacity
-        top = base + state._lengths[slot]
+        base = row * state.capacity
+        top = base + state._lengths[row]
         times = state._times
         in_flight = bisect_right(times, now, base, top)
+        stop = in_flight + 1 if keep_in_flight else in_flight
+        if row != self._slot:
+            if stop >= top and (keep_in_flight or final or state._chain_tail[row] < now):
+                return None
+            self.detach((self,))
+            return self._rollback_window(now, keep_in_flight)
+        if not keep_in_flight:
+            state._chain_tail[row] = -math.inf
         if in_flight == top:
             # Nothing acknowledged after now: nothing speculative to unwind.
             return None
-        stop = in_flight + 1 if keep_in_flight else in_flight
         # 1. Rescind the undelivered acknowledgements, newest first.
         rescinded = []
         for index in range(top - 1, stop - 1, -1):
@@ -723,7 +880,7 @@ class ParameterServer:
             rescinded.append(request)
         # 2. A kept in-flight request ends the window.
         if keep_in_flight:
-            state._chain_tail[slot] = times[in_flight]
+            state._chain_tail[row] = times[in_flight]
         # 3. Cut the series after the points that stay.
         self._bpt_series.truncate(stop - base)
         # 4. The window credited one logical event per request (its

@@ -91,10 +91,15 @@ class SeriesStore:
         """Reallocate every column at ``rows`` x ``capacity``, keeping the data.
 
         Columns are replaced one at a time together with their views, so
-        each old buffer is freed before the next new one is filled.
+        each old buffer is freed before the next new one is filled.  Each
+        row copies its own points and nothing past them: the cells of an
+        empty row are never touched, so they take no memory (a lock-step
+        server tier keeps all its members' rows empty, see
+        :class:`~repro.psarch.server.ServerStateArrays`).
         """
         live = self.rows
-        used = int(self.lengths[:live].max()) if live else 0
+        filled = [(row, length) for row, length
+                  in enumerate(self.lengths[:live].tolist()) if length] if live else []
         old_capacity = self.capacity
         self.capacity = capacity
         for name, dtype in self.ROW_COLUMNS:
@@ -104,9 +109,11 @@ class SeriesStore:
             self._install(name, column)
         for name, dtype in self.POINT_COLUMNS:
             column = np.empty(rows * capacity, dtype=dtype)
-            if used:
-                column.reshape(rows, capacity)[:live, :used] = \
-                    getattr(self, name).reshape(-1, old_capacity)[:live, :used]
+            if filled:
+                new = column.reshape(rows, capacity)
+                old = getattr(self, name).reshape(-1, old_capacity)
+                for row, length in filled:
+                    new[row, :length] = old[row, :length]
             self._install(name, column)
 
     def _install(self, name: str, column: np.ndarray) -> None:

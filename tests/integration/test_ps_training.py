@@ -13,7 +13,7 @@ from repro.experiments import (
 )
 from repro.experiments.workloads import ExperimentScale
 from repro.orchestrator import simulate_spec
-from repro.psarch.job import PSTrainingJob
+from repro.psarch.server import ParameterServer, ServerStateArrays
 from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job, get_scenario
 
 TINY = ExperimentScale(
@@ -164,21 +164,42 @@ def test_server_series_holds_one_point_per_acknowledged_push(name, coalesce):
         assert len(metrics.series("server_bpt", tag=server.name)) == pushes
 
 
+def _count_commits(monkeypatch):
+    """Count group commits, column commits and per-server submits."""
+    counts = {"group": 0, "columns": 0, "submits": 0}
+    for owner, name, key in ((ServerStateArrays, "commit_group", "group"),
+                             (ServerStateArrays, "commit_fanout", "columns"),
+                             (ParameterServer, "submit", "submits")):
+        def counted(*args, _call=getattr(owner, name), _key=key, **kwargs):
+            counts[_key] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("servers", range(2, 13))
+def test_a_lock_step_tier_commits_every_push_through_its_group(monkeypatch, servers):
+    """Servers that start alike and receive every push together stay one
+    group: each fan-out, however narrow, commits one point on the group row."""
+    counts = _count_commits(monkeypatch)
+    job, _ = build_scenario_job(_spec("bsp", NO_STRAGGLERS,
+                                      scale=replace(TINY, num_servers=servers)))
+    assert job.run().completed
+    assert counts["group"] > 0
+    assert counts["columns"] == counts["submits"] == 0
+    assert all(server.in_group for server in job.servers)
+
+
 @pytest.mark.parametrize("servers, vectorized", [(5, False), (6, True)])
 def test_push_fanout_commits_as_columns_from_six_targets(monkeypatch, servers, vectorized):
-    """A fan-out narrower than six targets declines to per-server submits,
-    which are cheaper there; from six targets on it commits as columns."""
-    widths = []
-    push_fanout = PSTrainingJob.push_fanout
-
-    def counted(self, worker, nbytes, targets, latch):
-        committed = push_fanout(self, worker, nbytes, targets, latch)
-        widths.append((len(targets), committed))
-        return committed
-
-    monkeypatch.setattr(PSTrainingJob, "push_fanout", counted)
-    scale = replace(TINY, num_servers=servers)
-    run = simulate_spec(_spec("bsp", NO_STRAGGLERS, scale=scale)).run
-    assert run.completed
-    assert {width for width, _ in widths} == {servers}
-    assert any(committed for _, committed in widths) is vectorized
+    """Once a member has left the group, a fan-out narrower than six targets
+    declines to per-server submits, which are cheaper there; from six
+    targets on it commits as columns."""
+    counts = _count_commits(monkeypatch)
+    job, _ = build_scenario_job(_spec("bsp", NO_STRAGGLERS,
+                                      scale=replace(TINY, num_servers=servers)))
+    ParameterServer.detach(job.servers[:1])
+    assert job.run().completed
+    assert counts["group"] == 0
+    assert (counts["columns"] > 0) is vectorized
+    assert (counts["submits"] > 0) is not vectorized

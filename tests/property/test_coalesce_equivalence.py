@@ -6,10 +6,13 @@ never *what* it computes.  The golden suite pins 36 checked-in traces; these tes
 scenario, that the fingerprint with coalescing forced on is byte-identical to
 the fingerprint with coalescing forced off (``Environment(coalesce=False)``),
 and so is every server's ``server_bpt`` series (which no fingerprint holds),
-and that the ``REPRO_NO_COALESCE=1`` escape hatch selects the slow path.
-Every registered scenario but one runs 3 servers, below the width at which
-a push fan-out commits as columns, so three of them and the scale-in probe
-below run again on 24 servers, through the vectorized fan-out.
+and so are the allocator's and the agents' overheads (Fig. 18's inputs,
+which no fingerprint holds either), and that the ``REPRO_NO_COALESCE=1``
+escape hatch selects the slow path.  Every registered scenario but one runs
+3 servers, below the width at which a push fan-out commits as columns, so
+five of them, the scale-in probe below and a run stopped by its deadline
+run again on 24 servers, through the lock-step group and the vectorized
+fan-out.
 
 The coalescing × elastic interaction gets its own regression test: a scale-in
 that retires a worker mid-iteration — i.e. from inside a live coalesced
@@ -33,8 +36,10 @@ import pytest
 from repro.core.actions import AdjustBatchSize
 from repro.elastic.spec import ElasticSpec, ScaleEvent
 from repro.orchestrator import simulate_spec
+from repro.orchestrator.worker import SimRun
 from repro.perf import EngineStats
 from repro.psarch.job import PSTrainingJob
+from repro.psarch.server import ServerStateArrays
 from repro.scenarios import ScenarioSpec, all_scenarios, get_scenario
 from repro.scenarios.fingerprint import fingerprint
 from repro.scenarios.matrix import build_scenario_job
@@ -66,6 +71,11 @@ def _server_series(sim):
             for tag in metrics.tags("server_bpt")}
 
 
+def _overheads(sim):
+    """The DDS's and the agents' total overheads (Fig. 18)."""
+    return sim.job.allocator.total_overhead_s, sim.job.agent_group.total_overhead_s
+
+
 def test_registry_is_fully_covered():
     # The equivalence sweep below must stay registry-wide: if scenarios are
     # added, they are parametrized in automatically; if the registry ever
@@ -84,33 +94,71 @@ def test_coalesce_on_off_fingerprints_byte_identical(name):
     assert _server_series(fast) == _server_series(slow), (
         f"scenario {name!r} records different server_bpt series with cohort "
         f"coalescing on vs off")
+    assert _overheads(fast) == _overheads(slow), (
+        f"scenario {name!r} charges different DDS or agent overheads with "
+        f"cohort coalescing on vs off")
 
 
-@pytest.mark.parametrize("spec", [
-    *(get_scenario(name) for name in ("server-eviction", "elastic-server-retire-replace",
-                                      "nd-transient-heavy-antdt")),
-    SCALE_IN_PROBE,
-], ids=lambda spec: spec.name)
-def test_wide_server_tier_is_mode_invariant(monkeypatch, spec):
-    """On 24 servers the push fan-out commits as columns and rolls back
-    per server: fingerprints, server series and logical events must still
+def _simulate(spec, coalesce, max_duration_s=None):
+    """:func:`simulate_spec`, stopped by the job's deadline if one is given."""
+    job, injector = build_scenario_job(spec, coalesce=coalesce)
+    if max_duration_s is not None:
+        job.config.max_duration_s = max_duration_s
+    result = job.run()
+    return SimRun(spec=spec, job=job, injector=injector, run=result,
+                  fingerprint=fingerprint(spec, result, injector))
+
+
+@pytest.mark.parametrize("spec, max_duration_s, grouped", [
+    pytest.param(get_scenario("server-eviction"), None, True, id="server-eviction"),
+    pytest.param(get_scenario("elastic-server-retire-replace"), None, False,
+                 id="elastic-server-retire-replace"),
+    # A joiner widens the targets while the members are still in the
+    # group: the fan-out takes them out before it commits as columns.
+    pytest.param(get_scenario("elastic-server-churn"), None, True, id="elastic-server-churn"),
+    pytest.param(get_scenario("nd-transient-heavy-antdt"), None, True,
+                 id="nd-transient-heavy-antdt"),
+    # The contended server breaks the group at the first fan-out.
+    pytest.param(get_scenario("nd-server-straggler"), None, False, id="nd-server-straggler"),
+    pytest.param(SCALE_IN_PROBE, None, True, id=SCALE_IN_PROBE.name),
+    # Stopped at 55.5 s, inside a live group window (its tail is at
+    # 55.527 s): finalize_run takes every member out and rewinds its copy.
+    pytest.param(get_scenario("dedicated-baseline"), 55.5, True,
+                 id="dedicated-baseline-stopped-in-a-window"),
+])
+def test_wide_server_tier_is_mode_invariant(monkeypatch, spec, max_duration_s, grouped):
+    """On 24 servers the push fan-out commits through the lock-step group,
+    or as columns once the group is gone, and rolls back per server:
+    fingerprints, server series, logical events and overheads must still
     equal the uncoalesced run's."""
     committed = []
+    group_commits = []
     push_fanout = PSTrainingJob.push_fanout
+    commit_group = ServerStateArrays.commit_group
 
     def counted(self, worker, nbytes, targets, latch):
         committed.append(push_fanout(self, worker, nbytes, targets, latch))
         return committed[-1]
 
+    def counted_group(self, *args):
+        group_commits.append(args)
+        return commit_group(self, *args)
+
     monkeypatch.setattr(PSTrainingJob, "push_fanout", counted)
+    monkeypatch.setattr(ServerStateArrays, "commit_group", counted_group)
     wide = replace(spec, name=f"{spec.name}@servers=24",
                    topology=replace(spec.topology, num_servers=24))
-    fast = simulate_spec(wide, coalesce=True)
+    fast = _simulate(wide, True, max_duration_s)
     assert any(committed)
-    slow = simulate_spec(wide, coalesce=False)
+    assert bool(group_commits) is grouped
+    if max_duration_s is not None:
+        assert not fast.run.completed
+        assert not any(server.in_group for server in fast.job.servers)
+    slow = _simulate(wide, False, max_duration_s)
     assert fast.golden_trace() == slow.golden_trace()
     assert _server_series(fast) == _server_series(slow)
     assert fast.run.engine_events_processed == slow.run.engine_events_processed
+    assert _overheads(fast) == _overheads(slow)
 
 
 def test_no_coalesce_env_hatch_selects_the_slow_path(monkeypatch):

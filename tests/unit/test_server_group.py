@@ -1,0 +1,242 @@
+"""Unit tests for the lock-step server group.
+
+With coalescing on, the servers a job starts with share one row of the
+tier's columns (:meth:`ParameterServer.form_group`): one ``server_bpt``
+row, one chain tail, one length.  A member leaves by copying that row into
+its own slot right before its first write of its own.  These tests pin the
+copy (exact, cell for cell), what a member's series reads before and after,
+the end of a run (``finalize_run`` leaves the group alone unless a point
+lies past the stop), that a lock-step tier keeps its group to the end, the
+writes that take a member out (a kill on the group's chain tail, a stepped
+request, a new base overhead) and the ones that do not, and that growing
+the store never touches the members' empty rows.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+
+import repro.sim.metrics as metrics_module
+from repro.orchestrator import simulate_spec
+from repro.psarch.config import PSJobConfig
+from repro.psarch.server import ParameterServer, PushRequest, ServerStateArrays
+from repro.scenarios import build_scenario_job, get_scenario
+from repro.sim.cluster import Cluster, NodeRole, NodeSpec
+from repro.sim.contention import NoContention, RandomContention
+from repro.sim.engine import CountdownEvent, Environment
+from repro.sim.hardware import CPU_SERVER_4C
+from repro.sim.metrics import MetricsRecorder
+from repro.sim.scheduler import ClusterScheduler, PendingTimeModel
+
+#: Inside a live window of the 4-server lock-step job below: its chain tail
+#: lies at 12.208 s.
+LIVE_WINDOW_AT = 12.1
+
+
+def _lock_step_spec(servers=4):
+    spec = get_scenario("dedicated-baseline")
+    return replace(spec, name=f"{spec.name}@servers={servers}",
+                   topology=replace(spec.topology, num_servers=servers))
+
+
+def _started_job(until):
+    job, _ = build_scenario_job(_lock_step_spec())
+    job.start()
+    job.env.run(until=until)
+    return job
+
+
+def _row(state, name, row, length):
+    return getattr(state, name).reshape(-1, state.capacity)[row, :length].tolist()
+
+
+def test_a_leaving_member_copies_the_group_row_exactly_and_reads_its_own():
+    """Detached inside a live window, with the prefix sums synced part-way,
+    a member's slot row equals the group row in every cell that holds
+    data; the rest of the run then writes its own row, and every series
+    ends as the uncoalesced run records it."""
+    job, _ = build_scenario_job(_lock_step_spec())
+    env = job.env
+    state = job.server_state
+    leaver = job.servers[0]
+    series = job.metrics.series("server_bpt", leaver.name)
+
+    def leave():
+        yield env.timeout(8.0)
+        series.window_stats(-math.inf, env.now)  # syncs every point so far
+        yield env.timeout(LIVE_WINDOW_AT - env.now)
+        group = state.group_row
+        assert state.chain_tail[group] > env.now
+        length, synced = state.lengths[group], state.synced[group]
+        assert 0 < synced < length
+        before = (series.times(), series.values())
+
+        ParameterServer.detach([leaver])
+
+        slot = leaver._slot
+        assert not leaver.in_group and not state.group_intact
+        assert all(server.in_group for server in job.servers[1:])
+        for name in ("times", "values", "tokens"):
+            assert _row(state, name, slot, length) == _row(state, name, group, length)
+        assert _row(state, "prefix", slot, synced) == _row(state, "prefix", group, synced)
+        assert (state.lengths[slot], state.synced[slot]) == (length, synced)
+        assert state.chain_tail[slot] == state.chain_tail[group]
+        assert (series.times(), series.values()) == before
+
+    env.process(leave())
+    result = job.run()
+    assert not any(server.in_group for server in job.servers)
+    oracle = simulate_spec(_lock_step_spec(), coalesce=False).run
+    for server in job.servers:
+        ours = result.metrics.series("server_bpt", server.name)
+        theirs = oracle.metrics.series("server_bpt", server.name)
+        assert (ours.times(), ours.values()) == (theirs.times(), theirs.values())
+
+
+def test_finalize_leaves_the_group_alone_without_a_point_past_the_stop():
+    """A run stopped exactly on the group's chain tail has nothing to
+    rewind: no member leaves.  One stopped inside a live window rewinds
+    each member's own copy to the stop, and the group row stays whole."""
+    job = _started_job(until=LIVE_WINDOW_AT)
+    state = job.server_state
+    group = state.group_row
+    job.env.run(until=state.chain_tail[group])
+    assert job.env.now == state.chain_tail[group]
+    for server in job.servers:
+        server.finalize_run()
+    assert all(server.in_group for server in job.servers)
+
+    job = _started_job(until=LIVE_WINDOW_AT)
+    state = job.server_state
+    group = state.group_row
+    length = state.lengths[group]
+    delivered = int(np.count_nonzero(
+        state.times.reshape(-1, state.capacity)[group, :length] <= job.env.now))
+    assert delivered < length
+    for server in job.servers:
+        server.finalize_run()
+        assert not server.in_group
+        assert len(job.metrics.series("server_bpt", server.name)) == delivered
+        assert server.pending_request_count() > 0
+    assert state.lengths[group] == length
+
+
+def test_a_lock_step_tier_keeps_its_group_to_the_end():
+    """``scale-120w``'s 40 servers receive every push together: the run
+    ends with the group intact, every member still reading its row and no
+    member row holding a point.  A lost group would leave every output
+    right and only cost time and memory, so this pins it."""
+    job = simulate_spec(get_scenario("scale-120w")).job
+    state = job.server_state
+    assert len(job.servers) == 40
+    assert state.group_intact
+    assert all(server.in_group for server in job.servers)
+    assert state.lengths[state.group_row] > 0
+    assert not state.lengths[:len(job.servers)].any()
+
+
+def test_no_group_forms_without_coalescing():
+    job = simulate_spec(_lock_step_spec(), coalesce=False).job
+    assert job.server_state.group_row == -1
+    assert not any(server.in_group for server in job.servers)
+
+
+def test_a_member_whose_overhead_changes_leaves_the_group():
+    """The group's handling times hold only for its base overhead: a member
+    whose device changes leaves at its next eligibility refresh."""
+    job = _started_job(until=LIVE_WINDOW_AT)
+    server = job.servers[1]
+    server.node.spec = replace(server.node.spec, device=replace(
+        CPU_SERVER_4C, base_overhead=2 * server.node.device.base_overhead))
+    server.node.set_contention(NoContention())
+    assert not server.in_group
+    assert all(other.in_group for other in job.servers if other is not server)
+
+
+def _standalone_group(members=3):
+    """``members`` fresh servers on one store, in lock step and parked."""
+    env = Environment()
+    specs = [NodeSpec(name=f"server-{index}", role=NodeRole.SERVER, device=CPU_SERVER_4C)
+             for index in range(members)]
+    cluster = Cluster("c", specs)
+    scheduler = ClusterScheduler(env, cluster, pending_model=PendingTimeModel(),
+                                 node_init_time=5.0)
+    state = ServerStateArrays(members + 1)
+    metrics = MetricsRecorder()
+    servers = [ParameterServer(env=env, node=cluster.get(spec.name), config=PSJobConfig(),
+                               scheduler=scheduler, metrics=metrics,
+                               delay_fraction_provider=lambda: 1.0, state=state)
+               for spec in specs]
+    ParameterServer.form_group(servers)
+    for server in servers:
+        server.start()
+    env.run(until=0.5)
+    return env, state, servers
+
+
+def test_a_kill_on_the_groups_chain_tail_takes_the_member_out():
+    """A killed member drops its chain tail.  Killed exactly on the
+    group's tail, it leaves: a commit at that instant would still join the
+    group's window, but opens a new one on the relaunched server.  Killed
+    after the tail, it stays: no later commit can tell the two apart."""
+    env, state, servers = _standalone_group()
+    latch = CountdownEvent(env, len(servers))
+    ack, opened = state.commit_group(env.now, 1.0, PushRequest("worker-0", 1e9, latch))
+    latch.count_down_many_at(np.full(len(servers), ack))
+    assert opened
+    env.run(until=ack)
+    assert servers[0].request_kill_restart()
+    env.run(until=ack + 0.5)
+    assert servers[1].request_kill_restart()
+    env.run(until=ack + 1.0)
+    assert [server.in_group for server in servers] == [False, True, True]
+    assert state.chain_tail[servers[0]._slot] == -math.inf
+
+
+def test_a_member_stepping_a_request_writes_its_own_row():
+    """Under a random contention model a member steps a request it is
+    handed (a drain's re-route) and appends its point uncoalesced: it
+    leaves the group first, so no sibling's series sees the point."""
+    env, _, servers = _standalone_group()
+    servers[0].node.set_contention(RandomContention(probability=1.0))
+    request = PushRequest("worker-0", 1e9, env.event())
+    servers[0].enqueue(request)
+    env.run()
+    assert request.done.triggered
+    assert [server.in_group for server in servers] == [False, True, True]
+    lengths = [len(server.metrics.series("server_bpt", server.name)) for server in servers]
+    assert lengths == [1, 0, 0]
+
+
+class _PoisonedNumpy:
+    """NumPy with ``empty`` filling every new column with -2."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, -2, dtype=dtype)
+
+
+def test_growing_the_store_never_touches_a_member_row(monkeypatch):
+    """A doubling copies each row's own points: the group row's, but none
+    of the members' empty rows, whose fresh cells so stay untouched (and
+    take no memory)."""
+    members = 5
+    state = ServerStateArrays(members + 1, points=8)
+    slots = [state.allocate_slot() for _ in range(members)]
+    group = state.add_group(slots, 0.01)
+    request = PushRequest(worker="worker-0", nbytes=1.0, done=None)
+    for step in range(8):
+        state.commit_group(float(step), 0.5, request)
+    for name, _ in state.POINT_COLUMNS:
+        getattr(state, name).reshape(-1, state.capacity)[slots] = -1
+    monkeypatch.setattr(metrics_module, "np", _PoisonedNumpy())
+    state.commit_group(8.0, 0.5, request)  # the ninth point doubles the rows
+    assert state.capacity == 16
+    for name, _ in state.POINT_COLUMNS:
+        cells = getattr(state, name).reshape(-1, state.capacity)
+        assert (cells[slots] == -2).all()
+    assert _row(state, "times", group, 9) == [0.51 + step for step in range(9)]
