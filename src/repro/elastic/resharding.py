@@ -235,6 +235,9 @@ class ServerShardMap:
         self._members: List[str] = []
         self._chains: Dict[int, List[str]] = {
             shard: [] for shard in range(self.num_shards)}
+        #: Bumped by every call that may change a chain, so a reader can
+        #: cache what it derives from them.
+        self.mutations = 0
         for member in members:
             self.add_member(member)
 
@@ -400,6 +403,7 @@ class ServerShardMap:
         if member in self._members:
             raise ValueError(f"member {member!r} is already in the shard map")
         capacity = self.replicas + 1
+        self.mutations += 1
         moved: List[int] = []
         for shard in range(self.num_shards):
             rank = self._entry_rank(member, shard)
@@ -425,6 +429,7 @@ class ServerShardMap:
         if member not in self._members:
             raise ValueError(f"member {member!r} is not in the shard map")
         self._members.remove(member)
+        self.mutations += 1
         capacity = min(self.replicas + 1, len(self._members))
         score = self._score
         moved: List[int] = []
@@ -458,6 +463,7 @@ class ServerShardMap:
         """
         if member not in self._members:
             raise ValueError(f"member {member!r} is not in the shard map")
+        self.mutations += 1
         promoted: List[int] = []
         for shard in range(self.num_shards):
             chain = self._chains[shard]

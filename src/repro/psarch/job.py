@@ -624,8 +624,11 @@ class PSTrainingJob:
         commits them as column operations with no per-server Python
         (:meth:`ServerStateArrays.commit_fanout`): one compare opens the
         windows, one scatter writes every target's ``server_bpt`` point.
-        Either way the latch is armed once with the array of
-        acknowledgements (:meth:`CountdownEvent.count_down_many_at
+        Either way the latch is armed once: with the group's one
+        acknowledgement and the target count
+        (:meth:`CountdownEvent.count_down_many_same_at
+        <repro.sim.engine.CountdownEvent.count_down_many_same_at>`), or with
+        the array of acknowledgements (:meth:`CountdownEvent.count_down_many_at
         <repro.sim.engine.CountdownEvent.count_down_many_at>`).
 
         A fan-out that does not match the intact group first takes its
@@ -652,9 +655,7 @@ class PSTrainingJob:
             ack, opened = state.commit_group(
                 env._now, self.config.server_per_byte_cost_s * nbytes,
                 PushRequest(worker=worker, nbytes=nbytes, done=latch))
-            acks = np.empty(len(slots))
-            acks.fill(ack)
-            latch.count_down_many_at(acks)
+            latch.count_down_many_same_at(ack, len(slots))
             env.coalesced_count += len(slots) * (2 if opened else 1)
             return True
         if attached:

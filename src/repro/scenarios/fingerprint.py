@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING, Dict, List, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from ..sim.failures import FailureInjector
 
@@ -39,12 +40,24 @@ def _round(value: float) -> float:
     return round(float(value), _DIGITS)
 
 
-def series_digest(times: List[float], values: List[float]) -> str:
+#: One series point as digested: ``time,value;`` in ``_DIGITS``-digit
+#: scientific notation.
+_POINT_FORMAT = f"{{:.{_DIGITS}e}},{{:.{_DIGITS}e}};"
+
+
+#: Points hashed per update: a joined string of this many stays small.
+_POINTS_PER_UPDATE = 4096
+
+
+def series_digest(times: Iterable[float], values: Iterable[float]) -> str:
     """Stable short digest of one (times, values) event series."""
     hasher = hashlib.sha256()
-    for time, value in zip(times, values):
-        hasher.update(f"{time:.{_DIGITS}e},{value:.{_DIGITS}e};".encode("ascii"))
-    return hasher.hexdigest()[:16]
+    points = map(_POINT_FORMAT.format, times, values)
+    while True:
+        text = "".join(islice(points, _POINTS_PER_UPDATE))
+        if not text:
+            return hasher.hexdigest()[:16]
+        hasher.update(text.encode("ascii"))
 
 
 def canonical_json(payload: Dict[str, object]) -> str:

@@ -5,23 +5,32 @@ and runs one simulation process for all its tenants.  Every tenant's
 arrival trace is fully precomputed (times, target shards, read/write flags —
 see :mod:`repro.serving.arrivals`): Zipf key ranks map to parameter shards in
 one vectorised step, hottest keys onto the heaviest-weighted shards, so Zipf
-popularity concentrates on the scenario's declared ``hot_shards``.  The
-process walks the traces in the order one timeout per arrival would fire:
-it reserves each tenant's next arrival through
-:meth:`~repro.sim.engine.Environment.wakeups`, and an arrival that is the
-next event is served inline, without a heap entry.  Per request it:
+popularity concentrates on the scenario's declared ``hot_shards``, and the
+arrays are read through memoryviews, which index as plain Python numbers.
+The process is the engine's walk over the traces
+(:meth:`~repro.sim.engine.Wakeups.walk`): it handles the arrivals in the
+order one timeout per arrival would fire, reserving each tenant's next
+arrival without a heap entry and stepping to it in place while it is the
+next event.  Per arrival the handler:
 
 1. charges the tenant's token bucket (empty bucket → shed ``"throttled"``);
-2. routes: writes go to the shard's primary, reads pick the least-loaded
-   live member of the replica chain (primary + warm standbys), so warm
-   replicas serve reads too;
+2. routes through a per-shard table of (owner, live standbys), rebuilt only
+   when the push targets, the shard map or its chains change: writes go to
+   the shard's primary, reads pick the least-loaded live member of the
+   replica chain (primary + warm standbys), so warm replicas serve reads
+   too;
 3. admits against the target's bounded in-flight budget (full → shed
    ``"overload"``) and submits through the ordinary
    :meth:`ParameterServer.submit` path, sharing the acknowledgement chain
    with training pushes — colocation contention is physical, not modelled;
-4. completes via a callback on the request's done event, which fires at
-   the acknowledgement instant in both engine coalescing modes, releasing
-   the admission slot and recording the latency.
+   the request's done event comes from :meth:`~repro.sim.engine.Wakeups.event`,
+   so the acknowledgement a server commits during the walk is a key the walk
+   holds, delivered in place like an arrival (one the server commits from
+   elsewhere, say after a rollback, is an ordinary heap event);
+4. completes when that event fires, at the acknowledgement instant in both
+   engine coalescing modes: one bound callback reads (tenant, arrival,
+   server) from the event's payload, releases the admission slot and
+   records the latency.
 
 Requests carry a ``serve:<tenant>`` pseudo-worker name; the job's requeue
 filter admits the prefix so an in-flight serving request survives a server
@@ -32,7 +41,7 @@ workers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +49,7 @@ from ..psarch.job import SERVING_WORKER_PREFIX
 from .admission import AdmissionLedger
 from .arrivals import arrival_times, zipf_keys
 from .slo import SLOTracker
-from .spec import ServingSpec, TenantSpec
+from .spec import ServingSpec
 from .tenants import bucket_for
 
 __all__ = ["ServingTier", "SERVING_WORKER_PREFIX"]
@@ -66,14 +75,13 @@ class ServingTier:
         self.completed = 0
         self._shed_counts = {"overload": 0, "throttled": 0}
         self._seed = int(seed)
-        self._targets_cache: Tuple[Optional[list], Dict[str, object]] = (None, {})
 
     # ------------------------------------------------------------------
     # Launch (called by PSTrainingJob.start once servers are up).
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Precompute every tenant's trace and launch the arrival process."""
+        """Precompute every tenant's trace and launch the arrival walk."""
         spec = self.spec
         smap = self.job.shard_map
         # Shards sorted heaviest-first: block-mapping hot key ranks onto
@@ -81,110 +89,96 @@ class ServingTier:
         shard_order = np.array(sorted(
             range(smap.num_shards),
             key=lambda shard: (-smap.weight_of(shard), shard)))
-        traces = []
+        timelines, shards, reads = [], [], []
         for index, tenant in enumerate(spec.tenants):
             rng = np.random.default_rng((self._seed, _SEED_SALT, index))
             times = arrival_times(rng, tenant.shape, tenant.rate_rps,
                                   spec.start_s, spec.duration_s)
             keys = zipf_keys(rng, times.shape[0], spec.num_keys, spec.zipf_s)
-            reads = rng.random(times.shape[0]) < spec.read_fraction
-            shards = shard_order[(keys * smap.num_shards) // spec.num_keys]
-            traces.append(_TenantTrace(tenant, spec.start_s, times, shards,
-                                       reads))
-        self.env.process(self._arrivals(traces))
-
-    def _arrivals(self, traces: List["_TenantTrace"]):
-        """Walk every trace in the order per-arrival timeouts would fire."""
+            read = rng.random(times.shape[0]) < spec.read_fraction
+            timelines.append(memoryview(times))
+            shards.append(memoryview(shard_order[(keys * smap.num_shards)
+                                                 // spec.num_keys]))
+            reads.append(memoryview(read))
         wakeups = self.env.wakeups()
-        for trace in traces:
-            self._walk(trace, wakeups, woken=False)
-        while wakeups:
-            trace, wait = wakeups.next()
-            if wait is not None:
-                yield wait
-            self._walk(trace, wakeups, woken=True)
+        self.env.process(wakeups.walk(
+            timelines, self._handler(wakeups, shards, reads)))
 
-    def _walk(self, trace: "_TenantTrace", wakeups, woken: bool) -> None:
-        """Serve ``trace``'s arrivals due now, then reserve the next one.
+    # ------------------------------------------------------------------
+    # Per-arrival handling and completion.
+    # ------------------------------------------------------------------
 
-        ``woken`` marks the arrival at the cursor as the one just woken for:
-        it is served without comparing its time to the clock again, as a
-        timeout's waiter would be.  A tenant stops at its first arrival
-        after the job completed, or at the end of its trace.
+    def _handler(self, wakeups, shards: Sequence[Sequence[int]],
+                 reads: Sequence[Sequence[bool]]) -> Callable[[int, int], bool]:
+        """The walk's per-arrival handler, with its hot state bound once.
+
+        It returns False, ending the tenant, at the tenant's first arrival
+        after the job completed.
         """
         job = self.job
-        now = self.env.now
-        name = trace.name
-        bucket = trace.bucket
-        times = trace.times
-        for i in range(trace.cursor, times.shape[0]):
-            if not woken:
-                when = float(times[i])
-                if when > now:
-                    trace.cursor = i
-                    wakeups.add(when, trace)
-                    return
-            woken = False
+        env = self.env
+        push_targets = job.push_targets
+        on_arrival = self.slo.on_arrival
+        inflight = self.admission.inflight
+        try_admit = self.admission.try_admit
+        shed = self._shed
+        on_ack = self._on_ack
+        held_event = wakeups.event
+        request_bytes = self.spec.request_bytes
+        tenants = self.spec.tenants
+        names = [tenant.name for tenant in tenants]
+        workers = [SERVING_WORKER_PREFIX + name for name in names]
+        buckets = [bucket_for(tenant.rate_limit_rps, tenant.burst_s,
+                              self.spec.start_s) for tenant in tenants]
+        # Shard -> (owner, live standbys), built from these push targets,
+        # this shard map and this count of its chain mutations.
+        routes: list = []
+        routed_targets = routed_map = None
+        routed_mutations = -1
+
+        def arrive(tenant: int, index: int) -> bool:
+            nonlocal routes, routed_targets, routed_map, routed_mutations
             if job.completed:
-                return
-            self.slo.on_arrival(name, now)
+                return False
+            now = env._now
+            name = names[tenant]
+            on_arrival(name, now)
+            bucket = buckets[tenant]
             if bucket is not None and not bucket.try_acquire(now):
-                self._shed(name, now, "throttled")
-                continue
-            self._dispatch(name, now, int(trace.shards[i]),
-                           bool(trace.reads[i]))
-
-    # ------------------------------------------------------------------
-    # Routing, admission, completion.
-    # ------------------------------------------------------------------
-
-    def _target_index(self) -> Dict[str, object]:
-        """Name -> live server, rebuilt only when the target list changes."""
-        targets = self.job.push_targets()
-        cached_list, index = self._targets_cache
-        if cached_list is not targets:
-            index = {server.name: server for server in targets}
-            self._targets_cache = (targets, index)
-        return index
-
-    def _dispatch(self, tenant: str, now: float, shard: int,
-                  is_read: bool) -> None:
-        job = self.job
-        smap = job.shard_map
-        index = self._target_index()
-        owner = smap.owner_of(shard)
-        target = index.get(owner) if owner is not None else None
-        if is_read:
-            standbys = smap.standbys_of(shard)
-            if standbys:
-                admission = self.admission
-                best_depth = (admission.inflight(target.name)
-                              if target is not None else None)
-                for standby_name in standbys:
-                    standby = index.get(standby_name)
-                    if standby is None:
-                        continue
-                    depth = admission.inflight(standby_name)
+                shed(name, now, "throttled")
+                return True
+            targets = push_targets()
+            smap = job.shard_map
+            if (targets is not routed_targets or smap is not routed_map
+                    or smap.mutations != routed_mutations):
+                routes = _route_table(targets, smap)
+                routed_targets, routed_map, routed_mutations = targets, smap, smap.mutations
+            target, standbys = routes[shards[tenant][index]]
+            if standbys and reads[tenant][index]:
+                best_depth = inflight(target.name) if target is not None else None
+                for standby in standbys:
+                    depth = inflight(standby.name)
                     if best_depth is None or depth < best_depth:
                         target, best_depth = standby, depth
-        if target is None:
-            # The owner fell out of the push rotation with no live replica
-            # to absorb the read: degrade rather than queue unboundedly.
-            self._shed(tenant, now, "overload")
-            return
-        server_name = target.name
-        if not self.admission.try_admit(server_name):
-            self._shed(tenant, now, "overload")
-            return
-        self.admitted += 1
-        done = target.submit(SERVING_WORKER_PREFIX + tenant,
-                             self.spec.request_bytes)
-        done.callbacks.append(
-            lambda _event, tenant=tenant, arrival=now,
-            server_name=server_name: self._on_ack(tenant, arrival,
-                                                  server_name))
+            if target is None:
+                # The owner fell out of the push rotation with no live
+                # replica to absorb the read: degrade rather than queue
+                # unboundedly.
+                shed(name, now, "overload")
+                return True
+            server_name = target.name
+            if not try_admit(server_name):
+                shed(name, now, "overload")
+                return True
+            self.admitted += 1
+            target.submit(workers[tenant], request_bytes,
+                          held_event(on_ack, (name, now, server_name)))
+            return True
 
-    def _on_ack(self, tenant: str, arrival: float, server_name: str) -> None:
+        return arrive
+
+    def _on_ack(self, event) -> None:
+        tenant, arrival, server_name = event.payload
         ack = self.env.now
         self.admission.release(server_name)
         self.completed += 1
@@ -220,17 +214,14 @@ class ServingTier:
         return summary
 
 
-class _TenantTrace:
-    """One tenant's precomputed arrivals and how far the walk has got."""
+def _route_table(targets, smap) -> List[Tuple[Optional[object], tuple]]:
+    """Shard -> (owner, live standbys in chain order) over ``targets``.
 
-    __slots__ = ("name", "bucket", "times", "shards", "reads", "cursor")
-
-    def __init__(self, tenant: TenantSpec, start_s: float, times: np.ndarray,
-                 shards: np.ndarray, reads: np.ndarray) -> None:
-        self.name = tenant.name
-        self.bucket = bucket_for(tenant.rate_limit_rps, tenant.burst_s,
-                                 start_s)
-        self.times = times
-        self.shards = shards
-        self.reads = reads
-        self.cursor = 0
+    A chain member outside the push targets (draining, or recovering after
+    its standbys took over) routes nowhere: an owner is None, a standby is
+    left out.
+    """
+    live = {server.name: server for server in targets}
+    return [(live.get(smap.owner_of(shard)),
+             tuple(live[name] for name in smap.standbys_of(shard) if name in live))
+            for shard in range(smap.num_shards)]

@@ -21,8 +21,9 @@ p99 — exactly the signal the SLO policy scales on.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, Dict, List, Tuple
+from collections import defaultdict, deque
+from operator import itemgetter
+from typing import DefaultDict, Deque, Dict, List, Tuple
 
 __all__ = ["SLOTracker"]
 
@@ -52,32 +53,27 @@ class SLOTracker:
 
     def __init__(self, window_s: float):
         self.window_s = window_s
-        self._tenants: Dict[str, _TenantStats] = {}
+        # A tenant's stats appear at its first recorded request.
+        self._tenants: DefaultDict[str, _TenantStats] = defaultdict(_TenantStats)
         self._win_arrivals: Deque[float] = deque()
         self._win_sheds: Deque[float] = deque()
         self._win_latencies: Deque[Tuple[float, float]] = deque()
-
-    def _stats(self, tenant: str) -> _TenantStats:
-        stats = self._tenants.get(tenant)
-        if stats is None:
-            stats = self._tenants[tenant] = _TenantStats()
-        return stats
 
     # ------------------------------------------------------------------
     # Recording (called by the driver in simulation order).
     # ------------------------------------------------------------------
 
     def on_arrival(self, tenant: str, now_s: float) -> None:
-        self._stats(tenant).arrivals += 1
+        self._tenants[tenant].arrivals += 1
         self._win_arrivals.append(now_s)
 
     def on_shed(self, tenant: str, now_s: float, reason: str) -> None:
-        self._stats(tenant).shed[reason] += 1
+        self._tenants[tenant].shed[reason] += 1
         self._win_sheds.append(now_s)
 
     def on_completion(self, tenant: str, ack_s: float,
                       latency_s: float) -> None:
-        stats = self._stats(tenant)
+        stats = self._tenants[tenant]
         stats.completed += 1
         stats.latencies.append(latency_s)
         stats.ack_times.append(ack_s)
@@ -134,11 +130,9 @@ class SLOTracker:
         summary["tenants"] = tenants
         summary["in_flight_at_end"] = in_flight_at_end
         if total.ack_times:
-            order = sorted(range(len(total.ack_times)),
-                           key=lambda i: (total.ack_times[i], total.latencies[i]))
+            points = sorted(zip(total.ack_times, total.latencies))
             summary["latency_digest"] = series_digest(
-                [total.ack_times[i] for i in order],
-                [total.latencies[i] for i in order])
+                map(itemgetter(0), points), map(itemgetter(1), points))
         return summary
 
     @staticmethod

@@ -36,13 +36,15 @@ and the component re-plans from the perturbation point.  The ``coalesce`` flag (
 mechanism off, falling back to strictly per-event stepping — both modes
 produce byte-identical traces, which the golden suite pins.
 
-The same flag gates *inline wake-ups* (:meth:`Environment.wakeups`): a
-process walking precomputed timelines — the serving tier's arrival traces —
-reserves the heap key each of its timeouts would get without pushing it, and
-when a reserved key provably is the next event (it sorts below the heap top
-and lies within the running ``run(until=)`` bound) the clock steps to it in
-place: no heap push or pop, no generator resume.  Otherwise exactly that key
-goes through the heap.
+The same flag gates *inline wake-ups* (:meth:`Environment.wakeups`): the
+engine walks precomputed timelines — the serving tier's arrival traces — for
+one process, reserving the heap key each entry's timeout would get without
+pushing it, and holds the keys of the events the walk's own handlers
+schedule (a serving request's acknowledgement) the same way.  When a held
+key provably is the next event (it sorts below the heap top and lies within
+the running ``run(until=)`` bound) the clock steps to it in place: no heap
+push or pop, no generator resume.  Otherwise exactly that key goes through
+the heap.
 
 The third mechanism is *parked re-checks* (:meth:`Environment.parking`):
 processes that wait and ask again — a worker polling an empty data queue —
@@ -77,7 +79,7 @@ import gc
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
 
 __all__ = [
     "Environment",
@@ -420,6 +422,14 @@ class AnyOf(_Condition):
             self.succeed(self._collect())
 
 
+def _batch_times(batch) -> List[float]:
+    """A latch batch's times as a list: an array, or a (time, count) pair."""
+    if type(batch) is tuple:
+        when, count = batch
+        return [when] * count
+    return batch.tolist()
+
+
 class CountdownEvent(Event):
     """An event that succeeds after ``count`` calls to :meth:`count_down`.
 
@@ -454,10 +464,11 @@ class CountdownEvent(Event):
         self._remaining = int(count)
         self._abandoned = False
         self._fire_delay = fire_delay
-        # A fresh latch's batch of times from count_down_many_at, kept as the
-        # array it came in, then (when, value) per later count_down, in call
-        # order.  Kept so a rescinded contribution can be removed and the
-        # firing time recomputed; a rescind unpacks the batch into pairs.
+        # A fresh latch's batch of contributions, kept whole: the array of
+        # times count_down_many_at came with, or count_down_many_same_at's
+        # (time, count) pair.  Then (when, value) per later count_down, in
+        # call order.  Kept so a rescinded contribution can be removed and
+        # the firing time recomputed; a rescind unpacks the batch into pairs.
         self._batch = None
         self._contributions: List = []
         self._fire_id: Optional[int] = None
@@ -525,16 +536,26 @@ class CountdownEvent(Event):
         protocol's ack payload).  A fresh latch keeps the array as it is.
         Returns True when the batch armed the firing event.
         """
+        return self._count_down_batch(len(whens), whens)
+
+    def count_down_many_same_at(self, when: float, count: int) -> bool:
+        """Record ``count`` completions at the one time ``when``, each valued
+        with it: :meth:`count_down_many_at` of ``count`` equal times, kept as
+        the pair until a rescind unpacks it."""
+        return self._count_down_batch(count, (when, count))
+
+    def _count_down_batch(self, n: int, batch) -> bool:
+        """Record the ``n`` contributions of ``batch`` (an array of times, or
+        a (time, count) pair)."""
         if self._abandoned:
             return False
-        n = len(whens)
         if n > self._remaining:
             raise RuntimeError(f"{self!r} has already been fully counted down")
         self._remaining -= n
         if self._batch is None and not self._contributions:
-            self._batch = whens
+            self._batch = batch
         else:
-            whens = whens.tolist()
+            whens = _batch_times(batch)
             self._contributions.extend(zip(whens, whens))
         if self._remaining != 0:
             return False
@@ -547,8 +568,10 @@ class CountdownEvent(Event):
         A batch precedes every pair, and its values equal its times, so its
         latest time stands for all of it.
         """
-        if self._batch is not None:
-            fire_when = fire_value = float(self._batch.max())
+        batch = self._batch
+        if batch is not None:
+            fire_when = fire_value = (batch[0] if type(batch) is tuple
+                                      else float(batch.max()))
         else:
             fire_when, fire_value = self._contributions[0]
         for contrib_when, contrib_value in self._contributions:
@@ -573,7 +596,7 @@ class CountdownEvent(Event):
         batch = self._batch
         if batch is not None:
             self._batch = None
-            whens = batch.tolist()
+            whens = _batch_times(batch)
             self._contributions[:0] = zip(whens, whens)
         self._contributions.remove((when, value))
         self._remaining += 1
@@ -587,63 +610,141 @@ class CountdownEvent(Event):
                 env.coalesced_count -= 1
 
 
-class Wakeups:
-    """Timeouts one process reserves ahead, stepped inline while next.
+class _Held(Event):
+    """An event a :class:`Wakeups` walk may hold as a reserved key."""
 
-    :meth:`add` reserves the heap key ``env.timeout(when - env.now)`` would
-    create — the same float rounding, an event id drawn at the same point,
-    counted in ``scheduled_count`` — without pushing it.  :meth:`next` takes
-    the earliest reservation.  When that key provably is the next event —
-    the environment coalesces, the key sorts strictly below the heap top and
-    its time lies within the running ``run(until=)`` bound — the clock steps
-    to it in place and ``coalesced_count`` accounts the pop it saved, so the
-    caller carries on without yielding.  Otherwise exactly that key is pushed
-    and the event to yield is returned.  Either way the process sees the
-    clock and the event order plain timeouts would give it.  With
-    ``coalesce=False`` and under :meth:`Environment.step` every wake-up goes
-    through the heap.
+    __slots__ = ("wakeups", "payload")
+
+    def __init__(self, wakeups: "Wakeups", callback: Callable[[Event], None],
+                 payload: Any) -> None:
+        self.env = wakeups.env
+        self.callbacks = [callback]
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
+        self.wakeups = wakeups
+        self.payload = payload
+
+
+class Wakeups:
+    """Precomputed timelines one process walks, stepped inline while next.
+
+    :meth:`walk` is a process body (``env.process(wakeups.walk(...))``, or
+    ``yield from`` it).  Each timeline is an ascending sequence of times (a
+    list, or a float64 memoryview), and the walk calls ``handler(timeline,
+    index)`` once per entry, in the order one timeout per entry would fire;
+    a False return ends that timeline.  After an entry is handled, the
+    timeline's entries due at that instant are handled at once, and the
+    next one's key is reserved: the key ``env.timeout(when - env.now)``
+    would create — the same float sum, an id drawn at the same point,
+    counted in ``scheduled_count`` — without pushing it.
+
+    :meth:`event` makes an event the walk may hold too.  ``schedule_at`` on
+    it while the walk runs (inside ``handler``, or a callback the walk
+    delivers) reserves its key here instead of pushing it: the same key and
+    the same count.  Anywhere else — scheduled by another process or after
+    the walk ended, or triggered with ``succeed`` — it is an ordinary event.
+    After ``discard_scheduled`` a held key is dropped, uncounted.
+
+    The walk takes its keys in order.  When the earliest provably is the
+    next event — the environment coalesces, the key sorts strictly below
+    the heap top and its time lies within the running ``run(until=)``
+    bound — the clock steps to it in place and ``coalesced_count`` credits
+    the pop it saved: the entry is handled, or the held event's callbacks
+    run.  Otherwise the held events before the next entry go to the heap
+    as they are, and exactly that entry's key is pushed and yielded.  Either
+    way everything sees the clock and the event order plain timeouts and
+    heap events would give it.  With ``coalesce=False`` and under
+    :meth:`Environment.step` every key goes through the heap.
+
+    Held events are meant for the walk's own callbacks: a process waiting
+    on one is resumed inside the walk, and must not step the clock itself.
     """
 
-    __slots__ = ("env", "_keys")
+    __slots__ = ("env", "_keys", "_walking")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
-        # Reserved (when, priority, eid, tag) keys, a heap like the env's.
+        # Reserved (when, priority, eid, item) keys, a heap like the env's:
+        # an item is a timeline's index, or a held event.
         self._keys: List = []
+        self._walking = False
 
-    def __len__(self) -> int:
-        return len(self._keys)
+    def event(self, callback: Callable[[Event], None], payload: Any = None) -> Event:
+        """A pending event with one ``callback`` and a ``payload`` that the
+        walk may hold when it is scheduled."""
+        return _Held(self, callback, payload)
 
-    def add(self, when: float, tag: Any) -> None:
-        """Reserve a wake-up at absolute time ``when``, returned with ``tag``."""
+    def walk(self, timelines: Sequence[Sequence[float]],
+             handler: Callable[[int, int], bool]) -> Generator:
+        """Walk ``timelines``, calling ``handler`` per entry (the process body)."""
         env = self.env
         now = env._now
-        delay = when - now
-        if delay < 0:
-            raise ValueError(f"wake-up at {when} lies in the past (now={now})")
-        env.scheduled_count += 1
-        heapq.heappush(self._keys, (now + delay, _NORMAL, next(env._eid), tag))
-
-    def next(self) -> Tuple[Any, Optional[Event]]:
-        """Take the earliest reservation as ``(tag, event)``.
-
-        ``event`` is None when the wake-up was stepped inline (the clock now
-        reads its time); otherwise the caller yields it.
-        """
-        env = self.env
-        key = heapq.heappop(self._keys)
-        when = key[0]
+        for times in timelines:
+            if times and times[0] < now:
+                raise ValueError(
+                    f"timeline entry at {times[0]} lies in the past (now={now})")
+        keys = self._keys
         queue = env._queue
-        if (env.coalesce and when <= env._inline_until
-                and (not queue or key < queue[0])):
-            env._now = when
-            env.coalesced_count += 1
-            return key[3], None
-        event = Event(env)
-        event._ok = True
-        event._value = None
-        heapq.heappush(queue, (when, _NORMAL, key[2], event))
-        return key[3], event
+        dead = env._dead
+        coalesce = env.coalesce
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        cursors = [0] * len(timelines)
+
+        def advance(line: int, index: int) -> None:
+            """Handle ``line``'s entries from ``index`` on while they are
+            due, then reserve the next one's key."""
+            times = timelines[line]
+            now = env._now
+            while index < len(times):
+                when = times[index]
+                if when > now:
+                    cursors[line] = index
+                    env.scheduled_count += 1
+                    heappush(keys, (now + (when - now), _NORMAL, next(env._eid), line))
+                    return
+                if not handler(line, index):
+                    return
+                index += 1
+
+        self._walking = True
+        try:
+            for line in range(len(timelines)):
+                advance(line, 0)
+            while keys:
+                key = heappop(keys)
+                when, _priority, eid, item = key
+                if dead and eid in dead:
+                    dead.discard(eid)
+                    continue
+                if (coalesce and when <= env._inline_until
+                        and (not queue or key < queue[0])):
+                    env._now = when
+                    env.coalesced_count += 1
+                    if type(item) is int:
+                        index = cursors[item]
+                        if handler(item, index):
+                            advance(item, index + 1)
+                    else:
+                        callbacks, item.callbacks = item.callbacks, None
+                        for callback in callbacks:
+                            callback(item)
+                elif type(item) is int:
+                    wake = Event(env)
+                    wake._ok = True
+                    wake._value = None
+                    heappush(queue, (when, _NORMAL, eid, wake))
+                    self._walking = False
+                    yield wake
+                    self._walking = True
+                    index = cursors[item]
+                    if handler(item, index):
+                        advance(item, index + 1)
+                else:
+                    heappush(queue, key)
+        finally:
+            self._walking = False
 
 
 #: The stamp of a block whose members parked with different stamps: it
@@ -944,7 +1045,7 @@ class Environment:
         # killed lazily: the run loop drops them on pop instead of paying an
         # O(n) heap rebuild per rescission.
         self._dead: set = set()
-        # Latest time a Wakeups reservation may be stepped to inline: the
+        # Latest time a Wakeups key may be stepped to inline: the
         # running run()'s numeric bound; -inf outside run(), so under step().
         self._inline_until = float("-inf")
 
@@ -971,7 +1072,7 @@ class Environment:
         return AnyOf(self, events)
 
     def wakeups(self) -> Wakeups:
-        """Create a :class:`Wakeups` set for the calling process."""
+        """Create a :class:`Wakeups` walk for one process."""
         return Wakeups(self)
 
     def parking(self, interval: float,
@@ -991,7 +1092,9 @@ class Environment:
         future outcome closed-form publishes it here and receives the heap
         entry id back, which :meth:`discard_scheduled` accepts should the
         outcome need to be rescinded before it is delivered.  ``when`` must
-        not lie in the past (the heap would deliver it out of order).
+        not lie in the past (the heap would deliver it out of order).  An
+        event from :meth:`Wakeups.event` scheduled while its walk runs is
+        held by the walk under the same key (see :class:`Wakeups`).
         """
         if when < self._now:
             raise ValueError(f"schedule_at({when}) lies in the past (now={self._now})")
@@ -1001,7 +1104,11 @@ class Environment:
         event._value = value
         self.scheduled_count += 1
         eid = next(self._eid)
-        heapq.heappush(self._queue, (when, _NORMAL, eid, event))
+        if type(event) is _Held and event.wakeups._walking:
+            # Scheduled from inside its walk: the walk holds the key.
+            heapq.heappush(event.wakeups._keys, (when, _NORMAL, eid, event))
+        else:
+            heapq.heappush(self._queue, (when, _NORMAL, eid, event))
         return eid
 
     def discard_scheduled(self, eid: int) -> None:

@@ -21,6 +21,12 @@ replay the surviving entries), keep the exactly-once sample ledger conserved
 (``shard_accounting``), and still fingerprint identically to the uncoalesced
 run.
 
+The benchmark's serving shape — 12 servers under tenants at 6.4x their
+registered rates — runs both ways too, plain and with a primary evicted
+while requests are in flight: with coalescing on, the acknowledgements the
+servers commit during the arrival walk are keys the walk holds and steps
+to in place, and those a rollback re-commits are ordinary heap events.
+
 Idle workers' parked data polls are held to the same coalesced job with
 every park turned back into the timeout it stands for: fingerprints, logical
 events and the DDS's overhead must be equal when a parked worker is evicted
@@ -44,7 +50,8 @@ from repro.scenarios import ScenarioSpec, all_scenarios, get_scenario
 from repro.scenarios.fingerprint import fingerprint
 from repro.scenarios.matrix import build_scenario_job
 from repro.scenarios.spec import FailureEvent, FailureTraceSpec
-from repro.sim.engine import Parking, Process
+from repro.sim.engine import Environment, Parking, Process, Wakeups, _Held
+from repro.sim.failures import ErrorCode
 
 ALL_NAMES = [spec.name for spec in all_scenarios()]
 
@@ -159,6 +166,83 @@ def test_wide_server_tier_is_mode_invariant(monkeypatch, spec, max_duration_s, g
     assert _server_series(fast) == _server_series(slow)
     assert fast.run.engine_events_processed == slow.run.engine_events_processed
     assert _overheads(fast) == _overheads(slow)
+
+
+#: Offered traffic of the benchmark's serving workload, as a multiple of
+#: ``serving-hot-key-fanout``'s tenant rates (and rate limits).
+SERVING_TRAFFIC_SCALE = 6.4
+
+
+def _serving_bench_shape(evicted):
+    """``serving-hot-key-fanout`` at the benchmark's 12 servers and traffic,
+    over a 20 s window; ``evicted`` evicts server-2 at 15 s, in the middle
+    of the traffic: the hot shards' primary, with requests queued, whose
+    warm standbys take over."""
+    base = get_scenario("serving-hot-key-fanout")
+    tenants = tuple(
+        replace(tenant, rate_rps=tenant.rate_rps * SERVING_TRAFFIC_SCALE,
+                rate_limit_rps=(tenant.rate_limit_rps * SERVING_TRAFFIC_SCALE
+                                if tenant.rate_limit_rps is not None else None))
+        for tenant in base.serving.tenants)
+    spec = replace(base, name="serving-bench-shape",
+                   topology=replace(base.topology, num_servers=12),
+                   serving=replace(base.serving, tenants=tenants, duration_s=20.0))
+    if evicted:
+        spec = replace(spec, name="serving-bench-shape-evicted",
+                       failures=FailureTraceSpec(events=(FailureEvent(
+                           time_s=15.0, node="server-2",
+                           code=ErrorCode.JOB_EVICTION.value),)))
+    return spec
+
+
+class _OnTheHeap(_Held):
+    """A held event's type the walk does not recognise: its acknowledgement
+    is an ordinary heap event wherever it is scheduled."""
+
+    __slots__ = ()
+
+
+#: Logical events the uncoalesced run counts beyond the coalesced one: the
+#: eviction shows the known parity gap ``serving-promotion-burst`` shows
+#: (ROADMAP item 5), by the same +1, and did before the walk held
+#: acknowledgements.
+_SERVING_SHAPE_PARITY_GAP = {False: 0, True: 1}
+
+
+@pytest.mark.parametrize("evicted", [False, True], ids=["plain", "evicted"])
+def test_serving_at_benchmark_scale_is_mode_invariant(monkeypatch, evicted):
+    spec = _serving_bench_shape(evicted)
+    rescinded = []
+    discard_scheduled = Environment.discard_scheduled
+
+    def counted(env, eid):
+        rescinded.append(eid)
+        discard_scheduled(env, eid)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Environment, "discard_scheduled", counted)
+        fast = _simulate(spec, True)
+    # The eviction rolled back acknowledgements committed past it.
+    assert bool(rescinded) == evicted
+    slow = _simulate(spec, False)
+    assert fast.golden_trace() == slow.golden_trace()
+    assert (slow.run.engine_events_processed - fast.run.engine_events_processed
+            == _SERVING_SHAPE_PARITY_GAP[evicted])
+    assert _overheads(fast) == _overheads(slow)
+    serving = fast.fingerprint["serving"]
+    assert serving["arrivals"] > 15_000 and serving["completed"] > 5_000
+    resharding = fast.fingerprint.get("elastic", {}).get("resharding", {})
+    assert (resharding.get("promoted_total", 0) > 0) == evicted
+
+    # The exact oracle: the same coalesced job with every acknowledgement
+    # on the heap.  Holding them changes heap pops only.
+    monkeypatch.setattr(Wakeups, "event", lambda wakeups, callback, payload=None:
+                        _OnTheHeap(wakeups, callback, payload))
+    oracle = _simulate(spec, True)
+    assert fast.golden_trace() == oracle.golden_trace()
+    assert fast.run.engine_events_processed == oracle.run.engine_events_processed
+    assert _overheads(fast) == _overheads(oracle)
+    assert fast.run.engine_events_physical < oracle.run.engine_events_physical // 4
 
 
 def test_no_coalesce_env_hatch_selects_the_slow_path(monkeypatch):

@@ -9,6 +9,7 @@ from repro.sim.engine import (
     CountdownEvent,
     Environment,
     Event,
+    PENDING,
     Interrupt,
     Store,
     Timeout,
@@ -418,31 +419,61 @@ def test_countdown_batch_fires_like_one_at_a_time(whens, rescinded, again, fire_
     assert fire(batched=True) == fire(batched=False)
 
 
-# -- Wakeups: reserved timeouts stepped inline while they are next ----------
+@pytest.mark.parametrize("fire_delay", [0.0, 0.5])
+@pytest.mark.parametrize("count, rescinds, again", [
+    (3, 0, None),  # the pair alone fires at its time
+    (3, 1, 2.0),  # one leaves and comes back earlier: the others still decide
+    (3, 1, 6.0),  # ... or later: the re-contribution decides
+    (2, 2, 4.0),  # both leave; the first comes back, then the second
+])
+def test_countdown_same_time_batch_fires_like_the_array(count, rescinds, again, fire_delay):
+    # The lock-step group's fan-out arms a fresh latch with one time and a
+    # count; a rollback unpacks it exactly as it would the equal-time array.
+    def fire(paired):
+        env = Environment()
+        latch = CountdownEvent(env, count, fire_delay=fire_delay)
+        if paired:
+            assert latch.count_down_many_same_at(5.0, count)
+        else:
+            assert latch.count_down_many_at(np.full(count, 5.0))
+        for _ in range(rescinds):
+            latch.rescind(5.0, 5.0)
+        assert latch.remaining == rescinds
+        for index in range(rescinds):
+            armed = latch.count_down_at(again + index, again + index)
+            assert armed == (index == rescinds - 1)
+        env.run()
+        return env.now, latch.value, env.processed_count, env.coalesced_count
+
+    assert fire(paired=True) == fire(paired=False)
+    assert fire(paired=True)[:2] == (
+        (max(5.0, again + rescinds - 1) if rescinds else 5.0) + fire_delay,
+        max(5.0, again + rescinds - 1) if rescinds else 5.0)
+
+
+# -- Wakeups: timelines the engine walks, stepped inline while next ----------
 
 
 def _walk(env, timelines, log):
     """One process walking ``{tag: times}`` through Wakeups; logs (tag, now)."""
-    wakeups = env.wakeups()
-    cursors = {}
-    for tag, times in timelines.items():
-        wakeups.add(times[0], tag)
-        cursors[tag] = 1
-    while wakeups:
-        tag, wait = wakeups.next()
-        if wait is not None:
-            yield wait
-        log.append((tag, env.now))
-        i = cursors[tag]
-        if i < len(timelines[tag]):
-            wakeups.add(timelines[tag][i], tag)
-            cursors[tag] = i + 1
+    tags = list(timelines)
+
+    def handler(line, index):
+        log.append((tags[line], env.now))
+        return True
+
+    yield from env.wakeups().walk([list(timelines[tag]) for tag in tags], handler)
 
 
 def _walk_with_timeouts(env, tag, times, log):
-    """The same timeline as one process of plain timeouts (the reference)."""
+    """The same timeline as one process of plain timeouts (the reference).
+
+    An entry due at the instant its predecessor was handled waits for
+    nothing, as in the walk.
+    """
     for when in times:
-        yield env.timeout(when - env.now)
+        if when > env.now:
+            yield env.timeout(when - env.now)
         log.append((tag, env.now))
 
 
@@ -488,17 +519,18 @@ def test_wakeups_interleave_like_plain_timeouts(coalesce):
 def test_wakeup_ties_order_by_reservation(coalesce, reserved_first):
     env = Environment(coalesce=coalesce)
     log = []
+    credits = []
+
+    def handler(line, index):
+        log.append((("early", "wake-up")[line], env.now))
+        credits.append(env.coalesced_count)
+        return True
 
     def waker():
-        wakeups = env.wakeups()
-        wakeups.add(2.0, "wake-up")
-        # Let the sleeper schedule its 2.0 timeout, then take the wake-up
-        # with that timeout on top of the heap.
-        yield env.timeout(1.0)
-        tag, wait = wakeups.next()
-        if wait is not None:
-            yield wait
-        log.append((tag, env.now))
+        # Both keys are reserved at 0.  "early" lets the sleeper schedule its
+        # 2.0 timeout, then the walk takes the wake-up with that timeout on
+        # top of the heap.
+        yield from env.wakeups().walk([[1.0], [2.0]], handler)
 
     def sleeper():
         yield env.timeout(2.0)
@@ -509,8 +541,10 @@ def test_wakeup_ties_order_by_reservation(coalesce, reserved_first):
     env.process(second())
     env.run()
     expected = [("wake-up", 2.0), ("timeout", 2.0)]
-    assert log == (expected if reserved_first else expected[::-1])
-    assert env.coalesced_count == (1 if coalesce and reserved_first else 0)
+    assert log == [("early", 1.0)] + (expected if reserved_first else expected[::-1])
+    # The wake-up steps inline (its credit lands before it is handled) only
+    # when it was reserved first.
+    assert (credits[1] > credits[0]) == (coalesce and reserved_first)
 
 
 def test_wakeups_stop_at_a_numeric_run_bound():
@@ -562,7 +596,9 @@ def test_uncoalesced_wakeups_each_pop_the_heap():
     env.process(_walk(env, {"w": times}, log))
     env.run()
     assert log == [("w", when) for when in times]
-    assert env.processed_count == len(times) + 2  # plus the start and exit
+    # One pop per distinct time (the second 2.0 is due when the first is
+    # handled, and waits for nothing), plus the start and the exit.
+    assert env.processed_count == len(set(times)) + 2
     assert env.coalesced_count == 0
 
 
@@ -583,7 +619,205 @@ def test_wakeup_in_the_past_is_rejected():
     env = Environment()
     env.run(until=1.0)
     with pytest.raises(ValueError):
-        env.wakeups().add(0.5, "late")
+        next(env.wakeups().walk([[0.5, 2.0]], lambda line, index: True))
+
+
+def test_a_false_handler_return_ends_its_timeline():
+    env = Environment()
+    log = []
+
+    def handler(line, index):
+        log.append((line, index, env.now))
+        return not (line == 0 and index == 1)
+
+    env.process(env.wakeups().walk([[1.0, 2.0, 3.0], [1.5, 2.5, 3.5]], handler))
+    env.run()
+    assert log == [(0, 0, 1.0), (1, 0, 1.5), (0, 1, 2.0), (1, 1, 2.5), (1, 2, 3.5)]
+
+
+# -- Wakeups: events the walk holds -------------------------------------------
+
+
+def _acknowledging(env, held, log, eids, delays=(0.5, 1.0), discard=None):
+    """A walk whose arrivals (1.0, 2.0, 3.0) each schedule one event
+    ``delays[index % 2]`` later: held by the walk (``held``) or a plain
+    ``env.event()`` (the reference).  ``discard(index)`` names an earlier
+    arrival whose event this arrival discards."""
+    wakeups = env.wakeups()
+
+    def acknowledged(index):
+        log.append(("ack", index, env.now))
+
+    def handler(line, index):
+        log.append(("arrival", index, env.now))
+        if held:
+            event = wakeups.event(lambda event: acknowledged(event.payload), index)
+        else:
+            event = env.event()
+            event.callbacks.append(lambda _event, index=index: acknowledged(index))
+        eids.append(env.schedule_at(event, env.now + delays[index % 2], index))
+        if discard is not None and discard(index) is not None:
+            env.discard_scheduled(eids[discard(index)])
+        return True
+
+    yield from wakeups.walk([[1.0, 2.0, 3.0]], handler)
+
+
+def _tied_heap(env, log):
+    """Heap events tied with the walk's keys: a 1.5 timeout scheduled at 0,
+    before the 1.5 acknowledgement, and a ticker every 0.5 whose 1.5, 3.0
+    and 3.5 timeouts are scheduled after the acknowledgements due then."""
+    def sleeper():
+        yield env.timeout(1.5)
+        log.append(("sleeper", env.now))
+
+    def ticker():
+        for _ in range(8):
+            yield env.timeout(0.5)
+            log.append(("tick", env.now))
+
+    env.process(sleeper())
+    env.process(ticker())
+
+
+def _acknowledged_run(coalesce, held, **kwargs):
+    env = Environment(coalesce=coalesce)
+    log, eids = [], []
+    _tied_heap(env, log)
+    env.process(_acknowledging(env, held, log, eids, **kwargs))
+    env.run()
+    return env, log, eids
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_a_held_event_keeps_a_plain_events_key_and_order(coalesce):
+    env, log, eids = _acknowledged_run(coalesce, held=True)
+    reference_env, reference, reference_eids = _acknowledged_run(coalesce, held=False)
+    assert log == reference
+    assert eids == reference_eids
+    # Exact ties on both sides: the sleeper's 1.5 timeout (scheduled at 0)
+    # comes before the 1.5 acknowledgement (scheduled at 1.0), the ticker's
+    # (scheduled at 1.0, after it) behind it.
+    assert (log.index(("sleeper", 1.5)) < log.index(("ack", 0, 1.5))
+            < log.index(("tick", 1.5)))
+    assert env.scheduled_count == reference_env.scheduled_count
+    logical = env.processed_count + env.coalesced_count
+    assert logical == reference_env.processed_count + reference_env.coalesced_count
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_a_discarded_held_event_is_dropped_uncounted(coalesce):
+    # Arrival 1 (2.0) discards arrival 0's event, held since 1.0 for 2.5.
+    runs = [_acknowledged_run(coalesce, held, delays=(1.5, 0.5),
+                              discard=lambda index: 0 if index == 1 else None)
+            for held in (True, False)]
+    (env, log, eids), (reference_env, reference, reference_eids) = runs
+    assert log == reference and eids == reference_eids
+    assert not any(entry[:2] == ("ack", 0) for entry in log)
+    assert env.processed_count + env.coalesced_count == (
+        reference_env.processed_count + reference_env.coalesced_count)
+    assert not env._dead
+
+
+def test_a_held_event_scheduled_while_the_walk_waits_takes_the_heap():
+    env = Environment()
+    log = []
+    wakeups = env.wakeups()
+    held = wakeups.event(lambda event: log.append(("held", event.payload, env.now)), "late")
+
+    def handler(line, index):
+        log.append(("arrival", env.now))
+        return True
+
+    def other():
+        # At 1.0 the walk waits in the heap for its 2.0 arrival.
+        yield env.timeout(1.0)
+        env.schedule_at(held, 1.5)
+        assert any(entry[3] is held for entry in env._queue)
+        yield env.timeout(1.0)
+
+    env.process(other())
+    env.process(wakeups.walk([[2.0]], handler))
+    env.run()
+    assert log == [("held", "late", 1.5), ("arrival", 2.0)]
+    assert env.coalesced_count == 0
+
+
+def test_a_held_event_scheduled_after_the_walk_takes_the_heap():
+    env = Environment()
+    wakeups = env.wakeups()
+    log = []
+    held = wakeups.event(lambda event: log.append(env.now))
+
+    def rest():
+        yield from wakeups.walk([[1.0]], lambda line, index: True)
+        env.schedule_at(held, 2.0)
+        assert any(entry[3] is held for entry in env._queue)
+
+    env.process(rest())
+    env.run()
+    assert log == [2.0]
+
+
+def test_a_held_event_rescheduled_from_another_process_takes_the_heap():
+    # A rollback: another process discards the held event, resets it and
+    # schedules it again, as the parameter server's rollback and re-commit
+    # do; from there on it is an ordinary heap event.
+    env = Environment()
+    wakeups = env.wakeups()
+    log = []
+    held = wakeups.event(lambda event: log.append(("held", env.now)))
+    eid = []
+
+    def handler(line, index):
+        log.append(("arrival", env.now))
+        if index == 0:
+            eid.append(env.schedule_at(held, 3.0))
+        return True
+
+    def rollback():
+        yield env.timeout(1.5)
+        env.discard_scheduled(eid[0])
+        held._ok = None
+        held._value = PENDING
+        env.schedule_at(held, 2.5)
+        assert any(entry[3] is held for entry in env._queue)
+
+    env.process(wakeups.walk([[1.0, 2.0, 4.0]], handler))
+    env.process(rollback())
+    env.run()
+    assert log == [("arrival", 1.0), ("arrival", 2.0), ("held", 2.5), ("arrival", 4.0)]
+    assert not env._dead
+
+
+def test_step_delivers_no_held_event_inline():
+    env = Environment()
+    log, eids = [], []
+    _tied_heap(env, log)
+    env.process(_acknowledging(env, True, log, eids))
+    steps = 0
+    while env._queue:
+        env.step()
+        steps += 1
+    assert env.coalesced_count == 0
+    assert env.processed_count == steps
+    _, reference, _ = _acknowledged_run(True, held=False)
+    assert log == reference
+
+
+def test_a_numeric_run_bound_holds_back_later_held_events():
+    env = Environment()
+    log, eids = [], []
+    env.process(_acknowledging(env, True, log, eids))
+    env.run(until=2.25)
+    # The 1.5 acknowledgement stepped inline; the 3.0 one (of the 2.0
+    # arrival) is still pending and not counted.
+    assert log == [("arrival", 0, 1.0), ("ack", 0, 1.5), ("arrival", 1, 2.0)]
+    assert env.now == 2.25
+    assert env.processed_count == 1  # the start; 1.0, 1.5 and 2.0 stepped inline
+    assert env.coalesced_count == 3
+    env.run()
+    assert log[3:] == [("ack", 1, 3.0), ("arrival", 2, 3.0), ("ack", 2, 3.5)]
 
 
 # -- Parking: idle waiters re-checked as blocks of reserved keys --------------

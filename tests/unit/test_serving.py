@@ -8,12 +8,18 @@ the serving-slo autoscaler policy, and the driver's routing
 and accounting on a real scenario job.
 """
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.actions import ScaleInServers, ScaleOutServers
 from repro.elastic import ElasticContext, make_server_policy
 from repro.elastic.policies import ServingSLOPolicy
+from repro.psarch.server import ParameterServer
+from repro.scenarios import build_scenario_job, get_scenario
+from repro.scenarios.fingerprint import series_digest
 from repro.serving import (
     NO_SERVING,
     SERVING_PRESETS,
@@ -169,6 +175,30 @@ def test_slo_finalize_aggregates_tenants_and_digests_latencies():
     assert len(summary["latency_digest"]) == 16
 
 
+def test_digests_match_their_per_point_formulations():
+    # Few distinct values, so ties in a time, and in both a time and its
+    # value, are common.
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        count = int(rng.integers(1, 120))
+        times = (rng.integers(0, 16, count) / 8).tolist()
+        values = (rng.integers(0, 4, count) / 3).tolist()
+        hasher = hashlib.sha256()
+        for time, value in zip(times, values):
+            hasher.update(f"{time:.9e},{value:.9e};".encode("ascii"))
+        assert series_digest(times, values) == hasher.hexdigest()[:16]
+
+        tracker = SLOTracker(window_s=10.0)
+        for index, (time, value) in enumerate(zip(times, values)):
+            tracker.on_completion(("web", "batch")[index % 2], time, value)
+        # Tenants in name order, then sorted by index under the pair key.
+        acks = times[1::2] + times[0::2]
+        latencies = values[1::2] + values[0::2]
+        order = sorted(range(count), key=lambda i: (acks[i], latencies[i]))
+        assert tracker.finalize(1.0, 0)["latency_digest"] == series_digest(
+            [acks[i] for i in order], [latencies[i] for i in order])
+
+
 # ---------------------------------------------------------------------------
 # Spec layer
 # ---------------------------------------------------------------------------
@@ -278,3 +308,36 @@ def test_slo_policy_rejects_nonsense_parameters():
         ServingSLOPolicy(scale_in_fraction=1.0)
     with pytest.raises(ValueError):
         ServingSLOPolicy(step=0)
+
+
+# ---------------------------------------------------------------------------
+# Driver routing
+# ---------------------------------------------------------------------------
+
+
+def test_routing_follows_a_shard_map_changed_in_place(monkeypatch):
+    # Every request a write, so each goes to its shard's primary.  Promoting
+    # server-0's standbys changes the chains in place, while the push
+    # targets stay the same list: the next requests must see the new owners.
+    base = get_scenario("serving-hot-key-fanout")
+    spec = replace(base, serving=replace(base.serving, read_fraction=0.0))
+    job, _ = build_scenario_job(spec)
+    routed = []
+    submit = ParameterServer.submit
+
+    def recording(server, worker, nbytes, done=None):
+        if worker.startswith(SERVING_WORKER_PREFIX):
+            routed.append(server.name)
+        return submit(server, worker, nbytes, done)
+
+    monkeypatch.setattr(ParameterServer, "submit", recording)
+    job.start()
+    job.env.run(until=10.0)
+    assert "server-0" in routed
+    targets = job.push_targets()
+    assert job.shard_map.promote_standbys("server-0")
+    assert job.shard_map.assignment()["server-0"] == []
+    routed.clear()
+    job.env.run(until=12.0)
+    assert job.push_targets() is targets
+    assert routed and "server-0" not in routed

@@ -68,6 +68,25 @@ def test_metrics_recorder_per_tag_window_means():
     assert means == {"w0": 2.0, "w1": 10.0}
 
 
+def test_per_tag_window_means_queries_a_shared_row_once(monkeypatch):
+    # Servers in lock step attach one row of their store under every tag.
+    store = SeriesStore(rows=2)
+    shared, own = store.add_row(), store.add_row()
+    recorder = MetricsRecorder()
+    for tag in ("s0", "s1", "s2"):
+        recorder.attach("server_bpt", tag, MetricSeries(store, shared))
+    recorder.attach("server_bpt", "s3", MetricSeries(store, own))
+    MetricSeries(store, shared).append(1.0, 2.0)
+    MetricSeries(store, own).append(1.5, 4.0)
+    queries = []
+    window_mean = MetricSeries.window_mean
+    monkeypatch.setattr(MetricSeries, "window_mean", lambda series, start, end: (
+        queries.append(series._row) or window_mean(series, start, end)))
+    means = recorder.per_tag_window_means("server_bpt", 0.0, 5.0)
+    assert means == {"s0": 2.0, "s1": 2.0, "s2": 2.0, "s3": 4.0}
+    assert sorted(queries) == [shared, own]
+
+
 def test_metrics_recorder_counters_and_events():
     recorder = MetricsRecorder()
     recorder.log_event(1.0, "kill", "w0", "test")
