@@ -8,7 +8,7 @@ PYTHONPATH_PREFIX = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
 ## Parallel worker processes for orchestrated sweeps (python -m repro).
 JOBS ?= 2
 
-.PHONY: test tier1 fast lint golden golden-check golden-update sweep bench-smoke bench-check trace-smoke serve-smoke examples figure-rows ci
+.PHONY: test tier1 fast lint golden golden-check golden-update sweep bench-smoke bench-check trace-smoke serve-smoke examples figure-rows figure-check ci
 
 ## Full tier-1 suite (what the PR gate runs): unit + integration + property +
 ## golden traces + benchmarks.
@@ -18,7 +18,7 @@ test:
 ## The checks .github/workflows/ci.yml runs, in the same order — one local
 ## command to know the gate will pass before pushing.  CI's `git diff
 ## --exit-code` after the suite is left out: a working tree usually has edits.
-ci: lint test golden-check examples trace-smoke serve-smoke bench-check
+ci: lint test golden-check figure-check examples trace-smoke serve-smoke bench-check
 
 ## Static analysis: the determinism & sim-safety linter (AST rules DET/SIM/USE,
 ## cross-artifact CON checks; an inline waiver is the only way to accept a
@@ -99,6 +99,17 @@ figure-rows:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m pytest benchmarks -q -s -p no:randomly \
 		--benchmark-disable -k "not test_perf" > "$$out"; status=$$?; \
 	sed '$$d' "$$out"; exit $$status
+
+## Figure-row gate (run in CI): regenerate the rows and diff them against the
+## checked-in tests/golden/figure_rows.txt, so no figure or table drifts
+## unnoticed (a bench test asserts only some orderings).  After an intended
+## change, rewrite it with `make figure-rows > tests/golden/figure_rows.txt`
+## and review the diff like a golden trace's.
+figure-check:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT; \
+	$(MAKE) --no-print-directory figure-rows > "$$out" || exit 1; \
+	diff -u tests/golden/figure_rows.txt "$$out" && \
+	echo "figure rows match tests/golden/figure_rows.txt ($$(wc -l < "$$out") lines)"
 
 ## Perf floor on its own: the smoke benchmarks assert absolute events/sec
 ## floors and wall-clock budgets sized for slow shared runners — a real

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-import numpy as np
-
 from ..core.actions import Action
 from ..core.agent import AgentGroup
 from ..core.config import AntDTConfig, ConsistencyModel
@@ -48,12 +46,6 @@ from .worker import PSWorker
 __all__ = ["PSRunResult", "PSTrainingJob", "SERVING_WORKER_PREFIX"]
 
 _RUNNING = NodeStatus.RUNNING
-
-#: The narrowest fan-out :meth:`PSTrainingJob.push_fanout` commits as
-#: columns when its targets are not an intact lock-step group.  On a
-#: 2-vCPU VM the column operations cost a fixed ~29 µs however few servers
-#: they cover, a ``submit`` ~5 µs per server: five targets break even.
-VECTOR_MIN_TARGETS = 6
 
 #: Pseudo-worker prefix carried by serving-tier requests.  Lives here (not
 #: in :mod:`repro.serving`) so the requeue filter can honour it without the
@@ -164,8 +156,8 @@ class PSTrainingJob:
         # Columnar per-server serving state (acknowledgement chain tails,
         # eager-commit eligibility, every server's ``server_bpt`` row):
         # created before the servers so every server allocates its slot
-        # here, and the job can commit one worker's whole push fan-out
-        # vectorized (push_fanout).  Each worker iteration writes one point
+        # here, and the job can commit one worker's whole push fan-out in
+        # one call (push_fanout).  Each worker iteration writes one point
         # per server, and growing the rows copies every one of them, so they
         # start at the iterations of a run that trains every sample at the
         # even batch, plus an eighth for the pushes a kill re-sends.  Servers
@@ -612,62 +604,51 @@ class PSTrainingJob:
 
     def push_fanout(self, worker: str, nbytes: float,
                     targets: List[ParameterServer], latch) -> bool:
-        """Commit one worker's whole push fan-out vectorized, if possible.
+        """Commit one worker's whole push fan-out in one call, if possible.
 
-        The common steady state at scale — every target server parked on an
-        empty queue with null contention — makes each per-server
-        acknowledgement an affine function of that server's chain tail.
-        When the targets are exactly the intact lock-step group, all
-        eligible, they share that tail: one point on the group row stands
-        for all S requests (:meth:`ServerStateArrays.commit_group`).
-        Otherwise, with at least :data:`VECTOR_MIN_TARGETS` targets, this
-        commits them as column operations with no per-server Python
-        (:meth:`ServerStateArrays.commit_fanout`): one compare opens the
-        windows, one scatter writes every target's ``server_bpt`` point.
-        Either way the latch is armed once: with the group's one
-        acknowledgement and the target count
-        (:meth:`CountdownEvent.count_down_many_same_at
-        <repro.sim.engine.CountdownEvent.count_down_many_same_at>`), or with
-        the array of acknowledgements (:meth:`CountdownEvent.count_down_many_at
-        <repro.sim.engine.CountdownEvent.count_down_many_at>`).
+        The common steady state — every target server parked on an empty
+        queue with null contention — makes each per-server acknowledgement
+        an affine function of that server's chain tail.  When the targets
+        are exactly the intact lock-step group, all eligible, they share
+        that tail: one point on the group row stands for all S requests and
+        counts the latch down S times.  Otherwise the fan-out first takes
+        its targets out of the group (:meth:`ParameterServer.detach`) and,
+        when every target is eligible, writes one point on each target's own
+        row, at any width.  Both commit through
+        :meth:`ServerStateArrays.commit_rows`, after eligibility is checked
+        for every target and before anything is written.
 
-        A fan-out that does not match the intact group first takes its
-        targets out of it (:meth:`ParameterServer.detach`).  It returns
-        False for a narrower fan-out, or when any target is not eligible
-        (busy, backlogged, draining-held, or non-null contention); the
-        worker then falls back to per-server :meth:`ParameterServer.submit`
-        calls, which reproduce the exact same acknowledgements and event
-        counts scalar-wise.
+        It returns False when any target is not eligible (busy, backlogged,
+        draining-held, or non-null contention); the worker then falls back
+        to per-server :meth:`ParameterServer.submit` calls, which reproduce
+        the exact same acknowledgements and event counts scalar-wise.
         """
         cache = self._fanout_cache
         state = self.server_state
         if cache is None or cache[0] is not targets:
             # push_targets() rebuilds its list object on every membership
             # change, so list identity doubles as cache validation.
-            slots = np.fromiter((server._slot for server in targets),
-                                dtype=np.intp, count=len(targets))
+            slots = tuple(server._slot for server in targets)
             cache = self._fanout_cache = (
-                targets, slots, frozenset(slots.tolist()) == state.group_slots,
+                targets, slots, frozenset(slots) == state.group_slots,
                 any(server.in_group for server in targets))
         targets, slots, grouped, attached = cache
-        env = self.env
         if grouped and state.group_intact and not state.group_ineligible:
-            ack, opened = state.commit_group(
-                env._now, self.config.server_per_byte_cost_s * nbytes,
-                PushRequest(worker=worker, nbytes=nbytes, done=latch))
-            latch.count_down_many_same_at(ack, len(slots))
-            env.coalesced_count += len(slots) * (2 if opened else 1)
-            return True
-        if attached:
-            ParameterServer.detach(targets)
-            self._fanout_cache = (targets, slots, grouped, False)
-        if len(slots) < VECTOR_MIN_TARGETS or not state.eligible[slots].all():
-            return False
-        acks, opened = state.commit_fanout(
-            slots, env._now, self.config.server_per_byte_cost_s * nbytes,
+            rows, count = (state.group_row,), len(slots)
+        else:
+            if attached:
+                ParameterServer.detach(targets)
+                self._fanout_cache = (targets, slots, grouped, False)
+            eligible = state._eligible
+            if not all(eligible[slot] for slot in slots):
+                return False
+            rows, count = slots, 1
+        env = self.env
+        # Not ``+=`` on the call: arming the latch credits the count too.
+        credit = state.commit_rows(
+            rows, count, env._now, self.config.server_per_byte_cost_s * nbytes,
             PushRequest(worker=worker, nbytes=nbytes, done=latch))
-        latch.count_down_many_at(acks)
-        env.coalesced_count += len(slots) + opened
+        env.coalesced_count += credit
         return True
 
     def configure_server_replication(self, replicas: int = 0,

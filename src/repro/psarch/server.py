@@ -20,10 +20,11 @@ an earlier tail opens a new one.
 
 The tier keeps all of this in columns (:class:`ServerStateArrays`): per
 server its chain tail, and per point — each server's ``server_bpt`` series
-is one row of the store — its time, its value and the token of the commit
-record a rollback needs.  The row is time-ordered, so the points
-acknowledged after now are the window's undelivered tail, and one worker's
-whole push fan-out commits with one scatter (:meth:`PSTrainingJob.push_fanout
+is one row of the store — its time, its value and a token naming the
+committed request, which a rollback needs.  The row is time-ordered, so the
+points acknowledged after now are the window's undelivered tail.  One
+worker's whole push fan-out commits in one call, one point per target row
+(:meth:`PSTrainingJob.push_fanout
 <repro.psarch.job.PSTrainingJob.push_fanout>`).
 
 While the server process is parked on an empty backlog, an arriving request
@@ -56,9 +57,9 @@ starts with form a *group* when their devices share one base overhead
 (:meth:`ParameterServer.form_group`): one extra row of the columns holds
 their common chain tail and ``server_bpt`` series, and each member's series
 reads it.  A fan-out whose targets are exactly the intact group, all
-eligible, commits one point there
-(:meth:`ServerStateArrays.commit_group`) and counts the latch down once per
-member, with the logical events of one commit per member.
+eligible, commits one point there (:meth:`ServerStateArrays.commit_rows`
+with the group row alone) and counts the latch down once per member, with
+the logical events of one commit per member.
 
 A member *detaches* right before its first write of its own — a commit, a
 wake-up, an uncoalesced append, a rollback that rescinds points or drops a
@@ -66,10 +67,11 @@ chain tail a commit at this instant would join, or a change of its base
 overhead: its slot row takes an exact copy of the group row and holds its
 state from then on (:meth:`ParameterServer.detach`).  The group is then no
 longer intact, and the next fan-out detaches all its targets before it
-commits as columns or per server, exactly as it would without a group.
-With coalescing off no group forms.  The known cost is that copy: on a wide
-tier one server event copies every member's history once (up to ~130 MB at
-333 servers near the end of a run); no benchmark workload measures it.
+commits on their own rows or per server, exactly as it would without a
+group.  With coalescing off no group forms.  The known cost is that copy:
+on a wide tier one server event copies every member's history once (up to
+~130 MB at 333 servers near the end of a run); no benchmark workload
+measures it.
 
 Servers run no Agent: the Monitor's view of a server is exactly this
 per-request ``server_bpt`` series.
@@ -81,7 +83,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, List, Optional, Sequence
 
 import numpy as np
 
@@ -103,6 +105,9 @@ class PushRequest:
     worker: str
     nbytes: float
     done: Event
+    # Heap id of the private acknowledgement a commit scheduled for ``done``
+    # (a latch needs none): a rollback discards it.
+    done_id: Optional[int] = None
 
 
 class ServerStateArrays(SeriesStore):
@@ -111,14 +116,12 @@ class ServerStateArrays(SeriesStore):
 
     Owned by the job; a server constructed without one gets a private
     single-slot instance.  Per slot it holds the acknowledgement chain
-    tail, the per-request overhead and the vectorized-commit eligibility.
+    tail, the per-request overhead and the fan-out eligibility.
     The slot's row is the server's ``server_bpt`` series, time-ordered like
     any series, so the points acknowledged after now are exactly the
     undelivered tail of the live window.  Beside each point's time and value
-    it keeps the token of the commit's record: ``(request, contributed,
-    done_id)``, what a rollback needs — the request, whether it counted a
-    latch down, and the heap id of a private acknowledgement.  A fan-out's
-    points share one record.
+    it keeps a token naming the committed :class:`PushRequest`, what a
+    rollback needs.  A fan-out's points share one token.
 
     Slots are append-only: a departed server's slot keeps its final values,
     and elastic joins extend the columns.  ``points`` is the row capacity
@@ -136,7 +139,7 @@ class ServerStateArrays(SeriesStore):
         ("chain_tail", np.float64),
         # Per-request base overhead of the node's device.
         ("overhead", np.float64),
-        # Whether the slot accepts vectorized commits right now: the server
+        # Whether the slot accepts a fan-out's commit right now: the server
         # is parked on an empty queue, coalescing is on, and its contention
         # model is null (affine handling times).
         ("eligible", np.bool_),
@@ -145,14 +148,14 @@ class ServerStateArrays(SeriesStore):
 
     def __init__(self, slots: int = 1, points: int = 64) -> None:
         super().__init__(rows=slots, capacity=points)
-        # Commit records by token, from ``_first_token`` on: older ones
+        # Committed requests by token, from ``_first_token`` on: older ones
         # belong to acknowledged points, which no rollback reaches.
-        self._records: List[tuple] = []
+        self._records: List[PushRequest] = []
         self._first_token = 0
         self._prune_at = 1024
         # The lock-step group: its row (-1 without one), its members' slots,
         # whether every member still reads the row, and how many members
-        # do not accept vectorized commits right now.
+        # do not accept a fan-out's commit right now.
         self.group_row = -1
         self.group_slots: frozenset = frozenset()
         self.group_intact = False
@@ -189,18 +192,18 @@ class ServerStateArrays(SeriesStore):
 
     @property
     def next_token(self) -> int:
-        """The token the next kept record gets."""
+        """The token the next kept request gets."""
         return self._first_token + len(self._records)
 
-    def record_at(self, index: int) -> tuple:
-        """The commit record of the point at flat index ``index``."""
+    def record_at(self, index: int) -> PushRequest:
+        """The committed request of the point at flat index ``index``."""
         return self._records[self._tokens[index] - self._first_token]
 
-    def keep(self, records: List[tuple], now: float) -> None:
-        """Keep the records of the points just written with tokens
+    def keep(self, requests: Sequence[PushRequest], now: float) -> None:
+        """Keep the requests of the points just written with tokens
         :attr:`next_token` onwards.
 
-        Every so often it first forgets the records that no rollback can
+        Every so often it first forgets the requests that no rollback can
         reach any more: a rollback at ``now`` or later only touches points
         acknowledged after ``now``, all of which sit in slots whose chain
         tail is after ``now``, and tokens grow along every row.
@@ -219,60 +222,48 @@ class ServerStateArrays(SeriesStore):
             del held[:first - self._first_token]
             self._first_token = first
             self._prune_at = max(1024, 2 * len(held))
-        held.extend(records)
+        held.extend(requests)
 
-    def commit_fanout(self, slots: np.ndarray, now: float, per_request: float,
-                      request: PushRequest) -> Tuple[np.ndarray, int]:
-        """Commit ``request`` to every slot in ``slots``: the vectorized
-        :meth:`ParameterServer._commit` of one request per server.
+    def commit_rows(self, rows: Sequence[int], count: int, now: float,
+                    per_request: float, request: PushRequest) -> int:
+        """Commit ``request`` once to each row in ``rows``: one point per
+        row, whose acknowledgement counts the request's latch down ``count``
+        times.
 
-        Each slot's handling is its overhead plus ``per_request``, and its
-        acknowledgement the handling added to ``max(chain_tail, now)``:
-        elementwise, the same scalar operations ``_commit`` performs.  A
-        tail strictly before now opens a window.  Returns the
-        acknowledgement times, in slot order, and the number of windows
-        opened.
+        A row is one server's slot (``count`` 1), or the lock-step group's
+        row standing for its ``count`` members, which share its chain tail
+        and overhead.  Each row's handling is its overhead plus
+        ``per_request``, and its acknowledgement the handling added to
+        ``max(chain_tail, now)``: the scalar operations
+        :meth:`ParameterServer._commit` performs.  A tail strictly before
+        now opens a window.  The caller checks beforehand that every server
+        the rows stand for accepts the commit.  Returns the logical events
+        the commit stands for: per member, one for its request and one for
+        each window opened.
         """
-        tails = self.chain_tail[slots]
-        opened = int(np.count_nonzero(tails < now))
-        lengths = self.lengths[slots]
-        handlings = self.overhead[slots] + per_request
-        acks = np.maximum(tails, now) + handlings
-        self.chain_tail[slots] = acks
-        self.reserve(int(lengths.max()) + 1)
-        points = slots * self.capacity + lengths
-        self.times[points] = acks
-        self.values[points] = handlings
-        self.tokens[points] = self.next_token
-        self.lengths[slots] = lengths + 1
-        self.keep([(request, True, None)], now)
-        return acks, opened
-
-    def commit_group(self, now: float, per_request: float,
-                     request: PushRequest) -> Tuple[float, bool]:
-        """Commit ``request`` to every member of the intact group: one point
-        on the group row.
-
-        The members share one chain tail and one overhead, so
-        :meth:`commit_fanout` would compute one acknowledgement for all of
-        them; this computes it once, with the same scalar operations.
-        Returns the acknowledgement time and whether it opened a window.
-        """
-        row = self.group_row
-        tail = self._chain_tail[row]
-        opened = tail < now
-        handling = self._overhead[row] + per_request
-        ack = (now if opened else tail) + handling
-        length = self._lengths[row]
-        self.reserve(length + 1)
-        index = row * self.capacity + length
-        self._times[index] = ack
-        self._values[index] = handling
-        self._tokens[index] = self.next_token
-        self._lengths[row] = length + 1
-        self._chain_tail[row] = ack
-        self.keep([(request, True, None)], now)
-        return ack, opened
+        latch = request.done
+        token = self.next_token
+        opened = 0
+        for row in rows:
+            length = self._lengths[row]
+            # Growing the store replaces every column and its view: read
+            # them only after.
+            self.reserve(length + 1)
+            tail = self._chain_tail[row]
+            if tail < now:
+                tail = now
+                opened += 1
+            handling = self._overhead[row] + per_request
+            ack = tail + handling
+            index = row * self.capacity + length
+            self._times[index] = ack
+            self._values[index] = handling
+            self._tokens[index] = token
+            self._lengths[row] = length + 1
+            self._chain_tail[row] = ack
+            latch.count_down_at(ack, count)
+        self.keep((request,), now)
+        return count * (len(rows) + opened)
 
 
 class ParameterServer:
@@ -343,7 +334,7 @@ class ParameterServer:
         # window (None without one).
         self._wake_id: Optional[int] = None
         # A mid-run contention swap invalidates the handling times of a
-        # committed window (and the slot's vectorized-commit eligibility).
+        # committed window (and the slot's fan-out eligibility).
         node.add_contention_listener(self._on_contention_change)
         self._sync_eligibility()
 
@@ -395,7 +386,7 @@ class ParameterServer:
             self._sync_eligibility()
 
     def _sync_eligibility(self) -> None:
-        """Refresh this slot's vectorized-commit eligibility and overhead.
+        """Refresh this slot's fan-out eligibility and overhead.
 
         A group member keeps the group's count of ineligible members, and
         leaves the group when its base overhead no longer matches the
@@ -660,7 +651,7 @@ class ParameterServer:
                 done = current.done
                 if not done.triggered:
                     if type(done) is CountdownEvent:
-                        done.count_down(env.now)
+                        done.count_down()
                     else:
                         done.succeed(env.now)
                 if self._row != self._slot:
@@ -761,7 +752,6 @@ class ParameterServer:
         tokens = state._tokens
         index = slot * state.capacity + length
         token = state.next_token
-        records = []
         for request in requests:
             if contention_free:
                 # ``node.server_time`` without contention, inlined.
@@ -771,24 +761,22 @@ class ParameterServer:
                                             delay_fraction=fraction)
             ack = t + handling
             done = request.done
-            contributed = False
-            done_id = None
-            if not done.triggered:
-                if type(done) is CountdownEvent:
-                    contributed = not done.abandoned
-                    done.count_down_at(ack, ack)
-                else:
-                    done_id = env.schedule_at(done, ack, ack)
+            # A latch is never triggered here: it fires only after its last
+            # contribution, and a rollback rescinds one before it requeues
+            # the request.
+            if type(done) is CountdownEvent:
+                done.count_down_at(ack)
+            elif not done.triggered:
+                request.done_id = env.schedule_at(done, ack, ack)
             times[index] = ack
             values[index] = handling
             tokens[index] = token
-            records.append((request, contributed, done_id))
             index += 1
             token += 1
             t = ack
         state._lengths[slot] = length + len(requests)
         state._chain_tail[slot] = t
-        state.keep(records, now)
+        state.keep(requests, now)
         env.coalesced_count += len(requests)
 
     def _on_wake(self, _wake: Event) -> None:
@@ -867,14 +855,12 @@ class ParameterServer:
         # 1. Rescind the undelivered acknowledgements, newest first.
         rescinded = []
         for index in range(top - 1, stop - 1, -1):
-            request, contributed, done_id = state.record_at(index)
+            request = state.record_at(index)
             done = request.done
             if type(done) is CountdownEvent:
-                if contributed:
-                    ack = times[index]
-                    done.rescind(ack, ack)
-            elif done_id is not None:
-                env.discard_scheduled(done_id)
+                done.rescind(times[index])
+            elif request.done_id is not None:
+                env.discard_scheduled(request.done_id)
                 done._ok = None
                 done._value = PENDING
             rescinded.append(request)

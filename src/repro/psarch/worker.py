@@ -189,9 +189,9 @@ class PSWorker:
         # None for timing-only runs: then no gradient is built or applied.
         backend = job.backend
         push_targets = job.push_targets
-        # Vectorized fan-out commit (None when coalescing is off): one call
-        # commits the whole iteration's pushes against the job's
-        # ServerStateArrays when every target server is idle-eligible.
+        # Fan-out commit (None when coalescing is off): one call commits
+        # the whole iteration's pushes against the job's ServerStateArrays
+        # when every target server is idle-eligible.
         push_fanout = job.push_fanout if env.coalesce else None
         # With coalescing on, an empty data poll parks the worker among the
         # job's idle workers, re-polled in blocks; off, it sleeps a timeout.

@@ -79,7 +79,7 @@ import gc
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence
 
 __all__ = [
     "Environment",
@@ -422,14 +422,6 @@ class AnyOf(_Condition):
             self.succeed(self._collect())
 
 
-def _batch_times(batch) -> List[float]:
-    """A latch batch's times as a list: an array, or a (time, count) pair."""
-    if type(batch) is tuple:
-        when, count = batch
-        return [when] * count
-    return batch.tolist()
-
-
 class CountdownEvent(Event):
     """An event that succeeds after ``count`` calls to :meth:`count_down`.
 
@@ -437,22 +429,21 @@ class CountdownEvent(Event):
     waiting for one acknowledgement from each parameter server): where
     ``AllOf`` needs one pending event per producer plus the condition — each a
     heap entry — a countdown latch is a single event and a decrement, which
-    at 100+ workers removes the dominant share of heap traffic.  It succeeds
-    with the value of the final ``count_down``.
+    at 100+ workers removes the dominant share of heap traffic.
 
     Coalesced producers contribute through :meth:`count_down_at` with an
-    explicit (possibly future) completion time; the latch fires at the
-    temporally latest contribution via :meth:`Environment.schedule_at`, so a
+    explicit (possibly future) completion time, one or ``count`` at a time;
+    the latch keeps one store of them, a count per contributed time, and
+    fires at the temporally latest via :meth:`Environment.schedule_at`, so a
     mix of batch-committed and step-by-step producers still resolves at the
-    same instant as fully sequential execution.  A non-zero ``fire_delay``
-    folds the consumer's immediate follow-up wait (the worker's model pull)
-    into the same heap entry, saving one event per fan-in.  Contributions
-    can be withdrawn again with :meth:`rescind` when a coalesced window is
-    rolled back.
+    same instant as fully sequential execution.  That time is its value.  A
+    non-zero ``fire_delay`` folds the consumer's immediate follow-up wait
+    (the worker's model pull) into the same heap entry, saving one event per
+    fan-in.  Contributions can be withdrawn again with :meth:`rescind` when
+    a coalesced window is rolled back.
     """
 
-    __slots__ = ("_remaining", "_abandoned", "_fire_delay",
-                 "_batch", "_contributions", "_fire_id")
+    __slots__ = ("_remaining", "_abandoned", "_fire_delay", "_contributions", "_fire_id")
 
     def __init__(self, env: "Environment", count: int,
                  fire_delay: float = 0.0) -> None:
@@ -464,24 +455,16 @@ class CountdownEvent(Event):
         self._remaining = int(count)
         self._abandoned = False
         self._fire_delay = fire_delay
-        # A fresh latch's batch of contributions, kept whole: the array of
-        # times count_down_many_at came with, or count_down_many_same_at's
-        # (time, count) pair.  Then (when, value) per later count_down, in
-        # call order.  Kept so a rescinded contribution can be removed and
-        # the firing time recomputed; a rescind unpacks the batch into pairs.
-        self._batch = None
-        self._contributions: List = []
+        # How many contributions arrived at each contributed time: kept so a
+        # rescinded contribution can be removed and the firing time
+        # recomputed.
+        self._contributions: Dict[float, int] = {}
         self._fire_id: Optional[int] = None
 
     @property
     def remaining(self) -> int:
         """Pending ``count_down`` calls before the event succeeds."""
         return self._remaining
-
-    @property
-    def abandoned(self) -> bool:
-        """True once the latch was neutralized via :meth:`abandon`."""
-        return self._abandoned
 
     def abandon(self) -> None:
         """Neutralize the latch: it will never fire, remaining producers no-op.
@@ -496,109 +479,63 @@ class CountdownEvent(Event):
             raise RuntimeError(f"{self!r} has already been triggered")
         self._abandoned = True
 
-    def count_down(self, value: Any = None) -> int:
-        """Record one completion; succeeds the event on the final call.
+    def count_down(self) -> int:
+        """Record one completion now; succeeds the event on the final call.
 
         On an abandoned latch this is a no-op (the remaining count is left
         untouched and no event is ever scheduled).
         """
-        self.count_down_at(self.env._now, value)
+        self.count_down_at(self.env._now)
         return self._remaining
 
-    def count_down_at(self, when: float, value: Any = None) -> bool:
-        """Record one completion that takes effect at absolute time ``when``.
+    def count_down_at(self, when: float, count: int = 1) -> bool:
+        """Record ``count`` completions that take effect at absolute time ``when``.
 
-        Coalesced producers call this with future acknowledgement times; the
-        final contribution fires the latch at the *latest* contributed time
-        (ties resolved in favour of the most recent call, matching the
-        sequential execution where the last ``count_down`` wins), plus the
-        latch's ``fire_delay``.  Returns True when this call armed the
-        firing event.
+        Coalesced producers call this with future acknowledgement times (a
+        lock-step server group's one acknowledgement counts once per
+        member); the final contribution fires the latch at the *latest*
+        contributed time, plus the latch's ``fire_delay``.  Returns True when
+        this call armed the firing event.
         """
         if self._abandoned:
             return False
-        if self._remaining <= 0:
+        if count > self._remaining:
             raise RuntimeError(f"{self!r} has already been fully counted down")
-        self._remaining -= 1
-        self._contributions.append((when, value))
-        if self._remaining != 0:
-            return False
-        self._arm_fire()
-        return True
-
-    def count_down_many_at(self, whens) -> bool:
-        """Record a batch of completions, each valued with its own time.
-
-        Vectorised fan-out entry point: a producer that just committed one
-        acknowledgement per slot calls this once with all the ack times (a
-        float64 array) instead of issuing ``len(whens)`` ``count_down_at``
-        calls.  Each contribution's value is its time (the fan-out
-        protocol's ack payload).  A fresh latch keeps the array as it is.
-        Returns True when the batch armed the firing event.
-        """
-        return self._count_down_batch(len(whens), whens)
-
-    def count_down_many_same_at(self, when: float, count: int) -> bool:
-        """Record ``count`` completions at the one time ``when``, each valued
-        with it: :meth:`count_down_many_at` of ``count`` equal times, kept as
-        the pair until a rescind unpacks it."""
-        return self._count_down_batch(count, (when, count))
-
-    def _count_down_batch(self, n: int, batch) -> bool:
-        """Record the ``n`` contributions of ``batch`` (an array of times, or
-        a (time, count) pair)."""
-        if self._abandoned:
-            return False
-        if n > self._remaining:
-            raise RuntimeError(f"{self!r} has already been fully counted down")
-        self._remaining -= n
-        if self._batch is None and not self._contributions:
-            self._batch = batch
-        else:
-            whens = _batch_times(batch)
-            self._contributions.extend(zip(whens, whens))
+        self._remaining -= count
+        contributions = self._contributions
+        contributions[when] = contributions.get(when, 0) + count
         if self._remaining != 0:
             return False
         self._arm_fire()
         return True
 
     def _arm_fire(self) -> None:
-        """Schedule the latch at the latest contribution (latest call wins ties).
-
-        A batch precedes every pair, and its values equal its times, so its
-        latest time stands for all of it.
-        """
-        batch = self._batch
-        if batch is not None:
-            fire_when = fire_value = (batch[0] if type(batch) is tuple
-                                      else float(batch.max()))
-        else:
-            fire_when, fire_value = self._contributions[0]
-        for contrib_when, contrib_value in self._contributions:
-            if contrib_when >= fire_when:
-                fire_when, fire_value = contrib_when, contrib_value
+        """Schedule the latch at its latest contributed time, valued with it."""
+        when = max(self._contributions)
         fire_delay = self._fire_delay
-        self._fire_id = self.env.schedule_at(
-            self, fire_when + fire_delay, fire_value)
+        self._fire_id = self.env.schedule_at(self, when + fire_delay, when)
         if fire_delay > 0.0:
             # The consumer's follow-up wait rode along on this heap entry:
             # account the timeout event it replaced.
             self.env.coalesced_count += 1
 
-    def rescind(self, when: float, value: Any = None) -> None:
-        """Withdraw one prior :meth:`count_down_at` contribution.
+    def rescind(self, when: float) -> None:
+        """Withdraw one prior contribution at ``when``.
 
         Used when a coalesced window is rolled back before the contributed
         completion was delivered.  If the latch had already armed its firing
         event, the heap entry is discarded and the latch returns to the
-        pending state so producers can contribute again.
+        pending state so producers can contribute again.  On an abandoned
+        latch this is a no-op: it never fires either way.
         """
-        batch = self._batch
-        if batch is not None:
-            self._batch = None
-            whens = _batch_times(batch)
-            self._contributions[:0] = zip(whens, whens)
-        self._contributions.remove((when, value))
+        if self._abandoned:
+            return
+        contributions = self._contributions
+        left = contributions[when] - 1
+        if left:
+            contributions[when] = left
+        else:
+            del contributions[when]
         self._remaining += 1
         if self._fire_id is not None:
             env = self.env

@@ -52,8 +52,8 @@ class SeriesStore:
     at ``r * capacity + i``), plus one length and one synced-prefix count.
     A standalone :class:`MetricSeries` owns a one-row store; the server tier
     keeps every server's ``server_bpt`` series as one row of its own store
-    (:class:`~repro.psarch.server.ServerStateArrays`), so a push fan-out
-    writes a point into every target's row with one scatter.
+    (:class:`~repro.psarch.server.ServerStateArrays`), where a push fan-out
+    writes a point into every target's row in one call.
 
     Scalar paths read and write through flat memoryviews (``_times``,
     ``_lengths``, ... named after their column), far cheaper than a numpy

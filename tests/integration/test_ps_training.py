@@ -15,6 +15,7 @@ from repro.experiments.workloads import ExperimentScale
 from repro.orchestrator import simulate_spec
 from repro.psarch.server import ParameterServer, ServerStateArrays
 from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job, get_scenario
+from repro.scenarios.fingerprint import fingerprint
 
 TINY = ExperimentScale(
     name="tiny",
@@ -165,16 +166,42 @@ def test_server_series_holds_one_point_per_acknowledged_push(name, coalesce):
 
 
 def _count_commits(monkeypatch):
-    """Count group commits, column commits and per-server submits."""
-    counts = {"group": 0, "columns": 0, "submits": 0}
-    for owner, name, key in ((ServerStateArrays, "commit_group", "group"),
-                             (ServerStateArrays, "commit_fanout", "columns"),
-                             (ParameterServer, "submit", "submits")):
-        def counted(*args, _call=getattr(owner, name), _key=key, **kwargs):
-            counts[_key] += 1
-            return _call(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
+    """Count group-row commits, member-row commits and per-server submits."""
+    counts = {"group": 0, "members": 0, "submits": 0}
+    commit_rows = ServerStateArrays.commit_rows
+    submit = ParameterServer.submit
+
+    def counted_rows(state, rows, *args):
+        counts["group" if rows == (state.group_row,) else "members"] += 1
+        return commit_rows(state, rows, *args)
+
+    def counted_submit(*args, **kwargs):
+        counts["submits"] += 1
+        return submit(*args, **kwargs)
+
+    monkeypatch.setattr(ServerStateArrays, "commit_rows", counted_rows)
+    monkeypatch.setattr(ParameterServer, "submit", counted_submit)
     return counts
+
+
+def _run_like_uncoalesced(monkeypatch, spec, detached=0):
+    """Run ``spec`` coalesced, with its first ``detached`` servers taken out
+    of the lock-step group, and check it records what the uncoalesced run
+    does: fingerprint, every ``server_bpt`` series and the logical events.
+    Returns the job and the coalesced run's commit counts."""
+    slow = simulate_spec(spec, coalesce=False)
+    counts = _count_commits(monkeypatch)
+    job, injector = build_scenario_job(spec)
+    ParameterServer.detach(job.servers[:detached])
+    run = job.run()
+    assert run.completed
+    assert fingerprint(spec, run, injector) == slow.fingerprint
+    for server in job.servers:
+        ours = run.metrics.series("server_bpt", server.name)
+        theirs = slow.run.metrics.series("server_bpt", server.name)
+        assert (ours.times(), ours.values()) == (theirs.times(), theirs.values())
+    assert run.engine_events_processed == slow.run.engine_events_processed
+    return job, counts
 
 
 @pytest.mark.parametrize("servers", range(2, 13))
@@ -186,20 +213,27 @@ def test_a_lock_step_tier_commits_every_push_through_its_group(monkeypatch, serv
                                       scale=replace(TINY, num_servers=servers)))
     assert job.run().completed
     assert counts["group"] > 0
-    assert counts["columns"] == counts["submits"] == 0
+    assert counts["members"] == counts["submits"] == 0
     assert all(server.in_group for server in job.servers)
 
 
-@pytest.mark.parametrize("servers, vectorized", [(5, False), (6, True)])
-def test_push_fanout_commits_as_columns_from_six_targets(monkeypatch, servers, vectorized):
-    """Once a member has left the group, a fan-out narrower than six targets
-    declines to per-server submits, which are cheaper there; from six
-    targets on it commits as columns."""
-    counts = _count_commits(monkeypatch)
-    job, _ = build_scenario_job(_spec("bsp", NO_STRAGGLERS,
-                                      scale=replace(TINY, num_servers=servers)))
-    ParameterServer.detach(job.servers[:1])
-    assert job.run().completed
-    assert counts["group"] == 0
-    assert (counts["columns"] > 0) is vectorized
-    assert (counts["submits"] > 0) is not vectorized
+@pytest.mark.parametrize("servers", range(2, 13))
+def test_a_detached_tier_commits_every_push_on_member_rows(monkeypatch, servers):
+    """Once a member has left the group, each fan-out takes its targets out
+    too and, all of them eligible, writes one point on each target's own
+    row at any width: no fan-out falls back to per-server submits."""
+    spec = _spec("bsp", NO_STRAGGLERS, scale=replace(TINY, num_servers=servers))
+    job, counts = _run_like_uncoalesced(monkeypatch, spec, detached=1)
+    assert counts["members"] > 0
+    assert counts["group"] == counts["submits"] == 0
+    assert not any(server.in_group for server in job.servers)
+
+
+@pytest.mark.parametrize("servers", [2, 5, 12])
+def test_a_tier_with_a_contended_member_declines_every_fan_out(monkeypatch, servers):
+    """A contended server never accepts a fan-out's commit, so every
+    fan-out that includes it declines to per-server submits."""
+    _, counts = _run_like_uncoalesced(monkeypatch, _spec(
+        "bsp", server_scenario(0.8), scale=replace(TINY, num_servers=servers)))
+    assert counts["submits"] > 0
+    assert counts["group"] == counts["members"] == 0

@@ -9,10 +9,9 @@ and so is every server's ``server_bpt`` series (which no fingerprint holds),
 and so are the allocator's and the agents' overheads (Fig. 18's inputs,
 which no fingerprint holds either), and that the ``REPRO_NO_COALESCE=1``
 escape hatch selects the slow path.  Every registered scenario but one runs
-3 servers, below the width at which a push fan-out commits as columns, so
-five of them, the scale-in probe below and a run stopped by its deadline
-run again on 24 servers, through the lock-step group and the vectorized
-fan-out.
+3 servers, so five of them, the scale-in probe below and a run stopped by
+its deadline run again on a wide tier of 24 servers, through the lock-step
+group and the fan-out on the members' own rows.
 
 The coalescing × elastic interaction gets its own regression test: a scale-in
 that retires a worker mid-iteration — i.e. from inside a live coalesced
@@ -121,7 +120,7 @@ def _simulate(spec, coalesce, max_duration_s=None):
     pytest.param(get_scenario("elastic-server-retire-replace"), None, False,
                  id="elastic-server-retire-replace"),
     # A joiner widens the targets while the members are still in the
-    # group: the fan-out takes them out before it commits as columns.
+    # group: the fan-out takes them out before it commits on their rows.
     pytest.param(get_scenario("elastic-server-churn"), None, True, id="elastic-server-churn"),
     pytest.param(get_scenario("nd-transient-heavy-antdt"), None, True,
                  id="nd-transient-heavy-antdt"),
@@ -135,24 +134,25 @@ def _simulate(spec, coalesce, max_duration_s=None):
 ])
 def test_wide_server_tier_is_mode_invariant(monkeypatch, spec, max_duration_s, grouped):
     """On 24 servers the push fan-out commits through the lock-step group,
-    or as columns once the group is gone, and rolls back per server:
-    fingerprints, server series, logical events and overheads must still
-    equal the uncoalesced run's."""
+    or on the members' own rows once the group is gone, and rolls back per
+    server: fingerprints, server series, logical events and overheads must
+    still equal the uncoalesced run's."""
     committed = []
     group_commits = []
     push_fanout = PSTrainingJob.push_fanout
-    commit_group = ServerStateArrays.commit_group
+    commit_rows = ServerStateArrays.commit_rows
 
     def counted(self, worker, nbytes, targets, latch):
         committed.append(push_fanout(self, worker, nbytes, targets, latch))
         return committed[-1]
 
-    def counted_group(self, *args):
-        group_commits.append(args)
-        return commit_group(self, *args)
+    def counted_rows(self, rows, *args):
+        if rows == (self.group_row,):
+            group_commits.append(args)
+        return commit_rows(self, rows, *args)
 
     monkeypatch.setattr(PSTrainingJob, "push_fanout", counted)
-    monkeypatch.setattr(ServerStateArrays, "commit_group", counted_group)
+    monkeypatch.setattr(ServerStateArrays, "commit_rows", counted_rows)
     wide = replace(spec, name=f"{spec.name}@servers=24",
                    topology=replace(spec.topology, num_servers=24))
     fast = _simulate(wide, True, max_duration_s)
@@ -213,17 +213,29 @@ _SERVING_SHAPE_PARITY_GAP = {False: 0, True: 1}
 def test_serving_at_benchmark_scale_is_mode_invariant(monkeypatch, evicted):
     spec = _serving_bench_shape(evicted)
     rescinded = []
+    member_commits = []
     discard_scheduled = Environment.discard_scheduled
+    commit_rows = ServerStateArrays.commit_rows
 
     def counted(env, eid):
         rescinded.append(eid)
         discard_scheduled(env, eid)
 
+    def counted_rows(state, rows, *args):
+        if rows != (state.group_row,):
+            member_commits.append(rows)
+        return commit_rows(state, rows, *args)
+
     with monkeypatch.context() as patch:
         patch.setattr(Environment, "discard_scheduled", counted)
+        patch.setattr(ServerStateArrays, "commit_rows", counted_rows)
         fast = _simulate(spec, True)
     # The eviction rolled back acknowledgements committed past it.
     assert bool(rescinded) == evicted
+    # Serving traffic takes the servers out of lock step, so training
+    # fan-outs commit on the members' own rows: of the benchmark's
+    # workloads, only this one takes that path at 12 targets.
+    assert member_commits
     slow = _simulate(spec, False)
     assert fast.golden_trace() == slow.golden_trace()
     assert (slow.run.engine_events_processed - fast.run.engine_events_processed

@@ -1,6 +1,5 @@
 """Unit tests for the discrete-event simulation engine."""
 
-import numpy as np
 import pytest
 
 from repro.sim.engine import (
@@ -377,15 +376,15 @@ def test_discarded_entries_are_dropped_uncounted(discard):
     assert env.processed_count == len(kept)
 
 
-@pytest.mark.parametrize("contributions, fire_delay, fired", [
-    ([(2.0, "a"), (4.0, "b"), (4.0, "c")], 0.0, (4.0, "c")),  # latest call wins ties
-    ([(5.0, "a"), (1.0, "b")], 0.0, (5.0, "a")),
-    ([(2.0, "a"), (4.0, "b")], 0.5, (4.5, "b")),
+@pytest.mark.parametrize("whens, fire_delay, fired", [
+    ([2.0, 4.0, 4.0], 0.0, (4.0, 4.0)),
+    ([5.0, 1.0], 0.0, (5.0, 5.0)),
+    ([2.0, 4.0], 0.5, (4.5, 4.0)),  # the delay moves the firing, not the value
 ])
-def test_countdown_fires_at_latest_contribution(contributions, fire_delay, fired):
+def test_countdown_fires_at_latest_contribution(whens, fire_delay, fired):
     env = Environment()
-    latch = CountdownEvent(env, len(contributions), fire_delay=fire_delay)
-    armed = [latch.count_down_at(when, value) for when, value in contributions]
+    latch = CountdownEvent(env, len(whens), fire_delay=fire_delay)
+    armed = [latch.count_down_at(when) for when in whens]
     env.run()
     assert armed[-1] and not any(armed[:-1])
     assert (env.now, latch.value) == fired
@@ -393,62 +392,59 @@ def test_countdown_fires_at_latest_contribution(contributions, fire_delay, fired
 
 
 @pytest.mark.parametrize("fire_delay", [0.0, 0.5])
-@pytest.mark.parametrize("whens, rescinded, again", [
-    ([2.0, 6.0, 3.0], None, None),  # the batch alone fires at its latest time
-    ([2.0, 6.0, 3.0], 6.0, 4.0),  # the latest time leaves: the latch re-arms earlier
-    ([2.0, 6.0, 6.0], 6.0, 1.0),  # a tie: the other 6.0 still decides
-    ([5.0, 1.0, 3.0], 1.0, 7.0),  # the re-contribution becomes the latest
+@pytest.mark.parametrize("contributions, rescinded, again", [
+    ([(5.0, 3)], (), ()),  # one weighted contribution alone fires at its time
+    ([(5.0, 3)], (5.0,), (2.0,)),  # one leaves, comes back earlier: the rest decide
+    ([(5.0, 3)], (5.0,), (6.0,)),  # ... or later: the re-contribution decides
+    ([(5.0, 2)], (5.0, 5.0), (4.0, 5.5)),  # both leave; both come back
+    ([(2.0, 1), (6.0, 1), (3.0, 1)], (6.0,), (4.0,)),  # the latest leaves: re-armed earlier
+    ([(2.0, 1), (6.0, 2)], (6.0,), (1.0,)),  # a tie: the other 6.0 still decides
 ])
-def test_countdown_batch_fires_like_one_at_a_time(whens, rescinded, again, fire_delay):
-    # The fan-out arms a fresh latch with one array of acknowledgement times;
-    # a rollback rescinds one of them and the re-commit contributes again.
-    def fire(batched):
+def test_countdown_weighted_contributions_fire_like_one_at_a_time(
+        contributions, rescinded, again, fire_delay):
+    # The lock-step group's fan-out counts a fresh latch down once per member
+    # in one call; a rollback rescinds the members one at a time, and the
+    # re-commit contributes again.
+    def fire(weighted):
         env = Environment()
-        latch = CountdownEvent(env, len(whens), fire_delay=fire_delay)
-        if batched:
-            assert latch.count_down_many_at(np.array(whens))
+        latch = CountdownEvent(env, sum(count for _, count in contributions),
+                               fire_delay=fire_delay)
+        if weighted:
+            armed = [latch.count_down_at(when, count) for when, count in contributions]
         else:
-            assert [latch.count_down_at(when, when) for when in whens][-1]
-        if rescinded is not None:
-            latch.rescind(rescinded, rescinded)
-            assert latch.remaining == 1
-            assert latch.count_down_at(again, again)
+            armed = [latch.count_down_at(when)
+                     for when, count in contributions for _ in range(count)]
+        assert armed[-1] and not any(armed[:-1])
+        for when in rescinded:
+            latch.rescind(when)
+        assert latch.remaining == len(rescinded)
+        armed = [latch.count_down_at(when) for when in again]
+        assert armed == [index == len(again) - 1 for index in range(len(again))]
         env.run()
         return env.now, latch.value, env.processed_count, env.coalesced_count
 
-    assert fire(batched=True) == fire(batched=False)
+    assert fire(weighted=True) == fire(weighted=False)
+    held = [when for when, count in contributions for _ in range(count)]
+    for when in rescinded:
+        held.remove(when)
+    latest = max(held + list(again))
+    assert fire(weighted=True)[:2] == (latest + fire_delay, latest)
 
 
-@pytest.mark.parametrize("fire_delay", [0.0, 0.5])
-@pytest.mark.parametrize("count, rescinds, again", [
-    (3, 0, None),  # the pair alone fires at its time
-    (3, 1, 2.0),  # one leaves and comes back earlier: the others still decide
-    (3, 1, 6.0),  # ... or later: the re-contribution decides
-    (2, 2, 4.0),  # both leave; the first comes back, then the second
-])
-def test_countdown_same_time_batch_fires_like_the_array(count, rescinds, again, fire_delay):
-    # The lock-step group's fan-out arms a fresh latch with one time and a
-    # count; a rollback unpacks it exactly as it would the equal-time array.
-    def fire(paired):
-        env = Environment()
-        latch = CountdownEvent(env, count, fire_delay=fire_delay)
-        if paired:
-            assert latch.count_down_many_same_at(5.0, count)
-        else:
-            assert latch.count_down_many_at(np.full(count, 5.0))
-        for _ in range(rescinds):
-            latch.rescind(5.0, 5.0)
-        assert latch.remaining == rescinds
-        for index in range(rescinds):
-            armed = latch.count_down_at(again + index, again + index)
-            assert armed == (index == rescinds - 1)
-        env.run()
-        return env.now, latch.value, env.processed_count, env.coalesced_count
-
-    assert fire(paired=True) == fire(paired=False)
-    assert fire(paired=True)[:2] == (
-        (max(5.0, again + rescinds - 1) if rescinds else 5.0) + fire_delay,
-        max(5.0, again + rescinds - 1) if rescinds else 5.0)
+def test_countdown_rescind_on_an_abandoned_latch_leaves_it_untouched():
+    # A departing worker abandons its latch; a later rollback may rescind a
+    # contribution made before, or one never made (committed after).
+    env = Environment()
+    latch = CountdownEvent(env, 3)
+    assert not latch.count_down_at(2.0, 2)
+    latch.abandon()
+    latch.rescind(2.0)
+    latch.rescind(7.0)
+    assert latch.remaining == 1
+    assert not latch.count_down_at(4.0)
+    env.run()
+    assert not latch.triggered
+    assert env.scheduled_count == 0
 
 
 # -- Wakeups: timelines the engine walks, stepped inline while next ----------

@@ -8,8 +8,9 @@ copy (exact, cell for cell), what a member's series reads before and after,
 the end of a run (``finalize_run`` leaves the group alone unless a point
 lies past the stop), that a lock-step tier keeps its group to the end, the
 writes that take a member out (a kill on the group's chain tail, a stepped
-request, a new base overhead) and the ones that do not, and that growing
-the store never touches the members' empty rows.
+request, a new base overhead) and the ones that do not, that growing
+the store never touches the members' empty rows, and that a detached
+tier's fan-out still writes every point when it grows the store midway.
 """
 
 import math
@@ -182,10 +183,12 @@ def test_a_kill_on_the_groups_chain_tail_takes_the_member_out():
     after the tail, it stays: no later commit can tell the two apart."""
     env, state, servers = _standalone_group()
     latch = CountdownEvent(env, len(servers))
-    ack, opened = state.commit_group(env.now, 1.0, PushRequest("worker-0", 1e9, latch))
-    latch.count_down_many_at(np.full(len(servers), ack))
-    assert opened
+    credit = state.commit_rows((state.group_row,), len(servers), env.now, 1.0,
+                               PushRequest("worker-0", 1e9, latch))
+    assert credit == 2 * len(servers)  # one request and one window per member
+    ack = state.chain_tail[state.group_row]
     env.run(until=ack)
+    assert latch.processed
     assert servers[0].request_kill_restart()
     env.run(until=ack + 0.5)
     assert servers[1].request_kill_restart()
@@ -228,15 +231,46 @@ def test_growing_the_store_never_touches_a_member_row(monkeypatch):
     state = ServerStateArrays(members + 1, points=8)
     slots = [state.allocate_slot() for _ in range(members)]
     group = state.add_group(slots, 0.01)
-    request = PushRequest(worker="worker-0", nbytes=1.0, done=None)
+    request = PushRequest(worker="worker-0", nbytes=1.0,
+                          done=CountdownEvent(Environment(), 9 * members))
     for step in range(8):
-        state.commit_group(float(step), 0.5, request)
+        state.commit_rows((group,), members, float(step), 0.5, request)
     for name, _ in state.POINT_COLUMNS:
         getattr(state, name).reshape(-1, state.capacity)[slots] = -1
     monkeypatch.setattr(metrics_module, "np", _PoisonedNumpy())
-    state.commit_group(8.0, 0.5, request)  # the ninth point doubles the rows
+    state.commit_rows((group,), members, 8.0, 0.5, request)  # the ninth point doubles the rows
     assert state.capacity == 16
     for name, _ in state.POINT_COLUMNS:
         cells = getattr(state, name).reshape(-1, state.capacity)
         assert (cells[slots] == -2).all()
     assert _row(state, "times", group, 9) == [0.51 + step for step in range(9)]
+
+
+def test_a_fan_out_that_fills_a_row_grows_the_store_and_writes_every_point():
+    """A detached tier's fan-out commits row by row: the second target's
+    full row doubles the store mid-fan-out, and every target, before and
+    after it, still gets its point, its length and its chain tail."""
+    env = Environment()
+    state = ServerStateArrays(4, points=4)
+    slots = [state.allocate_slot() for _ in range(4)]
+
+    def fan_out(rows):
+        request = PushRequest("worker-0", 1.0, CountdownEvent(env, len(rows)))
+        return state.commit_rows(rows, 1, 0.0, 1.0, request), request
+
+    for _ in range(4):
+        fan_out((slots[1], slots[3]))
+    fan_out((slots[2],))
+    assert state.capacity == 4 and state.lengths[slots].tolist() == [0, 4, 1, 4]
+    credit, request = fan_out(tuple(slots))
+    assert state.capacity == 8
+    assert credit == len(slots) + 1  # the empty row opened a window
+    lengths = [1, 5, 2, 5]
+    assert state.lengths[slots].tolist() == lengths
+    for slot, length in zip(slots, lengths):
+        assert _row(state, "times", slot, length) == [1.0 + step for step in range(length)]
+        assert _row(state, "values", slot, length) == [1.0] * length
+        assert state.record_at(slot * state.capacity + length - 1) is request
+    assert state.chain_tail[slots].tolist() == [1.0, 5.0, 2.0, 5.0]
+    env.run()
+    assert env.now == request.done.value == 5.0
