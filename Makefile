@@ -64,12 +64,13 @@ golden-update:
 sweep:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro sweep --jobs $(JOBS)
 
-## Tracing smoke (run in CI): trace one autoscaled scenario, validate the
-## Chrome trace-event JSON against the schema, and assert a non-empty
-## autoscaler decision log (--validate does both checks).
+## Tracing smoke (run in CI): trace two autoscaled scenarios, an elastic
+## server tier and a serving tier (request spans, shed counters, serving
+## gauges), validate the Chrome trace-event JSON against the schema, and
+## assert a non-empty autoscaler decision log (--validate does both checks).
 trace-smoke:
 	$(PYTHONPATH_PREFIX) $(PYTHON) -m repro trace elastic-server-queue-autoscale \
-		--trace-dir .repro-traces --validate
+		serving-slo-autoscale --trace-dir .repro-traces --validate
 
 ## Serving smoke (run in CI): run the bursty overload scenario end to end and
 ## assert the protection layers actually engaged — a nonzero shed rate for

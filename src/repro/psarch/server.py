@@ -417,8 +417,7 @@ class ParameterServer:
         docstring) and never enters the queue.
         """
         env = self.env
-        request = PushRequest(worker=worker, nbytes=nbytes,
-                              done=done if done is not None else Event(env))
+        request = PushRequest(worker, nbytes, done if done is not None else Event(env))
         if self._accepting and env.coalesce and self.node.contention.is_deterministic:
             self._commit((request,))
             return request.done
@@ -739,7 +738,9 @@ class ParameterServer:
         per_byte_cost = self.config.server_per_byte_cost_s
         now = env._now
         length = state._lengths[slot]
-        state.reserve(length + len(requests))
+        end = length + len(requests)
+        if end > state.capacity:
+            state.reserve(end)
         t = state._chain_tail[slot]
         if t < now:
             t = now
@@ -751,7 +752,7 @@ class ParameterServer:
         values = state._values
         tokens = state._tokens
         index = slot * state.capacity + length
-        token = state.next_token
+        token = state._first_token + len(state._records)
         for request in requests:
             if contention_free:
                 # ``node.server_time`` without contention, inlined.
@@ -766,7 +767,7 @@ class ParameterServer:
             # the request.
             if type(done) is CountdownEvent:
                 done.count_down_at(ack)
-            elif not done.triggered:
+            elif done._value is PENDING:
                 request.done_id = env.schedule_at(done, ack, ack)
             times[index] = ack
             values[index] = handling
@@ -774,10 +775,10 @@ class ParameterServer:
             index += 1
             token += 1
             t = ack
-        state._lengths[slot] = length + len(requests)
+        state._lengths[slot] = end
         state._chain_tail[slot] = t
         state.keep(requests, now)
-        env.coalesced_count += len(requests)
+        env.coalesced_count += end - length
 
     def _on_wake(self, _wake: Event) -> None:
         """Serve the held backlog at the window's last acknowledgement.

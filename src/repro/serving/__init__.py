@@ -8,15 +8,16 @@ runtime layer:
 - :mod:`~repro.serving.arrivals` — seeded arrival traces (uniform,
   diurnal, bursty, flash-crowd) and Zipf key sampling;
 - :mod:`~repro.serving.tenants` — per-tenant token-bucket throttling;
-- :mod:`~repro.serving.admission` — bounded per-server admission
-  (queue-based load leveling with an explicit shed path);
-- :mod:`~repro.serving.slo` — p50/p99 latency, shed rate and goodput
-  accounting, cumulative (fingerprint) and windowed (autoscaler policy);
+- :mod:`~repro.serving.slo` — per-arrival columns (handled time, outcome,
+  acknowledgement time) and the p50/p99 latency, shed rate and goodput
+  derived from them, cumulative (fingerprint) and windowed (autoscaler
+  policy);
 - :mod:`~repro.serving.driver` — the :class:`ServingTier` runtime that
-  walks every tenant's arrivals in one process against a training job.
+  walks every tenant's arrivals in one process against a training job,
+  with bounded per-server admission (queue-based load leveling with an
+  explicit shed path).
 """
 
-from .admission import AdmissionLedger
 from .arrivals import arrival_times, zipf_keys
 from .driver import SERVING_WORKER_PREFIX, ServingTier
 from .slo import SLOTracker
@@ -24,7 +25,6 @@ from .spec import NO_SERVING, SERVING_PRESETS, ServingSpec, TenantSpec
 from .tenants import TokenBucket
 
 __all__ = [
-    "AdmissionLedger",
     "arrival_times",
     "zipf_keys",
     "SERVING_WORKER_PREFIX",

@@ -594,6 +594,12 @@ class Wakeups:
     heap events would give it.  With ``coalesce=False`` and under
     :meth:`Environment.step` every key goes through the heap.
 
+    A key a timeline reserves after the walk took one of its keys is often
+    the walk's next key already: it sorts below every key the walk holds.
+    If it would also step in place, the walk steps to it right away instead
+    of pushing it and popping it again; nothing runs in between, so the
+    clock, the order and the counts are those of the push and the pop.
+
     Held events are meant for the walk's own callbacks: a process waiting
     on one is resumed inside the walk, and must not step the clock itself.
     """
@@ -628,58 +634,72 @@ class Wakeups:
         heappush = heapq.heappush
         heappop = heapq.heappop
         cursors = [0] * len(timelines)
-
-        def advance(line: int, index: int) -> None:
-            """Handle ``line``'s entries from ``index`` on while they are
-            due, then reserve the next one's key."""
-            times = timelines[line]
-            now = env._now
-            while index < len(times):
-                when = times[index]
-                if when > now:
-                    cursors[line] = index
-                    env.scheduled_count += 1
-                    heappush(keys, (now + (when - now), _NORMAL, next(env._eid), line))
-                    return
-                if not handler(line, index):
-                    return
-                index += 1
-
+        # Timelines not started yet, the first on top.
+        unstarted = list(range(len(timelines) - 1, -1, -1))
         self._walking = True
         try:
-            for line in range(len(timelines)):
-                advance(line, 0)
-            while keys:
-                key = heappop(keys)
-                when, _priority, eid, item = key
-                if dead and eid in dead:
-                    dead.discard(eid)
-                    continue
-                if (coalesce and when <= env._inline_until
-                        and (not queue or key < queue[0])):
-                    env._now = when
-                    env.coalesced_count += 1
-                    if type(item) is int:
-                        index = cursors[item]
-                        if handler(item, index):
-                            advance(item, index + 1)
-                    else:
-                        callbacks, item.callbacks = item.callbacks, None
-                        for callback in callbacks:
-                            callback(item)
-                elif type(item) is int:
-                    wake = Event(env)
-                    wake._ok = True
-                    wake._value = None
-                    heappush(queue, (when, _NORMAL, eid, wake))
-                    self._walking = False
-                    yield wake
-                    self._walking = True
-                    index = cursors[item]
-                    if handler(item, index):
-                        advance(item, index + 1)
+            while unstarted or keys:
+                if unstarted:
+                    # Every timeline reserves its first key before the walk
+                    # takes any, so none steps in place yet.
+                    line, index, inline = unstarted.pop(), 0, False
                 else:
-                    heappush(queue, key)
+                    key = heappop(keys)
+                    when, _priority, eid, item = key
+                    if dead and eid in dead:
+                        dead.discard(eid)
+                        continue
+                    steppable = (coalesce and when <= env._inline_until
+                                 and (not queue or key < queue[0]))
+                    if type(item) is not int:
+                        if steppable:
+                            env._now = when
+                            env.coalesced_count += 1
+                            callbacks, item.callbacks = item.callbacks, None
+                            for callback in callbacks:
+                                callback(item)
+                        else:
+                            heappush(queue, key)
+                        continue
+                    if steppable:
+                        env._now = when
+                        env.coalesced_count += 1
+                    else:
+                        wake = Event(env)
+                        wake._ok = True
+                        wake._value = None
+                        heappush(queue, (when, _NORMAL, eid, wake))
+                        self._walking = False
+                        yield wake
+                        self._walking = True
+                    index = cursors[item]
+                    if not handler(item, index):
+                        continue
+                    line, index, inline = item, index + 1, coalesce
+                # Handle the line's entries from ``index`` on while they are
+                # due, and reserve the next one's key.  While that key
+                # provably is the next event — it sorts below every other
+                # key the walk holds, and would step inline once popped —
+                # step to it in place instead of pushing and popping it.
+                times = timelines[line]
+                end = len(times)
+                while index < end:
+                    now = env._now
+                    when = times[index]
+                    if when > now:
+                        env.scheduled_count += 1
+                        key = (now + (when - now), _NORMAL, next(env._eid), line)
+                        if not (inline and (not keys or key < keys[0])
+                                and (not queue or key < queue[0])
+                                and key[0] <= env._inline_until):
+                            cursors[line] = index
+                            heappush(keys, key)
+                            break
+                        env._now = key[0]
+                        env.coalesced_count += 1
+                    if not handler(line, index):
+                        break
+                    index += 1
         finally:
             self._walking = False
 

@@ -7,6 +7,7 @@ pure observation: the traced run's fingerprint must still match the
 checked-in golden trace byte for byte.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -42,6 +43,25 @@ def test_coalescing_mode_does_not_change_trace_bytes(name):
     assert on.chrome == off.chrome
     # ... and neither mode perturbs the simulation itself.
     assert canonical_json(on.fingerprint) == canonical_json(off.fingerprint)
+
+
+#: SHA-256 prefixes of the serving scenarios' JSONL trace bodies: every
+#: record below the header (which carries the spec key).  Request spans
+#: carry their arrival and acknowledgement times, and the shed counters
+#: their running counts, so the serving tier's bookkeeping cannot change
+#: either without moving a digest.
+SERVING_TRACE_DIGESTS = {
+    "serving-overload-shed": "46ecaddd360d52c4",
+    "serving-promotion-burst": "65e005c60c0a7042",
+    "serving-slo-autoscale": "e91022735044a48a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERVING_TRACE_DIGESTS))
+def test_serving_trace_bodies_match_their_pinned_digests(name):
+    body = capture_trace(get_scenario(name)).jsonl.split("\n", 1)[1]
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+    assert digest == SERVING_TRACE_DIGESTS[name]
 
 
 def test_parallel_trace_sweep_is_byte_identical_to_serial():

@@ -578,28 +578,46 @@ def test_dropped_iterations_count_departed_workers():
 # ---------------------------------------------------------------------------
 
 
-def test_node_removal_mid_step_leaves_no_stale_events():
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_node_removal_mid_step_leaves_no_stale_events(monkeypatch, coalesce):
     """Satellite regression: removing a node mid-step must cancel/neutralize
     its in-flight events — queued pushes purged, ack latch abandoned, no
     observation of the departed worker after its departure."""
     from repro.experiments.stragglers import server_scenario
 
-    # A contended server backs its queue up, so the retired worker is very
-    # likely to have queued (unhandled) pushes and a pending ack latch.
+    abandoned = []
+    abandon = CountdownEvent.abandon
+
+    def recording(latch):
+        abandoned.append(latch)
+        abandon(latch)
+
+    monkeypatch.setattr(CountdownEvent, "abandon", recording)
+    # A contended server backs its queue up, and AntDT-ND kill-restarts it:
+    # pushes wait at the relaunching server, so even with coalescing (where
+    # a push to an idle server arms its latch at once) the retired worker
+    # soon has queued (unhandled) pushes and a pending ack latch.
     spec = _elastic_spec(
+        method="antdt-nd",
         topology=TopologySpec(dedicated=False),
         stragglers=server_scenario(0.8),
         iterations=40,
     )
-    job, _ = build_scenario_job(spec, track_coverage=True)
+    job, _ = build_scenario_job(spec, track_coverage=True, coalesce=coalesce)
     env = job.env
     job.start()
     env.run(until=30.0)
     target = job.workers[2]
-    latch = target._pending_acks
+    # Step on until the worker waits on a latch that has not fired yet.
+    for _ in range(10_000):
+        latch = target._pending_acks
+        if latch is not None and not latch.triggered:
+            break
+        env.step()
+    assert latch is not None and not latch.triggered
+    departure_time = env.now
     assert job.request_scale_in([target.name], reason="regression") == [target.name]
-    env.run(until=31.0)  # let the urgent interrupt and the drain process
-    departure_time = 30.0
+    env.run(until=departure_time + 1.0)  # let the urgent interrupt and the drain process
     # The node is gone from the active membership for good.
     assert target.name not in job.cluster
     assert target.name in [node.name for node in job.cluster.departed]
@@ -608,17 +626,16 @@ def test_node_removal_mid_step_leaves_no_stale_events():
     for server in job.servers:
         assert server.discard_requests_from(target.name) == 0
     # Its in-flight ack latch was neutralized, not left to fire later.
-    latch_was_live = latch is not None and not latch.triggered
-    if latch_was_live:
-        remaining = latch.remaining
-        assert latch.count_down() == remaining  # a no-op: abandoned
+    assert abandoned == [latch]
+    remaining = latch.remaining
+    assert remaining > 0
+    assert latch.count_down() == remaining  # a no-op: abandoned
     # Run to completion: the remaining fleet finishes the workload.
     deadline = env.timeout(job.config.max_duration_s)
     env.run(until=env.any_of([job._completion_event, deadline]))
     assert job.completed
     # The abandoned latch never fired, even after the whole run drained.
-    if latch_was_live:
-        assert not latch.triggered
+    assert not latch.triggered and latch.remaining == remaining
     # No observation of the departed worker after departure: its raw
     # iteration series stops at (or before) the removal.
     series = job.metrics.series("bpt", tag=target.name)

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import heapq
+
 import pytest
 
 from repro.sim.engine import (
@@ -609,6 +611,41 @@ def test_step_processes_one_wakeup_per_call():
         assert log == [("w", at) for at in (1.0, 2.0, 3.0) if at <= when]
         assert env.now == when
     assert env.coalesced_count == 0
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+def test_a_walk_steps_to_a_key_that_is_provably_next_in_place(monkeypatch, coalesce):
+    # "a" reserves 1.2 and 1.4 below "b"'s 2.0 and "b" its 3.0 below "a"'s
+    # 5.0, with nothing in the heap: coalescing steps to those keys in place.
+    timelines = {"a": (1.0, 1.2, 1.4, 5.0), "b": (2.0, 3.0)}
+    pushed = []
+    heappush = heapq.heappush
+
+    def recording(heap, key):
+        if type(key[3]) is int:
+            pushed.append(key[0])
+        heappush(heap, key)
+
+    monkeypatch.setattr(heapq, "heappush", recording)
+    env = Environment(coalesce=coalesce)
+    log = []
+    env.process(_walk(env, timelines, log))
+    env.run()
+    monkeypatch.undo()
+    reference_env = Environment(coalesce=coalesce)
+    reference = []
+    for tag, times in timelines.items():
+        reference_env.process(_walk_with_timeouts(reference_env, tag, times, log=reference))
+    reference_env.run()
+    assert log == sorted(reference, key=lambda entry: entry[1])
+    # One walking process stands in for two: one start and one exit fewer.
+    assert env.scheduled_count == reference_env.scheduled_count - 2
+    if coalesce:
+        assert pushed == [1.0, 2.0, 5.0]
+        assert env.coalesced_count == 6 and env.processed_count == 2
+    else:
+        assert pushed == [1.0, 2.0, 1.2, 1.4, 5.0, 3.0]
+        assert env.coalesced_count == 0
 
 
 def test_wakeup_in_the_past_is_rejected():

@@ -1,15 +1,17 @@
 """Unit tests for the serving tier (repro.serving).
 
 Covers the deterministic arrival traces (seeded reproducibility, mean rate,
-shape envelopes), Zipf key popularity, token-bucket throttling, the bounded
-admission ledger, SLO accounting (windowed snapshot and cumulative
+shape envelopes), Zipf key popularity, token-bucket throttling, SLO
+accounting over the per-arrival columns (windowed snapshot and cumulative
 fingerprint section), the spec layer (validation, presets, serialization),
-the serving-slo autoscaler policy, and the driver's routing
-and accounting on a real scenario job.
+the serving-slo autoscaler policy, and the driver's routing, bounded
+admission and ledger checks on a real scenario job.
 """
 
 import hashlib
+from collections import defaultdict
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +26,6 @@ from repro.serving import (
     NO_SERVING,
     SERVING_PRESETS,
     SERVING_WORKER_PREFIX,
-    AdmissionLedger,
     ServingSpec,
     SLOTracker,
     TenantSpec,
@@ -33,7 +34,9 @@ from repro.serving import (
     zipf_keys,
 )
 from repro.serving.arrivals import peak_rate
+from repro.serving.slo import ADMITTED, OVERLOAD, THROTTLED
 from repro.serving.tenants import bucket_for
+from repro.sim.engine import Wakeups
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +97,7 @@ def test_zipf_keys_are_rank_skewed_and_bounded():
 
 
 # ---------------------------------------------------------------------------
-# Token buckets and the admission ledger
+# Token buckets
 # ---------------------------------------------------------------------------
 
 
@@ -119,31 +122,34 @@ def test_bucket_for_builds_buckets_only_for_throttled_tenants():
     assert bucket_for(0.5, 0.1, 0.0).try_acquire(0.0)
 
 
-def test_admission_ledger_bounds_inflight_and_tracks_the_peak():
-    ledger = AdmissionLedger(capacity=2)
-    assert ledger.try_admit("s0") and ledger.try_admit("s0")
-    assert not ledger.try_admit("s0")  # full: the shed path
-    assert ledger.inflight("s0") == 2 and ledger.total_inflight() == 2
-    ledger.release("s0")
-    assert ledger.try_admit("s0")
-    assert ledger.peak_inflight() == 2
-    with pytest.raises(ValueError):
-        ledger.release("s1")  # release without admission
-    with pytest.raises(ValueError):
-        AdmissionLedger(capacity=0)
-
-
 # ---------------------------------------------------------------------------
 # SLO accounting
 # ---------------------------------------------------------------------------
 
 
-def test_slo_snapshot_windows_arrivals_sheds_and_p99():
+def _tracker(*tenants, size=128):
+    """An SLO tracker started for ``tenants``, each with room for ``size`` arrivals."""
     tracker = SLOTracker(window_s=10.0)
+    tracker.start(tenants, [size] * len(tenants))
+    return tracker
+
+
+def _arrive(tracker, tenant, now, outcome=ADMITTED, ack=None):
+    """Write the tenant's next arrival into the columns, as the driver does."""
+    line = tracker.names.index(tenant)
+    index = tracker.counts[line]
+    tracker.handled[line][index] = now
+    tracker.outcomes[line][index] = outcome
+    if ack is not None:
+        tracker.acks[line][index] = ack
+    tracker.counts[line] = index + 1
+
+
+def test_slo_snapshot_windows_arrivals_sheds_and_p99():
+    tracker = _tracker("web")
     for t in range(20):
-        tracker.on_arrival("web", float(t))
-    tracker.on_shed("web", 19.0, "overload")
-    tracker.on_completion("web", 19.5, 0.2)
+        _arrive(tracker, "web", float(t), outcome=OVERLOAD if t == 19 else ADMITTED,
+                ack=18.2 if t == 18 else None)
     snap = tracker.snapshot(20.0, inflight=3)
     # Only the last 10 s of arrivals survive the prune.
     assert snap["arrival_rps"] == pytest.approx(1.0)
@@ -156,14 +162,17 @@ def test_slo_snapshot_windows_arrivals_sheds_and_p99():
     assert empty["arrival_rps"] == 0.0 and "p99_s" not in empty
 
 
+def test_slo_snapshot_before_start_has_no_arrivals():
+    snap = SLOTracker(window_s=10.0).snapshot(5.0, inflight=0)
+    assert snap == {"arrival_rps": 0.0, "shed_rate": 0.0, "inflight": 0.0}
+
+
 def test_slo_finalize_aggregates_tenants_and_digests_latencies():
-    tracker = SLOTracker(window_s=10.0)
+    tracker = _tracker("web", "batch", "idle")
     for t in (1.0, 2.0, 3.0):
-        tracker.on_arrival("web", t)
-        tracker.on_completion("web", t + 0.1, 0.1)
-    tracker.on_arrival("batch", 2.5)
-    tracker.on_shed("batch", 2.5, "throttled")
-    summary = tracker.finalize(elapsed_s=10.0, in_flight_at_end=0)
+        _arrive(tracker, "web", t, ack=t + 0.1)
+    _arrive(tracker, "batch", 2.5, outcome=THROTTLED)
+    summary = tracker.finalize(elapsed_s=10.0, admitted=3, completed=3)
     assert summary["arrivals"] == 4 and summary["completed"] == 3
     assert summary["shed"] == {"overload": 0, "throttled": 1}
     assert summary["shed_rate"] == pytest.approx(0.25)
@@ -188,15 +197,39 @@ def test_digests_match_their_per_point_formulations():
             hasher.update(f"{time:.9e},{value:.9e};".encode("ascii"))
         assert series_digest(times, values) == hasher.hexdigest()[:16]
 
-        tracker = SLOTracker(window_s=10.0)
+        # Each point is one arrival handled ``value`` before its
+        # acknowledgement at ``time``; its latency is the difference the
+        # tracker takes, which may round ``value`` by an ulp.
+        tracker = _tracker("web", "batch")
         for index, (time, value) in enumerate(zip(times, values)):
-            tracker.on_completion(("web", "batch")[index % 2], time, value)
+            _arrive(tracker, ("web", "batch")[index % 2], time - value, ack=time)
+        values = [time - (time - value) for time, value in zip(times, values)]
         # Tenants in name order, then sorted by index under the pair key.
         acks = times[1::2] + times[0::2]
         latencies = values[1::2] + values[0::2]
         order = sorted(range(count), key=lambda i: (acks[i], latencies[i]))
-        assert tracker.finalize(1.0, 0)["latency_digest"] == series_digest(
+        assert tracker.finalize(1.0, count, count)["latency_digest"] == series_digest(
             [acks[i] for i in order], [latencies[i] for i in order])
+
+
+@pytest.mark.parametrize("counters", [(4, 2), (3, 3), (3, 1)])
+def test_finalize_refuses_counters_the_columns_disagree_with(counters):
+    # Three admitted arrivals, two acknowledged; one shed.
+    tracker = _tracker("web")
+    for t in (1.0, 2.0, 3.0):
+        _arrive(tracker, "web", t, ack=t + 0.1 if t < 3.0 else None)
+    _arrive(tracker, "web", 4.0, outcome=OVERLOAD)
+    assert tracker.finalize(10.0, 3, 2)["in_flight_at_end"] == 1
+    with pytest.raises(RuntimeError, match="serving ledger open"):
+        tracker.finalize(10.0, *counters)
+
+
+def test_finalize_refuses_an_acknowledged_shed_arrival():
+    tracker = _tracker("web")
+    _arrive(tracker, "web", 1.0, ack=1.5)
+    _arrive(tracker, "web", 2.0, outcome=OVERLOAD, ack=2.5)
+    with pytest.raises(RuntimeError, match="serving ledger open for web"):
+        tracker.finalize(10.0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -341,3 +374,99 @@ def test_routing_follows_a_shard_map_changed_in_place(monkeypatch):
     job.env.run(until=12.0)
     assert job.push_targets() is targets
     assert routed and "server-0" not in routed
+
+
+# ---------------------------------------------------------------------------
+# Driver admission and ledger checks
+# ---------------------------------------------------------------------------
+
+
+def _started_serving_job(monkeypatch, name="serving-overload-shed"):
+    """A started job of scenario ``name`` whose serving acknowledgements are
+    recorded as (callback, payload) and counted per server on their own:
+    each held event counts its server up when made and down when it fires."""
+    held = []
+    depths = defaultdict(int)
+    peaks = defaultdict(int)
+    event = Wakeups.event
+
+    def recording(wakeups, callback, payload=None):
+        server = payload[2]
+        depths[server] += 1
+        peaks[server] = max(peaks[server], depths[server])
+
+        def counted(fired):
+            depths[server] -= 1
+            callback(fired)
+
+        held.append((callback, payload))
+        return event(wakeups, counted, payload)
+
+    monkeypatch.setattr(Wakeups, "event", recording)
+    job, _ = build_scenario_job(get_scenario(name))
+    job.start()
+    return job, job._serving, held, depths, peaks
+
+
+def test_admission_bounds_each_servers_inflight_and_tracks_the_peak(monkeypatch):
+    job, tier, held, depths, peaks = _started_serving_job(monkeypatch)
+    capacity = tier.spec.queue_capacity
+    job.env.run(until=job._completion_event)
+    # The overload scenario fills servers to the bound, never past it.
+    assert max(peaks.values()) == capacity
+    summary = tier.finalize(job.env.now)
+    assert summary["peak_server_inflight"] == capacity
+    assert summary["shed"]["overload"] > 0
+    assert summary["in_flight_at_end"] == sum(depths.values())
+    assert tier.admitted == len(held)
+
+
+def _in_flight(tier):
+    """(tenant, index) of an admitted arrival not acknowledged yet."""
+    slo = tier.slo
+    for tenant, count in enumerate(slo.counts):
+        waiting = np.flatnonzero((slo.outcomes[tenant][:count] == ADMITTED)
+                                 & np.isnan(slo.acks[tenant][:count]))
+        if len(waiting):
+            return tenant, int(waiting[0])
+    raise AssertionError("no arrival in flight")
+
+
+def test_a_release_without_an_admission_raises(monkeypatch):
+    job, tier, held, _, _ = _started_serving_job(monkeypatch)
+    job.env.run(until=20.0)
+    callback = held[0][0]
+    tenant, index = _in_flight(tier)
+    idle_server = type("IdleServer", (), {"name": "server-idle"})()
+    with pytest.raises(RuntimeError, match="release without admission on 'server-idle'"):
+        callback(SimpleNamespace(payload=(tenant, index, idle_server)))
+
+
+def test_a_second_delivery_of_one_acknowledgement_raises(monkeypatch):
+    job, tier, held, _, _ = _started_serving_job(monkeypatch)
+    job.env.run(until=20.0)
+    callback, payload = held[0]
+    tenant, index, _ = payload
+    assert tier.slo.acks[tenant][index] == tier.slo.acks[tenant][index]  # delivered
+    with pytest.raises(RuntimeError, match="acknowledged again"):
+        callback(SimpleNamespace(payload=payload))
+
+
+def test_an_acknowledgement_of_a_shed_arrival_raises(monkeypatch):
+    job, tier, held, _, _ = _started_serving_job(monkeypatch)
+    job.env.run(until=20.0)
+    callback, (_, _, server) = held[0]
+    tenant, index = _in_flight(tier)
+    tier.slo.outcomes[tenant][index] = OVERLOAD
+    with pytest.raises(RuntimeError, match="after it was shed"):
+        callback(SimpleNamespace(payload=(tenant, index, server)))
+
+
+@pytest.mark.parametrize("counter", ["admitted", "completed"])
+def test_a_running_counter_off_by_one_fails_the_ledger(monkeypatch, counter):
+    job, tier, _, _, _ = _started_serving_job(monkeypatch)
+    job.env.run(until=job._completion_event)
+    tier.finalize(job.env.now)
+    setattr(tier, counter, getattr(tier, counter) + 1)
+    with pytest.raises(RuntimeError, match="serving ledger open"):
+        tier.finalize(job.env.now)
