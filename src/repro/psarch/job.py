@@ -154,10 +154,10 @@ class PSTrainingJob:
             self.barrier = BSPBarrier(env, backup_workers=config.backup_workers)
 
         # Columnar per-server serving state (acknowledgement chain tails,
-        # eager-commit eligibility, every server's ``server_bpt`` row):
-        # created before the servers so every server allocates its slot
-        # here, and the job can commit one worker's whole push fan-out in
-        # one call (push_fanout).  Each worker iteration writes one point
+        # per-request overheads, every server's ``server_bpt`` row): created
+        # before the servers so every server allocates its slot here, and
+        # the job can commit a push fan-out to the lock-step group in one
+        # call (push_fanout).  Each worker iteration writes one point
         # per server, and growing the rows copies every one of them, so they
         # start at the iterations of a run that trains every sample at the
         # even batch, plus an eighth for the pushes a kill re-sends.  Servers
@@ -170,7 +170,7 @@ class PSTrainingJob:
                                               points=iterations + iterations // 8)
         self._fanout_cache = None
         self.servers: List[ParameterServer] = [
-            self._make_server(node) for node in cluster.servers]
+            ParameterServer(self, node) for node in cluster.servers]
         ParameterServer.form_group(self.servers)
 
         batch = self._even_batch()
@@ -281,7 +281,7 @@ class PSTrainingJob:
                 server.on_cohort_change()
 
     # -- internal hooks ------------------------------------------------------------
-    def _server_delay_fraction(self) -> float:
+    def server_delay_fraction(self) -> float:
         """Fraction of a contention sleep each push request pays on a server.
 
         BSP aggregates all worker pushes into one parameter update per
@@ -547,23 +547,7 @@ class PSTrainingJob:
         self.worker_exited(name)
 
     # -- elastic server membership ---------------------------------------------------
-    def _make_server(self, node: Node) -> ParameterServer:
-        """Construct one server process wired to this job's elastic surface."""
-        return ParameterServer(
-            env=self.env,
-            node=node,
-            config=self.config,
-            scheduler=self.scheduler,
-            metrics=self.metrics,
-            delay_fraction_provider=self._server_delay_fraction,
-            requeue_filter=self._worker_requeue_ok,
-            drain_handler=self.server_departed,
-            outage_handler=self._server_outage,
-            recovery_handler=self._server_recovered,
-            state=self.server_state,
-        )
-
-    def _worker_requeue_ok(self, worker_name: str) -> bool:
+    def worker_requeue_ok(self, worker_name: str) -> bool:
         """Whether a server may requeue/re-route a push of this worker.
 
         False for draining and departed workers: their queued pushes were
@@ -604,51 +588,33 @@ class PSTrainingJob:
 
     def push_fanout(self, worker: str, nbytes: float,
                     targets: List[ParameterServer], latch) -> bool:
-        """Commit one worker's whole push fan-out in one call, if possible.
+        """Commit one worker's whole push fan-out to the lock-step group, if
+        its targets are exactly that group.
 
-        The common steady state — every target server parked on an empty
-        queue with null contention — makes each per-server acknowledgement
-        an affine function of that server's chain tail.  When the targets
-        are exactly the intact lock-step group, all eligible, they share
-        that tail: one point on the group row stands for all S requests and
-        counts the latch down S times.  Otherwise the fan-out first takes
-        its targets out of the group (:meth:`ParameterServer.detach`) and,
-        when every target is eligible, writes one point on each target's own
-        row, at any width.  Both commit through
-        :meth:`ServerStateArrays.commit_rows`, after eligibility is checked
-        for every target and before anything is written.
+        While the group is intact (no member has written on its own) and
+        every member is parked on an empty queue with null contention, the
+        members share one chain tail and each acknowledgement is an affine
+        function of it: one point on the group row
+        (:meth:`ServerStateArrays.commit`) stands for all S requests and
+        counts the latch down S times.
 
-        It returns False when any target is not eligible (busy, backlogged,
-        draining-held, or non-null contention); the worker then falls back
-        to per-server :meth:`ParameterServer.submit` calls, which reproduce
-        the exact same acknowledgements and event counts scalar-wise.
+        It returns False for any other fan-out; the worker then calls
+        :meth:`ParameterServer.submit` on each target, which reproduces the
+        exact same points, acknowledgements and event counts.
         """
-        cache = self._fanout_cache
         state = self.server_state
+        if not state.group_intact or state.group_ineligible:
+            return False
+        cache = self._fanout_cache
         if cache is None or cache[0] is not targets:
             # push_targets() rebuilds its list object on every membership
             # change, so list identity doubles as cache validation.
-            slots = tuple(server._slot for server in targets)
-            cache = self._fanout_cache = (
-                targets, slots, frozenset(slots) == state.group_slots,
-                any(server.in_group for server in targets))
-        targets, slots, grouped, attached = cache
-        if grouped and state.group_intact and not state.group_ineligible:
-            rows, count = (state.group_row,), len(slots)
-        else:
-            if attached:
-                ParameterServer.detach(targets)
-                self._fanout_cache = (targets, slots, grouped, False)
-            eligible = state._eligible
-            if not all(eligible[slot] for slot in slots):
-                return False
-            rows, count = slots, 1
-        env = self.env
-        # Not ``+=`` on the call: arming the latch credits the count too.
-        credit = state.commit_rows(
-            rows, count, env._now, self.config.server_per_byte_cost_s * nbytes,
-            PushRequest(worker=worker, nbytes=nbytes, done=latch))
-        env.coalesced_count += credit
+            cache = self._fanout_cache = (targets, frozenset(
+                server._slot for server in targets) == state.group_slots)
+        if not cache[1]:
+            return False
+        state.commit(state.group_row, (PushRequest(worker, nbytes, latch),), self.env,
+                     self.config.server_per_byte_cost_s, count=len(targets))
         return True
 
     def configure_server_replication(self, replicas: int = 0,
@@ -790,7 +756,7 @@ class PSTrainingJob:
             return
         moved = self.shard_map.add_member(node.name)
         self._record_reshard("join", node.name, moved, cost)
-        server = self._make_server(node)
+        server = ParameterServer(self, node)
         self.servers.append(server)
         self._push_targets = None
         self.server_membership.record(self.env.now, JOINED, node.name)
@@ -855,7 +821,7 @@ class PSTrainingJob:
         """
         wanted = [request for request in requests
                   if not request.done.triggered
-                  and self._worker_requeue_ok(request.worker)]
+                  and self.worker_requeue_ok(request.worker)]
         for index, request in enumerate(wanted):
             recipients[index % len(recipients)].enqueue(request)
         return len(wanted)
@@ -905,8 +871,8 @@ class PSTrainingJob:
             self._trace_event("membership", "server-left",
                               node=name, rerouted=rerouted)
 
-    def _server_outage(self, server: ParameterServer,
-                       undelivered: List["PushRequest"]) -> bool:
+    def server_outage(self, server: ParameterServer,
+                      undelivered: List["PushRequest"]) -> bool:
         """Kill-path promotion hook: standbys take over a down primary's shards.
 
         Called synchronously from the killed server's interrupt handler,
@@ -956,7 +922,7 @@ class PSTrainingJob:
         if live:
             self._reroute(requests, live)
 
-    def _server_recovered(self, server: ParameterServer) -> None:
+    def server_recovered(self, server: ParameterServer) -> None:
         """Recovery hook: a promoted-away primary finished its relaunch.
 
         The pod rejoins the push rotation — as the standby at the tail of

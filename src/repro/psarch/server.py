@@ -22,10 +22,9 @@ The tier keeps all of this in columns (:class:`ServerStateArrays`): per
 server its chain tail, and per point — each server's ``server_bpt`` series
 is one row of the store — its time, its value and a token naming the
 committed request, which a rollback needs.  The row is time-ordered, so the
-points acknowledged after now are the window's undelivered tail.  One
-worker's whole push fan-out commits in one call, one point per target row
-(:meth:`PSTrainingJob.push_fanout
-<repro.psarch.job.PSTrainingJob.push_fanout>`).
+points acknowledged after now are the window's undelivered tail.  Every
+commit writes its points through one method,
+:meth:`ServerStateArrays.commit`, whichever path brought the requests.
 
 While the server process is parked on an empty backlog, an arriving request
 never touches the backlog at all: ``submit`` commits it right away.  A
@@ -56,22 +55,24 @@ store and read one row 333 times.  So with coalescing on, the servers a job
 starts with form a *group* when their devices share one base overhead
 (:meth:`ParameterServer.form_group`): one extra row of the columns holds
 their common chain tail and ``server_bpt`` series, and each member's series
-reads it.  A fan-out whose targets are exactly the intact group, all
-eligible, commits one point there (:meth:`ServerStateArrays.commit_rows`
-with the group row alone) and counts the latch down once per member, with
-the logical events of one commit per member.
+reads it.  A fan-out whose targets are exactly the intact group, every
+member parked on an empty queue with null contention, commits one point
+there and counts the latch down once per member, with the logical events
+of one commit per member (:meth:`PSTrainingJob.push_fanout
+<repro.psarch.job.PSTrainingJob.push_fanout>`).  Any other fan-out is
+submitted to each server, which commits, queues or steps it on its own.
 
 A member *detaches* right before its first write of its own — a commit, a
-wake-up, an uncoalesced append, a rollback that rescinds points or drops a
-chain tail a commit at this instant would join, or a change of its base
-overhead: its slot row takes an exact copy of the group row and holds its
-state from then on (:meth:`ParameterServer.detach`).  The group is then no
-longer intact, and the next fan-out detaches all its targets before it
-commits on their own rows or per server, exactly as it would without a
-group.  With coalescing off no group forms.  The known cost is that copy:
-on a wide tier one server event copies every member's history once (up to
-~130 MB at 333 servers near the end of a run); no benchmark workload
-measures it.
+wake-up, an uncoalesced append, or a rollback that rescinds points or drops
+a chain tail a commit at this instant would join: its slot row takes an
+exact copy of the group row and holds its state from then on
+(:meth:`ParameterServer._detach`).  The group is then no longer intact, and
+every later fan-out is submitted per server, exactly as without a group;
+a member that is never written keeps reading the group row, which no
+longer changes.  With coalescing off no group forms.  The known cost of a
+break is on a wide tier: the members' per-server submits, and each
+member's copy of the group's history at its first write (up to ~130 MB at
+333 servers near the end of a run); no benchmark workload runs one.
 
 Servers run no Agent: the Monitor's view of a server is exactly this
 per-request ``server_bpt`` series.
@@ -83,7 +84,8 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Sequence
 
 import numpy as np
 
@@ -91,9 +93,10 @@ from ..elastic.membership import SCALE_IN
 from ..sim.cluster import Node
 from ..sim.engine import CountdownEvent, Environment, Event, Interrupt, PENDING
 from ..sim.failures import ErrorCode
-from ..sim.metrics import MetricSeries, MetricsRecorder, SeriesStore
-from ..sim.scheduler import ClusterScheduler
-from .config import PSJobConfig
+from ..sim.metrics import MetricSeries, SeriesStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .job import PSTrainingJob
 
 __all__ = ["PushRequest", "ServerStateArrays", "ParameterServer"]
 
@@ -114,14 +117,15 @@ class ServerStateArrays(SeriesStore):
     """The server tier's state as columns: one slot (a store row) per server
     ever admitted.
 
-    Owned by the job; a server constructed without one gets a private
-    single-slot instance.  Per slot it holds the acknowledgement chain
-    tail, the per-request overhead and the fan-out eligibility.
-    The slot's row is the server's ``server_bpt`` series, time-ordered like
-    any series, so the points acknowledged after now are exactly the
-    undelivered tail of the live window.  Beside each point's time and value
-    it keeps a token naming the committed :class:`PushRequest`, what a
-    rollback needs.  A fan-out's points share one token.
+    Owned by the job.  Per slot it holds the acknowledgement chain tail and
+    the per-request overhead of the server's device, written once when the
+    slot is allocated.  The slot's row is the server's ``server_bpt``
+    series, time-ordered like any series, so the points acknowledged after
+    now are exactly the undelivered tail of the live window.  Beside each
+    point's time and value it keeps a token naming the committed
+    :class:`PushRequest`, what a rollback needs.  Every point is written by
+    :meth:`commit`; the uncoalesced server's appends and a detaching
+    member's copy (:meth:`copy_row`) are the only other writers.
 
     Slots are append-only: a departed server's slot keeps its final values,
     and elastic joins extend the columns.  ``points`` is the row capacity
@@ -129,7 +133,7 @@ class ServerStateArrays(SeriesStore):
 
     At most one extra row is the lock-step *group*'s (:meth:`add_group`):
     its members read their chain tail and series there, and their own slot
-    rows stay empty until they detach (:meth:`copy_row`).
+    rows stay empty until they detach.
     """
 
     ROW_COLUMNS = SeriesStore.ROW_COLUMNS + (
@@ -139,10 +143,6 @@ class ServerStateArrays(SeriesStore):
         ("chain_tail", np.float64),
         # Per-request base overhead of the node's device.
         ("overhead", np.float64),
-        # Whether the slot accepts a fan-out's commit right now: the server
-        # is parked on an empty queue, coalescing is on, and its contention
-        # model is null (affine handling times).
-        ("eligible", np.bool_),
     )
     POINT_COLUMNS = SeriesStore.POINT_COLUMNS + (("tokens", np.int64),)
 
@@ -155,40 +155,43 @@ class ServerStateArrays(SeriesStore):
         self._prune_at = 1024
         # The lock-step group: its row (-1 without one), its members' slots,
         # whether every member still reads the row, and how many members
-        # do not accept a fan-out's commit right now.
+        # do not accept a fan-out's commit right now (kept by the members).
         self.group_row = -1
         self.group_slots: frozenset = frozenset()
         self.group_intact = False
         self.group_ineligible = 0
 
-    def allocate_slot(self) -> int:
-        """Claim the next slot (growing the columns when full); returns its index."""
+    def allocate_slot(self, overhead: float) -> int:
+        """Claim the next slot (growing the columns when full) for a server
+        whose requests each cost ``overhead`` on top of their bytes; returns
+        its index."""
         slot = self.add_row()
         self._chain_tail[slot] = -math.inf
+        self._overhead[slot] = overhead
         return slot
 
-    def add_group(self, slots: Sequence[int], overhead: float) -> int:
+    def add_group(self, slots: Sequence[int], overhead: float, ineligible: int) -> int:
         """Claim the row the servers in ``slots`` share while in lock step,
-        with their common per-request ``overhead``; returns its index."""
-        row = self.allocate_slot()
-        self._overhead[row] = overhead
+        with their common per-request ``overhead``, ``ineligible`` of them
+        not accepting a fan-out's commit yet; returns its index."""
+        row = self.allocate_slot(overhead)
         self.group_row = row
         self.group_slots = frozenset(slots)
         self.group_intact = True
-        self.group_ineligible = len(slots) - int(np.count_nonzero(self.eligible[list(slots)]))
+        self.group_ineligible = ineligible
         return row
 
-    def copy_row(self, source: int, rows: np.ndarray) -> None:
-        """Make every row in ``rows`` an exact copy of row ``source``: its
-        points (times, values, prefix sums, tokens), length, synced prefix
-        count and chain tail."""
+    def copy_row(self, source: int, row: int) -> None:
+        """Make ``row`` an exact copy of row ``source``: its points (times,
+        values, prefix sums, tokens), length, synced prefix count and chain
+        tail."""
         length = self._lengths[source]
         for name, _ in self.POINT_COLUMNS:
             cells = getattr(self, name).reshape(-1, self.capacity)
-            cells[rows, :length] = cells[source, :length]
+            cells[row, :length] = cells[source, :length]
         for name in ("lengths", "synced", "chain_tail"):
             column = getattr(self, name)
-            column[rows] = column[source]
+            column[row] = column[source]
 
     @property
     def next_token(self) -> int:
@@ -224,97 +227,99 @@ class ServerStateArrays(SeriesStore):
             self._prune_at = max(1024, 2 * len(held))
         held.extend(requests)
 
-    def commit_rows(self, rows: Sequence[int], count: int, now: float,
-                    per_request: float, request: PushRequest) -> int:
-        """Commit ``request`` once to each row in ``rows``: one point per
-        row, whose acknowledgement counts the request's latch down ``count``
-        times.
+    def commit(self, row: int, requests: Sequence[PushRequest], env: Environment,
+               per_byte_cost: float, count: int = 1,
+               server_time: Optional[Callable[[float, float], float]] = None) -> None:
+        """Commit ``requests``, in FIFO order, into ``row``'s live window (or
+        a new one): the one place a push becomes a point.
 
-        A row is one server's slot (``count`` 1), or the lock-step group's
+        ``row`` is one server's slot (``count`` 1), or the lock-step group's
         row standing for its ``count`` members, which share its chain tail
-        and overhead.  Each row's handling is its overhead plus
-        ``per_request``, and its acknowledgement the handling added to
-        ``max(chain_tail, now)``: the scalar operations
-        :meth:`ParameterServer._commit` performs.  A tail strictly before
-        now opens a window.  The caller checks beforehand that every server
-        the rows stand for accepts the commit.  Returns the logical events
-        the commit stands for: per member, one for its request and one for
-        each window opened.
+        and overhead.  Handling starts at ``max(chain_tail, now)`` and each
+        acknowledgement is the running total ``t + handling``, summed left
+        to right exactly as per-request stepping does.  A request's handling
+        is the row's overhead plus its bytes at ``per_byte_cost``, or, for a
+        contended server, ``server_time(nbytes, t)`` at its start ``t``.
+        Each acknowledgement counts the request's latch down ``count`` times
+        or, for a private event, is scheduled at its time
+        (:attr:`PushRequest.done_id`).  A chain tail at or after now is a
+        live window, which the requests join; a strictly earlier one opens a
+        new one.  The commit credits its logical events: per member, one
+        for each request and one for a window opened (the park/pop that
+        starts a parked server's handling) — the window itself schedules no
+        event.  The caller checks beforehand that every server the row
+        stands for accepts the commit.
         """
-        latch = request.done
-        token = self.next_token
-        opened = 0
-        for row in rows:
-            length = self._lengths[row]
+        now = env._now
+        length = self._lengths[row]
+        end = length + len(requests)
+        if end > self.capacity:
             # Growing the store replaces every column and its view: read
             # them only after.
-            self.reserve(length + 1)
-            tail = self._chain_tail[row]
-            if tail < now:
-                tail = now
-                opened += 1
-            handling = self._overhead[row] + per_request
-            ack = tail + handling
-            index = row * self.capacity + length
-            self._times[index] = ack
-            self._values[index] = handling
-            self._tokens[index] = token
-            self._lengths[row] = length + 1
-            self._chain_tail[row] = ack
-            latch.count_down_at(ack, count)
-        self.keep((request,), now)
-        return count * (len(rows) + opened)
+            self.reserve(end)
+        t = self._chain_tail[row]
+        opened = t < now
+        if opened:
+            t = now
+        overhead = self._overhead[row]
+        times = self._times
+        values = self._values
+        tokens = self._tokens
+        index = row * self.capacity + length
+        token = self._first_token + len(self._records)
+        for request in requests:
+            if server_time is None:
+                handling = overhead + request.nbytes * per_byte_cost
+            else:
+                handling = server_time(request.nbytes, t)
+            ack = t + handling
+            done = request.done
+            # A latch is never triggered here: it fires only after its last
+            # contribution, and a rollback rescinds one before it requeues
+            # the request.
+            if type(done) is CountdownEvent:
+                done.count_down_at(ack, count)
+            elif done._value is PENDING:
+                request.done_id = env.schedule_at(done, ack, ack)
+            times[index] = ack
+            values[index] = handling
+            tokens[index] = token
+            index += 1
+            token += 1
+            t = ack
+        self._lengths[row] = end
+        self._chain_tail[row] = t
+        self.keep(requests, now)
+        env.coalesced_count += count * (end - length + opened)
 
 
 class ParameterServer:
-    """The simulation process of one server node."""
+    """The simulation process of one server node.
 
-    def __init__(
-        self,
-        env: Environment,
-        node: Node,
-        config: PSJobConfig,
-        scheduler: ClusterScheduler,
-        metrics: MetricsRecorder,
-        delay_fraction_provider: Callable[[], float],
-        requeue_filter: Optional[Callable[[str], bool]] = None,
-        drain_handler: Optional[Callable[["ParameterServer", List[PushRequest]], object]] = None,
-        outage_handler: Optional[Callable[["ParameterServer", List[PushRequest]], bool]] = None,
-        recovery_handler: Optional[Callable[["ParameterServer"], None]] = None,
-        state: Optional[ServerStateArrays] = None,
-    ) -> None:
-        self.env = env
+    Everything a server shares with the rest of the job — environment,
+    config, scheduler, metrics, the tier's :class:`ServerStateArrays`, the
+    delay fraction and the hooks of elastic retirement and warm-standby
+    promotion — is read from ``job``; the server owns only its node, its
+    backlog and its slot.
+    """
+
+    def __init__(self, job: "PSTrainingJob", node: Node) -> None:
+        self.job = job
         self.node = node
-        # Plain attribute (the node name never changes); see PSWorker.name.
+        # Plain attributes (none of them ever changes): read per request,
+        # where a lookup through the job or the node adds up.
+        self.env = job.env
+        self.config = job.config
         self.name = node.name
-        self.config = config
-        self.scheduler = scheduler
-        self.metrics = metrics
-        self._delay_fraction_provider = delay_fraction_provider
-        # Whether a worker's in-flight request may be requeued on a restart:
-        # the job vetoes requeues for draining/departed workers, otherwise a
-        # kill-restart racing an elastic scale-in drain resurrects a push
-        # that ``discard_requests_from`` already purged.
-        self._requeue_filter = requeue_filter
-        # Elastic retirement: receives (server, leftover requests) as a
-        # simulation sub-process and completes the departure.
-        self._drain_handler = drain_handler
-        # Warm-standby promotion: on a kill the job may take over this
-        # server's unacknowledged requests (returning True) instead of
-        # letting them wait out the local restart; called again (recovery)
-        # when the relaunch completes so the job can re-admit the server.
-        self._outage_handler = outage_handler
-        self._recovery_handler = recovery_handler
         # The FIFO backlog of requests waiting for the server process, and
         # the event the process parks on while the backlog is empty (None
         # while it runs, and from the moment ``_feed`` succeeds it).
         self._backlog: Deque[PushRequest] = deque()
         self._getter: Optional[Event] = None
         # Per-server state lives in the job-owned columns (chain tail,
-        # eligibility, window, the ``server_bpt`` row); a server constructed
-        # without a state-owning job gets a private single-slot instance.
-        self._state = state if state is not None else ServerStateArrays()
-        self._slot = self._state.allocate_slot()
+        # overhead, window, the ``server_bpt`` row).
+        self._state = state = job.server_state
+        self._slot = state.allocate_slot(node.device.base_overhead)
         # The row holding this server's chain tail and series: the group's
         # while the server is in lock step (see form_group), else its slot.
         self._row = self._slot
@@ -325,29 +330,27 @@ class ParameterServer:
         # the window in which an arriving request can be committed eagerly
         # at submit time without reordering against queued work.
         self._accepting = False
+        # Whether a fan-out may commit for this server right now: it is
+        # accepting and its contention model is null (affine handling
+        # times).  Read only to keep the group's ``group_ineligible``.
+        self._eligible = False
         # The slot's row, registered as this server's ``server_bpt`` series:
         # the Monitor's whole view of the server (Monitor.server_bpt_means
         # reads it).
-        self._bpt_series = MetricSeries(self._state, self._slot)
-        metrics.attach("server_bpt", self.name, self._bpt_series)
+        self._bpt_series = MetricSeries(state, self._slot)
+        job.metrics.attach("server_bpt", self.name, self._bpt_series)
         # Heap id of the wake-up armed for a backlog held behind the live
         # window (None without one).
         self._wake_id: Optional[int] = None
         # A mid-run contention swap invalidates the handling times of a
-        # committed window (and the slot's fan-out eligibility).
+        # committed window (and the server's fan-out eligibility).
         node.add_contention_listener(self._on_contention_change)
-        self._sync_eligibility()
 
     def start(self) -> None:
         """Launch the server's simulation process."""
         self.process = self.env.process(self.run())
 
     # -- lock-step group -------------------------------------------------------------
-    @property
-    def in_group(self) -> bool:
-        """Whether this server still reads the lock-step group's row."""
-        return self._row != self._slot
-
     @staticmethod
     def form_group(servers: Sequence["ParameterServer"]) -> None:
         """Put ``servers`` — fresh servers sharing one store — in lock step
@@ -356,53 +359,39 @@ class ParameterServer:
         overheads = {server.node.device.base_overhead for server in servers}
         if len(servers) < 2 or not servers[0].env.coalesce or len(overheads) != 1:
             return
-        row = servers[0]._state.add_group([server._slot for server in servers],
-                                          overheads.pop())
+        row = servers[0]._state.add_group(
+            [server._slot for server in servers], overheads.pop(),
+            sum(not server._eligible for server in servers))
         for server in servers:
             server._row = server._bpt_series._row = row
 
-    @staticmethod
-    def detach(servers: Sequence["ParameterServer"]) -> None:
-        """Take each of ``servers`` still in the group out of it.
+    def _detach(self) -> None:
+        """Take this server, still in the group, out of it.
 
         Its slot row becomes an exact copy of the group row and holds its
         state from now on.  The group is no longer intact: no fan-out
         commits to it again, and its row only serves the members that never
         write on their own.
         """
-        leaving = [server for server in servers if server._row != server._slot]
-        if leaving:
-            state = leaving[0]._state
-            state.copy_row(state.group_row, np.fromiter(
-                (server._slot for server in leaving), dtype=np.intp, count=len(leaving)))
-            state.group_intact = False
-            for server in leaving:
-                server._row = server._bpt_series._row = server._slot
+        state = self._state
+        state.copy_row(state.group_row, self._slot)
+        state.group_intact = False
+        self._row = self._bpt_series._row = self._slot
 
-    # -- array-backed scalar state -------------------------------------------------
+    # -- fan-out eligibility ---------------------------------------------------------
     def _set_accepting(self, value: bool) -> None:
         if self._accepting != value:
             self._accepting = value
             self._sync_eligibility()
 
     def _sync_eligibility(self) -> None:
-        """Refresh this slot's fan-out eligibility and overhead.
-
-        A group member keeps the group's count of ineligible members, and
-        leaves the group when its base overhead no longer matches the
-        group's: the group's handling times no longer hold for it.
-        """
-        state = self._state
-        slot = self._slot
-        eligible = self._accepting and self.env.coalesce and self.node.contention.is_null
-        overhead = self.node.device.base_overhead
-        if self._row != slot:
-            if eligible != state._eligible[slot]:
-                state.group_ineligible += -1 if eligible else 1
-            if overhead != state._overhead[self._row]:
-                self.detach((self,))
-        state._eligible[slot] = eligible
-        state._overhead[slot] = overhead
+        """Refresh this server's fan-out eligibility; a group member keeps
+        the group's count of ineligible members."""
+        eligible = self._accepting and self.node.contention.is_null
+        if eligible != self._eligible:
+            self._eligible = eligible
+            if self._row != self._slot:
+                self._state.group_ineligible += -1 if eligible else 1
 
     # -- worker-facing API --------------------------------------------------------
     def submit(self, worker: str, nbytes: float, done: Optional[Event] = None) -> Event:
@@ -571,15 +560,14 @@ class ParameterServer:
         """Gracefully retire this server (elastic scale-in).
 
         Returns False when the server cannot drain right now: it is already
-        restarting, already retiring, its process finished, or no drain
-        handler was wired (a fixed-fleet job).  A granted request interrupts
-        the serving loop with the :data:`SCALE_IN` sentinel; the drain hands
-        every unacknowledged request — queued and in-flight — to the job,
-        which re-partitions the parameter shards and re-routes the requests
-        to the surviving servers.
+        restarting, already retiring, or its process finished.  A granted
+        request interrupts the serving loop with the :data:`SCALE_IN`
+        sentinel; the drain hands every unacknowledged request — queued and
+        in-flight — to the job (:meth:`PSTrainingJob.server_departed
+        <repro.psarch.job.PSTrainingJob.server_departed>`), which
+        re-partitions the parameter shards and re-routes the requests to the
+        surviving servers.
         """
-        if self._drain_handler is None:
-            return False
         if not self.node.is_running or self.process is None or not self.process.is_alive:
             return False
         if self._restart_requested or self._scale_in_requested:
@@ -607,11 +595,11 @@ class ParameterServer:
         # Hot-loop locals: the loop body runs once per popped request.  All
         # bound objects are stable across restarts (only the node's *status*
         # changes).
+        job = self.job
         env = self.env
         backlog = self._backlog
         node = self.node
         per_byte_cost = self.config.server_per_byte_cost_s
-        delay_fraction_provider = self._delay_fraction_provider
         bpt_series = self._bpt_series
         while True:
             try:
@@ -639,7 +627,7 @@ class ParameterServer:
                     current = None
                     env.coalesced_count -= 1
                     continue
-                fraction = float(delay_fraction_provider())
+                fraction = float(job.server_delay_fraction())
                 handling = node.server_time(
                     current.nbytes,
                     env.now,
@@ -654,7 +642,7 @@ class ParameterServer:
                     else:
                         done.succeed(env.now)
                 if self._row != self._slot:
-                    self.detach((self,))
+                    self._detach()
                 bpt_series.append(env.now, handling)
                 current = None
             except Interrupt as interrupt:
@@ -686,7 +674,7 @@ class ParameterServer:
                     # the parameter shards and re-routes the requests to the
                     # surviving servers, then leave the simulation for good.
                     undelivered.extend(self.take_backlog())
-                    yield from self._drain_handler(self, undelivered)
+                    yield from job.server_departed(self, undelivered)
                     return
                 # KILL_RESTART (or injected failure): requeue any in-flight
                 # or half-delivered request so no worker waits forever, then
@@ -700,85 +688,39 @@ class ParameterServer:
                 # unacknowledged requests (promoting each shard's standby
                 # owner); the backlog then stays empty until recovery.
                 code = cause if isinstance(cause, ErrorCode) else ErrorCode.PROACTIVE_KILL
-                outage_handler = self._outage_handler
-                if outage_handler is None or not outage_handler(self, undelivered):
-                    requeue_filter = self._requeue_filter
+                if not job.server_outage(self, undelivered):
                     for request in reversed(undelivered):
-                        if requeue_filter is None or requeue_filter(request.worker):
+                        if job.worker_requeue_ok(request.worker):
                             backlog.appendleft(request)
-                yield from self.scheduler.relaunch(self.node, code)
-                yield self.env.timeout(self.config.server_recovery_time_s)
+                yield from job.scheduler.relaunch(node, code)
+                yield env.timeout(self.config.server_recovery_time_s)
                 self._restart_requested = False
-                if self._recovery_handler is not None:
-                    self._recovery_handler(self)
+                job.server_recovered(self)
 
     # -- coalesced windows ---------------------------------------------------------
     def _commit(self, requests: Sequence[PushRequest]) -> None:
-        """Commit ``requests``, in FIFO order, into the live window (or a new one).
+        """Commit ``requests``, in FIFO order, into this server's live window
+        (or a new one) with :meth:`ServerStateArrays.commit`; a group member
+        leaves the group first.
 
-        Handling starts at ``max(chain_tail, now)`` and each acknowledgement
-        is the running total ``t + handling``, summed left to right exactly
-        as per-request stepping does.  A chain tail at or after now is a live
-        window, which the requests join; a strictly earlier one opens a new
-        window, crediting its park/pop (the pop that starts a parked
-        server's handling) — the window itself schedules no event.
         Acknowledgements are published at once via absolute-time scheduling
         and ``server_bpt`` points are written eagerly (windowed queries are
         bisect-bounded, so future-dated observations stay invisible until
-        due).  The delay fraction, which the uncoalesced loop re-reads per
-        request, is read once: any event that could move it also rolls the
-        window back.
+        due).  A contended server's handling is ``node.server_time`` at each
+        request's start; the delay fraction, which the uncoalesced loop
+        re-reads per request, is read once: any event that could move it
+        also rolls the window back.
         """
         if self._row != self._slot:
-            self.detach((self,))
-        env = self.env
+            self._detach()
         node = self.node
-        state = self._state
-        slot = self._slot
         per_byte_cost = self.config.server_per_byte_cost_s
-        now = env._now
-        length = state._lengths[slot]
-        end = length + len(requests)
-        if end > state.capacity:
-            state.reserve(end)
-        t = state._chain_tail[slot]
-        if t < now:
-            t = now
-            env.coalesced_count += 1
-        contention_free = node.contention.is_null
-        fraction = 1.0 if contention_free else float(self._delay_fraction_provider())
-        overhead = node.device.base_overhead
-        times = state._times
-        values = state._values
-        tokens = state._tokens
-        index = slot * state.capacity + length
-        token = state._first_token + len(state._records)
-        for request in requests:
-            if contention_free:
-                # ``node.server_time`` without contention, inlined.
-                handling = overhead + request.nbytes * per_byte_cost
-            else:
-                handling = node.server_time(request.nbytes, t, per_byte_cost=per_byte_cost,
-                                            delay_fraction=fraction)
-            ack = t + handling
-            done = request.done
-            # A latch is never triggered here: it fires only after its last
-            # contribution, and a rollback rescinds one before it requeues
-            # the request.
-            if type(done) is CountdownEvent:
-                done.count_down_at(ack)
-            elif done._value is PENDING:
-                request.done_id = env.schedule_at(done, ack, ack)
-            times[index] = ack
-            values[index] = handling
-            tokens[index] = token
-            index += 1
-            token += 1
-            t = ack
-        state._lengths[slot] = end
-        state._chain_tail[slot] = t
-        state.keep(requests, now)
-        env.coalesced_count += end - length
+        server_time = None
+        if not node.contention.is_null:
+            server_time = partial(node.server_time, per_byte_cost=per_byte_cost,
+                                  delay_fraction=float(self.job.server_delay_fraction()))
+        self._state.commit(self._slot, requests, self.env, per_byte_cost,
+                           server_time=server_time)
 
     def _on_wake(self, _wake: Event) -> None:
         """Serve the held backlog at the window's last acknowledgement.
@@ -796,7 +738,7 @@ class ParameterServer:
         env = self.env
         self._wake_id = None
         if self._row != self._slot:
-            self.detach((self,))
+            self._detach()
         env.coalesced_count -= 1
         if self.node.contention.is_deterministic:
             self._commit(self.take_backlog())
@@ -846,7 +788,7 @@ class ParameterServer:
         if row != self._slot:
             if stop >= top and (keep_in_flight or final or state._chain_tail[row] < now):
                 return None
-            self.detach((self,))
+            self._detach()
             return self._rollback_window(now, keep_in_flight)
         if not keep_in_flight:
             state._chain_tail[row] = -math.inf

@@ -190,8 +190,9 @@ class PSWorker:
         backend = job.backend
         push_targets = job.push_targets
         # Fan-out commit (None when coalescing is off): one call commits
-        # the whole iteration's pushes against the job's ServerStateArrays
-        # when every target server is idle-eligible.
+        # the whole iteration's pushes on the lock-step group's row when the
+        # targets are exactly the intact group and every member is
+        # idle-eligible; otherwise the pushes are submitted per server.
         push_fanout = job.push_fanout if env.coalesce else None
         # With coalescing on, an empty data poll parks the worker among the
         # job's idle workers, re-polled in blocks; off, it sleeps a timeout.

@@ -52,8 +52,9 @@ class SeriesStore:
     at ``r * capacity + i``), plus one length and one synced-prefix count.
     A standalone :class:`MetricSeries` owns a one-row store; the server tier
     keeps every server's ``server_bpt`` series as one row of its own store
-    (:class:`~repro.psarch.server.ServerStateArrays`), where a push fan-out
-    writes a point into every target's row in one call.
+    (:class:`~repro.psarch.server.ServerStateArrays`), where one commit
+    writes a server's points, or the lock-step group's one point for all
+    its members, straight into the columns.
 
     Scalar paths read and write through flat memoryviews (``_times``,
     ``_lengths``, ... named after their column), far cheaper than a numpy

@@ -13,7 +13,8 @@ from repro.experiments import (
 )
 from repro.experiments.workloads import ExperimentScale
 from repro.orchestrator import simulate_spec
-from repro.psarch.server import ParameterServer, ServerStateArrays
+from repro.psarch.job import PSTrainingJob
+from repro.psarch.server import ParameterServer
 from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job, get_scenario
 from repro.scenarios.fingerprint import fingerprint
 
@@ -166,22 +167,29 @@ def test_server_series_holds_one_point_per_acknowledged_push(name, coalesce):
 
 
 def _count_commits(monkeypatch):
-    """Count group-row commits, member-row commits and per-server submits."""
-    counts = {"group": 0, "members": 0, "submits": 0}
-    commit_rows = ServerStateArrays.commit_rows
+    """Count the routes a push took: fan-outs committed on the group row,
+    fan-outs declined to per-server submits, and submits."""
+    counts = {"group": 0, "declined": 0, "submits": 0}
+    push_fanout = PSTrainingJob.push_fanout
     submit = ParameterServer.submit
 
-    def counted_rows(state, rows, *args):
-        counts["group" if rows == (state.group_row,) else "members"] += 1
-        return commit_rows(state, rows, *args)
+    def counted_fanout(*args):
+        committed = push_fanout(*args)
+        counts["group" if committed else "declined"] += 1
+        return committed
 
     def counted_submit(*args, **kwargs):
         counts["submits"] += 1
         return submit(*args, **kwargs)
 
-    monkeypatch.setattr(ServerStateArrays, "commit_rows", counted_rows)
+    monkeypatch.setattr(PSTrainingJob, "push_fanout", counted_fanout)
     monkeypatch.setattr(ParameterServer, "submit", counted_submit)
     return counts
+
+
+def _in_group(server):
+    """Whether ``server`` still reads the lock-step group's row."""
+    return server._row != server._slot
 
 
 def _run_like_uncoalesced(monkeypatch, spec, detached=0):
@@ -192,7 +200,8 @@ def _run_like_uncoalesced(monkeypatch, spec, detached=0):
     slow = simulate_spec(spec, coalesce=False)
     counts = _count_commits(monkeypatch)
     job, injector = build_scenario_job(spec)
-    ParameterServer.detach(job.servers[:detached])
+    for server in job.servers[:detached]:
+        server._detach()
     run = job.run()
     assert run.completed
     assert fingerprint(spec, run, injector) == slow.fingerprint
@@ -213,20 +222,22 @@ def test_a_lock_step_tier_commits_every_push_through_its_group(monkeypatch, serv
                                       scale=replace(TINY, num_servers=servers)))
     assert job.run().completed
     assert counts["group"] > 0
-    assert counts["members"] == counts["submits"] == 0
-    assert all(server.in_group for server in job.servers)
+    assert counts["declined"] == counts["submits"] == 0
+    assert all(_in_group(server) for server in job.servers)
 
 
 @pytest.mark.parametrize("servers", range(2, 13))
-def test_a_detached_tier_commits_every_push_on_member_rows(monkeypatch, servers):
-    """Once a member has left the group, each fan-out takes its targets out
-    too and, all of them eligible, writes one point on each target's own
-    row at any width: no fan-out falls back to per-server submits."""
+def test_a_detached_tier_submits_every_push_per_server(monkeypatch, servers):
+    """Once a member has left the group, every fan-out declines and the
+    worker submits to each server, which commits the push on its own row
+    (leaving the group at its first): at any width, the run records what
+    the uncoalesced run does."""
     spec = _spec("bsp", NO_STRAGGLERS, scale=replace(TINY, num_servers=servers))
     job, counts = _run_like_uncoalesced(monkeypatch, spec, detached=1)
-    assert counts["members"] > 0
-    assert counts["group"] == counts["submits"] == 0
-    assert not any(server.in_group for server in job.servers)
+    assert counts["declined"] > 0
+    assert counts["group"] == 0
+    assert counts["submits"] == servers * counts["declined"]
+    assert not any(_in_group(server) for server in job.servers)
 
 
 @pytest.mark.parametrize("servers", [2, 5, 12])
@@ -235,5 +246,6 @@ def test_a_tier_with_a_contended_member_declines_every_fan_out(monkeypatch, serv
     fan-out that includes it declines to per-server submits."""
     _, counts = _run_like_uncoalesced(monkeypatch, _spec(
         "bsp", server_scenario(0.8), scale=replace(TINY, num_servers=servers)))
-    assert counts["submits"] > 0
-    assert counts["group"] == counts["members"] == 0
+    assert counts["declined"] > 0
+    assert counts["submits"] == servers * counts["declined"]
+    assert counts["group"] == 0

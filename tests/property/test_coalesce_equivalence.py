@@ -1,7 +1,7 @@
 """Registry-wide proof that cohort coalescing is behaviour-preserving.
 
 The engine's fast paths — servers committing requests into coalesced
-windows, vectorized push fan-out — may only ever change *how fast* a run executes,
+windows, the lock-step group's one-point fan-out — may only ever change *how fast* a run executes,
 never *what* it computes.  The golden suite pins 36 checked-in traces; these tests go further and pin, for **every** registered
 scenario, that the fingerprint with coalescing forced on is byte-identical to
 the fingerprint with coalescing forced off (``Environment(coalesce=False)``),
@@ -11,7 +11,7 @@ which no fingerprint holds either), and that the ``REPRO_NO_COALESCE=1``
 escape hatch selects the slow path.  Every registered scenario but one runs
 3 servers, so five of them, the scale-in probe below and a run stopped by
 its deadline run again on a wide tier of 24 servers, through the lock-step
-group and the fan-out on the members' own rows.
+group and the per-server submits of the fan-outs it declines.
 
 The coalescing × elastic interaction gets its own regression test: a scale-in
 that retires a worker mid-iteration — i.e. from inside a live coalesced
@@ -44,7 +44,6 @@ from repro.orchestrator import simulate_spec
 from repro.orchestrator.worker import SimRun
 from repro.perf import EngineStats
 from repro.psarch.job import PSTrainingJob
-from repro.psarch.server import ServerStateArrays
 from repro.scenarios import ScenarioSpec, all_scenarios, get_scenario
 from repro.scenarios.fingerprint import fingerprint
 from repro.scenarios.matrix import build_scenario_job
@@ -120,7 +119,8 @@ def _simulate(spec, coalesce, max_duration_s=None):
     pytest.param(get_scenario("elastic-server-retire-replace"), None, False,
                  id="elastic-server-retire-replace"),
     # A joiner widens the targets while the members are still in the
-    # group: the fan-out takes them out before it commits on their rows.
+    # group: the fan-out declines, and each member leaves the group at its
+    # own submit's commit.
     pytest.param(get_scenario("elastic-server-churn"), None, True, id="elastic-server-churn"),
     pytest.param(get_scenario("nd-transient-heavy-antdt"), None, True,
                  id="nd-transient-heavy-antdt"),
@@ -134,33 +134,24 @@ def _simulate(spec, coalesce, max_duration_s=None):
 ])
 def test_wide_server_tier_is_mode_invariant(monkeypatch, spec, max_duration_s, grouped):
     """On 24 servers the push fan-out commits through the lock-step group,
-    or on the members' own rows once the group is gone, and rolls back per
+    or is submitted per server once the group is gone, and rolls back per
     server: fingerprints, server series, logical events and overheads must
     still equal the uncoalesced run's."""
     committed = []
-    group_commits = []
     push_fanout = PSTrainingJob.push_fanout
-    commit_rows = ServerStateArrays.commit_rows
 
     def counted(self, worker, nbytes, targets, latch):
         committed.append(push_fanout(self, worker, nbytes, targets, latch))
         return committed[-1]
 
-    def counted_rows(self, rows, *args):
-        if rows == (self.group_row,):
-            group_commits.append(args)
-        return commit_rows(self, rows, *args)
-
     monkeypatch.setattr(PSTrainingJob, "push_fanout", counted)
-    monkeypatch.setattr(ServerStateArrays, "commit_rows", counted_rows)
     wide = replace(spec, name=f"{spec.name}@servers=24",
                    topology=replace(spec.topology, num_servers=24))
     fast = _simulate(wide, True, max_duration_s)
-    assert any(committed)
-    assert bool(group_commits) is grouped
+    assert any(committed) is grouped
     if max_duration_s is not None:
         assert not fast.run.completed
-        assert not any(server.in_group for server in fast.job.servers)
+        assert not any(server._row != server._slot for server in fast.job.servers)
     slow = _simulate(wide, False, max_duration_s)
     assert fast.golden_trace() == slow.golden_trace()
     assert _server_series(fast) == _server_series(slow)
@@ -213,29 +204,30 @@ _SERVING_SHAPE_PARITY_GAP = {False: 0, True: 1}
 def test_serving_at_benchmark_scale_is_mode_invariant(monkeypatch, evicted):
     spec = _serving_bench_shape(evicted)
     rescinded = []
-    member_commits = []
+    declined = []
     discard_scheduled = Environment.discard_scheduled
-    commit_rows = ServerStateArrays.commit_rows
+    push_fanout = PSTrainingJob.push_fanout
 
     def counted(env, eid):
         rescinded.append(eid)
         discard_scheduled(env, eid)
 
-    def counted_rows(state, rows, *args):
-        if rows != (state.group_row,):
-            member_commits.append(rows)
-        return commit_rows(state, rows, *args)
+    def counted_fanout(job, worker, nbytes, targets, latch):
+        committed = push_fanout(job, worker, nbytes, targets, latch)
+        if not committed:
+            declined.append(len(targets))
+        return committed
 
     with monkeypatch.context() as patch:
         patch.setattr(Environment, "discard_scheduled", counted)
-        patch.setattr(ServerStateArrays, "commit_rows", counted_rows)
+        patch.setattr(PSTrainingJob, "push_fanout", counted_fanout)
         fast = _simulate(spec, True)
     # The eviction rolled back acknowledgements committed past it.
     assert bool(rescinded) == evicted
     # Serving traffic takes the servers out of lock step, so training
-    # fan-outs commit on the members' own rows: of the benchmark's
-    # workloads, only this one takes that path at 12 targets.
-    assert member_commits
+    # fan-outs decline to per-server submits: of the benchmark's
+    # workloads, only this one declines at 12 targets.
+    assert 12 in declined
     slow = _simulate(spec, False)
     assert fast.golden_trace() == slow.golden_trace()
     assert (slow.run.engine_events_processed - fast.run.engine_events_processed

@@ -16,6 +16,8 @@ headline regression: a server kill-restart racing an elastic scale-in drain
 must not resurrect a purged push request.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.actions import ActionType, ScaleInServers, ScaleOutServers
@@ -45,7 +47,7 @@ from repro.orchestrator import simulate_spec
 from repro.orchestrator.grid import expand
 from repro.orchestrator.hashing import spec_key
 from repro.psarch.config import PSJobConfig
-from repro.psarch.server import ParameterServer, PushRequest
+from repro.psarch.server import ParameterServer, PushRequest, ServerStateArrays
 from repro.scenarios import ScenarioSpec, TopologySpec, build_scenario_job
 from repro.scenarios.registry import all_scenarios
 from repro.sim.cluster import Cluster, NodeRole, NodeSpec, NodeStatus
@@ -475,21 +477,24 @@ def test_autoscaler_dispatches_server_policy_actions():
 
 
 def _standalone_server(draining, coalesce=True, drain_handler=None):
+    """One server on a fake job holding what a server reads of its job:
+    no standbys, and ``draining`` workers' pushes are never requeued."""
     env = Environment(coalesce=coalesce)
     node_spec = NodeSpec(name="server-0", role=NodeRole.SERVER,
                          device=CPU_SERVER_4C)
     cluster = Cluster("c", [node_spec])
-    scheduler = ClusterScheduler(
-        env, cluster, pending_model=PendingTimeModel(idle_pending_time=5.0),
-        node_init_time=5.0)
-    metrics = MetricsRecorder()
-    server = ParameterServer(
-        env=env, node=cluster.get("server-0"),
-        config=PSJobConfig(server_recovery_time_s=1.0), scheduler=scheduler,
-        metrics=metrics, delay_fraction_provider=lambda: 1.0,
-        requeue_filter=lambda worker: worker not in draining,
-        drain_handler=drain_handler)
-    return env, server
+    job = SimpleNamespace(
+        env=env, config=PSJobConfig(server_recovery_time_s=1.0),
+        scheduler=ClusterScheduler(
+            env, cluster, pending_model=PendingTimeModel(idle_pending_time=5.0),
+            node_init_time=5.0),
+        metrics=MetricsRecorder(), server_state=ServerStateArrays(),
+        server_delay_fraction=lambda: 1.0,
+        worker_requeue_ok=lambda worker: worker not in draining,
+        server_departed=drain_handler,
+        server_outage=lambda server, undelivered: False,
+        server_recovered=lambda server: None)
+    return env, ParameterServer(job, cluster.get("server-0"))
 
 
 def test_kill_restart_mid_drain_does_not_resurrect_purged_push():
@@ -513,7 +518,7 @@ def test_kill_restart_mid_drain_does_not_resurrect_purged_push():
     # The purged request never returned: not handled, never acknowledged.
     assert not done_gone.triggered
     assert done_live.triggered
-    assert len(server.metrics.series("server_bpt", tag="server-0")) == 1
+    assert len(server.job.metrics.series("server_bpt", tag="server-0")) == 1
     assert server.discard_requests_from("worker-gone") == 0
 
 
@@ -527,7 +532,7 @@ def test_kill_restart_still_requeues_live_workers_requests():
     assert server.request_kill_restart()
     env.run()
     assert done_live.triggered
-    assert len(server.metrics.series("server_bpt", tag="server-0")) == 1
+    assert len(server.job.metrics.series("server_bpt", tag="server-0")) == 1
 
 
 def _push(env, worker):
@@ -558,7 +563,7 @@ def test_kill_of_a_parked_server_loses_no_request(fed):
     assert server.pending_request_count() == 2
     assert not first.done.triggered and not second.done.triggered
     env.run()
-    series = server.metrics.series("server_bpt", tag="server-0")
+    series = server.job.metrics.series("server_bpt", tag="server-0")
     assert series.times() == [first.done.value, second.done.value]
     assert first.done.value < second.done.value
 
@@ -580,7 +585,7 @@ def test_request_arriving_during_an_open_window_waits_for_its_wake_up():
     assert server.pending_request_count() == 1
     assert not second.done.triggered
     env.run()
-    series = server.metrics.series("server_bpt", tag="server-0")
+    series = server.job.metrics.series("server_bpt", tag="server-0")
     assert series.times() == [first_ack, second.done.value]
     assert second.done.value == first_ack + series.values()[1]
 
@@ -598,7 +603,7 @@ def test_parked_server_serves_its_backlog_back_to_back_in_arrival_order(coalesce
     for request in requests:
         server.enqueue(request)
     env.run()
-    series = server.metrics.series("server_bpt", tag="server-0")
+    series = server.job.metrics.series("server_bpt", tag="server-0")
     acks = [request.done.value for request in requests]
     assert series.times() == acks
     handlings = series.values()
@@ -633,7 +638,7 @@ def test_relaunched_server_commits_its_backlog_as_one_window(coalesce, replan):
     env.run()
     acks = [request.done.value for request in queued] + [late.value]
     assert acks == pytest.approx([12.51, 13.52, 14.53, 15.54])
-    series = server.metrics.series("server_bpt", tag="server-0")
+    series = server.job.metrics.series("server_bpt", tag="server-0")
     assert series.times() == acks
     assert series.values() == pytest.approx([1.01] * 4)
     for previous, ack, handling in zip(acks, acks[1:], series.values()[1:]):
@@ -665,7 +670,7 @@ def test_kill_rolls_back_a_window_whose_records_outlived_a_prune():
 
         env.process(client())
         env.run()
-        series = server.metrics.series("server_bpt", tag="server-0")
+        series = server.job.metrics.series("server_bpt", tag="server-0")
         assert len(acks) == len(series) == 3000
         outcomes.append((acks, series.times(), series.values()))
     assert outcomes[0] == outcomes[1]
@@ -688,7 +693,7 @@ def test_contention_swap_recommits_the_tail_under_the_new_model(coalesce):
     env.run()
     acks = [done.value for done in dones]
     assert acks == pytest.approx([1.51, 3.02, 4.53])
-    series = server.metrics.series("server_bpt", tag="server-0")
+    series = server.job.metrics.series("server_bpt", tag="server-0")
     assert series.times() == acks
     assert series.values() == pytest.approx([1.01, 1.51, 1.51])
     assert env.processed_count + env.coalesced_count == 8
@@ -711,7 +716,7 @@ def test_swap_to_a_random_model_steps_the_held_backlog():
         server.node.set_contention(RandomContention(probability=1.0))
         dones.append(server.submit("worker-d", 1e9))
         env.run()
-        series = server.metrics.series("server_bpt", tag="server-0")
+        series = server.job.metrics.series("server_bpt", tag="server-0")
         acks = [done.value for done in dones]
         assert series.times() == acks
         outcomes.append((acks, series.values(),
@@ -763,7 +768,7 @@ def test_push_landing_exactly_on_the_last_ack_joins_the_window(coalesce):
     first = server.submit("worker-a", 1e9)
     env.run()
     assert late[0].value == first.value + handling
-    series = server.metrics.series("server_bpt", tag="server-0")
+    series = server.job.metrics.series("server_bpt", tag="server-0")
     assert series.times() == [first.value, late[0].value]
     assert env.processed_count + env.coalesced_count == 9
     assert env.processed_count == (6 if coalesce else 9)
@@ -784,7 +789,7 @@ def test_take_backlog_hands_over_the_queue_oldest_first(coalesce):
     assert server.take_backlog() == queued
     assert server.pending_request_count() == 0
     env.run()
-    series = server.metrics.series("server_bpt", tag="server-0")
+    series = server.job.metrics.series("server_bpt", tag="server-0")
     assert len(series) == 1
     assert not any(request.done.triggered for request in queued)
     late = [_push(env, "worker-d"), _push(env, "worker-e")]
@@ -816,7 +821,7 @@ def test_scale_in_of_a_fed_server_drains_every_request_in_order():
     assert handed == [first, second]
     assert not server.process.is_alive
     assert server.pending_request_count() == 0
-    assert len(server.metrics.series("server_bpt", tag="server-0")) == 0
+    assert len(server.job.metrics.series("server_bpt", tag="server-0")) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ copy (exact, cell for cell), what a member's series reads before and after,
 the end of a run (``finalize_run`` leaves the group alone unless a point
 lies past the stop), that a lock-step tier keeps its group to the end, the
 writes that take a member out (a kill on the group's chain tail, a stepped
-request, a new base overhead) and the ones that do not, that growing
-the store never touches the members' empty rows, and that a detached
-tier's fan-out still writes every point when it grows the store midway.
+request, a contention swap inside a live window) and the ones that do not,
+that growing the store never touches the members' empty rows, and that a
+commit that grows the store writes its points into the new columns.
 """
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,6 +53,11 @@ def _row(state, name, row, length):
     return getattr(state, name).reshape(-1, state.capacity)[row, :length].tolist()
 
 
+def _in_group(server):
+    """Whether ``server`` still reads the lock-step group's row."""
+    return server._row != server._slot
+
+
 def test_a_leaving_member_copies_the_group_row_exactly_and_reads_its_own():
     """Detached inside a live window, with the prefix sums synced part-way,
     a member's slot row equals the group row in every cell that holds
@@ -73,11 +79,11 @@ def test_a_leaving_member_copies_the_group_row_exactly_and_reads_its_own():
         assert 0 < synced < length
         before = (series.times(), series.values())
 
-        ParameterServer.detach([leaver])
+        leaver._detach()
 
         slot = leaver._slot
-        assert not leaver.in_group and not state.group_intact
-        assert all(server.in_group for server in job.servers[1:])
+        assert not _in_group(leaver) and not state.group_intact
+        assert all(_in_group(server) for server in job.servers[1:])
         for name in ("times", "values", "tokens"):
             assert _row(state, name, slot, length) == _row(state, name, group, length)
         assert _row(state, "prefix", slot, synced) == _row(state, "prefix", group, synced)
@@ -87,7 +93,7 @@ def test_a_leaving_member_copies_the_group_row_exactly_and_reads_its_own():
 
     env.process(leave())
     result = job.run()
-    assert not any(server.in_group for server in job.servers)
+    assert not any(_in_group(server) for server in job.servers)
     oracle = simulate_spec(_lock_step_spec(), coalesce=False).run
     for server in job.servers:
         ours = result.metrics.series("server_bpt", server.name)
@@ -106,7 +112,7 @@ def test_finalize_leaves_the_group_alone_without_a_point_past_the_stop():
     assert job.env.now == state.chain_tail[group]
     for server in job.servers:
         server.finalize_run()
-    assert all(server.in_group for server in job.servers)
+    assert all(_in_group(server) for server in job.servers)
 
     job = _started_job(until=LIVE_WINDOW_AT)
     state = job.server_state
@@ -117,7 +123,7 @@ def test_finalize_leaves_the_group_alone_without_a_point_past_the_stop():
     assert delivered < length
     for server in job.servers:
         server.finalize_run()
-        assert not server.in_group
+        assert not _in_group(server)
         assert len(job.metrics.series("server_bpt", server.name)) == delivered
         assert server.pending_request_count() > 0
     assert state.lengths[group] == length
@@ -132,7 +138,7 @@ def test_a_lock_step_tier_keeps_its_group_to_the_end():
     state = job.server_state
     assert len(job.servers) == 40
     assert state.group_intact
-    assert all(server.in_group for server in job.servers)
+    assert all(_in_group(server) for server in job.servers)
     assert state.lengths[state.group_row] > 0
     assert not state.lengths[:len(job.servers)].any()
 
@@ -140,35 +146,57 @@ def test_a_lock_step_tier_keeps_its_group_to_the_end():
 def test_no_group_forms_without_coalescing():
     job = simulate_spec(_lock_step_spec(), coalesce=False).job
     assert job.server_state.group_row == -1
-    assert not any(server.in_group for server in job.servers)
+    assert not any(_in_group(server) for server in job.servers)
 
 
-def test_a_member_whose_overhead_changes_leaves_the_group():
-    """The group's handling times hold only for its base overhead: a member
-    whose device changes leaves at its next eligibility refresh."""
-    job = _started_job(until=LIVE_WINDOW_AT)
-    server = job.servers[1]
-    server.node.spec = replace(server.node.spec, device=replace(
-        CPU_SERVER_4C, base_overhead=2 * server.node.device.base_overhead))
-    server.node.set_contention(NoContention())
-    assert not server.in_group
-    assert all(other.in_group for other in job.servers if other is not server)
+def test_a_contention_swap_inside_a_live_window_takes_the_member_out():
+    """A member whose contention model is swapped while the group's window
+    is live rolls its committed tail back: it leaves the group, its
+    siblings stay, the next fan-out declines to per-server submits, and
+    every series ends as the uncoalesced run with the same swap records it."""
+    outcomes = []
+    for coalesce in (True, False):
+        job, _ = build_scenario_job(_lock_step_spec(), coalesce=coalesce)
+        env = job.env
+        state = job.server_state
+        swapped = job.servers[1]
+
+        def swap():
+            yield env.timeout(LIVE_WINDOW_AT)
+            if coalesce:
+                assert state.chain_tail[state.group_row] > env.now
+            swapped.node.set_contention(NoContention())
+            if coalesce:
+                assert not _in_group(swapped) and not state.group_intact
+                assert all(_in_group(server) for server in job.servers
+                           if server is not swapped)
+                assert not job.push_fanout("worker-0", 1.0, job.push_targets(), None)
+
+        env.process(swap())
+        result = job.run()
+        outcomes.append([(series.times(), series.values()) for series in (
+            result.metrics.series("server_bpt", server.name) for server in job.servers)])
+    assert outcomes[0] == outcomes[1]
 
 
 def _standalone_group(members=3):
-    """``members`` fresh servers on one store, in lock step and parked."""
+    """``members`` fresh servers on a fake job holding what a server reads
+    of its job (no standbys, every push requeued), in lock step and parked."""
     env = Environment()
     specs = [NodeSpec(name=f"server-{index}", role=NodeRole.SERVER, device=CPU_SERVER_4C)
              for index in range(members)]
     cluster = Cluster("c", specs)
-    scheduler = ClusterScheduler(env, cluster, pending_model=PendingTimeModel(),
-                                 node_init_time=5.0)
-    state = ServerStateArrays(members + 1)
-    metrics = MetricsRecorder()
-    servers = [ParameterServer(env=env, node=cluster.get(spec.name), config=PSJobConfig(),
-                               scheduler=scheduler, metrics=metrics,
-                               delay_fraction_provider=lambda: 1.0, state=state)
-               for spec in specs]
+    job = SimpleNamespace(
+        env=env, config=PSJobConfig(),
+        scheduler=ClusterScheduler(env, cluster, pending_model=PendingTimeModel(),
+                                   node_init_time=5.0),
+        metrics=MetricsRecorder(), server_state=ServerStateArrays(members + 1),
+        server_delay_fraction=lambda: 1.0,
+        worker_requeue_ok=lambda worker: True,
+        server_outage=lambda server, undelivered: False,
+        server_recovered=lambda server: None)
+    state = job.server_state
+    servers = [ParameterServer(job, cluster.get(spec.name)) for spec in specs]
     ParameterServer.form_group(servers)
     for server in servers:
         server.start()
@@ -183,9 +211,11 @@ def test_a_kill_on_the_groups_chain_tail_takes_the_member_out():
     after the tail, it stays: no later commit can tell the two apart."""
     env, state, servers = _standalone_group()
     latch = CountdownEvent(env, len(servers))
-    credit = state.commit_rows((state.group_row,), len(servers), env.now, 1.0,
-                               PushRequest("worker-0", 1e9, latch))
-    assert credit == 2 * len(servers)  # one request and one window per member
+    credited = env.coalesced_count
+    state.commit(state.group_row, (PushRequest("worker-0", 1e9, latch),), env,
+                 servers[0].config.server_per_byte_cost_s, count=len(servers))
+    # One request and one window per member.
+    assert env.coalesced_count - credited == 2 * len(servers)
     ack = state.chain_tail[state.group_row]
     env.run(until=ack)
     assert latch.processed
@@ -193,7 +223,7 @@ def test_a_kill_on_the_groups_chain_tail_takes_the_member_out():
     env.run(until=ack + 0.5)
     assert servers[1].request_kill_restart()
     env.run(until=ack + 1.0)
-    assert [server.in_group for server in servers] == [False, True, True]
+    assert [_in_group(server) for server in servers] == [False, True, True]
     assert state.chain_tail[servers[0]._slot] == -math.inf
 
 
@@ -207,8 +237,9 @@ def test_a_member_stepping_a_request_writes_its_own_row():
     servers[0].enqueue(request)
     env.run()
     assert request.done.triggered
-    assert [server.in_group for server in servers] == [False, True, True]
-    lengths = [len(server.metrics.series("server_bpt", server.name)) for server in servers]
+    assert [_in_group(server) for server in servers] == [False, True, True]
+    lengths = [len(server.job.metrics.series("server_bpt", server.name))
+               for server in servers]
     assert lengths == [1, 0, 0]
 
 
@@ -228,17 +259,19 @@ def test_growing_the_store_never_touches_a_member_row(monkeypatch):
     of the members' empty rows, whose fresh cells so stay untouched (and
     take no memory)."""
     members = 5
+    env = Environment()
     state = ServerStateArrays(members + 1, points=8)
-    slots = [state.allocate_slot() for _ in range(members)]
-    group = state.add_group(slots, 0.01)
-    request = PushRequest(worker="worker-0", nbytes=1.0,
-                          done=CountdownEvent(Environment(), 9 * members))
+    slots = [state.allocate_slot(0.01) for _ in range(members)]
+    group = state.add_group(slots, 0.01, 0)
+    request = PushRequest("worker-0", 1.0, CountdownEvent(env, 9 * members))
     for step in range(8):
-        state.commit_rows((group,), members, float(step), 0.5, request)
+        env.run(until=float(step))
+        state.commit(group, (request,), env, 0.5, count=members)
     for name, _ in state.POINT_COLUMNS:
         getattr(state, name).reshape(-1, state.capacity)[slots] = -1
     monkeypatch.setattr(metrics_module, "np", _PoisonedNumpy())
-    state.commit_rows((group,), members, 8.0, 0.5, request)  # the ninth point doubles the rows
+    env.run(until=8.0)
+    state.commit(group, (request,), env, 0.5, count=members)  # the ninth point doubles the rows
     assert state.capacity == 16
     for name, _ in state.POINT_COLUMNS:
         cells = getattr(state, name).reshape(-1, state.capacity)
@@ -246,31 +279,41 @@ def test_growing_the_store_never_touches_a_member_row(monkeypatch):
     assert _row(state, "times", group, 9) == [0.51 + step for step in range(9)]
 
 
-def test_a_fan_out_that_fills_a_row_grows_the_store_and_writes_every_point():
-    """A detached tier's fan-out commits row by row: the second target's
-    full row doubles the store mid-fan-out, and every target, before and
-    after it, still gets its point, its length and its chain tail."""
+def test_a_commit_that_fills_a_row_grows_the_store_and_writes_every_point():
+    """A commit past its row's capacity doubles the store before it writes:
+    its points land in the new columns, every row keeps its points, length
+    and chain tail, and each acknowledgement is delivered at its point's
+    time."""
     env = Environment()
     state = ServerStateArrays(4, points=4)
-    slots = [state.allocate_slot() for _ in range(4)]
+    slots = [state.allocate_slot(0.0) for _ in range(4)]
+    committed = {slot: [] for slot in slots}
 
-    def fan_out(rows):
-        request = PushRequest("worker-0", 1.0, CountdownEvent(env, len(rows)))
-        return state.commit_rows(rows, 1, 0.0, 1.0, request), request
+    def commit(slot, count):
+        """Commit ``count`` one-second requests to ``slot``; returns the
+        logical events the commit credited."""
+        requests = [PushRequest("worker-0", 1.0, env.event()) for _ in range(count)]
+        credited = env.coalesced_count
+        state.commit(slot, requests, env, 1.0)
+        committed[slot].extend(requests)
+        return env.coalesced_count - credited
 
-    for _ in range(4):
-        fan_out((slots[1], slots[3]))
-    fan_out((slots[2],))
-    assert state.capacity == 4 and state.lengths[slots].tolist() == [0, 4, 1, 4]
-    credit, request = fan_out(tuple(slots))
+    commit(slots[1], 4)
+    commit(slots[3], 3)
+    commit(slots[2], 1)
+    assert state.capacity == 4 and state.lengths[slots].tolist() == [0, 4, 1, 3]
+    assert commit(slots[3], 2) == 2  # joins the live window: no window credit
     assert state.capacity == 8
-    assert credit == len(slots) + 1  # the empty row opened a window
-    lengths = [1, 5, 2, 5]
+    assert commit(slots[0], 1) == 2  # the empty row opened a window
+    lengths = [1, 4, 1, 5]
     assert state.lengths[slots].tolist() == lengths
     for slot, length in zip(slots, lengths):
         assert _row(state, "times", slot, length) == [1.0 + step for step in range(length)]
         assert _row(state, "values", slot, length) == [1.0] * length
-        assert state.record_at(slot * state.capacity + length - 1) is request
-    assert state.chain_tail[slots].tolist() == [1.0, 5.0, 2.0, 5.0]
+        assert [state.record_at(slot * state.capacity + index)
+                for index in range(length)] == committed[slot]
+    assert state.chain_tail[slots].tolist() == [1.0, 4.0, 1.0, 5.0]
     env.run()
-    assert env.now == request.done.value == 5.0
+    for slot, length in zip(slots, lengths):
+        assert [request.done.value for request in committed[slot]] == [
+            1.0 + step for step in range(length)]
